@@ -5,8 +5,10 @@ run: untraced for reference, then traced), so every workload runs alone
 in a fresh single-threaded process.  The sequence is fixed:
 
 1. build the inputs and oracles from the seed (not timed);
-2. set up ``--setup-reps`` times from scratch, timing each; the last
-   state is kept (with ``--trace 1`` the set-up is traced);
+2. set up ``--setup-reps`` times from scratch, timing each in steps
+   (the workload marks the steps) with a calibration slice between
+   steps, outside the timing; the last state is kept (with ``--trace 1``
+   the set-up is traced);
 3. collect garbage once, then run the op list, one op after another,
    timing each op from outside through the public API;
 4. check every result against its oracle (not timed); each result is
@@ -54,6 +56,35 @@ def _burst() -> float:
     return time.perf_counter() - start
 
 
+class _SetupTimer:
+    """Times one set-up step by step.  A calibration slice runs before the
+    first step and after every step, outside the timing, so that each
+    step can be scaled by the slices either side of it, like an op."""
+
+    def __init__(self, tracer) -> None:
+        self.tracer = tracer
+        self.steps: list = []
+        self.bursts = [_burst()]
+        self._begin()
+
+    def _begin(self) -> None:
+        self.root = self.tracer.open_root("setup", -1) if self.tracer else None
+        self.start = time.perf_counter()
+
+    def finish(self) -> None:
+        """Ends the current step."""
+        self.steps.append(time.perf_counter() - self.start)
+        if self.tracer:
+            self.tracer.close_root(self.root)
+        self.bursts.append(_burst())
+
+    def step(self) -> None:
+        """Ends the current step and starts the next; workloads call this
+        between the parts of their set-up."""
+        self.finish()
+        self._begin()
+
+
 def _layer_counts(before: dict, after: dict, nonempty: int, trace) -> dict:
     """The per-layer counts: exact counter deltas over the timed ops."""
     d = {key: after[key] - before.get(key, 0) for key in after}
@@ -99,7 +130,7 @@ def run(args) -> dict:
         tracer = Tracer()
         tracer.install()
 
-    setup_s = []
+    setup_steps = []
     setup_bursts = []
     state = None
     for rep in range(args.setup_reps):
@@ -109,14 +140,11 @@ def run(args) -> dict:
         workdir = args.workdir / f"setup-{rep}"
         shutil.rmtree(workdir, ignore_errors=True)
         workdir.mkdir(parents=True)
-        setup_bursts.extend(_burst() for _ in range(3))
-        root = tracer.open_root("setup", -1) if tracer else None
-        start = time.perf_counter()
-        state = workload.setup(inputs, workdir)
-        setup_s.append(time.perf_counter() - start)
-        if tracer:
-            tracer.close_root(root)
-        setup_bursts.extend(_burst() for _ in range(3))
+        timer = _SetupTimer(tracer)
+        state = workload.setup(inputs, workdir, timer.step)
+        timer.finish()
+        setup_steps.append(timer.steps)
+        setup_bursts.append(timer.bursts)
 
     before = workload.counters(state)
     answers = [None] * len(ops)
@@ -171,7 +199,8 @@ def run(args) -> dict:
         "kinds": [op["kind"] for op in ops],
         "mappings": sum(mappings),
         "mappings_digest": digest(mappings),
-        "setup_s": setup_s,
+        "setup_s": [sum(steps) for steps in setup_steps],
+        "setup_steps_s": setup_steps,
         "setup_bursts_s": setup_bursts,
         "latencies_s": latencies,
         "bursts_s": bursts,

@@ -4,8 +4,10 @@ For each workload it runs ``run.py --trace 1`` (an untraced reference run,
 then the traced run) and tabulates every layer's self seconds and share
 of the op time, the exact counts, ``trace.coverage`` and
 ``trace.overhead``, plus the set-up's own attribution.  It then checks the
-layer table of ``perfbench/README.md``: each layer's time takes a larger
-share of its home workload than of its flat one.
+layer table of ``perfbench/README.md`` — each layer's time takes a larger
+share of its home workload than of its flat one — and that the trace
+covers at least ``MIN_COVERAGE`` of every workload's op time; it exits
+with code 1 when either fails.
 
 Usage (from the root of a checkout; about 40 s per workload):
 
@@ -23,9 +25,12 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
-from run import WORKLOADS, invoke, scaled_latencies  # noqa: E402
+from run import WORKLOADS, invoke, op_seconds  # noqa: E402
 from steadiness import machine_facts  # noqa: E402
 from tracing import LAYERS  # noqa: E402
+
+#: The traced run must attribute at least this share of the op time.
+MIN_COVERAGE = 0.95
 
 #: ``(metrics, end-to-end metric they move, home workloads, flat workload)``.
 LAYER_TABLE = (
@@ -68,7 +73,8 @@ def share(runs: list, name: str) -> float:
     return tracing["ops_layers_s"][name] / tracing["ops_s"]
 
 
-def render(data: dict, seed: int, seconds: int) -> str:
+def render(data: dict, seed: int, seconds: int) -> tuple[str, bool]:
+    """The report, and whether every check held."""
     names = list(data)
     lines = [
         "# Per-layer baseline (traced runs)",
@@ -127,9 +133,8 @@ def render(data: dict, seed: int, seconds: int) -> str:
               "its flat one.", "",
               "| layer time | moves | home: share | flat: share | holds |",
               "|---|---|---|---|---|"]
+    ok = True
     for metrics, moves, homes, flat in LAYER_TABLE:
-        if not set(homes) <= set(names) or flat not in (None, *names):
-            continue  # a workload left out of this report
         name = metrics[0]
         home_shares = [share(runs_of[h], name) for h in homes]
         home_text = ", ".join(f"{h} {s:.1%}" for h, s in zip(homes, home_shares))
@@ -138,36 +143,45 @@ def render(data: dict, seed: int, seconds: int) -> str:
             continue
         flat_share = share(runs_of[flat], name)
         holds = all(s > flat_share for s in home_shares)
+        ok &= holds
         lines.append(
             f"| `{name}` | {moves} | {home_text} | {flat} {flat_share:.1%} | {holds} |"
         )
+    coverage = {name: runs_of[name][1]["tracing"]["coverage"] for name in names}
+    low = [f"{name} {value:.2%}" for name, value in coverage.items() if value < MIN_COVERAGE]
+    ok &= not low
     absent = sorted({a for name in names for a in runs_of[name][1]["tracing"]["absent"]})
-    lines += ["", f"Entry points absent: {', '.join(absent) if absent else 'none'}."]
-    return "\n".join(lines) + "\n"
+    lines += [
+        "",
+        f"Coverage below {MIN_COVERAGE:.0%}: {', '.join(low) or 'none'}.",
+        f"Entry points absent: {', '.join(absent) if absent else 'none'}.",
+        "",
+        f"All checks held: {ok}",
+    ]
+    return "\n".join(lines) + "\n", ok
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS))
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     data = {}
-    for workload in args.workloads:
+    for workload in WORKLOADS:
         metrics, runs = traced(workload, args.seed, seconds)
         for run in runs:
-            run["op_time_s"] = sum(scaled_latencies(run))
-            for raw in ("latencies_s", "bursts_s", "kinds"):
+            run["op_time_s"] = sum(op_seconds(run))
+            for raw in ("latencies_s", "bursts_s", "kinds", "setup_steps_s", "setup_bursts_s"):
                 run.pop(raw)
         data[workload] = {"metrics": metrics, "runs": runs}
-    text = render(data, args.seed, seconds)
+    text, ok = render(data, args.seed, seconds)
     print(text)
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(text)
         args.out.with_suffix(".json").write_text(json.dumps(data, indent=1) + "\n")
-    return 0
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -40,7 +40,7 @@ WORKLOADS = ("store-query", "csv-extract", "log-tail", "adhoc-difference")
 #: A workload process still running after this long is killed (exit 3).
 DEADLINE_S = 170.0
 #: ``setup_s`` is the median of this many from-scratch set-ups.
-SETUP_REPS = 3
+SETUP_REPS = 5
 #: Time metrics are in reference seconds: wall seconds scaled by how long
 #: a fixed slice of pure-Python work (``harness._burst``) took around
 #: them, against this reference.  Contention from other tenants of the
@@ -99,32 +99,40 @@ def _quantile(values: list, q: float) -> float:
     return statistics.quantiles(values, n=100, method="inclusive")[round(q * 100) - 1]
 
 
-def scaled_latencies(result: dict) -> list:
-    """Op latencies in reference seconds: each op's wall time scaled by
-    the calibration slices run just before and just after it."""
-    bursts = result["bursts_s"]
+def _scale(seconds: list, bursts: list) -> list:
+    """Each stretch of timed work in reference seconds: its wall time
+    scaled by the calibration slices run just before and just after it."""
     return [
-        seconds * 2 * REFERENCE_BURST_S / (bursts[i] + bursts[i + 1])
-        for i, seconds in enumerate(result["latencies_s"])
+        wall * 2 * REFERENCE_BURST_S / (bursts[i] + bursts[i + 1])
+        for i, wall in enumerate(seconds)
     ]
 
 
-def scaled_setups(result: dict) -> list:
-    """Each set-up's wall time in reference seconds, scaled by the median
-    of the six calibration slices around it."""
-    bursts = result["setup_bursts_s"]
+def op_seconds(result: dict, scaled: bool = True) -> list:
+    """Each op's time, in reference seconds or (``scaled=False``) wall
+    seconds."""
+    if not scaled:
+        return list(result["latencies_s"])
+    return _scale(result["latencies_s"], result["bursts_s"])
+
+
+def setup_seconds(result: dict, scaled: bool = True) -> list:
+    """Each set-up's time: the sum of its steps, each scaled like an op
+    (or, with ``scaled=False``, wall seconds)."""
+    if not scaled:
+        return list(result["setup_s"])
     return [
-        seconds * REFERENCE_BURST_S / statistics.median(bursts[6 * rep : 6 * rep + 6])
-        for rep, seconds in enumerate(result["setup_s"])
+        sum(_scale(steps, bursts))
+        for steps, bursts in zip(result["setup_steps_s"], result["setup_bursts_s"])
     ]
 
 
-def end_to_end(result: dict) -> dict:
-    latencies = scaled_latencies(result)
+def end_to_end(result: dict, scaled: bool = True) -> dict:
+    latencies = op_seconds(result, scaled)
     timed = sum(latencies)
     latencies_ms = [seconds * 1e3 for seconds in latencies]
     return {
-        "setup_s": (statistics.median(scaled_setups(result)), "s"),
+        "setup_s": (statistics.median(setup_seconds(result, scaled)), "s"),
         "ops_per_s": (result["ops"] / timed, "1/s"),
         "op_p50_ms": (statistics.median(latencies_ms), "ms"),
         "op_p90_ms": (_quantile(latencies_ms, 0.9), "ms"),
@@ -137,8 +145,8 @@ def per_layer(traced: dict, reference: dict) -> dict:
     """Layer self seconds of the traced run, scaled to reference seconds
     like the op latencies they add up to (set-up layers like set-up)."""
     tracing = traced["tracing"]
-    ops_scale = sum(scaled_latencies(traced)) / sum(traced["latencies_s"])
-    setup_scale = scaled_setups(traced)[0] / traced["setup_s"][0]
+    ops_scale = sum(op_seconds(traced)) / sum(traced["latencies_s"])
+    setup_scale = setup_seconds(traced)[0] / traced["setup_s"][0]
     metrics = {
         name: (tracing["ops_layers_s"][name] * ops_scale, "s") for name in LAYERS
     }
@@ -152,7 +160,7 @@ def per_layer(traced: dict, reference: dict) -> dict:
         metrics[name] = (value, "ratio" if name in RATIOS else "count")
     metrics["trace.coverage"] = (tracing["coverage"], "ratio")
     metrics["trace.overhead"] = (
-        sum(scaled_latencies(traced)) / sum(scaled_latencies(reference)) - 1, "ratio"
+        sum(op_seconds(traced)) / sum(op_seconds(reference)) - 1, "ratio"
     )
     return metrics
 

@@ -1,8 +1,8 @@
 """Determinism self-check: every run is fixed work.
 
-For each workload it makes two traced runs with one seed (each runs the
+For each workload it makes two traced runs with seed 1 (each runs the
 workload untraced and then traced) under different ``PYTHONHASHSEED``
-values, and one untraced run with a second seed.  It checks that
+values, and one untraced run with seed 2.  It checks that
 
 * the four processes of the first seed ran the same op list, returned the
   same mappings per op and moved every engine and store counter by the
@@ -28,6 +28,9 @@ sys.path.insert(0, str(HERE))
 
 from run import WORKLOADS, invoke  # noqa: E402
 
+SEED = 1
+OTHER_SEED = 2
+
 
 def raw_runs(workload: str, seed: int, seconds: float, trace: int, hash_seed: str) -> list:
     return invoke(
@@ -46,10 +49,10 @@ def fingerprint(run: dict) -> dict:
     }
 
 
-def check(workload: str, seed: int, other_seed: int, seconds: float) -> dict:
-    first = raw_runs(workload, seed, seconds, 1, "1")
-    second = raw_runs(workload, seed, seconds, 1, "2")
-    other = raw_runs(workload, other_seed, seconds, 0, "1")[0]
+def check(workload: str, seconds: float) -> dict:
+    first = raw_runs(workload, SEED, seconds, 1, "1")
+    second = raw_runs(workload, SEED, seconds, 1, "2")
+    other = raw_runs(workload, OTHER_SEED, seconds, 0, "1")[0]
     same_seed = [fingerprint(run) for run in first + second]
     traced_counts = [first[1]["layer_counts"], second[1]["layer_counts"]]
     result = {
@@ -74,17 +77,11 @@ def check(workload: str, seed: int, other_seed: int, seconds: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--workloads", nargs="*", default=list(WORKLOADS))
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--other-seed", type=int, default=2)
     parser.add_argument("--seconds", type=float, default=3.0)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
 
-    report = {
-        workload: check(workload, args.seed, args.other_seed, args.seconds)
-        for workload in args.workloads
-    }
+    report = {workload: check(workload, args.seconds) for workload in WORKLOADS}
     for workload, result in report.items():
         print(
             f"{workload:17s} ops={result['ops']:4d} mappings={result['mappings']:6d} "
@@ -97,7 +94,7 @@ def main(argv=None) -> int:
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(
-            {"seed": args.seed, "other_seed": args.other_seed, "seconds": args.seconds,
+            {"seed": SEED, "other_seed": OTHER_SEED, "seconds": args.seconds,
              "workloads": report}, indent=1) + "\n")
     return 0 if all(result["ok"] for result in report.values()) else 1
 

@@ -77,7 +77,9 @@ class Workload:
         the ``expected`` digest of its oracle answer."""
         raise NotImplementedError
 
-    def setup(self, inputs: dict, workdir: Path):
+    def setup(self, inputs: dict, workdir: Path, step):
+        """Build the program state; call ``step()`` between its parts
+        (the harness times each part and calibrates between them)."""
         raise NotImplementedError
 
     def run(self, state, op):
@@ -277,14 +279,16 @@ class StoreQuery(Workload):
             "ops": [make(kind, family) for kind, family in kinds],
         }
 
-    def setup(self, inputs: dict, workdir: Path):
+    def setup(self, inputs: dict, workdir: Path, step):
         path = workdir / "corpus.sqlite"
         writer = repro.CorpusStore(path)
         ids = writer.add_many(inputs["texts"])
         writer.close()
+        step()
         store = repro.CorpusStore(path)
         state = {"engine": repro.Engine(), "store": store, "ids": ids, "texts": inputs["texts"]}
         for op in inputs["warmup"]:
+            step()
             self.run(state, op)
         return state
 
@@ -327,7 +331,7 @@ class CsvExtract(Workload):
     name = "csv-extract"
     ops_per_second = 10.5
     records = 200
-    warmup_documents = 4
+    warmup_documents = 12
     variables = {"record": _RECORD, "field": ("field",)}
 
     def inputs(self, seed: int, n_ops: int) -> dict:
@@ -348,7 +352,7 @@ class CsvExtract(Workload):
         rng.shuffle(kinds)
         return {"warmup": warmup, "ops": [make(kind) for kind in kinds]}
 
-    def setup(self, inputs: dict, workdir: Path):
+    def setup(self, inputs: dict, workdir: Path, step):
         engine = repro.Engine(backend="vectorized")
         vas = {
             "record": _compile(csv_records.record_formula()),
@@ -358,6 +362,7 @@ class CsvExtract(Workload):
             engine.prepare(va)
         state = {"engine": engine, "vas": vas}
         for op in inputs["warmup"]:
+            step()
             self.run(state, op)
         return state
 
@@ -432,12 +437,13 @@ class LogTail(Workload):
         ops = [op for window in range(windows) for op in self._window(rng, window)]
         return {"warmup": warmup, "ops": ops}
 
-    def setup(self, inputs: dict, workdir: Path):
+    def setup(self, inputs: dict, workdir: Path, step):
         engine = repro.Engine()
         store = repro.CorpusStore(workdir / "tail.sqlite")
         session = engine.tail(_compile(server_logs.error_timestamp_formula()))
         state = {"engine": engine, "store": store, "session": session, "doc_id": None}
         for op in inputs["warmup"]:
+            step()
             self.run(state, op)
         return state
 
@@ -480,7 +486,7 @@ class AdhocDifference(Workload):
     ops_per_second = 11.0
     #: ``query: (students per list, mappings per list)``.
     shape = {"figure2": (7, 3), "example2.4": (9, 4)}
-    warmup_documents = 4
+    warmup_documents = 12
 
     def inputs(self, seed: int, n_ops: int) -> dict:
         rng = random.Random(f"adhoc-difference/{seed}")
@@ -504,7 +510,7 @@ class AdhocDifference(Workload):
         rng.shuffle(kinds)
         return {"warmup": warmup, "ops": [make(kind) for kind in kinds]}
 
-    def setup(self, inputs: dict, workdir: Path):
+    def setup(self, inputs: dict, workdir: Path, step):
         from repro.algebra import (
             Difference, Instantiation, Join, Leaf, PlannerConfig, Project, RAQuery,
         )
@@ -534,6 +540,7 @@ class AdhocDifference(Workload):
             engine.prepare(query)
         state = {"engine": engine, "queries": queries}
         for op in inputs["warmup"]:
+            step()
             self.run(state, op)
         return state
 
