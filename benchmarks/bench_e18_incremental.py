@@ -21,9 +21,10 @@ Two regimes:
   plus an emptiness test.  The bar: **≥5x** speedup for 100-letter
   appends on a ≥50k-letter document (in practice it is orders of
   magnitude — the rebuild re-walks every layer).
-* **dense** — ``error_rate=0.2``: matching re-evaluations pay
-  enumeration over the whole document, which both paths share; reported,
-  not asserted.
+* **dense** — ``error_rate=0.2``: an incremental re-evaluation walks
+  back from the final layer once per new mapping and stops at the
+  checkpoint for the mappings already emitted, while a rebuild enumerates
+  every mapping of the document again; reported, not asserted.
 
 Results are written to ``BENCH_incremental.json`` at the repository root
 (CI uploads it; ``tests/integration/test_perf_budgets.py`` gates the
@@ -212,9 +213,9 @@ def bench_e18_dense_tail(benchmark, report):
         "E18b_dense_tail",
         _table(
             rows,
-            "E18b dense stream (error_rate=0.2): matching re-evaluations "
-            "pay enumeration over the whole document in both paths — the "
-            "incremental saving is graph construction only",
+            "E18b dense stream (error_rate=0.2): the incremental session "
+            "walks back once per new mapping; a rebuild enumerates every "
+            "mapping again",
         ),
     )
     _JSON["sections"]["dense"] = {"rows": rows}

@@ -71,6 +71,18 @@ class PreparedRun(abc.ABC):
     def enumerate(self) -> Iterator[Mapping]:
         """Enumerate the mappings with polynomial delay (Theorem 2.5)."""
 
+    def enumerate_since(self, prefix_length: int) -> Iterator[Mapping]:
+        """Every mapping that is not a mapping of the document's first
+        ``prefix_length`` letters, plus possibly some that are, each once
+        and in no particular order; ``-1`` asks for all of them.
+
+        The indexed runs walk back from the final layer and skip the
+        prefix's mappings
+        (:meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since`); the
+        fallback enumerates everything.
+        """
+        return self.enumerate()
+
     def first(self) -> "Mapping | None":
         """The first mapping in canonical order, or ``None`` if empty.
 

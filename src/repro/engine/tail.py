@@ -13,8 +13,11 @@ run advance through the kernel's memoized transformer powers, so a long
 quiet stretch costs O(log extra), not even O(k).
 
 :meth:`TailSession.reevaluate` returns only the *new* mappings — those
-not produced by any earlier re-evaluation.  New mappings are computed as
-a set difference against everything already emitted, not by a span
+not produced by any earlier re-evaluation.  The run walks back from its
+final layer (:meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since`)
+and drops, at the checkpoint's layer, the branches that can only end in
+mappings of the checkpointed document; whatever else it yields is checked
+against the set of everything already emitted, not against a span
 predicate: an append can complete a match whose every capture operation
 lies in the old region (``x{a}bb`` on ``"ab" + "b"`` captures ``a`` at
 position 1), so "spans ending in the appended region" is not a sound
@@ -23,21 +26,25 @@ filter, but mappings are hashable and the emitted set is exact.
 Cost model (when incremental reuse wins — see the README's streaming
 section):
 
-* **Quiet documents** (the monitoring regime: most appends complete no
-  match) cost one checkpoint resume over the overhang plus an emptiness
-  test — O(appended), independent of the document length.
+* **Quiet appends** (the monitoring regime: most appends complete no
+  match) cost one checkpoint resume over the overhang plus, once the
+  document has matched, a walk back over the appended layers that stops
+  at the checkpoint — O(appended), independent of the document length and
+  of the mappings already emitted.
 * **Prefilter-rejected states** are cheaper still: while the accumulated
   document cannot possibly match (a must-occur letter absent), the
   session answers from the O(1) histogram check without touching the
   backend at all, and extends from the last checkpoint once the
   prefilter admits.
-* **Matching re-evaluations** pay enumeration over the whole document —
-  that is output cost, shared with a full rebuild; the incremental saving
-  is the graph construction.
+* **Matching re-evaluations** pay one walk back to layer 0 per new
+  mapping, O(document) each, plus sorting the new mappings into canonical
+  order; mappings emitted earlier are not walked again.  The first
+  matching evaluation after a rebuild also expands the forward layers
+  once; later extensions carry them over.
 * **Tiny documents** or backends without extension support
-  (``matchgraph``) fall back to a full rebuild — always correct, just
-  not faster; :class:`~repro.engine.stats.EngineStats` attributes reused
-  vs. recomputed layers either way.
+  (``matchgraph``) fall back to a full rebuild and a full enumeration —
+  always correct, just not faster; :class:`~repro.engine.stats.EngineStats`
+  attributes reused vs. recomputed layers either way.
 """
 
 from __future__ import annotations
@@ -51,6 +58,24 @@ from ..core.mapping import Mapping
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .backends import PreparedRun, PreparedVA
     from .core import ExecutionContext
+
+
+def _canonical_key(mapping: Mapping) -> tuple:
+    """The sort key of canonical enumeration order.
+
+    Enumeration picks one operation set per position, from position 1 on,
+    in :func:`~repro.va.matchgraph.opset_sort_key` order, where the empty
+    set comes first; so two mappings of one document compare at the first
+    position where their operations differ.  Listing only the positions
+    that carry operations, as ``(-position, operations)`` pairs in
+    position order, keeps that order: where one mapping has an operation
+    and the other has none, the other's next pair holds a later position,
+    so its negated position is smaller, or it has no next pair at all."""
+    ops: dict[int, list[tuple[str, bool]]] = {}
+    for var, span in mapping.items():
+        ops.setdefault(span.begin, []).append((var, False))
+        ops.setdefault(span.end, []).append((var, True))
+    return tuple((-position, sorted(ops[position])) for position in sorted(ops))
 
 
 class TailSession:
@@ -121,11 +146,16 @@ class TailSession:
 
     def reevaluate(self, text: str = "") -> list[Mapping]:
         """Append ``text`` (optional) and return the mappings that are new
-        since the previous call, in canonical enumeration order.
+        since the previous call: the accumulated document's mappings in
+        canonical enumeration order (the order every backend's
+        ``enumerate`` yields), minus every mapping emitted since the last
+        :meth:`reset`.
 
-        The union of every call's results equals a fresh full evaluation
-        of the accumulated document — the hypothesis suite pins that
-        equivalence across all backends.
+        The union of every call's results is the union of the evaluations
+        of every re-evaluated prefix, which for a non-monotone query is not
+        the evaluation of the accumulated document: with ``x{a}``,
+        ``reevaluate("a")`` emits x↦[1, 2⟩, and ``"aa"`` has no mapping.
+        The hypothesis suite pins both properties across all backends.
         """
         self.append(text)
         doc = self.document
@@ -149,10 +179,13 @@ class TailSession:
             and prepared.supports_extension()
         ):
             run = prepared.run_extended(self._run, doc)
-            stats.tail_reused_layers += self._run_n
-            stats.tail_recomputed_layers += n - self._run_n
+            # Every mapping of the checkpointed document is in `_seen`.
+            since = self._run_n
+            stats.tail_reused_layers += since
+            stats.tail_recomputed_layers += n - since
         else:
             run = prepared.run(doc)
+            since = -1
             stats.tail_recomputed_layers += n
         stats.compile_seconds += time.perf_counter() - start
         self._prepared = prepared
@@ -165,7 +198,10 @@ class TailSession:
             return []
         seen = self._seen
         start = time.perf_counter()
-        fresh = [m for m in run.enumerate() if m not in seen]
+        fresh = sorted(
+            (m for m in run.enumerate_since(since) if m not in seen),
+            key=_canonical_key,
+        )
         stats.enumerate_seconds += time.perf_counter() - start
         self._context._sync_gauges(prepared)
         seen.update(fresh)

@@ -87,6 +87,8 @@ class IndexedVA:
         accept: ``accept[state_id]`` is the tuple of accepting opset ids,
             canonically ordered.
         accept_mask: bitmask of states with at least one accepting opset.
+        accept_by_opset: ``accept_by_opset[opset_id]`` is the bitmask of
+            states that accept with that operation set.
     """
 
     def __init__(self, va: VA, factorized: FactorizedVA | None = None):
@@ -156,6 +158,10 @@ class IndexedVA:
         self.successor_masks = successor_masks
         self.accept = accept
         self.accept_mask = accept_mask
+        self.accept_by_opset = [0] * len(self.opsets)
+        for sid, oids in enumerate(accept):
+            for oid in oids:
+                self.accept_by_opset[oid] |= 1 << sid
         self.states_by_id = tuple(states_by_id)
         self.empty_opset_id = opset_ids.get(EMPTY_OPSET, -1)
         # Canonical enumeration rank per opset id (ids are interned in
@@ -209,6 +215,27 @@ class IndexedVA:
                     targets.append(target_mask)
             arrays = cache[letter_id] = (sids, oids, targets)
         return arrays
+
+    def predecessor_rows(self) -> "list[list[tuple[tuple[int, int], ...]]]":
+        """The macro transitions inverted: ``rows[letter_id][state_id]`` is
+        a tuple of ``(opset_id, source_mask)`` pairs, the states that reach
+        ``state_id`` by performing that operation set and reading that
+        letter.  :meth:`IndexedMatchGraph.enumerate_since` walks back over
+        them.  Built once and cached (document independent)."""
+        rows = getattr(self, "_predecessor_rows", None)
+        if rows is None:
+            rows = []
+            for table in self.tables:
+                per_target: list[dict[int, int]] = [{} for _ in range(self.n_states)]
+                for sid, entries in enumerate(table):
+                    bit = 1 << sid
+                    for oid, target_mask in entries:
+                        for tid in iter_bits(target_mask):
+                            sources = per_target[tid]
+                            sources[oid] = sources.get(oid, 0) | bit
+                rows.append([tuple(sources.items()) for sources in per_target])
+            self._predecessor_rows = rows
+        return rows
 
     def op_programs(self) -> "list[tuple[tuple[str, ...], tuple[str, ...]]]":
         """Per-opset ``(open_vars, close_vars)`` programs, indexed by
@@ -298,6 +325,36 @@ def _mapping_from_entries(entries: "list[tuple[int, OpSet]]") -> Mapping:
             if not op.is_open:
                 spans[op.var] = Span(opened.pop(op.var), position)
     return Mapping(spans)
+
+
+def _expand_runs(succ, forward, runs, mask, begin: int, guard) -> int:
+    """Fill ``forward[begin + 1:]`` from ``mask`` at layer ``begin``, walking
+    the encoded ``runs`` (those after the run holding layer ``begin``
+    start past it), and return the last layer's mask (``0`` once nothing
+    survives).  Inside a run, once the mask hits a fixpoint the rest of
+    the run is a slice fill."""
+    for lid, start, length in runs:
+        if guard is not None:
+            guard.check()
+        if lid < 0 or not mask:
+            return 0
+        row = succ[lid]
+        end = start + length
+        i = start
+        if i < begin:
+            i = begin
+        while i < end:
+            nxt = apply_masks(row, mask)
+            if not nxt:
+                return 0
+            i += 1
+            forward[i] = nxt
+            if nxt == mask:
+                # Fixpoint: the rest of the run repeats this mask.
+                forward[i + 1 : end + 1] = [nxt] * (end - i)
+                i = end
+            mask = nxt
+    return mask
 
 
 class IndexedMatchGraph:
@@ -440,13 +497,15 @@ class IndexedMatchGraph:
 
         The graph is layered by position, so the appended letters only
         extend the frontier: the prefix contributes nothing but its
-        checkpoint, already-materialised prefix forward layers are carried
-        over, and an appended run that merges with the tail run advances
-        through the kernel's memoized transformer powers in O(log extra).
-        The backward pruning, jump table, and enumeration edge rows are
-        *not* carried over — they are pruned against the final layer's
-        acceptance, which every append changes — and rebuild lazily over
-        the new document on demand.
+        checkpoint.  Already-materialised prefix forward layers are
+        carried over and the overhang's layers are expanded after them
+        (the frontier falls out of that walk), which is all
+        :meth:`enumerate_since` needs; otherwise an appended run that
+        merges with the tail run advances through the kernel's memoized
+        transformer powers in O(log extra).  The backward pruning, jump
+        table, and enumeration edge rows are *not* carried over — they are
+        pruned against the final layer's acceptance, which every append
+        changes — and rebuild lazily over the new document on demand.
 
         ``document`` must extend ``self.document`` letter for letter;
         callers (normally a tail session, via
@@ -475,59 +534,64 @@ class IndexedMatchGraph:
         mask = self._frontier
         if self._runs is not None:
             # Run-compressed: splice the encoded runs (only the possibly
-            # merged tail run and the new suffix runs are re-encoded) and
-            # advance the checkpoint over the overhang.
+            # merged tail run and the new suffix runs are re-encoded).
             kernel = graph._kernel = self._kernel
             letter_id = indexed.alphabet.ids.get
             old_runs = self._runs
             keep = max(len(old_runs) - 1, 0)
-            graph._runs = old_runs[:keep] + tuple(
+            overhang = tuple(
                 (letter_id(letter, -1), start, length)
                 for letter, start, length in doc.runs()[keep:]
             )
-            for lid, start, length in graph._runs[keep:]:
-                if guard is not None:
-                    guard.check()
-                end = start + length
-                if end <= old_n or not mask:
-                    continue
-                if lid < 0:
-                    mask = 0
-                    break
-                mask = kernel.advance(lid, mask, end - max(start, old_n))
-                if not mask:
-                    break
-            reuse_forward = self._forward is not None
+            graph._runs = old_runs[:keep] + overhang
+            if self._forward is not None:
+                # The prefix layers are expanded: expand the overhang's
+                # too, which yields the frontier on the way.
+                forward = list(self._forward)
+                forward.extend([0] * (n - old_n))
+                mask = _expand_runs(
+                    indexed.successor_masks, forward, overhang, mask, old_n, guard
+                )
+                graph._forward = forward
+            else:
+                # Advance the checkpoint over the overhang.
+                for lid, start, length in overhang:
+                    if guard is not None:
+                        guard.check()
+                    end = start + length
+                    if end <= old_n or not mask:
+                        continue
+                    if lid < 0:
+                        mask = 0
+                        break
+                    mask = kernel.advance(lid, mask, end - max(start, old_n))
+                    if not mask:
+                        break
         else:
             # Plain per-letter substrate: its forward layers are always
             # eager, so the extension fills the suffix layers eagerly too.
             graph._runs = None
             graph._kernel = None
-            reuse_forward = True
-        if reuse_forward:
             succ = indexed.successor_masks
             ids_get = indexed.alphabet.ids.get
             forward = list(self._forward)
             forward.extend([0] * (n - old_n))
-            m = self._frontier
             i = old_n
             for ch in doc.text[old_n:]:
                 if guard is not None:
                     guard.tick()
-                if not m:
+                if not mask:
                     break
                 lid = ids_get(ch, -1)
                 if lid < 0:
-                    m = 0
+                    mask = 0
                     break
-                m = apply_masks(succ[lid], m)
-                if not m:
+                mask = apply_masks(succ[lid], mask)
+                if not mask:
                     break
                 i += 1
-                forward[i] = m
+                forward[i] = mask
             graph._forward = forward
-            if graph._runs is None:
-                mask = m
         graph._frontier = mask
         final_mask = mask & indexed.accept_mask
         graph.final_mask = final_mask
@@ -545,35 +609,12 @@ class IndexedMatchGraph:
         to a slice fill once a run's frontier hits a fixpoint."""
         forward = self._forward
         if forward is None:
-            n = self._n
             indexed = self.indexed
-            guard = self._guard
-            forward = [0] * (n + 1)
-            mask = forward[0] = 1 << indexed.initial_id
-            succ = indexed.successor_masks
-            for lid, start, length in self._runs:
-                if guard is not None:
-                    guard.check()
-                if lid < 0 or not mask:
-                    mask = 0
-                    break
-                row = succ[lid]
-                end = start + length
-                i = start
-                while i < end:
-                    nxt = apply_masks(row, mask)
-                    if not nxt:
-                        mask = 0
-                        break
-                    i += 1
-                    forward[i] = nxt
-                    if nxt == mask:
-                        # Fixpoint: the rest of the run repeats this mask.
-                        forward[i + 1 : end + 1] = [nxt] * (end - i)
-                        i = end
-                    mask = nxt
-                if not mask:
-                    break
+            forward = [0] * (self._n + 1)
+            forward[0] = 1 << indexed.initial_id
+            _expand_runs(
+                indexed.successor_masks, forward, self._runs, forward[0], 0, self._guard
+            )
             self._forward = forward
         return forward
 
@@ -896,6 +937,94 @@ class IndexedMatchGraph:
         if final_ops:
             entries.append((n + 1, final_ops))
         return _mapping_from_entries(entries)
+
+    def enumerate_since(self, prefix_length: int) -> Iterator[Mapping]:
+        """Every mapping of this document that is not a mapping of its
+        first ``prefix_length`` letters, plus possibly some that are (the
+        caller filters those against the ones it holds), each once and in
+        no particular order.  ``-1`` enumerates every mapping.
+
+        The output-sensitive walk behind a tail session's re-evaluation: a
+        DFS from the final layer back to layer 0 over the automaton's
+        predecessor rows (:meth:`IndexedVA.predecessor_rows`), each step
+        intersected with the forward layer, which :meth:`extended` carries
+        over.  Every forward-reachable state leads back to the initial one,
+        so no branch dead-ends, and no ``alive`` pass, ``jump`` table or
+        edge row is built.  A branch whose operation sets above layer
+        ``m = prefix_length`` are all empty (the final one included)
+        completes, through a state at layer ``m`` that accepts with the
+        operation set chosen there, to a mapping of the prefix; such
+        states are dropped at layer ``m``.  So a re-evaluation after an
+        append that completes no match walks only the appended layers, and
+        each new mapping costs one walk back to layer 0.
+        """
+        n = self._n
+        if self.is_empty or prefix_length == n:
+            # With no new letters every branch ends in a prefix mapping.
+            return
+        indexed = self.indexed
+        opsets = indexed.opsets
+        accept_by_opset = indexed.accept_by_opset
+        rows = indexed.predecessor_rows()
+        forward = self.forward
+        letter_ids = self.letter_ids
+        guard = self._guard
+        # Stack frames: (layer, profile mask, quiet, path node).  ``quiet``:
+        # every operation set chosen from ``layer`` up is empty.  A path
+        # node is ((position, operation set), node of the later positions),
+        # so the walk down to layer 0 lists the entries in position order.
+        stack: list[tuple[int, int, bool, tuple | None]] = []
+        by_final: dict[int, int] = {}
+        for sid, oids in self.final.items():
+            for oid in oids:
+                by_final[oid] = by_final.get(oid, 0) | (1 << sid)
+        for oid, profile in by_final.items():
+            ops = opsets[oid]
+            stack.append((n, profile, not ops, ((n + 1, ops), None) if ops else None))
+        while stack:
+            frame = stack.pop()
+            while frame is not None:
+                if guard is not None:
+                    guard.tick()
+                layer, profile, quiet, node = frame
+                if not layer:
+                    entries: list[tuple[int, OpSet]] = []
+                    while node is not None:
+                        entry, node = node
+                        entries.append(entry)
+                    yield _mapping_from_entries(entries)
+                    break
+                layer -= 1
+                row = rows[letter_ids[layer]]
+                if profile & (profile - 1):
+                    options: dict[int, int] = {}
+                    mask = profile
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        for oid, sources in row[low.bit_length() - 1]:
+                            prev = options.get(oid)
+                            options[oid] = sources if prev is None else prev | sources
+                    choices = options.items()
+                else:
+                    # One state (the common case): its row is the options.
+                    choices = row[profile.bit_length() - 1]
+                reach = forward[layer]
+                prune = quiet and layer == prefix_length
+                # Follow one branch in place and stack the others.
+                frame = None
+                for oid, sources in choices:
+                    sources &= reach
+                    if prune:
+                        sources &= ~accept_by_opset[oid]
+                    if sources:
+                        if frame is not None:
+                            stack.append(frame)
+                        ops = opsets[oid]
+                        if ops:
+                            frame = (layer, sources, False, ((layer + 1, ops), node))
+                        else:
+                            frame = (layer, sources, quiet, node)
 
 
 def enumerate_indexed(

@@ -714,15 +714,14 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         The overhang advances through the shared kernel: interned frontier
         nodes per appended letter, plane-power doubling when appended
         letters merge into the tail run.  Already-materialised prefix
-        forward layers carry over; the plane arrays, co-reachability
-        nodes, jump table, and edge rows rebuild lazily (they are pruned
-        against the acceptance of the *new* final layer).  The *batched*
-        edge rows and option fans live on the kernel, keyed by
-        ``(letter, live mask)`` content rather than position — layer
-        contexts of the unchanged prefix that reproduce their masks after
-        the append re-hit those caches, so a tail session's
-        re-enumerations reuse the batched rows of the stable prefix
-        instead of rebuilding them per append.
+        forward layers carry over, extended over the overhang; the plane
+        arrays, co-reachability nodes, jump table, and edge rows rebuild
+        lazily (they are pruned against the acceptance of the *new* final
+        layer).  A tail session's re-evaluation needs none of them: the
+        inherited :meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since`
+        walks back from the final layer over the carried forward layers
+        and stops at the checkpoint, so an append that completes no match
+        costs O(appended) and each new mapping one walk back to layer 0.
         """
         doc = as_document(document)
         old_n = self._n

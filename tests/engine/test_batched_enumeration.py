@@ -3,15 +3,16 @@ batch-materialised edge rows ≡ the scalar walk ≡ ``indexed`` ≡ naive
 (hypothesis, including >64-state multi-plane automata, empty and
 run-heavy documents, and ``limit=`` prefixes with mid-fan cutoffs), the
 block-budget fallback, the ``limit`` row-materialisation short-circuit,
-tail-session row reuse, the bulk :meth:`Mapping.from_arrays`
+row reuse across append-extended runs, the bulk :meth:`Mapping.from_arrays`
 constructor, and the shared-kernel gauge watermark."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Mapping, Span, SpanRelation
+from repro.core import Document, Mapping, Span, SpanRelation
 from repro.engine import Engine
+from repro.engine.backends import PreparedVectorizedVA
 from repro.regex import parse
 from repro.va import evaluate_naive, regex_to_va, trim
 from repro.va.indexed import IndexedMatchGraph
@@ -178,21 +179,29 @@ class TestLimitShortCircuit:
 @needs_numpy
 class TestTailRowReuse:
     def test_tail_reevaluations_reuse_prefix_rows(self):
+        # Tail sessions walk back from the final layer instead; a full
+        # enumeration of an append-extended run still shares the kernel's
+        # content-keyed batched rows with the run it extends.
         va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))
-        engine = Engine(backend="vectorized")
-        session = engine.tail(va)
-        session.reevaluate("ab" * 30)
-        first_rows = engine.stats.edge_rows_batched
+        prepared = PreparedVectorizedVA(va)
+        doc = Document("ab" * 30)
+        run = prepared.run(doc)
+        list(run.enumerate())
+        first_rows = prepared.edge_rows_batched()
         assert first_rows > 0
-        session.reevaluate("ab" * 30)
-        second_delta = engine.stats.edge_rows_batched - first_rows
+        doc = doc.append("ab" * 30)
+        run = prepared.run_extended(run, doc)
+        list(run.enumerate())
+        second_delta = prepared.edge_rows_batched() - first_rows
         # The appended tail reproduces the prefix's (letter, live mask)
         # contexts, so the second pass re-hits the kernel's batched rows
         # instead of rebuilding them per append.
         assert second_delta <= first_rows
-        session.reevaluate("ab" * 30)
+        doc = doc.append("ab" * 30)
+        run = prepared.run_extended(run, doc)
+        list(run.enumerate())
         # And by the third identical append the context set is saturated.
-        assert engine.stats.edge_rows_batched == first_rows + second_delta
+        assert prepared.edge_rows_batched() == first_rows + second_delta
 
     def test_tail_union_equals_full_evaluation(self):
         va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))

@@ -3,9 +3,9 @@ reuses the layered match graph instead of rebuilding it."""
 
 import pytest
 
-from repro.core import SpanRelation
+from repro.core import Document, Span, SpanRelation
 from repro.core.errors import SpannerError
-from repro.engine import Engine, TailSession, available_backends
+from repro.engine import Engine, TailSession, available_backends, get_backend
 from repro.regex import parse
 from repro.va import regex_to_va, trim
 
@@ -114,6 +114,23 @@ class TestLayerReuse:
             session.reevaluate("a" * 64)
         assert kernel.cached_power_count() == cached
 
+    def test_quiet_extensions_advance_through_kernel_powers(self):
+        # Until the document first matches its forward layers stay
+        # unexpanded, and extensions advance the checkpoint through the
+        # kernel's memoized powers instead of filling layers.
+        engine = Engine(backend="indexed")
+        session = engine.tail(compile_va("(a|b)*x{b}a*b"), "bb" + "a" * 64)
+        assert session.reevaluate() == []
+        kernel = session._prepared.indexed.kernel()
+        cached = kernel.cached_power_count()
+        hits = kernel.run_hits
+        for _ in range(4):
+            assert session.reevaluate("a" * 64) == []
+        assert session._run._forward is None
+        assert kernel.run_hits > hits
+        assert kernel.cached_power_count() == cached
+        assert len(session.reevaluate("b")) == 1
+
     @pytest.mark.parametrize("backend", EXTENDING)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):
         engine = Engine(backend=backend)
@@ -128,6 +145,98 @@ class TestLayerReuse:
         # Once admitted, the session evaluates the full document correctly.
         fresh = session.reevaluate("b")
         assert SpanRelation(fresh) == engine.evaluate(va, "a" * 8 + "b")
+
+
+class _RecordingLayers(list):
+    """Forward layers that record which layers were read."""
+
+    def __init__(self, layers):
+        super().__init__(layers)
+        self.read = set()
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+
+def assert_backward_layers_unbuilt(run):
+    assert run._alive is None
+    assert run._jump is None
+    assert all(rows is None for rows in run._edges)
+    for slot in ("_alive_planes", "_cnodes", "_layer_ctx"):
+        assert getattr(run, slot, None) is None, slot
+
+
+class TestOutputSensitiveReevaluation:
+    """A re-evaluation of an extended run walks back from the final layer
+    over the carried forward layers and stops at the checkpoint."""
+
+    @pytest.mark.parametrize("backend", EXTENDING)
+    def test_quiet_append_after_a_match_builds_no_backward_layers(self, backend):
+        engine = Engine(backend=backend)
+        session = engine.tail(compile_va("(a|b)*x{ab}(a|b)*"))
+        assert len(session.reevaluate("aab")) == 1
+        assert session.reevaluate("bbb") == []
+        assert engine.stats.tail_reused_layers == 3
+        assert_backward_layers_unbuilt(session._run)
+        (mapping,) = session.reevaluate("ab")
+        assert dict(mapping.items())["x"] == Span(7, 9)
+
+    @pytest.mark.parametrize("backend", EXTENDING)
+    def test_quiet_append_walks_only_the_appended_layers(self, backend):
+        prepared = get_backend(backend).prepare(compile_va("(a|b)*x{ab}(a|b)*"))
+        doc = Document("ab" + "b" * 60)
+        prior = prepared.run(doc)
+        prior.forward  # expand once; extensions carry the layers over
+        run = prepared.run_extended(prior, doc.append("bbbb"))
+        run._forward = layers = _RecordingLayers(run._forward)
+        assert list(run.enumerate_since(len(doc))) == []
+        assert min(layers.read) == len(doc)
+        assert_backward_layers_unbuilt(run)
+
+    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize(
+        "formula, seed, expected",
+        [("x{a}bb", "ab", Span(1, 2)), ("(a|b)*x{a}bb(a|b)*", "abbab", Span(4, 5))],
+    )
+    def test_append_completing_an_old_region_match_returns_it(
+        self, backend, formula, seed, expected
+    ):
+        session = Engine(backend=backend).tail(compile_va(formula), seed)
+        session.reevaluate()
+        (mapping,) = session.reevaluate("b")
+        assert dict(mapping.items())["x"] == expected
+
+    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize(
+        "formula, text, y",
+        [
+            # y's operations two layers above the checkpoint, an empty
+            # operation set between them and it.
+            ("x{a}(bb(y{b}))?", "bbb", Span(4, 5)),
+            # y's operations in the final operation set alone.
+            ("x{a}(b(y{b*}))?", "b", Span(3, 3)),
+        ],
+    )
+    def test_operations_above_the_checkpoint_keep_accepting_states(
+        self, backend, formula, text, y
+    ):
+        # At the checkpoint layer the x-capturing state accepts with the
+        # operation set chosen there, but the branch captures y later: a
+        # new mapping, which only a branch with no operations above the
+        # checkpoint may drop.
+        session = Engine(backend=backend).tail(compile_va(formula), "a")
+        assert len(session.reevaluate()) == 1
+        (mapping,) = session.reevaluate(text)
+        assert dict(mapping.items()) == {"x": Span(1, 2), "y": y}
+
+    @pytest.mark.parametrize("backend", EXTENDING)
+    def test_reevaluation_without_new_text_returns_nothing(self, backend):
+        session = Engine(backend=backend).tail(compile_va("(a|b)*x{a}(a|b)*"))
+        assert len(session.reevaluate("aba")) == 2
+        assert session.reevaluate() == []
+        assert session.reevaluate("") == []
+        assert_backward_layers_unbuilt(session._run)
 
 
 class TestGraphExtensionErrors:

@@ -5,9 +5,9 @@ every step, on every backend (hypothesis)."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SpanRelation
-from repro.engine import Engine, available_backends
-from repro.va import evaluate_va, regex_to_va, trim
+from repro.core import Document, SpanRelation
+from repro.engine import Engine, available_backends, get_backend
+from repro.va import enumerate_mappings, evaluate_va, regex_to_va, trim
 
 from .conftest import sequential_formulas
 
@@ -19,23 +19,73 @@ ALL_BACKENDS = available_backends()
 #: no-growth re-evaluations and multi-append gaps are exercised too.
 chunks = st.lists(st.text(alphabet="ab", max_size=4), min_size=1, max_size=5)
 
+#: Session steps: re-evaluate after appending a chunk, append without
+#: re-evaluating (a gap the next re-evaluation spans), or restart the
+#: session on a new document.
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(("reevaluate", "reevaluate", "append", "reset")),
+        st.text(alphabet="ab", max_size=4),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
 
 class TestTailMatchesFullEvaluation:
-    @given(sequential_formulas(), chunks)
+    @given(sequential_formulas(), steps)
     @_SETTINGS
-    def test_stepwise_fresh_mappings_match_oracle(self, formula, parts):
+    def test_stepwise_fresh_mappings_match_oracle(self, formula, steps):
+        # Each re-evaluation returns, as an ordered list, the canonical
+        # enumeration of the accumulated document minus everything
+        # emitted since the last reset.
         va = trim(regex_to_va(formula))
         sessions = {name: Engine(backend=name).tail(va) for name in ALL_BACKENDS}
         text = ""
         seen = set()
-        for chunk in parts:
+        for action, chunk in steps + [("reevaluate", "")]:
+            if action == "reset":
+                text, seen = chunk, set()
+                for session in sessions.values():
+                    session.reset(chunk)
+                continue
             text += chunk
-            full = evaluate_va(va, text)
-            expected = SpanRelation(m for m in full if m not in seen)
+            if action == "append":
+                for session in sessions.values():
+                    session.append(chunk)
+                continue
+            expected = [m for m in enumerate_mappings(va, text) if m not in seen]
             for name, session in sessions.items():
-                fresh = session.reevaluate(chunk)
-                assert SpanRelation(fresh) == expected, (name, text)
+                assert session.reevaluate(chunk) == expected, (name, text)
             seen.update(expected)
+
+    @given(
+        sequential_formulas(),
+        st.text(alphabet="ab", max_size=6),
+        st.text(alphabet="ab", max_size=4),
+        st.booleans(),
+    )
+    @_SETTINGS
+    def test_enumerate_since_covers_the_new_mappings_once(
+        self, formula, prefix, suffix, expand
+    ):
+        # An extended run yields every mapping its prefix lacks, only
+        # mappings of the document, and none twice — whether or not the
+        # prior run's forward layers were expanded before the extension.
+        va = trim(regex_to_va(formula))
+        doc = Document(prefix).append(suffix)
+        full = evaluate_va(va, doc)
+        new = set(full) - set(evaluate_va(va, prefix))
+        for name in ALL_BACKENDS:
+            prepared = get_backend(name).prepare(va)
+            prior = prepared.run(prefix)
+            if expand and hasattr(prior, "forward"):
+                prior.forward
+            run = prepared.run_extended(prior, doc)
+            got = list(run.enumerate_since(len(prefix)))
+            assert len(got) == len(set(got)), name
+            assert new <= set(got) <= set(full), name
+            assert SpanRelation(run.enumerate_since(-1)) == full, name
 
     @given(sequential_formulas(max_vars=2), chunks)
     @_SETTINGS
