@@ -8,9 +8,11 @@ changes.  A :class:`TailSession` exploits that end to end: it holds one
 and re-evaluates by resuming the backend's Boolean forward pass from the
 previous run's checkpointed frontier
 (:meth:`~repro.va.indexed.IndexedMatchGraph.extended`) instead of
-rebuilding from position 0.  Appends that merge into the document's tail
-run advance through the kernel's memoized transformer powers, so a long
-quiet stretch costs O(log extra), not even O(k).
+rebuilding from position 0.  Until the document first matches, appends
+that merge into its tail run advance through the kernel's memoized
+transformer powers, so a long quiet stretch costs O(log extra), not even
+O(k); after that the forward layers the walk below needs are extended
+instead.
 
 :meth:`TailSession.reevaluate` returns only the *new* mappings — those
 not produced by any earlier re-evaluation.  The run walks back from its

@@ -31,6 +31,9 @@ fixpoint fill inside runs.  The enumeration DFS and the dedicated
 :meth:`IndexedMatchGraph.first` walk additionally *skip* through stretches
 of a run where the profile is a fixpoint with only the empty operation set
 available, compressing long no-capture stretches to O(1) stack frames.
+A tail session's re-evaluation instead walks back from the final layer
+over the forward masks alone (:meth:`IndexedMatchGraph.enumerate_since`),
+pruned at the previous run's length.
 ``compressed=False`` is the plain-kernel escape hatch (the pre-kernel
 per-letter behaviour, also exposed as the engine's ``indexed-plain``
 backend); ``eager=True`` additionally prebuilds every edge row up front.

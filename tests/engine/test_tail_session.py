@@ -193,6 +193,10 @@ class TestOutputSensitiveReevaluation:
         assert list(run.enumerate_since(len(doc))) == []
         assert min(layers.read) == len(doc)
         assert_backward_layers_unbuilt(run)
+        # With no new letters the walk does not start at all.
+        layers.read.clear()
+        assert list(run.enumerate_since(len(doc) + 4)) == []
+        assert not layers.read
 
     @pytest.mark.parametrize("backend", EXTENDING)
     @pytest.mark.parametrize(
