@@ -43,7 +43,7 @@ from ..va.normalization import normalize
 from ..va.operations import project_va, relation_va, union_va
 from .difference import adhoc_difference
 from .join import fpt_join
-from .sync_difference import synchronized_difference
+from .sync_difference import PreparedSyncDifference
 from .ra_tree import (
     Difference,
     Instantiation,
@@ -139,14 +139,15 @@ def apply_difference(
     return normalize(adhoc_difference(left, right, doc))
 
 
-def apply_sync_difference(left: VA, right: VA, doc: Document) -> VA:
-    """``\\`` through the synchronized compilation (Theorem 4.8).
+def apply_sync_difference(prepared: PreparedSyncDifference, doc: Document) -> VA:
+    """``\\`` through the synchronized compilation (Theorem 4.8): the
+    per-document half of an already prepared difference.
 
     Used by plans whose optimizer proved the subtrahend synchronized for
     the common variables; tractable for *unboundedly many* shared
     variables, so no ``max_shared`` check applies here.
     """
-    return normalize(synchronized_difference(left, right, doc))
+    return normalize(prepared.compile(doc))
 
 
 def check_shared(left: VA, right: VA, config: PlannerConfig, what: str) -> None:

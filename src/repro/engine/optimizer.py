@@ -69,9 +69,9 @@ from ..algebra.logical import (
     StaticAtom,
 )
 from ..algebra.planner import apply_project
-from ..va.matchstruct import never_used_variables
-from ..va.operations import project_va, trim
-from ..va.properties import is_functional, is_sequential, is_synchronized_for
+from ..algebra.sync_difference import synchronized_subtrahend
+from ..core.errors import NotSynchronizedError
+from ..va.properties import is_sequential
 
 #: Safety valve on per-node rule application (rules are designed to be
 #: terminating; the cap turns a regression into a missed rewrite instead of
@@ -303,13 +303,13 @@ class OrderOperands(RewriteRule):
 class LowerSyncDifference(RewriteRule):
     """Mark a difference as eligible for the Theorem-4.8 compilation.
 
-    Eligibility mirrors :func:`repro.algebra.sync_difference.synchronized_difference`'s
-    preconditions, checked statically on the subtrahend: project it onto
-    the common variables, drop the never-used ones, and require the result
-    to be synchronized and functional for the effective common set.  The
-    check is sound for per-document minuends too: at evaluation time the
-    runtime common set can only shrink, and synchronizedness is preserved
-    under projection to subsets.
+    Eligibility is :func:`repro.algebra.sync_difference.synchronized_subtrahend`,
+    the same analysis the compilation runs, checked statically on the
+    subtrahend: project it onto the common variables, drop the never-used
+    ones, and require the result to be synchronized and functional for the
+    effective common set.  The check is sound for per-document minuends
+    too: at evaluation time the runtime common set can only shrink, and
+    synchronizedness is preserved under projection to subsets.
     """
 
     name = "sync-difference"
@@ -322,17 +322,14 @@ class LowerSyncDifference(RewriteRule):
             return None
         if not is_sequential(right.va):
             return None
-        common = node.left.variables & right.variables
-        projected = trim(project_va(right.va, common))
-        if not projected.accepting:
+        try:
+            analysis = synchronized_subtrahend(
+                right.va, node.left.variables & right.variables
+            )
+        except NotSynchronizedError:
             return None
-        effective = common - never_used_variables(projected, frozenset(common))
-        if effective:
-            subtrahend = trim(project_va(projected, effective))
-            if not is_synchronized_for(subtrahend, effective):
-                return None
-            if not is_functional(subtrahend):
-                return None
+        if analysis is None:
+            return None
         return LSyncDifference(node.left, right)
 
 

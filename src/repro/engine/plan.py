@@ -22,7 +22,12 @@ black-box leaves (Corollary 5.3 materialises them on the document).
 
 Evaluating the plan on a document then recompiles *only* the ad-hoc
 suffix; a query with no difference and no black box collapses to one
-:class:`StaticNode` and is compiled exactly once, ever.
+:class:`StaticNode` and is compiled exactly once, ever.  A synchronized
+difference (Theorem 4.8) over static children splits further: its
+document-independent half — the operand checks, the subtrahend analysis
+and the minuend's used-set components — is built on the first document
+and kept in the :class:`SyncDifferencePlanNode`; only the match graphs
+and the product sweep run per document.
 
 The compilation primitives themselves live in
 :mod:`repro.algebra.planner` — this module only decides *when* each one
@@ -56,6 +61,7 @@ from ..algebra.planner import (
     materialise_blackbox,
 )
 from ..algebra.ra_tree import Instantiation, RANode
+from ..algebra.sync_difference import PreparedSyncDifference
 from ..core.document import Document
 from ..core.errors import SpannerError
 from ..core.mapping import Variable
@@ -230,17 +236,34 @@ class SyncDifferencePlanNode(DifferencePlanNode):
     (Theorem 4.8): the subtrahend was statically proven synchronized for
     the common variables, so the per-document build is polynomial without
     Theorem 5.2's ``max_shared`` bound — which is therefore deliberately
-    *not* enforced on this path."""
+    *not* enforced on this path.
 
-    __slots__ = ()
+    Theorem 4.8's document-independent half (the
+    :class:`~repro.algebra.sync_difference.PreparedSyncDifference`: the
+    operand checks, the subtrahend analysis, the minuend's used-set
+    components and their factorizations) is built on the first document
+    and kept when both children are static, so later documents run only
+    the per-document half (match graphs and product sweep).  With an
+    ad-hoc child it is built per document.  A build that raises is not
+    kept, so the error repeats on every evaluation."""
+
+    __slots__ = ("_prepared",)
+
+    def __init__(self, left: PlanNode, right: PlanNode, config: PlannerConfig):
+        super().__init__(left, right, config)
+        self._prepared: PreparedSyncDifference | None = None
 
     def compile_for(self, doc: Document, stats: EngineStats) -> VA:
         stats.adhoc_compiles += 1
-        return apply_sync_difference(
-            self.left.compile_for(doc, stats),
-            self.right.compile_for(doc, stats),
-            doc,
-        )
+        # A static child hands back its compiled VA and counts the reuse.
+        left = self.left.compile_for(doc, stats)
+        right = self.right.compile_for(doc, stats)
+        prepared = self._prepared
+        if prepared is None:
+            prepared = PreparedSyncDifference(left, right)
+            if self.left.is_static and self.right.is_static:
+                self._prepared = prepared
+        return apply_sync_difference(prepared, doc)
 
     def describe(self) -> str:
         return "∖ synchronized (Thm 4.8) [ad hoc]"

@@ -8,6 +8,7 @@ from repro.core import NotSynchronizedError
 from repro.regex import parse
 from repro.va import evaluate_naive, evaluate_va, is_sequential, regex_to_va, trim
 from repro.algebra import (
+    PreparedSyncDifference,
     SyncDifferenceStats,
     semantic_difference,
     synchronized_difference,
@@ -86,10 +87,27 @@ class TestPreconditions:
         a1 = compile_formula(synchronized_block_formula(2))
         a2 = compile_formula(synchronized_block_formula(2, alphabet="a"))
         synchronized_difference(a1, a2, "aca", stats=stats)
-        assert stats.effective_common == {"x1", "x2"}
-        assert stats.components >= 1
-        assert stats.max_tracked_set >= 1
-        assert stats.product_nodes > 0
+        assert stats == SyncDifferenceStats(
+            effective_common=frozenset({"x1", "x2"}),
+            components=1,
+            max_tracked_set=1,
+            product_nodes=4,
+        )
+
+
+class TestPreparedForm:
+    def test_fills_stats_on_every_compile(self):
+        # The document-independent fields come from the prepared form, so a
+        # fresh accumulator per document still receives all four.
+        a1 = compile_formula(synchronized_block_formula(2))
+        a2 = compile_formula(synchronized_block_formula(2, alphabet="a"))
+        prepared = PreparedSyncDifference(a1, a2)
+        for doc in ("aca", "acb", "", "aca"):
+            once, reused = SyncDifferenceStats(), SyncDifferenceStats()
+            expected = synchronized_difference(a1, a2, doc, stats=once)
+            compiled = prepared.compile(doc, stats=reused)
+            assert reused == once, doc
+            assert evaluate_va(compiled, doc) == evaluate_va(expected, doc), doc
 
 
 class TestRandomizedAgainstSemantic:

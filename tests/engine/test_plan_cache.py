@@ -1,6 +1,8 @@
 """The compiled-plan cache: static prefixes compile once, ad-hoc suffixes
 per document, and the engine's statistics expose which happened."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -15,14 +17,26 @@ from repro import (
     UnionNode,
     parse,
 )
-from repro.core import Mapping, SpannerError
+from repro.algebra import sync_difference
+from repro.core import Mapping, NotSequentialError, SpanRelation, SpannerError
 from repro.core.spanner import RelationSpanner
 from repro.algebra.planner import evaluate_ra
 from repro.engine.plan import (
     BlackboxNode,
     DifferencePlanNode,
     StaticNode,
+    SyncDifferencePlanNode,
     build_plan,
+)
+from repro.va import VA, open_op
+from repro.workloads.students import (
+    STUDENTS_DOCUMENT,
+    alpha_info,
+    alpha_recommendation,
+    alpha_student_mail,
+    alpha_student_phone,
+    alpha_uk_mail,
+    generate_students,
 )
 
 
@@ -46,6 +60,21 @@ def _adhoc_query():
         }
     )
     return tree, inst
+
+
+@pytest.fixture
+def sync_builds(monkeypatch):
+    """Records the minuend of every Theorem 4.8 prepared-form build: each
+    build splits its minuend into used-set components exactly once."""
+    minuends = []
+    split = sync_difference.used_set_components
+
+    def counting(va, shared):
+        minuends.append(va)
+        return split(va, shared)
+
+    monkeypatch.setattr(sync_difference, "used_set_components", counting)
+    return minuends
 
 
 class TestPlanStructure:
@@ -114,6 +143,56 @@ class TestPlanCacheBehaviour:
         assert stats.adhoc_compiles == 2
         assert stats.static_reuses == 4
         assert stats.document_misses == 2 and stats.document_hits == 0
+
+    def test_sync_difference_prepared_once_for_static_children(self, sync_builds):
+        tree, inst = _adhoc_query()
+        engine = Engine()
+        query = RAQuery(tree, inst, engine=engine)
+        assert isinstance(engine.prepare(query).plan.root, SyncDifferencePlanNode)
+        for doc in ("abab", "ba", "aab"):
+            query.evaluate(doc)
+        # Theorem 4.8's document-independent half is built on the first
+        # document and kept; the node still compiles once per document.
+        assert len(sync_builds) == 1
+        assert engine.stats.adhoc_compiles == 3
+        assert engine.stats.static_reuses == 6
+
+    def test_sync_difference_over_adhoc_minuend_prepares_per_document(
+        self, sync_builds
+    ):
+        tree = Difference(Difference(Leaf("a"), Leaf("c")), Leaf("d"))
+        inst = Instantiation(
+            spanners={
+                "a": parse("(a|b)*x{(a|b)+}(a|b)*"),
+                "c": parse("(a|b)*x{a}(a|b)*"),
+                "d": parse("(a|b)*x{b}(a|b)*"),
+            }
+        )
+        engine = Engine()
+        query = RAQuery(tree, inst, engine=engine)
+        root = engine.prepare(query).plan.root
+        assert isinstance(root, SyncDifferencePlanNode)
+        assert isinstance(root.left, SyncDifferencePlanNode)
+        for count, doc in enumerate(("abab", "bab", "aabb"), start=1):
+            assert query.evaluate(doc)
+            # The inner node built its half once; the outer node, whose
+            # minuend is the inner node's per-document automaton, builds
+            # one per document.
+            assert len(sync_builds) == 1 + count
+
+    def test_failed_sync_difference_build_raises_on_every_evaluation(self):
+        # The minuend opens x and never closes it.  The optimizer checks
+        # only the subtrahend, so the plan builds; the Theorem 4.8 build
+        # raises at evaluation, and since a failed build is not kept, it
+        # raises again on the next call.
+        unclosed = VA(0, (2,), [(0, open_op("x"), 1), (1, "a", 2)])
+        inst = Instantiation(spanners={"a": unclosed, "c": parse("x{a}")})
+        engine = Engine()
+        query = RAQuery(Difference(Leaf("a"), Leaf("c")), inst, engine=engine)
+        assert isinstance(engine.prepare(query).plan.root, SyncDifferencePlanNode)
+        for _ in range(2):
+            with pytest.raises(NotSequentialError):
+                engine.evaluate(query, "a")
 
     def test_document_cache_serves_repeated_documents(self):
         tree, inst = _adhoc_query()
@@ -195,3 +274,86 @@ class TestEngineMatchesPlanner:
             assert engine.evaluate(RAQuery(tree, inst), doc) == evaluate_ra(
                 tree, inst, doc
             )
+
+
+def _student_queries() -> dict:
+    """Figure 2's π_xstdnt((αsm ⋈ αsp) ∖ αnr) and Example 2.4's
+    αinfo ∖ αUKm; the optimizer lowers both differences to Theorem 4.8."""
+    return {
+        "figure2": RAQuery(
+            Project(Difference(Join(Leaf("sm"), Leaf("sp")), Leaf("nr")), "keep"),
+            Instantiation(
+                spanners={
+                    "sm": alpha_student_mail(),
+                    "sp": alpha_student_phone(),
+                    "nr": alpha_recommendation(),
+                },
+                projections={"keep": frozenset({"xstdnt"})},
+            ),
+            PlannerConfig(max_shared=2),
+        ),
+        "example2.4": RAQuery(
+            Difference(Leaf("info"), Leaf("uk")),
+            Instantiation(spanners={"info": alpha_info(), "uk": alpha_uk_mail()}),
+        ),
+    }
+
+
+class TestSyncDifferenceAcrossDocuments:
+    """One engine keeps each query's Theorem 4.8 prepared form across
+    interleaved documents; every answer must be the one a fresh engine and
+    the Lemma 4.2 route (``optimize=False``) give."""
+
+    #: Student lists that both subtrahends match and both queries survive.
+    LISTED = tuple(
+        generate_students(6, random.Random(seed), with_recommendation=0.3).text
+        for seed in (1, 8)
+    )
+    #: Neither a recommendation nor a UK mail: both subtrahends extract
+    #: nothing, so the compilation returns the minuend.
+    UNMATCHED = "Rodion Raskolnikov rr@edu.ru\nZosimov 6222345 mov@edu.ru\n"
+    #: Letters outside Example 2.1's alphabet.
+    FOREIGN = "Åsa Ørsted 6222345 ao@edu.uk\n"
+    DOCUMENTS = (
+        LISTED[0],
+        "",
+        UNMATCHED,
+        STUDENTS_DOCUMENT.text,
+        FOREIGN,
+        LISTED[1],
+        LISTED[0],
+        "",
+        STUDENTS_DOCUMENT.text,
+        UNMATCHED,
+        LISTED[1],
+    )
+
+    def test_documents_cover_both_subtrahend_outcomes(self):
+        engine = Engine()
+        subtrahends = {"nr": alpha_recommendation(), "uk": alpha_uk_mail()}
+        for name, formula in subtrahends.items():
+            alone = RAQuery(Leaf(name), Instantiation(spanners={name: formula}))
+            for listed in self.LISTED:
+                assert engine.evaluate(alone, listed), name
+            assert not engine.evaluate(alone, self.UNMATCHED), name
+        for query in _student_queries().values():
+            for listed in self.LISTED:
+                assert engine.evaluate(query, listed)
+
+    def test_shared_engine_matches_fresh_and_lemma_4_2(self, sync_builds):
+        queries = _student_queries()
+        shared = Engine()
+        for query in queries.values():
+            plan = shared.prepare(query).plan
+            assert any(isinstance(n, SyncDifferencePlanNode) for n in plan.root.walk())
+        answers = [
+            (name, doc, list(shared.enumerate(query, doc)))
+            for doc in self.DOCUMENTS
+            for name, query in queries.items()
+        ]
+        assert len(sync_builds) == len(queries)  # one build per plan
+        lemma_4_2 = Engine(optimize=False)
+        for name, doc, got in answers:
+            query = queries[name]
+            assert got == list(Engine().enumerate(query, doc)), (name, doc)
+            assert SpanRelation(got) == lemma_4_2.evaluate(query, doc), (name, doc)
