@@ -20,10 +20,20 @@ automaton, i.e. the macro-transition graph of the indexed form):
   (BFS), and, when the letter graph is acyclic, the maximum (longest-path
   DP); documents outside the window cannot match;
 * **must-occur letter bounds** — for each letter, the minimum number of
-  times it is read on *any* accepting path (0–1 BFS, counting only edges
-  of that letter); a document with fewer occurrences cannot match.  The
-  bounds form the must-occur letter multiset lower bound: a letter with a
-  positive bound is *required* on every accepting path.
+  times it is read on *any* accepting path; a document with fewer
+  occurrences cannot match.  The bounds form the must-occur letter
+  multiset lower bound: a letter with a positive bound is *required* on
+  every accepting path.  A letter read on every accepting path is read on
+  any one of them, so only the letters of one shortest accepting path
+  (found by the same BFS as the minimum length, with parent pointers) can
+  have a positive bound.  Each of those at most ``min_length`` letters
+  gets a 0–1 BFS (edges of the letter weigh 1, every other letter 0); the
+  rest of the alphabet is never searched.
+
+Cost, once per automaton: O(|Σ|·|Q|) to gather the per-state letter
+adjacency from the dense letter × state tables, then O(T) per search over
+the T (state, letter, target) edges — one BFS, the longest-path DP, and at
+most ``min_length`` 0–1 BFSs, however large Σ is.
 
 Soundness (the prefilter never rejects a document with a nonempty result)
 is checked by hypothesis properties in ``tests/va/test_prefilter.py``
@@ -37,7 +47,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from ..core.document import Document, as_document
-from ..utils.bits import apply_masks, iter_bits
+from ..utils.bits import iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .indexed import IndexedVA
@@ -45,9 +55,20 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Effectively-infinite distance for the 0-1 BFS.
 _INF = float("inf")
 
+#: Printable letters :meth:`VAPrefilter.describe` still quotes: the list
+#: separator and the characters a quoted letter is written with.
+_QUOTED = ",'\\"
+
 
 class VAPrefilter:
     """Necessary document conditions of one automaton (document free).
+
+    Derived once per automaton from its letter graph: one BFS with parent
+    pointers gives ``min_length`` and a shortest accepting path; the
+    longest-path DP gives ``max_length``; and a 0–1 BFS per letter of that
+    path gives ``required``.  A letter off the path has bound 0, because a
+    letter read on every accepting path is read on this one.  So at most
+    ``min_length`` letters are searched, whatever the alphabet's size.
 
     Attributes:
         alphabet: the automaton's interned letter alphabet.
@@ -63,23 +84,24 @@ class VAPrefilter:
 
     def __init__(self, indexed: "IndexedVA"):
         self.alphabet = indexed.alphabet
-        succ = indexed.successor_masks
-        n_states = indexed.n_states
         initial = indexed.initial_id
         accept_mask = indexed.accept_mask
-        self.min_length = _min_path_length(succ, n_states, initial, accept_mask)
-        self.empty = self.min_length is None
+        adjacency = _letter_adjacency(indexed.successor_masks, indexed.n_states)
+        path = _shortest_accepting_path(adjacency, initial, accept_mask)
+        self.empty = path is None
         if self.empty:
             self.min_length = 0
             self.max_length = 0
             self.required = ()
             return
-        self.max_length = _max_path_length(succ, n_states, initial, accept_mask)
+        self.min_length = len(path)
+        self.max_length = _max_path_length(adjacency, initial, accept_mask)
+        signature = self.alphabet.signature
         required = []
-        for lid, letter in enumerate(self.alphabet.signature):
-            bound = _min_letter_count(succ, n_states, initial, accept_mask, lid)
+        for lid in sorted(set(path)):
+            bound = _min_letter_count(adjacency, initial, accept_mask, lid)
             if bound > 0:
-                required.append((letter, bound))
+                required.append((signature[lid], bound))
         self.required = tuple(required)
 
     def admits(self, document: Document | str) -> bool:
@@ -118,17 +140,18 @@ class VAPrefilter:
         return True
 
     def describe(self) -> str:
-        """One line for ``CompiledPlan.explain()``."""
+        """One line for ``CompiledPlan.explain()``: letters that would
+        break the line or read ambiguously are quoted (see :func:`_show`)."""
         if self.empty:
             return "empty language (rejects every document)"
-        letters = "".join(self.alphabet.signature)
+        letters = "".join(map(_show, self.alphabet.signature))
         window = f"length ≥ {self.min_length}"
         if self.max_length is not None:
             window = f"length in [{self.min_length}, {self.max_length}]"
         parts = [f"letters ⊆ {{{letters}}}", window]
         if self.required:
             bounds = ", ".join(
-                f"{letter}×{bound}" if bound > 1 else letter
+                f"{_show(letter)}×{bound}" if bound > 1 else _show(letter)
                 for letter, bound in self.required
             )
             parts.append(f"requires {bounds}")
@@ -138,36 +161,69 @@ class VAPrefilter:
         return f"VAPrefilter({self.describe()})"
 
 
-def _min_path_length(
-    succ: "list[list[int]]", n_states: int, initial: int, accept_mask: int
-) -> "int | None":
-    """Minimum letter edges from ``initial`` to an accepting state, or
-    ``None`` when no accepting state is reachable (empty language)."""
-    frontier = seen = 1 << initial
-    depth = 0
-    while True:
-        if frontier & accept_mask:
-            return depth
-        nxt = 0
-        for row in succ:
-            nxt |= apply_masks(row, frontier)
-        nxt &= ~seen
-        if not nxt:
-            return None
-        seen |= nxt
-        frontier = nxt
-        depth += 1
+def _show(letter: str) -> str:
+    """``letter`` bare, or as its ``repr`` when it is non-printable,
+    whitespace or in :data:`_QUOTED`."""
+    if letter.isprintable() and not letter.isspace() and letter not in _QUOTED:
+        return letter
+    return repr(letter)
+
+
+def _letter_adjacency(
+    succ: "list[list[int]]", n_states: int
+) -> "list[list[tuple[int, int]]]":
+    """``adjacency[state]``: the ``(letter id, target mask)`` pairs of the
+    letters ``state`` has an edge on, letter ids ascending."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
+    for lid, row in enumerate(succ):
+        for state, targets in enumerate(row):
+            if targets:
+                adjacency[state].append((lid, targets))
+    return adjacency
+
+
+def _shortest_accepting_path(
+    adjacency: "list[list[tuple[int, int]]]", initial: int, accept_mask: int
+) -> "list[int] | None":
+    """The letter ids of one shortest path from ``initial`` to an accepting
+    state (BFS with parent pointers), or ``None`` when no accepting state
+    is reachable (empty language)."""
+    if (accept_mask >> initial) & 1:
+        return []
+    parent: "list[tuple[int, int] | None]" = [None] * len(adjacency)
+    seen = 1 << initial
+    queue: deque[int] = deque((initial,))
+    while queue:
+        state = queue.popleft()
+        for lid, targets in adjacency[state]:
+            fresh = targets & ~seen
+            if not fresh:
+                continue
+            seen |= fresh
+            for target in iter_bits(fresh):
+                parent[target] = (state, lid)
+                if (accept_mask >> target) & 1:
+                    # BFS discovers states in depth order: this one is nearest.
+                    path = []
+                    while target != initial:
+                        target, letter = parent[target]
+                        path.append(letter)
+                    path.reverse()
+                    return path
+                queue.append(target)
+    return None
 
 
 def _max_path_length(
-    succ: "list[list[int]]", n_states: int, initial: int, accept_mask: int
+    adjacency: "list[list[tuple[int, int]]]", initial: int, accept_mask: int
 ) -> "int | None":
     """Longest letter path from ``initial`` to an accepting state, or
     ``None`` when the letter graph is cyclic (unbounded documents)."""
+    n_states = len(adjacency)
     out_masks = [0] * n_states
-    for row in succ:
-        for state in range(n_states):
-            out_masks[state] |= row[state]
+    for state, edges in enumerate(adjacency):
+        for _, targets in edges:
+            out_masks[state] |= targets
     # Kahn's algorithm over the reachable subgraph: cycle ⇒ unbounded.
     indegree = [0] * n_states
     for state in range(n_states):
@@ -200,35 +256,34 @@ def _max_path_length(
 
 
 def _min_letter_count(
-    succ: "list[list[int]]",
-    n_states: int,
+    adjacency: "list[list[tuple[int, int]]]",
     initial: int,
     accept_mask: int,
     letter_id: int,
 ) -> int:
     """Minimum number of ``letter_id`` edges on any accepting path (0-1
-    BFS: edges of the letter weigh 1, every other letter weighs 0)."""
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
-    for lid, row in enumerate(succ):
-        weight = 1 if lid == letter_id else 0
-        for state in range(n_states):
-            targets = row[state]
-            if targets:
-                edges[state].append((weight, targets))
-    dist: list[float] = [_INF] * n_states
+    BFS: edges of the letter weigh 1, every other letter weighs 0; each
+    state's edges are merged into one mask per weight)."""
+    dist: list[float] = [_INF] * len(adjacency)
     dist[initial] = 0
     queue: deque[int] = deque((initial,))
     while queue:
         state = queue.popleft()
         here = dist[state]
-        for weight, targets in edges[state]:
-            through = here + weight
-            for target in iter_bits(targets):
-                if through < dist[target]:
-                    dist[target] = through
-                    if weight:
-                        queue.append(target)
-                    else:
-                        queue.appendleft(target)
+        free = counted = 0
+        for lid, targets in adjacency[state]:
+            if lid == letter_id:
+                counted = targets
+            else:
+                free |= targets
+        for target in iter_bits(free):
+            if here < dist[target]:
+                dist[target] = here
+                queue.appendleft(target)
+        here += 1
+        for target in iter_bits(counted):
+            if here < dist[target]:
+                dist[target] = here
+                queue.append(target)
     best = min((dist[state] for state in iter_bits(accept_mask)), default=_INF)
     return 0 if best is _INF else int(best)
