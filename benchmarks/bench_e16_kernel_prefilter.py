@@ -5,19 +5,21 @@ batches.
 The evaluation kernel's per-document cost should be sublinear in practice:
 
 * **run-compressed kernel** — documents with long single-letter runs
-  advance through memoized ``(letter, 2^k)`` transformer powers (plus
-  fixpoint absorption), and the enumeration DFS skips forced empty-opset
-  stretches, so both emptiness and full enumeration scale with the number
-  of *runs*, not letters.  The acceptance bar: ≥2x full-enumeration
-  speedup over the plain per-letter kernel on run-heavy documents.
+  take the run walk: they advance through memoized ``(letter, 2^k)``
+  transformer powers (plus fixpoint absorption), and the enumeration DFS
+  skips forced empty-opset stretches, so both emptiness and full
+  enumeration scale with the number of *runs*, not letters.  The
+  acceptance bar: ≥2x full-enumeration speedup over the letter walk
+  (forced by raising the shared run-walk threshold) on run-heavy
+  documents.
 * **prefilter** — corpora where most documents provably cannot match are
   rejected in O(1) from the cached letter histogram, before any graph or
   encoding exists.  The acceptance bar: ≥5x emptiness/first-match
   throughput on a sparse corpus (≤10% matching documents).
 * **shared-corpus batches** — ``Engine.evaluate_many`` prefilters up
   front and only evaluates (or ships to workers) the survivors.
-* **backend matrix** — ``indexed`` vs ``indexed-plain`` vs the numpy
-  ``vectorized`` backend on a >64-state (multi-plane) query: Boolean
+* **backend matrix** — ``indexed`` vs the numpy ``vectorized`` backend
+  on a >64-state (multi-plane) query: Boolean
   emptiness and first-match on a low-run 100k-letter document (where the
   vectorized frontier-node walk should win ≥5x) and on a run-heavy
   document (where the indexed kernel's Python-int doubling stays ahead —
@@ -41,11 +43,13 @@ assertions relaxed.
 import os
 import random
 import time
+from unittest.mock import patch
 
 from repro.core import Document
 from repro.engine import Engine
 from repro.utils import format_table
 from repro.va import IndexedMatchGraph, indexed_nonempty
+from repro.va import kernel as kernel_module
 
 TINY = bool(os.environ.get("BENCH_E16_TINY"))
 
@@ -55,8 +59,8 @@ TINY = bool(os.environ.get("BENCH_E16_TINY"))
 FORMULA = "(a|b|c)*x{c+}(a|b|c)*"
 
 #: Run lengths for the run-heavy sweep (documents keep ~the same letter
-#: count while runs lengthen, so the plain kernel's cost stays flat and
-#: the compressed kernel's falls with the run count).
+#: count while runs lengthen, so the letter walk's cost stays flat and
+#: the run walk's falls with the run count).
 RUN_LENGTHS = (4, 16) if TINY else (10, 100, 1000)
 KERNEL_DOC_LETTERS = 400 if TINY else 20_000
 KERNEL_MARKS = 4
@@ -119,6 +123,12 @@ def _run_heavy_document(
 # -- run-compressed kernel: full enumeration and emptiness -------------------
 
 
+def _letter_walk():
+    """Force the letter walk on every non-empty document: no document
+    reaches this mean run length."""
+    return patch.object(kernel_module, "RUN_WALK_THRESHOLD", 1 << 30)
+
+
 def _kernel_sweep():
     va = _compiled()
     indexed = va.indexed()
@@ -134,22 +144,18 @@ def _kernel_sweep():
             REPEATS,
             lambda: sum(1 for _ in IndexedMatchGraph(indexed, doc).enumerate()),
         )
-        plain_ms, n_plain = _best_of(
-            REPEATS,
-            lambda: sum(
-                1
-                for _ in IndexedMatchGraph(
-                    indexed, doc, compressed=False
-                ).enumerate()
-            ),
-        )
-        assert n_compressed == n_plain > 0
         nonempty_compressed_ms, _ = _best_of(
             REPEATS, lambda: indexed_nonempty(indexed, empty_doc)
         )
-        nonempty_plain_ms, _ = _best_of(
-            REPEATS, lambda: indexed_nonempty(indexed, empty_doc, compressed=False)
-        )
+        with _letter_walk():
+            plain_ms, n_plain = _best_of(
+                REPEATS,
+                lambda: sum(1 for _ in IndexedMatchGraph(indexed, doc).enumerate()),
+            )
+            nonempty_plain_ms, _ = _best_of(
+                REPEATS, lambda: indexed_nonempty(indexed, empty_doc)
+            )
+        assert n_compressed == n_plain > 0
         rows.append(
             {
                 "run_length": run_length,
@@ -175,11 +181,11 @@ def bench_e16_run_compressed_kernel(benchmark, report):
             "run_len",
             "letters",
             "mappings",
-            "full_kernel_ms",
-            "full_plain_ms",
+            "full_run_walk_ms",
+            "full_letter_walk_ms",
             "speedup",
-            "empty_kernel_ms",
-            "empty_plain_ms",
+            "empty_run_walk_ms",
+            "empty_letter_walk_ms",
             "speedup",
         ],
         [
@@ -196,7 +202,7 @@ def bench_e16_run_compressed_kernel(benchmark, report):
             ]
             for r in rows
         ],
-        title="E16a run-compressed kernel vs plain per-letter kernel on "
+        title="E16a run walk (run-compressed kernel) vs letter walk on "
         f"run-heavy documents (~{KERNEL_DOC_LETTERS} letters, "
         f"{KERNEL_MARKS} marks): full enumeration and Boolean emptiness",
     )
@@ -372,14 +378,14 @@ def _batch_sweep():
     return rows
 
 
-# -- backend matrix: indexed vs indexed-plain vs vectorized -------------------
+# -- backend matrix: indexed vs vectorized ------------------------------------
 
 #: A >64-state query (≥ 2 uint64 planes once indexed): an anchored 24-letter
 #: pattern inside a capture, in an a/b sea.
 MATRIX_FORMULA = "(a|b)*x{" + "ab" * 12 + "a+}(a|b)*"
 MATRIX_DOC_LETTERS = 2_000 if TINY else 100_000
 MATRIX_RUN_LENGTH = 25_000  # the run-heavy workload's run size (non-tiny)
-MATRIX_BACKENDS = ("indexed", "indexed-plain", "vectorized")
+MATRIX_BACKENDS = ("indexed", "vectorized")
 
 
 def _matrix_documents() -> "list[tuple[str, Document]]":

@@ -36,9 +36,10 @@ Subcommands:
 * ``dot``      — compile to a vset-automaton and emit Graphviz DOT.
 
 ``extract`` and ``batch`` run through :class:`repro.engine.Engine`;
-``--backend`` picks the enumeration backend (``indexed`` by default; the
-numpy-backed ``vectorized`` backend needs the ``[fast]`` extra and exits
-with an install hint when numpy is missing), ``--limit K`` stops after K
+``--backend`` picks the enumeration backend (``indexed`` by default, which
+takes the run walk or the letter walk per document; the numpy-backed
+``vectorized`` backend needs the ``[fast]`` extra and exits with an
+install hint when numpy is missing), ``--limit K`` stops after K
 mappings per document (short-circuiting graph construction on the lazy
 indexed backend), ``--no-optimize`` disables the logical-plan optimizer, ``--no-prefilter``
 disables the VA-derived document prefilter (by default provably
@@ -485,7 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=sorted(BACKENDS),
             default=DEFAULT_BACKEND,
-            help="enumeration backend (default: %(default)s)",
+            help="enumeration backend (default: %(default)s; indexed "
+            "chooses its run or letter walk per document, vectorized "
+            "needs numpy)",
         )
         p.add_argument(
             "--stats", action="store_true", help="print engine statistics to stderr"

@@ -218,11 +218,13 @@ class Document:
         The incremental entry point of the tailing runtime: the run-length
         encoding, the letter histogram, and every cached per-alphabet
         encoding of the result are derived from this document's caches in
-        O(len(suffix)) — appending letters that merge with the last maximal
-        run extends that run in place (O(1) amortized), so repeatedly
-        tailing a growing document never re-walks the prefix.  ``self`` is
-        untouched (documents stay immutable); an empty suffix returns a
-        document sharing the caches outright.
+        O(len(suffix)) interpreter steps — letters that merge with the
+        last maximal run extend that run — so repeatedly tailing a growing
+        document never re-walks the prefix in Python.  The text, the run
+        tuple and every cached encoding are still copied, in C, so each
+        append also costs O(document) copying.  ``self`` is untouched
+        (documents stay immutable); an empty suffix returns a document
+        sharing the caches outright.
         """
         if isinstance(suffix, Document):
             suffix = suffix._text

@@ -15,8 +15,10 @@ across documents:
   ad-hoc-suffix split of every RA query (the paper's Sections 3–5
   compilation modes), with plan-level CSE;
 * :mod:`repro.engine.backends` — interchangeable enumeration backends
-  (``matchgraph``, ``indexed``, ``indexed-plain``, and the numpy-backed
-  ``vectorized``);
+  (``indexed``, which picks the run walk or the letter walk per document,
+  and the numpy-backed ``vectorized``); the frozenset
+  :class:`~repro.va.matchgraph.MatchGraph` walk and the naive enumerator
+  stay in :mod:`repro.va` as reference oracles, not backends;
 * :mod:`repro.engine.guards` — execution guards: wall-clock deadlines,
   cooperative cancellation (:class:`CancelToken`), and resource budgets
   (:class:`Budget`) enforced cooperatively along every evaluation path;
@@ -29,9 +31,6 @@ from .backends import (
     DEFAULT_BACKEND,
     EnumerationBackend,
     IndexedBackend,
-    MatchGraphBackend,
-    PlainIndexedBackend,
-    PreparedRun,
     PreparedVA,
     VectorizedBackend,
     available_backends,
@@ -70,11 +69,8 @@ __all__ = [
     "ExecutionContext",
     "ExecutionGuard",
     "IndexedBackend",
-    "MatchGraphBackend",
     "OptimizerReport",
     "PlanNode",
-    "PlainIndexedBackend",
-    "PreparedRun",
     "PreparedVA",
     "RewriteRule",
     "StaticNode",

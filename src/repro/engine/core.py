@@ -6,9 +6,10 @@ An :class:`Engine` owns:
   a ``(tree, instantiation)`` pair, or a bare sequential VA) is compiled
   once into a :class:`~repro.engine.plan.CompiledPlan` whose static prefix
   is shared across all documents;
-* a pluggable **enumeration backend** (``matchgraph`` or ``indexed``, see
-  :mod:`repro.engine.backends`) preparing each compiled VA for fast
-  repeated evaluation;
+* a pluggable **enumeration backend** (``indexed``, the default, or
+  ``vectorized``, see :mod:`repro.engine.backends`) preparing each
+  compiled VA for fast repeated evaluation; the ``indexed`` backend
+  chooses the run walk or the letter walk per document;
 * **batch/streaming APIs** — :meth:`Engine.evaluate_many`,
   :meth:`Engine.is_nonempty_many` and :meth:`Engine.enumerate_stream`
   amortise all document-independent work over a document stream, and
@@ -242,12 +243,7 @@ class ExecutionContext:
                 try:
                     mapping = next(iterator)
                     if guard is not None:
-                        # Budget first, then the strided deadline tick —
-                        # backends whose runs never consult the guard
-                        # (matchgraph) still observe deadlines at
-                        # per-mapping granularity this way.
                         guard.charge_mappings(1)
-                        guard.tick()
                 except StopIteration:
                     stats.enumerate_seconds += time.perf_counter() - start
                     break
@@ -283,7 +279,8 @@ class ExecutionContext:
     ) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty.
 
-        Delegates to the run's dedicated :meth:`PreparedRun.first` walk —
+        Delegates to the run's dedicated
+        :meth:`~repro.va.indexed.IndexedMatchGraph.first` walk —
         on the indexed and vectorized backends one Boolean pass plus a
         single greedy root-to-sink descent, never a full edge build.  A
         deliberate fast path: it skips the ``states_explored`` gauge (the

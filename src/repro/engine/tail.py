@@ -4,15 +4,18 @@ The match graph is layered by position, so appending ``k`` letters to a
 document only *extends* the frontier — nothing in the first ``n`` layers
 changes.  A :class:`TailSession` exploits that end to end: it holds one
 (query, document) pair, accumulates appends through
-:meth:`~repro.core.document.Document.append` (O(k) artifact extension),
-and re-evaluates by resuming the backend's Boolean forward pass from the
-previous run's checkpointed frontier
-(:meth:`~repro.va.indexed.IndexedMatchGraph.extended`) instead of
-rebuilding from position 0.  Until the document first matches, appends
-that merge into its tail run advance through the kernel's memoized
-transformer powers, so a long quiet stretch costs O(log extra), not even
-O(k); after that the forward layers the walk below needs are extended
-instead.
+:meth:`~repro.core.document.Document.append` (O(k) interpreter steps
+plus O(document) copies done in C), and re-evaluates by resuming the
+backend's Boolean forward pass from the previous run's checkpointed
+frontier (:meth:`~repro.va.indexed.IndexedMatchGraph.extended`) instead
+of rebuilding from position 0.  An extension keeps the walk of the run it
+extends, so the session keeps the walk its first run chose (the run walk
+or the letter walk, see :mod:`repro.va.indexed`) until :meth:`reset`.  On
+the run walk, until the document first matches, appends that merge into
+its tail run advance through the kernel's memoized transformer powers, so
+a long quiet stretch costs O(log extra) steps, not even O(k); after that,
+and always on the letter walk, the forward layers the walk below needs
+are extended instead.
 
 :meth:`TailSession.reevaluate` returns only the *new* mappings — those
 not produced by any earlier re-evaluation.  The run walks back from its
@@ -31,8 +34,12 @@ section):
 * **Quiet appends** (the monitoring regime: most appends complete no
   match) cost one checkpoint resume over the overhang plus, once the
   document has matched, a walk back over the appended layers that stops
-  at the checkpoint — O(appended), independent of the document length and
-  of the mappings already emitted.
+  at the checkpoint — O(appended) interpreter steps, independent of the
+  mappings already emitted, plus O(document) copies done in C: the append
+  copies the text, the run tuple and every cached encoding, and the
+  extension copies the run tuple and the carried forward layers.  The
+  committed E18 baseline (``BENCH_incremental.json``) puts a quiet
+  append at 0.445 ms on a 10k-letter document and 2.396 ms at 50k.
 * **Prefilter-rejected states** are cheaper still: while the accumulated
   document cannot possibly match (a must-occur letter absent), the
   session answers from the O(1) histogram check without touching the
@@ -43,9 +50,10 @@ section):
   order; mappings emitted earlier are not walked again.  The first
   matching evaluation after a rebuild also expands the forward layers
   once; later extensions carry them over.
-* **Tiny documents** or backends without extension support
-  (``matchgraph``) fall back to a full rebuild and a full enumeration —
-  always correct, just not faster; :class:`~repro.engine.stats.EngineStats`
+* **Rebuilds** — the first re-evaluation, the first after :meth:`reset`,
+  and every one for which the query prepares a new automaton (ad-hoc
+  plans prepare one per document) — build the run from position 0 and
+  enumerate everything; :class:`~repro.engine.stats.EngineStats`
   attributes reused vs. recomputed layers either way.
 """
 
@@ -58,7 +66,8 @@ from ..core.document import Document, as_document
 from ..core.mapping import Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .backends import PreparedRun, PreparedVA
+    from ..va.indexed import IndexedMatchGraph
+    from .backends import PreparedVA
     from .core import ExecutionContext
 
 
@@ -112,7 +121,7 @@ class TailSession:
         self._context = context
         self.document = as_document(document)
         self._prepared: "PreparedVA | None" = None
-        self._run: "PreparedRun | None" = None
+        self._run: "IndexedMatchGraph | None" = None
         self._run_n = 0
         self._seen: set[Mapping] = set()
         self.reevaluations = 0
@@ -123,7 +132,8 @@ class TailSession:
 
     def append(self, text: str) -> None:
         """Grow the document by ``text`` without evaluating — the cached
-        artifacts (runs, histogram, encodings) extend in O(len(text))."""
+        artifacts (runs, histogram, encodings) extend in O(len(text))
+        interpreter steps plus O(document) copies done in C."""
         if text:
             self.document = self.document.append(text)
 
@@ -175,11 +185,7 @@ class TailSession:
         prepared = self._context.prepared_for(doc)
         n = len(doc)
         start = time.perf_counter()
-        if (
-            self._run is not None
-            and prepared is self._prepared
-            and prepared.supports_extension()
-        ):
+        if self._run is not None and prepared is self._prepared:
             run = prepared.run_extended(self._run, doc)
             # Every mapping of the checkpointed document is in `_seen`.
             since = self._run_n

@@ -18,28 +18,31 @@ machine words instead of string hashing and frozenset algebra.
 
 :class:`IndexedMatchGraph` is *lazy* (streaming): construction runs only a
 cheap Boolean forward pass — enough to decide emptiness (Theorem 2.5's
-linear preprocessing).  By default that pass is **run-compressed**: it
-walks the document's cached run-length encoding
-(:meth:`~repro.core.document.Document.runs`) and advances each maximal
-single-letter run through the :class:`~repro.va.kernel.TransitionKernel`
-in O(log run) memoized mask applications instead of O(run) per-letter
-steps, so construction cost scales with the number of *runs*, not letters.
-The per-layer forward masks, the backward co-reachability pruning, and the
-per-(layer, state) enumeration edge rows all materialise on demand — and
-the backward pass reuses the kernel's predecessor transformers with
-fixpoint fill inside runs.  The enumeration DFS and the dedicated
-:meth:`IndexedMatchGraph.first` walk additionally *skip* through stretches
-of a run where the profile is a fixpoint with only the empty operation set
-available, compressing long no-capture stretches to O(1) stack frames.
-A tail session's re-evaluation instead walks back from the final layer
-over the forward masks alone (:meth:`IndexedMatchGraph.enumerate_since`),
-pruned at the previous run's length.
-``compressed=False`` is the plain-kernel escape hatch (the pre-kernel
-per-letter behaviour, also exposed as the engine's ``indexed-plain``
-backend); ``eager=True`` additionally prebuilds every edge row up front.
-Semantics are identical on every path — the equivalence tests in
-``tests/engine`` check compressed against plain against eager against the
-naive enumerator.
+linear preprocessing).  The pass takes one of two walks, chosen per
+document by :func:`~repro.va.kernel.takes_run_walk` from its cached
+run-length encoding (:meth:`~repro.core.document.Document.runs`):
+
+* the **run walk** (documents of long runs, and the empty document)
+  advances each maximal single-letter run through the
+  :class:`~repro.va.kernel.TransitionKernel` in O(log run) memoized mask
+  applications, so construction scales with the number of *runs*; the
+  per-layer forward masks expand on demand, and the backward pass reuses
+  the kernel's predecessor transformers with fixpoint fill inside runs;
+* the **letter walk** (text, where the mean run is short) takes one mask
+  step per letter and keeps every forward layer on the way.
+
+The backward co-reachability pruning and the per-(layer, state)
+enumeration edge rows materialise on demand on both walks.  The
+enumeration DFS and the dedicated :meth:`IndexedMatchGraph.first` walk
+additionally *skip* through stretches of a run where the profile is a
+fixpoint with only the empty operation set available, compressing long
+no-capture stretches to O(1) stack frames.  A tail session's
+re-evaluation instead walks back from the final layer over the forward
+masks alone (:meth:`IndexedMatchGraph.enumerate_since`), pruned at the
+previous run's length; :meth:`IndexedMatchGraph.extended` keeps the walk
+of the graph it extends.  Semantics are identical on both walks — the
+equivalence tests in ``tests/engine`` force each walk and check them
+against each other and against the naive enumerator.
 
 Both indexed forms are document independent and safe to share across
 documents; :meth:`VA.indexed` caches one per automaton.
@@ -48,7 +51,7 @@ documents; :meth:`VA.indexed` caches one per automaton.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ..core.document import Alphabet, Document, as_document
 from ..core.errors import NotSequentialError, SpannerError
@@ -56,6 +59,7 @@ from ..core.mapping import Mapping
 from ..core.spans import Span
 from ..utils.bits import apply_masks, iter_bits
 from .automaton import VA, State
+from .kernel import TransitionKernel, takes_run_walk
 from .matchgraph import (
     EMPTY_OPSET,
     FactorizedVA,
@@ -63,9 +67,6 @@ from .matchgraph import (
     opset_sort_key,
 )
 from .properties import is_sequential
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .kernel import TransitionKernel
 
 
 class IndexedVA:
@@ -173,21 +174,19 @@ class IndexedVA:
         self.opset_rank = [0] * len(self.opsets)
         for rank, oid in enumerate(ranked):
             self.opset_rank[oid] = rank
-        self._kernel: "TransitionKernel | None" = None
+        self._kernel: TransitionKernel | None = None
 
     @property
     def va(self) -> VA:
         """The trimmed automaton this form indexes."""
         return self.factorized.va
 
-    def kernel(self) -> "TransitionKernel":
+    def kernel(self) -> TransitionKernel:
         """The run-compressed transition kernel over this automaton
         (:mod:`repro.va.kernel`), built once and cached.  Its memoized
         ``(letter, 2^k)`` power transformers are shared by every document
         evaluated through this indexed form."""
         if self._kernel is None:
-            from .kernel import TransitionKernel
-
             self._kernel = TransitionKernel(self)
         return self._kernel
 
@@ -264,49 +263,39 @@ class IndexedVA:
 
 
 def indexed_nonempty(
-    indexed: IndexedVA,
-    document: Document | str,
-    compressed: bool = True,
-    guard=None,
+    indexed: IndexedVA, document: Document | str, guard=None
 ) -> bool:
     """Decide ``⟦A⟧(d) ≠ ∅`` with the Boolean bitmask pass alone.
 
     One forward sweep — no edge rows, no backward pruning, early exit as
-    soon as the frontier dies.  By default the sweep is run-compressed: it
-    advances over the document's run-length encoding through the
-    :class:`~repro.va.kernel.TransitionKernel`, costing O(runs · log run)
-    instead of O(letters).  ``compressed=False`` keeps the plain per-letter
-    walk (the ``indexed-plain`` escape hatch).  An
+    soon as the frontier dies — on the walk
+    :func:`~repro.va.kernel.takes_run_walk` picks for the document: the
+    run walk advances over its run-length encoding through the
+    :class:`~repro.va.kernel.TransitionKernel` in O(runs · log run), the
+    letter walk steps per letter.  An
     :class:`~repro.engine.guards.ExecutionGuard` is checked once per run
-    (compressed) or ticked per letter (plain).
+    on the run walk, and once up front and then ticked per letter on the
+    letter walk.
     """
     doc = as_document(document)
-    if compressed:
-        kernel = indexed.kernel()
-        letter_id = indexed.alphabet.ids.get
-        mask = 1 << indexed.initial_id
-        for letter, _start, length in doc.runs():
-            if guard is not None:
-                guard.check()
-            lid = letter_id(letter, -1)
-            if lid < 0:
-                return False  # letter unknown to the VA: no run survives
-            mask = kernel.advance(lid, mask, length)
-            if not mask:
-                return False
-        return bool(mask & indexed.accept_mask)
-    ids = doc.encoded(indexed.alphabet)
-    succ = indexed.successor_masks
+    runs = doc.runs()
     mask = 1 << indexed.initial_id
-    for lid in ids:
+    if takes_run_walk(len(doc), len(runs)):
+        mask = _advance_runs(
+            indexed.kernel(), _encoded_runs(runs, indexed.alphabet), mask, guard
+        )
+        return bool(mask & indexed.accept_mask)
+    if guard is not None:
+        guard.check()
+    succ = indexed.successor_masks
+    for lid in doc.encoded(indexed.alphabet):
         if guard is not None:
             guard.tick()
         if lid < 0:
             return False  # letter unknown to the VA: no run survives
-        nxt = apply_masks(succ[lid], mask)
-        if not nxt:
+        mask = apply_masks(succ[lid], mask)
+        if not mask:
             return False
-        mask = nxt
     return bool(mask & indexed.accept_mask)
 
 
@@ -328,6 +317,55 @@ def _mapping_from_entries(entries: "list[tuple[int, OpSet]]") -> Mapping:
             if not op.is_open:
                 spans[op.var] = Span(opened.pop(op.var), position)
     return Mapping(spans)
+
+
+def _encoded_runs(runs, alphabet: Alphabet):
+    """The maximal-run view with letters replaced by dense ids (-1 when
+    the letter is unknown to the alphabet)."""
+    ids = alphabet.ids
+    return (
+        (ids.get(letter, -1), start, length) for letter, start, length in runs
+    )
+
+
+def _advance_runs(kernel, runs, mask: int, guard) -> int:
+    """The run walk: the frontier after the encoded ``runs``, started at
+    ``mask``, each run advanced through ``kernel`` (a
+    :class:`~repro.va.kernel.TransitionKernel`, or the vectorized kernel
+    with the same ``advance``), with one guard check per run (``0`` once
+    nothing survives, or at a letter unknown to the VA)."""
+    for lid, _start, length in runs:
+        if guard is not None:
+            guard.check()
+        if lid < 0:
+            return 0
+        mask = kernel.advance(lid, mask, length)
+        if not mask:
+            return 0
+    return mask
+
+
+def _walk_letters(succ, forward, ids, mask: int, begin: int, guard) -> int:
+    """The letter walk: fill ``forward[begin + 1:]`` from ``mask`` at layer
+    ``begin``, one mask step per letter id of ``ids`` (the letters after
+    layer ``begin``), and return the last layer's mask (``0`` once nothing
+    survives).  The guard is checked once up front, since a document
+    shorter than its tick stride would otherwise never read the clock or
+    the cancel token, and ticked per letter."""
+    if guard is not None:
+        guard.check()
+    i = begin
+    for lid in ids:
+        if guard is not None:
+            guard.tick()
+        if lid < 0:
+            return 0  # letter unknown to the VA: nothing lives past it
+        mask = apply_masks(succ[lid], mask)
+        if not mask:
+            return 0
+        i += 1
+        forward[i] = mask
+    return mask
 
 
 def _expand_runs(succ, forward, runs, mask, begin: int, guard) -> int:
@@ -364,23 +402,24 @@ class IndexedMatchGraph:
     """The layered match graph of an :class:`IndexedVA` on one document,
     with layers as state bitmasks — built *lazily*.
 
-    Construction runs only the Boolean forward pass (run-compressed by
-    default, through the shared :class:`~repro.va.kernel.TransitionKernel`),
-    which already decides :attr:`is_empty`.  The per-layer forward masks
-    and the backward pruning pass materialise on first access to
-    :attr:`forward` / :attr:`alive` (with fixpoint fill inside letter
-    runs); enumeration edge rows are materialised per (layer, state) as
-    the DFS reaches them.  Pass ``compressed=False`` for the plain
-    per-letter kernel (the pre-kernel behaviour), ``eager=True`` to
-    prebuild everything up front (kept for the comparison benches and
-    equivalence tests).
+    Construction runs only the Boolean forward pass, which already
+    decides :attr:`is_empty`, on the walk
+    :func:`~repro.va.kernel.takes_run_walk` picks for the document: the
+    run walk advances each letter run through the shared
+    :class:`~repro.va.kernel.TransitionKernel` and expands the per-layer
+    forward masks on first access to :attr:`forward` (with fixpoint fill
+    inside runs); the letter walk keeps every forward layer as it steps.
+    The backward pruning pass materialises on first access to
+    :attr:`alive`, and enumeration edge rows per (layer, state) as the DFS
+    reaches them.
 
     ``guard`` attaches an :class:`~repro.engine.guards.ExecutionGuard`:
-    the forward/backward passes check it once per letter run (O(runs)
-    overhead, not O(positions)), the enumeration DFS ticks it per stack
-    frame, and every materialised edge row is charged against the
-    ``edge_rows`` budget.  With no guard every checkpoint is a single
-    ``is not None`` test.
+    the run walk's forward/backward passes check it once per letter run
+    (O(runs) overhead, not O(positions)), the letter walk checks it once
+    and ticks it per letter, the enumeration DFS ticks it per stack frame,
+    and every materialised edge row is charged against the ``edge_rows``
+    budget.  With no guard every checkpoint is a single ``is not None``
+    test.
     """
 
     __slots__ = (
@@ -400,61 +439,31 @@ class IndexedMatchGraph:
         "_guard",
     )
 
-    def __init__(
-        self,
-        indexed: IndexedVA,
-        document: Document | str,
-        eager: bool = False,
-        compressed: bool = True,
-        guard=None,
-    ):
+    def __init__(self, indexed: IndexedVA, document: Document | str, guard=None):
         self.indexed = indexed
-        self.document = as_document(document)
+        doc = self.document = as_document(document)
         self._guard = guard
-        n = self._n = len(self.document)
+        n = self._n = len(doc)
         self._letter_ids: tuple[int, ...] | None = None
         self._forward: list[int] | None = None
         self._alive: list[int] | None = None
         self._jump: list[int] | None = None
-        if compressed:
-            # Boolean forward pass over the run-length encoding: each
-            # maximal letter run advances through the kernel in O(log run).
-            kernel = self._kernel = indexed.kernel()
-            letter_id = indexed.alphabet.ids.get
+        runs = doc.runs()
+        mask = 1 << indexed.initial_id
+        if takes_run_walk(n, len(runs)):
+            self._kernel = indexed.kernel()
             self._runs: tuple[tuple[int, int, int], ...] | None = tuple(
-                (letter_id(letter, -1), start, length)
-                for letter, start, length in self.document.runs()
+                _encoded_runs(runs, indexed.alphabet)
             )
-            mask = 1 << indexed.initial_id
-            for lid, _start, length in self._runs:
-                if guard is not None:
-                    guard.check()
-                if lid < 0:
-                    mask = 0  # letter unknown to the VA: nothing survives
-                    break
-                mask = kernel.advance(lid, mask, length)
-                if not mask:
-                    break
+            mask = _advance_runs(self._kernel, self._runs, mask, guard)
         else:
-            # Plain per-letter pass (the escape hatch): fills every
-            # forward layer eagerly, the pre-kernel behaviour.
             self._runs = None
             self._kernel = None
-            succ = indexed.successor_masks
-            forward = [0] * (n + 1)
-            mask = forward[0] = 1 << indexed.initial_id
-            for i, lid in enumerate(self.letter_ids):
-                if guard is not None:
-                    guard.tick()
-                if lid < 0:
-                    mask = 0  # letter unknown to the VA: nothing lives past
-                    break
-                nxt = apply_masks(succ[lid], mask)
-                if not nxt:
-                    mask = 0
-                    break
-                forward[i + 1] = mask = nxt
-            self._forward = forward
+            forward = self._forward = [0] * (n + 1)
+            forward[0] = mask
+            mask = _walk_letters(
+                indexed.successor_masks, forward, self.letter_ids, mask, 0, guard
+            )
         # Checkpoint the raw pre-acceptance frontier: an append-extension
         # resumes the forward pass from here instead of position 0.
         self._frontier = mask
@@ -468,8 +477,6 @@ class IndexedMatchGraph:
         self._edges: list[dict[int, tuple[tuple[int, int], ...]] | None] = [
             None
         ] * n
-        if eager:
-            self.materialise()
 
     @property
     def is_empty(self) -> bool:
@@ -480,7 +487,7 @@ class IndexedMatchGraph:
     @property
     def letter_ids(self) -> tuple[int, ...]:
         """The document as dense letter ids (cached on the document; built
-        on demand — the run-compressed Boolean pass never needs it)."""
+        on demand — the run walk's Boolean pass never needs it)."""
         ids = self._letter_ids
         if ids is None:
             ids = self._letter_ids = self.document.encoded(self.indexed.alphabet)
@@ -500,15 +507,19 @@ class IndexedMatchGraph:
 
         The graph is layered by position, so the appended letters only
         extend the frontier: the prefix contributes nothing but its
-        checkpoint.  Already-materialised prefix forward layers are
-        carried over and the overhang's layers are expanded after them
-        (the frontier falls out of that walk), which is all
-        :meth:`enumerate_since` needs; otherwise an appended run that
-        merges with the tail run advances through the kernel's memoized
-        transformer powers in O(log extra).  The backward pruning, jump
-        table, and enumeration edge rows are *not* carried over — they are
-        pruned against the final layer's acceptance, which every append
-        changes — and rebuild lazily over the new document on demand.
+        checkpoint.  The extension keeps this graph's walk, whatever the
+        new document's run profile.  Already-materialised prefix forward
+        layers (always, on the letter walk) are carried over and the
+        overhang's layers are expanded after them (the frontier falls out
+        of that walk), which is all :meth:`enumerate_since` needs;
+        otherwise an appended run that merges with the tail run advances
+        through the kernel's memoized transformer powers in O(log extra).
+        The carried layers and the run tuple are copied, in C, so an
+        extension also costs O(document) copying.  The backward pruning,
+        jump table, and enumeration edge rows are *not* carried over —
+        they are pruned against the final layer's acceptance, which every
+        append changes — and rebuild lazily over the new document on
+        demand.
 
         ``document`` must extend ``self.document`` letter for letter;
         callers (normally a tail session, via
@@ -536,16 +547,12 @@ class IndexedMatchGraph:
         graph._jump = None
         mask = self._frontier
         if self._runs is not None:
-            # Run-compressed: splice the encoded runs (only the possibly
+            # The run walk: splice the encoded runs (only the possibly
             # merged tail run and the new suffix runs are re-encoded).
             kernel = graph._kernel = self._kernel
-            letter_id = indexed.alphabet.ids.get
             old_runs = self._runs
             keep = max(len(old_runs) - 1, 0)
-            overhang = tuple(
-                (letter_id(letter, -1), start, length)
-                for letter, start, length in doc.runs()[keep:]
-            )
+            overhang = tuple(_encoded_runs(doc.runs()[keep:], indexed.alphabet))
             graph._runs = old_runs[:keep] + overhang
             if self._forward is not None:
                 # The prefix layers are expanded: expand the overhang's
@@ -571,29 +578,21 @@ class IndexedMatchGraph:
                     if not mask:
                         break
         else:
-            # Plain per-letter substrate: its forward layers are always
-            # eager, so the extension fills the suffix layers eagerly too.
+            # The letter walk keeps every forward layer, so the extension
+            # fills the overhang's layers too.
             graph._runs = None
             graph._kernel = None
-            succ = indexed.successor_masks
-            ids_get = indexed.alphabet.ids.get
+            ids = indexed.alphabet.ids
             forward = list(self._forward)
             forward.extend([0] * (n - old_n))
-            i = old_n
-            for ch in doc.text[old_n:]:
-                if guard is not None:
-                    guard.tick()
-                if not mask:
-                    break
-                lid = ids_get(ch, -1)
-                if lid < 0:
-                    mask = 0
-                    break
-                mask = apply_masks(succ[lid], mask)
-                if not mask:
-                    break
-                i += 1
-                forward[i] = mask
+            mask = _walk_letters(
+                indexed.successor_masks,
+                forward,
+                (ids.get(letter, -1) for letter in doc.text[old_n:]),
+                mask,
+                old_n,
+                guard,
+            )
             graph._forward = forward
         graph._frontier = mask
         final_mask = mask & indexed.accept_mask
@@ -605,11 +604,12 @@ class IndexedMatchGraph:
 
     @property
     def forward(self) -> list[int]:
-        """Forward-reachable state masks per layer, expanded on demand.
+        """Forward-reachable state masks per layer.
 
-        The run-compressed construction keeps only the run-boundary
-        frontier; this expands run interiors layer by layer, short-cutting
-        to a slice fill once a run's frontier hits a fixpoint."""
+        The letter walk keeps them as it steps; the run walk keeps only
+        the run-boundary frontier, and this expands run interiors layer by
+        layer on first access, short-cutting to a slice fill once a run's
+        frontier hits a fixpoint."""
         forward = self._forward
         if forward is None:
             indexed = self.indexed
@@ -626,9 +626,9 @@ class IndexedMatchGraph:
         """Live (co-reachable ∩ reachable) state masks per layer, from the
         Boolean backward pass (run once, on demand).
 
-        On the run-compressed path the pass walks the run-length encoding
-        with the kernel's predecessor transformers, filling whole run
-        interiors once the co-reachability chain hits a fixpoint.  An empty
+        On the run walk the pass walks the run-length encoding with the
+        kernel's predecessor transformers, filling whole run interiors
+        once the co-reachability chain hits a fixpoint.  An empty
         graph never runs the pass at all: a full accepting path crosses
         every layer, so one empty layer means all layers are empty."""
         alive = self._alive
@@ -637,9 +637,9 @@ class IndexedMatchGraph:
             if not self.final_mask:
                 alive = [0] * (n + 1)
             elif self._runs is not None:
-                alive = self._alive_compressed()
+                alive = self._alive_by_runs()
             else:
-                alive = self._alive_plain()
+                alive = self._alive_by_letters()
             self._alive = alive
             guard = self._guard
             if (
@@ -650,7 +650,7 @@ class IndexedMatchGraph:
                 guard.charge_states(sum(mask.bit_count() for mask in alive))
         return alive
 
-    def _alive_compressed(self) -> list[int]:
+    def _alive_by_runs(self) -> list[int]:
         n = self._n
         forward = self.forward
         kernel = self._kernel
@@ -689,7 +689,7 @@ class IndexedMatchGraph:
                 live = nxt
         return alive
 
-    def _alive_plain(self) -> list[int]:
+    def _alive_by_letters(self) -> list[int]:
         ids = self.letter_ids
         forward = self.forward
         succ = self.indexed.successor_masks
@@ -762,17 +762,6 @@ class IndexedMatchGraph:
                 if target_mask & live
             ]
         return row
-
-    def edge_layer(self, layer: int) -> dict[int, list[tuple[int, int]]]:
-        """All edge rows of one layer (every live state), materialised."""
-        for sid in iter_bits(self.alive[layer]):
-            self.edge_row(layer, sid)
-        return self._edges[layer]  # type: ignore[return-value]
-
-    def materialise(self) -> None:
-        """Prebuild the backward pass and every edge row (eager mode)."""
-        for layer in range(self._n):
-            self.edge_layer(layer)
 
     def enumerate(self, limit: int | None = None) -> Iterator[Mapping]:
         """DFS enumeration with polynomial delay (Theorem 2.5), bitmask

@@ -24,6 +24,14 @@ The kernel also serves the backward co-reachability pass through
 :meth:`pred_row`, the per-letter *predecessor* transformer (the transpose
 of the successor relation), and keeps a cumulative :attr:`run_hits`
 counter the engine samples into ``EngineStats.kernel_run_hits``.
+
+Whether a document advances per run at all is one rule,
+:func:`takes_run_walk`: documents of long runs take the *run walk* through
+the kernel, text (mean run length near 1) takes the *letter walk*, one
+mask step per letter.  Both substrates consult it
+(:class:`~repro.va.indexed.IndexedMatchGraph`,
+:func:`~repro.va.indexed.indexed_nonempty` and
+:meth:`~repro.va.vectorized.VectorizedKernel.frontier`).
 """
 
 from __future__ import annotations
@@ -34,6 +42,18 @@ from ..utils.bits import apply_masks, iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .indexed import IndexedVA
+
+
+#: The mean run length from which a document takes the run walk.
+RUN_WALK_THRESHOLD = 4
+
+
+def takes_run_walk(length: int, runs: int) -> bool:
+    """Whether a document of ``length`` letters in ``runs`` maximal runs
+    takes the run walk (``length ≥ RUN_WALK_THRESHOLD · runs``) rather
+    than the letter walk.  The empty document has no runs and takes the
+    run walk, which has nothing to walk."""
+    return length >= RUN_WALK_THRESHOLD * runs
 
 
 def compose(outer: "list[int]", inner: "list[int]") -> "list[int]":

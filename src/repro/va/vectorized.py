@@ -38,7 +38,8 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
   vectorized mirror of :class:`repro.va.kernel.TransitionKernel`), with
   the same fixpoint absorption, so run-heavy documents keep their
   O(runs · log run) cost; :meth:`VectorizedKernel.frontier` picks the
-  node walk or the run-compressed path per document from its run profile.
+  node walk or the run walk per document with the indexed substrate's
+  rule, :func:`~repro.va.kernel.takes_run_walk`.
 
 :class:`VectorizedMatchGraph` subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
@@ -77,7 +78,14 @@ from ..core.mapping import Mapping
 from ..core.spans import Span
 from ..utils.bits import iter_bits
 from .automaton import VA
-from .indexed import IndexedMatchGraph, IndexedVA, _mapping_from_entries
+from .indexed import (
+    IndexedMatchGraph,
+    IndexedVA,
+    _advance_runs,
+    _encoded_runs,
+    _mapping_from_entries,
+)
+from .kernel import takes_run_walk
 from .properties import is_sequential
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
@@ -293,10 +301,6 @@ class VectorizedKernel:
     #: bound the builders keep computing but stop caching, like the
     #: frontier-node bound above.
     BATCH_CACHE_LIMIT = 1 << 16
-
-    #: A document advances per position (node walk) when its mean run
-    #: length is below this, per run (fixpoint + doubling) otherwise.
-    RUN_COMPRESS_THRESHOLD = 4
 
     __slots__ = (
         "vva",
@@ -547,10 +551,11 @@ class VectorizedKernel:
         """The final forward frontier of ``document`` started at ``mask``
         (``0`` if the frontier dies or a letter is unknown to the VA).
 
-        Adaptive: documents dominated by short runs walk interned nodes
-        per position (one list index each); run-heavy documents advance
-        per run through fixpoint absorption and plane-power doubling.
-        A ``guard`` is checked once per run on the compressed path; the
+        Adaptive (:func:`~repro.va.kernel.takes_run_walk`): documents
+        dominated by short runs walk interned nodes per position (one list
+        index each); run-heavy documents advance per run through fixpoint
+        absorption and plane-power doubling.
+        A ``guard`` is checked once per run on the run walk; the
         node walk keeps its unguarded hot loop untouched and runs a
         chunked twin (one check per ~4k positions) only when guarded.
         """
@@ -561,16 +566,8 @@ class VectorizedKernel:
             return mask
         alphabet = self.vva.indexed.alphabet
         runs = document.runs()
-        if n >= self.RUN_COMPRESS_THRESHOLD * len(runs):
-            for lid, _start, length in _encoded_runs(runs, alphabet):
-                if guard is not None:
-                    guard.check()
-                if lid < 0:
-                    return 0
-                mask = self.advance(lid, mask, length)
-                if not mask:
-                    return 0
-            return mask
+        if takes_run_walk(n, len(runs)):
+            return _advance_runs(self, _encoded_runs(runs, alphabet), mask, guard)
         ids = alphabet.ids
         if any(letter not in ids for letter in document.letter_counts()):
             return 0  # an unknown letter kills every run through it
@@ -611,15 +608,6 @@ class VectorizedKernel:
             f"cached_steps={self._cached_steps}, "
             f"cached_powers={cached_powers}, run_hits={self.run_hits})"
         )
-
-
-def _encoded_runs(runs, alphabet):
-    """The maximal-run view with letters replaced by dense ids (-1 when
-    the letter is unknown to the alphabet)."""
-    ids = alphabet.ids
-    return (
-        (ids.get(letter, -1), start, length) for letter, start, length in runs
-    )
 
 
 def vectorized_nonempty(
@@ -754,8 +742,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         old_runs = self._runs
         keep = max(len(old_runs) - 1, 0)
         graph._runs = old_runs[:keep] + tuple(
-            (ids_get(letter, -1), start, length)
-            for letter, start, length in doc.runs()[keep:]
+            _encoded_runs(doc.runs()[keep:], indexed.alphabet)
         )
         mask = self._frontier
         for lid, start, length in graph._runs[keep:]:

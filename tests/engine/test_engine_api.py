@@ -13,7 +13,8 @@ from repro import (
     parse,
 )
 from repro.core import SpannerError
-from repro.engine import EngineStats, get_backend
+from repro.engine import EngineStats, available_backends, get_backend
+from repro.va.vectorized import numpy_available
 
 
 def _query(engine=None):
@@ -95,8 +96,20 @@ class TestBackendSelection:
         with pytest.raises(SpannerError):
             get_backend("nonexistent")
 
+    @pytest.mark.parametrize("name", ["indexed-plain", "matchgraph"])
+    def test_retired_backends_are_rejected(self, name):
+        # The letter walk is chosen per document and the frozenset match
+        # graph is a test oracle: neither is a backend any more.
+        with pytest.raises(SpannerError):
+            Engine(backend=name)
+        assert name not in available_backends()
+
+    def test_available_backends(self):
+        expected = ["indexed", "vectorized"] if numpy_available() else ["indexed"]
+        assert available_backends() == expected
+
     def test_backend_instance_passthrough(self):
-        backend = get_backend("matchgraph")
+        backend = get_backend("indexed")
         assert get_backend(backend) is backend
         assert Engine(backend=backend).backend is backend
 

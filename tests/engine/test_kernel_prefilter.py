@@ -1,22 +1,28 @@
-"""The run-compressed kernel and the VA-derived prefilter at the engine
-level: backend equivalence on run-heavy documents, the prefilter wiring in
-single-document / batch / parallel paths, the new statistics counters, and
-the CLI escape hatches."""
+"""The run walk and the letter walk, and the VA-derived prefilter at the
+engine level: the two walks agree with each other and with the oracles,
+the walk choice shows in the statistics, the prefilter wiring in
+single-document / batch / parallel paths, the new statistics counters,
+and the CLI escape hatches."""
+
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import SpanRelation
+from repro.core import Document, SpanRelation
 from repro.engine import Engine, EngineStats, available_backends
 from repro.va import (
     IndexedMatchGraph,
+    enumerate_mappings,
     enumerate_naive,
     evaluate_naive,
+    indexed_nonempty,
     regex_to_va,
     trim,
 )
+from repro.va import kernel as kernel_module
 
-from ..properties.conftest import sequential_formulas
+from ..properties.conftest import documents, sequential_formulas
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -46,43 +52,63 @@ def _va(text: str):
     return trim(regex_to_va(parse(text)))
 
 
+#: Thresholds forcing each walk: every document takes the run walk at 0,
+#: and every non-empty one the letter walk at a mean run length no
+#: document here reaches (the empty document has no runs and always takes
+#: the run walk).
+RUN_WALK, LETTER_WALK = 0, 1 << 20
+
+
 class TestKernelEquivalence:
     @given(sequential_formulas(), run_documents)
     @_SETTINGS
-    def test_compressed_equals_plain_equals_naive_on_every_backend(
-        self, formula, doc
-    ):
+    def test_every_backend_matches_naive_in_oracle_order(self, formula, doc):
         va = trim(regex_to_va(formula))
         expected = SpanRelation(enumerate_naive(va, doc))
-        orders = []
+        oracle = list(enumerate_mappings(va, doc))
         for name in ALL_BACKENDS:
             engine = Engine(backend=name)
             order = list(engine.enumerate(va, doc))
-            # Same relation as the naive baseline, and the same canonical
-            # enumeration order across every backend.
+            # Same relation as the naive baseline, in the canonical
+            # enumeration order of the match-graph oracle.
             assert SpanRelation(order) == expected, name
+            assert order == oracle, name
             assert engine.is_nonempty(va, doc) == bool(len(expected)), name
-            orders.append(order)
-        for name, order in zip(ALL_BACKENDS[1:], orders[1:]):
-            assert order == orders[0], name
 
-    @given(sequential_formulas(), run_documents)
+    @given(sequential_formulas(), st.one_of(run_documents, documents), st.data())
     @_SETTINGS
-    def test_compressed_graph_matches_plain_and_eager_graphs(self, formula, doc):
+    def test_run_walk_and_letter_walk_agree(self, formula, text, data):
+        # Hypothesis rejects function-scoped fixtures, so the walk is
+        # forced by patching the shared threshold inside the test body.
         indexed = trim(regex_to_va(formula)).indexed()
-        compressed = IndexedMatchGraph(indexed, doc)
-        plain = IndexedMatchGraph(indexed, doc, compressed=False)
-        eager = IndexedMatchGraph(indexed, doc, eager=True)
-        assert compressed.is_empty == plain.is_empty == eager.is_empty
-        assert (
-            list(compressed.enumerate())
-            == list(plain.enumerate())
-            == list(eager.enumerate())
-        )
-        assert compressed.alive == plain.alive
-        assert compressed.forward == plain.forward
-        assert compressed.states_alive() == plain.states_alive()
-        assert compressed.first() == plain.first()
+        split = data.draw(st.integers(min_value=0, max_value=len(text)))
+        prefix = Document(text[:split])
+        doc = prefix.append(text[split:])
+        seen = []
+        for threshold in (RUN_WALK, LETTER_WALK):
+            with patch.object(kernel_module, "RUN_WALK_THRESHOLD", threshold):
+                graph = IndexedMatchGraph(indexed, doc)
+                nonempty = indexed_nonempty(indexed, doc)
+                extended = IndexedMatchGraph(indexed, prefix).extended(doc)
+            assert (graph._runs is not None) == (threshold == RUN_WALK or not text)
+            # An extension keeps the walk of the graph it extends.
+            assert (extended._runs is not None) == (
+                threshold == RUN_WALK or not prefix.text
+            )
+            assert nonempty != graph.is_empty
+            seen.append(
+                (
+                    graph.forward,
+                    graph.alive,
+                    graph.states_alive(),
+                    list(graph.enumerate()),
+                    IndexedMatchGraph(indexed, doc).first(),
+                    nonempty,
+                    list(extended.enumerate_since(split)),
+                )
+            )
+        by_runs, by_letters = seen
+        assert by_runs == by_letters
 
     @given(sequential_formulas(), run_documents)
     @_SETTINGS
@@ -94,13 +120,17 @@ class TestKernelEquivalence:
             assert list(graph.enumerate(limit=k)) == full[:k]
 
     def test_kernel_run_hits_are_counted(self):
+        # The walk is chosen per document: a run-heavy one advances its
+        # runs through the kernel, text takes the letter walk.
         va = _va("(a|b)*x{c+}(a|b)*")
         engine = Engine()
         assert engine.is_nonempty(va, "a" * 50 + "c" + "b" * 50)
+        assert engine.evaluate(va, "a" * 50 + "cc" + "b" * 50)
         assert engine.stats.kernel_run_hits > 0
-        plain = Engine(backend="indexed-plain")
-        assert plain.is_nonempty(va, "a" * 50 + "c" + "b" * 50)
-        assert plain.stats.kernel_run_hits == 0
+        text = Engine()
+        assert text.is_nonempty(va, "ab" * 25 + "c" + "ba" * 25)
+        assert text.evaluate(va, "ab" * 25 + "cc" + "ba" * 25)
+        assert text.stats.kernel_run_hits == 0
 
 
 class TestPrefilterWiring:
@@ -223,20 +253,16 @@ class TestCliEscapeHatches:
         err = capsys.readouterr().err
         assert "prefilter rejects  0" in err
 
-    def test_extract_on_the_plain_backend(self, capsys):
+    def test_extract_stats_show_the_walk_of_the_document(self, capsys):
         from repro.cli import main
 
-        assert main(
-            [
-                "extract",
-                "(a|b)*x{c+}(a|b)*",
-                "--text",
-                "aacaa",
-                "--backend",
-                "indexed-plain",
-            ]
-        ) == 0
-        assert "1 mapping(s)" in capsys.readouterr().out
+        for text, hits in (("abacaba", "0"), ("a" * 20 + "c" + "b" * 20, "2")):
+            assert main(
+                ["extract", "(a|b)*x{c+}(a|b)*", "--text", text, "--stats"]
+            ) == 0
+            captured = capsys.readouterr()
+            assert "1 mapping(s)" in captured.out
+            assert f"kernel run hits    {hits}\n" in captured.err
 
 
 def test_batch_prefilter_preserves_relations():

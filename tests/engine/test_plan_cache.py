@@ -21,6 +21,7 @@ from repro.algebra import sync_difference
 from repro.core import Mapping, NotSequentialError, SpanRelation, SpannerError
 from repro.core.spanner import RelationSpanner
 from repro.algebra.planner import evaluate_ra
+from repro.engine import available_backends
 from repro.engine.plan import (
     BlackboxNode,
     DifferencePlanNode,
@@ -244,7 +245,7 @@ class TestPlanCacheBehaviour:
 
 
 class TestEngineMatchesPlanner:
-    @pytest.mark.parametrize("backend", ["matchgraph", "indexed"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_mixed_tree_matches_one_shot_planner(self, backend):
         tree = Project(
             Difference(Join(Leaf("a"), Leaf("b")), Leaf("c")), frozenset({"x"})

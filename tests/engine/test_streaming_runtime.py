@@ -1,5 +1,5 @@
-"""The streaming runtime: lazy-vs-eager graph equivalence, ``limit=k``
-prefix semantics, Boolean emptiness wiring, and parallel batch evaluation."""
+"""The streaming runtime: lazy graph construction, ``limit=k`` prefix
+semantics, Boolean emptiness wiring, and parallel batch evaluation."""
 
 from hypothesis import given, settings
 
@@ -26,17 +26,6 @@ ALL_BACKENDS = available_backends()
 class TestLazyVsEagerGraphs:
     @given(sequential_formulas(), documents)
     @_SETTINGS
-    def test_lazy_and_eager_graphs_enumerate_identically(self, formula, doc):
-        indexed = trim(regex_to_va(formula)).indexed()
-        lazy = IndexedMatchGraph(indexed, doc)
-        eager = IndexedMatchGraph(indexed, doc, eager=True)
-        assert list(lazy.enumerate()) == list(eager.enumerate())
-        assert lazy.is_empty == eager.is_empty
-        assert lazy.states_alive() == eager.states_alive()
-        assert lazy.width() == eager.width()
-
-    @given(sequential_formulas(), documents)
-    @_SETTINGS
     def test_first_matches_enumeration_head(self, formula, doc):
         indexed = trim(regex_to_va(formula)).indexed()
         full = list(IndexedMatchGraph(indexed, doc).enumerate())
@@ -57,8 +46,9 @@ class TestLazyVsEagerGraphs:
         graph = IndexedMatchGraph(indexed, "abab")
         graph.first()
         touched = sum(len(layer) for layer in graph._edges if layer is not None)
-        graph.materialise()
-        total = sum(len(layer) for layer in graph._edges if layer is not None)
+        # An eager build makes one edge row per live state of every layer
+        # that has a successor layer.
+        total = sum(mask.bit_count() for mask in graph.alive[: len(graph._edges)])
         assert 0 < touched < total
 
 

@@ -11,9 +11,6 @@ from repro.va import regex_to_va, trim
 
 ALL_BACKENDS = available_backends()
 
-#: Backends whose prepared form resumes from a frontier checkpoint.
-EXTENDING = [b for b in ALL_BACKENDS if b != "matchgraph"]
-
 
 def compile_va(text):
     return trim(regex_to_va(parse(text)))
@@ -79,7 +76,7 @@ class TestIncrementalEquivalence:
 
 
 class TestLayerReuse:
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_extension_reuses_prefix_layers(self, backend):
         engine = Engine(backend=backend)
         session = engine.tail(compile_va("(a|b)*x{a}"), "ab" * 8)
@@ -90,15 +87,6 @@ class TestLayerReuse:
         assert stats.tail_reused_layers == 16
         assert stats.tail_recomputed_layers == 18
         assert stats.tail_reevaluations == 2
-
-    def test_matchgraph_falls_back_to_full_rebuild(self):
-        engine = Engine(backend="matchgraph")
-        session = engine.tail(compile_va("(a|b)*x{a}"), "ab" * 4)
-        session.reevaluate()
-        session.reevaluate("ab")
-        stats = engine.stats
-        assert stats.tail_reused_layers == 0
-        assert stats.tail_recomputed_layers == 8 + 10
 
     def test_kernel_powers_are_reused_across_extensions(self):
         # A long quiet run advances through memoized transformer powers;
@@ -131,7 +119,7 @@ class TestLayerReuse:
         assert kernel.cached_power_count() == cached
         assert len(session.reevaluate("b")) == 1
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):
         engine = Engine(backend=backend)
         va = compile_va("(a|b)*x{b}(a|b)*")
@@ -171,7 +159,7 @@ class TestOutputSensitiveReevaluation:
     """A re-evaluation of an extended run walks back from the final layer
     over the carried forward layers and stops at the checkpoint."""
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_quiet_append_after_a_match_builds_no_backward_layers(self, backend):
         engine = Engine(backend=backend)
         session = engine.tail(compile_va("(a|b)*x{ab}(a|b)*"))
@@ -182,7 +170,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate("ab")
         assert dict(mapping.items())["x"] == Span(7, 9)
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_quiet_append_walks_only_the_appended_layers(self, backend):
         prepared = get_backend(backend).prepare(compile_va("(a|b)*x{ab}(a|b)*"))
         doc = Document("ab" + "b" * 60)
@@ -198,7 +186,7 @@ class TestOutputSensitiveReevaluation:
         assert list(run.enumerate_since(len(doc) + 4)) == []
         assert not layers.read
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize(
         "formula, seed, expected",
         [("x{a}bb", "ab", Span(1, 2)), ("(a|b)*x{a}bb(a|b)*", "abbab", Span(4, 5))],
@@ -211,7 +199,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate("b")
         assert dict(mapping.items())["x"] == expected
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     @pytest.mark.parametrize(
         "formula, text, y",
         [
@@ -234,7 +222,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate(text)
         assert dict(mapping.items()) == {"x": Span(1, 2), "y": y}
 
-    @pytest.mark.parametrize("backend", EXTENDING)
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_reevaluation_without_new_text_returns_nothing(self, backend):
         session = Engine(backend=backend).tail(compile_va("(a|b)*x{a}(a|b)*"))
         assert len(session.reevaluate("aba")) == 2

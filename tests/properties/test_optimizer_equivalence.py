@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from repro import Engine, Instantiation, RAQuery, parse
 from repro.algebra.planner import evaluate_ra
 from repro.algebra.ra_tree import Difference, Join, Leaf, Project, UnionNode
-from repro.va import evaluate_naive
+from repro.engine import available_backends
+from repro.va import enumerate_mappings, evaluate_naive
 from repro.workloads import random_sequential_formula
 
 from .conftest import documents
@@ -72,12 +73,14 @@ class TestOptimizedPlansAreEquivalent:
     @given(ra_queries(), documents)
     @_SETTINGS
     def test_optimized_agrees_across_backends(self, query, doc):
+        # Every backend enumerates the optimized plan in the canonical
+        # order of the match-graph oracle over the same compiled automaton.
         tree, inst = query
-        results = [
-            Engine(backend=name).evaluate(RAQuery(tree, inst), doc)
-            for name in ("matchgraph", "indexed")
-        ]
-        assert results[0] == results[1]
+        for name in available_backends():
+            engine = Engine(backend=name)
+            order = list(engine.enumerate(RAQuery(tree, inst), doc))
+            compiled = engine.compile(RAQuery(tree, inst), doc)
+            assert order == list(enumerate_mappings(compiled, doc)), name
 
     @given(ra_queries(max_depth=2), documents)
     @_SETTINGS
