@@ -98,8 +98,8 @@ class TestBackendSelection:
 
     @pytest.mark.parametrize("name", ["indexed-plain", "matchgraph"])
     def test_retired_backends_are_rejected(self, name):
-        # The letter walk is chosen per document and the frozenset match
-        # graph is a test oracle: neither is a backend any more.
+        # The indexed backend picks its letter walk per document, and the
+        # frozenset match graph is a test oracle.
         with pytest.raises(SpannerError):
             Engine(backend=name)
         assert name not in available_backends()
