@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 import repro.core.document as document_module
 from repro import Engine
 from repro.corpus import CorpusStore
-from repro.engine import available_backends
 from repro.regex import parse
 from repro.va import regex_to_va, trim
 
 from ..properties.conftest import sequential_formulas
-
-ALL_BACKENDS = available_backends()
+from .conftest import BACKEND_LEGS
 
 #: Mixed corpus: matches, prefilter rejects (no ``c``), a foreign letter.
 DOCS = ["abc", "aabb", "cc", "b", "", "zebra", "ccc", "bcb"]
@@ -38,7 +36,7 @@ def store(tmp_path):
 
 
 class TestEquivalence:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     @pytest.mark.parametrize("prefilter", [True, False])
     def test_index_path_matches_list_walk(self, store, backend, prefilter):
         va = _va()

@@ -30,6 +30,8 @@ from repro.reductions.sat import CNF
 from repro.reductions.tovey import build_tovey_instance
 from repro.testing import FaultPlan, injected
 
+from .conftest import BACKEND_LEGS
+
 ALL_BACKENDS = available_backends()
 
 #: One document per walk of the indexed backend: text takes the letter
@@ -113,7 +115,7 @@ class TestCancelToken:
 
 
 class TestBudgetEnforcement:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_raise_mode_carries_exact_prefix_and_stats(self, backend):
         va = _va("[ab]*x{[ab]+}[ab]*")
         engine = Engine(backend=backend)
@@ -128,7 +130,7 @@ class TestBudgetEnforcement:
         assert set(exc.partial) == set(full[:3])
         assert exc.stats is not None and exc.stats.budget_hits >= 1
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_partial_mode_returns_truncated_prefix(self, backend):
         va = _va("[ab]*x{[ab]+}[ab]*")
         engine = Engine(backend=backend)
@@ -209,7 +211,7 @@ class TestDeadlines:
             relation = engine.evaluate(va, doc, guard=guard)
         assert relation.truncated
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_adversarial_deadline_acceptance(self, backend):
         """γ1 on (bab)^16 (65536 mappings), 100 ms deadline, warm plan:
         DeadlineExceeded at the first clock read past the deadline, at

@@ -23,6 +23,7 @@ from repro.va import (
 from repro.va import kernel as kernel_module
 
 from ..properties.conftest import documents, sequential_formulas
+from .conftest import PINNED_WALKS
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -52,11 +53,10 @@ def _va(text: str):
     return trim(regex_to_va(parse(text)))
 
 
-#: Thresholds forcing each walk: every document takes the run walk at 0,
-#: and every non-empty one the letter walk at a mean run length no
-#: document here reaches (the empty document has no runs and always takes
-#: the run walk).
-RUN_WALK, LETTER_WALK = 0, 1 << 20
+#: Thresholds forcing each walk, shared with the engine tests' pinned
+#: legs; the empty document has no runs and always takes the run walk.
+RUN_WALK = PINNED_WALKS["indexed-run-walk"]
+LETTER_WALK = PINNED_WALKS["indexed-letter-walk"]
 
 
 class TestKernelEquivalence:

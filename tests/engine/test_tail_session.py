@@ -5,11 +5,11 @@ import pytest
 
 from repro.core import Document, Span, SpanRelation
 from repro.core.errors import SpannerError
-from repro.engine import Engine, TailSession, available_backends, get_backend
+from repro.engine import Engine, TailSession, get_backend
 from repro.regex import parse
 from repro.va import regex_to_va, trim
 
-ALL_BACKENDS = available_backends()
+from .conftest import BACKEND_LEGS
 
 
 def compile_va(text):
@@ -21,7 +21,7 @@ def union_of(emissions):
 
 
 class TestIncrementalEquivalence:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_union_over_time_matches_stepwise_full_evaluations(self, backend):
         engine = Engine(backend=backend)
         va = compile_va("(a|b)*x{a}b*")
@@ -39,7 +39,7 @@ class TestIncrementalEquivalence:
         assert union_of([list(seen)]) == seen
         assert session.total_matches == len(seen)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_old_region_captures_surface_on_completion(self, backend):
         # The append completes a match whose capture lies entirely in the
         # old region — a span-based "new matches" filter would miss it.
@@ -51,7 +51,7 @@ class TestIncrementalEquivalence:
         ((var, span),) = mapping.items()
         assert (span.begin, span.end) == (1, 2)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_seeded_document_and_empty_appends(self, backend):
         engine = Engine(backend=backend)
         va = compile_va("(a|b)*x{ab}(a|b)*")
@@ -62,7 +62,7 @@ class TestIncrementalEquivalence:
         assert session.reevaluate() == []
         assert session.reevaluate("") == []
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_append_without_reevaluate_accumulates(self, backend):
         engine = Engine(backend=backend)
         va = compile_va("x{a}b*")
@@ -76,7 +76,7 @@ class TestIncrementalEquivalence:
 
 
 class TestLayerReuse:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_extension_reuses_prefix_layers(self, backend):
         engine = Engine(backend=backend)
         session = engine.tail(compile_va("(a|b)*x{a}"), "ab" * 8)
@@ -119,7 +119,7 @@ class TestLayerReuse:
         assert kernel.cached_power_count() == cached
         assert len(session.reevaluate("b")) == 1
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):
         engine = Engine(backend=backend)
         va = compile_va("(a|b)*x{b}(a|b)*")
@@ -159,7 +159,7 @@ class TestOutputSensitiveReevaluation:
     """A re-evaluation of an extended run walks back from the final layer
     over the carried forward layers and stops at the checkpoint."""
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_quiet_append_after_a_match_builds_no_backward_layers(self, backend):
         engine = Engine(backend=backend)
         session = engine.tail(compile_va("(a|b)*x{ab}(a|b)*"))
@@ -170,7 +170,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate("ab")
         assert dict(mapping.items())["x"] == Span(7, 9)
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_quiet_append_walks_only_the_appended_layers(self, backend):
         prepared = get_backend(backend).prepare(compile_va("(a|b)*x{ab}(a|b)*"))
         doc = Document("ab" + "b" * 60)
@@ -186,7 +186,7 @@ class TestOutputSensitiveReevaluation:
         assert list(run.enumerate_since(len(doc) + 4)) == []
         assert not layers.read
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     @pytest.mark.parametrize(
         "formula, seed, expected",
         [("x{a}bb", "ab", Span(1, 2)), ("(a|b)*x{a}bb(a|b)*", "abbab", Span(4, 5))],
@@ -199,7 +199,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate("b")
         assert dict(mapping.items())["x"] == expected
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     @pytest.mark.parametrize(
         "formula, text, y",
         [
@@ -222,7 +222,7 @@ class TestOutputSensitiveReevaluation:
         (mapping,) = session.reevaluate(text)
         assert dict(mapping.items()) == {"x": Span(1, 2), "y": y}
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_reevaluation_without_new_text_returns_nothing(self, backend):
         session = Engine(backend=backend).tail(compile_va("(a|b)*x{a}(a|b)*"))
         assert len(session.reevaluate("aba")) == 2
