@@ -650,7 +650,8 @@ def bench_e16_enumeration_throughput(benchmark, report):
     if not TINY:
         # Acceptance bar: ≥3x full-enumeration throughput for the batched
         # path over indexed on every low-run cell (run-heavy cells ride
-        # the shared run-skip, so they are reported, not asserted).
+        # the quiet-stretch skip inside runs, so they are reported, not
+        # asserted).
         low_run = [
             r
             for r in rows

@@ -280,11 +280,13 @@ class ExecutionContext:
         """The first mapping in canonical order, or ``None`` if empty.
 
         Delegates to the run's dedicated
-        :meth:`~repro.va.indexed.IndexedMatchGraph.first` walk —
-        on the indexed and vectorized backends one Boolean pass plus a
-        single greedy root-to-sink descent, never a full edge build.  A
-        deliberate fast path: it skips the ``states_explored`` gauge (the
-        lazy runs never materialise their backward layers here).
+        :meth:`~repro.va.indexed.IndexedMatchGraph.first` walk — one
+        Boolean forward pass plus a single greedy root-to-sink descent,
+        never a full edge build.  On the indexed backend the descent reads
+        the backward ``alive`` layers, so they are built here; only the
+        vectorized backend's memoized walk prunes against co-reachability
+        nodes and skips that pass.  A deliberate fast path all the same:
+        it skips the ``states_explored`` gauge.
         """
         doc = as_document(document)
         stats = self.stats

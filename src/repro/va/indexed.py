@@ -34,13 +34,20 @@ run-length encoding (:meth:`~repro.core.document.Document.runs`):
 The backward co-reachability pruning and the per-(layer, state)
 enumeration edge rows materialise on demand on both walks.  The
 enumeration DFS and the dedicated :meth:`IndexedMatchGraph.first` walk
-additionally *skip* through stretches of a run where the profile is a
-fixpoint with only the empty operation set available, compressing long
-no-capture stretches to O(1) stack frames.  A tail session's
-re-evaluation instead walks back from the final layer over the forward
-masks alone (:meth:`IndexedMatchGraph.enumerate_since`), pruned at the
-previous run's length; :meth:`IndexedMatchGraph.extended` keeps the walk
-of the graph it extends.  Semantics are identical on both walks — the
+additionally *skip* quiet stretches: a state is quiet at a layer when its
+only live option there is its empty-opset self-loop, which is what a
+character class under a star (``.*``, ``[0-9]*``) compiles to, and a
+profile of quiet states jumps in one step, across letters, to the first
+layer where one of them stops being quiet.  Each state finds the end of
+a stretch once, for every later entry to reuse, so a no-capture stretch
+costs one stack frame per path.  A star over a union of letters such as
+``(a|b)*`` compiles to one state per letter, quiet only inside a run of
+its own letter, so on text such automata keep the walk of one frame per
+layer.  A tail session's re-evaluation instead walks back from the final
+layer over the forward masks alone
+(:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
+run's length; :meth:`IndexedMatchGraph.extended` keeps the walk of the
+graph it extends.  Semantics are identical on both walks — the
 equivalence tests in ``tests/engine`` force each walk and check them
 against each other and against the naive enumerator.
 
@@ -79,8 +86,7 @@ class IndexedVA:
         alphabet: the interned :class:`Alphabet` of the automaton's letters.
         opsets: interned operation sets; index = opset id.
         empty_opset_id: the id of the empty operation set, or ``-1`` when
-            every macro transition performs at least one operation — the
-            run-skip fast paths key on it.
+            every macro transition performs at least one operation.
         tables: ``tables[letter_id][state_id]`` is a tuple of
             ``(opset_id, target_bitmask)`` macro transitions, canonically
             ordered.
@@ -88,6 +94,11 @@ class IndexedVA:
             union of the target bitmasks of ``tables[letter_id][state_id]``
             — the Boolean (operation-blind) transition relation the lazy
             match graph's forward/backward passes run on.
+        quiet_masks: ``quiet_masks[letter_id]`` is the bitmask of states
+            that have a self-transition on the letter and whose
+            self-transitions on it all carry the empty operation set — the
+            states the enumeration walks may skip with (see
+            :meth:`IndexedMatchGraph.enumerate`).
         accept: ``accept[state_id]`` is the tuple of accepting opset ids,
             canonically ordered.
         accept_mask: bitmask of states with at least one accepting opset.
@@ -123,6 +134,7 @@ class IndexedVA:
             return found
 
         states_by_id = sorted(order, key=order.__getitem__)
+        opsets = self.opsets
         n_letters = len(self.alphabet)
         tables: list[list[tuple[tuple[int, int], ...]]] = [
             [()] * self.n_states for _ in range(n_letters)
@@ -130,10 +142,12 @@ class IndexedVA:
         successor_masks: list[list[int]] = [
             [0] * self.n_states for _ in range(n_letters)
         ]
+        quiet_masks = [0] * n_letters
         accept: list[tuple[int, ...]] = [()] * self.n_states
         accept_mask = 0
         letter_id = self.alphabet.ids.__getitem__
         for state, sid in order.items():
+            bit = 1 << sid
             grouped: dict[int, dict[int, int]] = {}
             for ops, mid in factorized.closure(state):
                 for label, target in tva.transitions_from(mid):
@@ -147,9 +161,14 @@ class IndexedVA:
                 )
                 tables[lid][sid] = entries
                 mask = 0
-                for _, target_mask in entries:
+                loud = False
+                for oid, target_mask in entries:
                     mask |= target_mask
+                    if target_mask & bit and opsets[oid]:
+                        loud = True  # a self-loop that performs operations
                 successor_masks[lid][sid] = mask
+                if mask & bit and not loud:
+                    quiet_masks[lid] |= bit
             accept[sid] = tuple(
                 sorted(
                     (intern(ops) for ops in factorized.accepting_opsets(state)),
@@ -160,6 +179,7 @@ class IndexedVA:
                 accept_mask |= 1 << sid
         self.tables = tables
         self.successor_masks = successor_masks
+        self.quiet_masks = quiet_masks
         self.accept = accept
         self.accept_mask = accept_mask
         self.accept_by_opset = [0] * len(self.opsets)
@@ -301,7 +321,7 @@ def indexed_nonempty(
 
 def _mapping_from_entries(entries: "list[tuple[int, OpSet]]") -> Mapping:
     """Assemble a mapping from sparse ``(position, operation set)`` pairs
-    in ascending position order — the run-skipping walks only record the
+    in ascending position order — the skipping walks only record the
     positions that actually perform operations, so reconstruction costs
     O(operations) instead of O(document).  Equivalent to
     :func:`~repro.va.matchgraph.mapping_from_opsets` on the padded list
@@ -434,7 +454,7 @@ class IndexedMatchGraph:
         "_forward",
         "_frontier",
         "_alive",
-        "_jump",
+        "_quiet_ends",
         "_edges",
         "_guard",
     )
@@ -447,7 +467,7 @@ class IndexedMatchGraph:
         self._letter_ids: tuple[int, ...] | None = None
         self._forward: list[int] | None = None
         self._alive: list[int] | None = None
-        self._jump: list[int] | None = None
+        self._quiet_ends: list[list[int] | None] | None = None
         runs = doc.runs()
         mask = 1 << indexed.initial_id
         if takes_run_walk(n, len(runs)):
@@ -516,9 +536,9 @@ class IndexedMatchGraph:
         through the kernel's memoized transformer powers in O(log extra).
         The carried layers and the run tuple are copied, in C, so an
         extension also costs O(document) copying.  The backward pruning,
-        jump table, and enumeration edge rows are *not* carried over —
-        they are pruned against the final layer's acceptance, which every
-        append changes — and rebuild lazily over the new document on
+        quiet-stretch memo, and enumeration edge rows are *not* carried
+        over — they are pruned against the final layer's acceptance, which
+        every append changes — and rebuild lazily over the new document on
         demand.
 
         ``document`` must extend ``self.document`` letter for letter;
@@ -544,7 +564,7 @@ class IndexedMatchGraph:
         graph._letter_ids = None
         graph._forward = None
         graph._alive = None
-        graph._jump = None
+        graph._quiet_ends = None
         mask = self._frontier
         if self._runs is not None:
             # The run walk: splice the encoded runs (only the possibly
@@ -654,6 +674,8 @@ class IndexedMatchGraph:
         n = self._n
         forward = self.forward
         kernel = self._kernel
+        indexed = self.indexed
+        succ, quiet = indexed.successor_masks, indexed.quiet_masks
         alive = [0] * (n + 1)
         # `live` chains M[i] = pred(M[i+1]) ∩ forward[i], which equals the
         # reachable ∩ co-reachable pruning exactly (a live state's path
@@ -669,11 +691,13 @@ class IndexedMatchGraph:
             if not live:
                 break  # nothing co-reachable earlier either
             pred = kernel.pred_row(lid)
+            row = succ[lid]
             end = start + length
             i = end - 1
             while i >= start:
                 nxt = apply_masks(pred, live) & forward[i]
                 alive[i] = nxt
+                begin = i
                 if nxt == live and forward[i] == forward[i + 1]:
                     # Stable: M[j] = pred(M[j+1]) ∩ forward[j] keeps
                     # producing the same mask while the forward chain
@@ -683,9 +707,13 @@ class IndexedMatchGraph:
                     while j >= start and forward[j] == fwd_i:
                         alive[j] = nxt
                         j -= 1
-                    i = j
-                else:
-                    i -= 1
+                    begin = j + 1
+                # Every layer of begin..i reads this letter into `live`,
+                # so the same states are quiet at all of them.
+                candidates = nxt & quiet[lid]
+                if candidates:
+                    self._record_quiet(row, live, candidates, begin, i + 1)
+                i = begin - 1
                 live = nxt
         return alive
 
@@ -713,28 +741,80 @@ class IndexedMatchGraph:
             alive[i] = live = layer_alive
         return alive
 
-    @property
-    def jump(self) -> list[int]:
-        """Run-skip destinations per layer, built once on demand.
+    def _quiet_memo(self, sid: int) -> list[int]:
+        """State ``sid``'s quiet-stretch memo: once known, ``stops[i]`` is
+        the first layer after ``i`` at which the state is not quiet (or the
+        last layer); ``0`` while unknown, and where the state is not quiet
+        at ``i``.  Allocated on first use."""
+        ends = self._quiet_ends
+        if ends is None:
+            ends = self._quiet_ends = [None] * self.indexed.n_states
+        stops = ends[sid]
+        if stops is None:
+            stops = ends[sid] = [0] * self._n
+        return stops
 
-        ``jump[i]`` is the last layer ``j ≥ i+1`` such that every layer in
-        ``i..j-1`` reads the same letter and sees the same live mask at its
-        successor layer — exactly the stretch whose per-position choices
-        repeat layer ``i``'s.  The walks consult it in O(1) per skip, so
-        skipping costs one backward sweep total instead of a rescan per
-        DFS descent."""
-        jump = self._jump
-        if jump is None:
-            n = self._n
-            jump = list(range(1, n + 1))
-            if n > 1:
-                ids = self.letter_ids
-                alive = self.alive
-                for i in range(n - 2, -1, -1):
-                    if ids[i + 1] == ids[i] and alive[i + 2] == alive[i + 1]:
-                        jump[i] = jump[i + 1]
-            self._jump = jump
-        return jump
+    def _record_quiet(self, row, live, candidates, begin, end) -> None:
+        """Record, in the run walk's backward pass, the quiet states of
+        layers ``begin..end-1``: each reads the letter of ``row`` into the
+        live mask ``live``, so a state of ``candidates`` (live there, with
+        a quiet self-loop on the letter) whose only successor in ``live``
+        is itself is quiet at all of them, until its stretch from ``end``
+        on ends.  The pass records the later layers first, so every end is
+        exact and the enumeration walks test only the layer they enter
+        at."""
+        for sid in iter_bits(candidates):
+            bit = 1 << sid
+            if row[sid] & live == bit:
+                stops = self._quiet_memo(sid)
+                reach = stops[end] if end < self._n else 0
+                stops[begin:end] = [reach or end] * (end - begin)
+
+    def _quiet_end(self, profile: int, layer: int) -> int:
+        """The first layer from ``layer`` on at which some state of
+        ``profile`` is not quiet, or the last layer: a profile whose
+        states are all quiet at ``layer`` jumps there.
+
+        A state is *quiet* at layer ``i`` when its only live option there
+        is its empty-opset self-loop: it is in the letter's
+        :attr:`IndexedVA.quiet_masks` and its only successor in
+        ``alive[i + 1]`` is itself.  A state scans forward to the end of
+        its stretch, ticking the guard once per layer, and records the end
+        on every layer it passed (:meth:`_quiet_memo`), so every later
+        entry into the stretch reuses it and a state tests each layer at
+        most once."""
+        n = self._n
+        ids = self.letter_ids
+        alive = self.alive
+        indexed = self.indexed
+        succ, quiet = indexed.successor_masks, indexed.quiet_masks
+        guard = self._guard
+        target = n
+        for sid in iter_bits(profile):
+            stops = self._quiet_memo(sid)
+            end = stops[layer]
+            if not end:
+                bit = 1 << sid
+                scanned = layer
+                while scanned < n:
+                    if guard is not None:
+                        guard.tick()
+                    end = stops[scanned]
+                    if end:
+                        break  # joined a stretch found before
+                    lid = ids[scanned]
+                    if not quiet[lid] & bit or succ[lid][sid] & alive[scanned + 1] != bit:
+                        end = scanned
+                        break
+                    scanned += 1
+                else:
+                    end = n
+                stops[layer:scanned] = [end] * (scanned - layer)
+            if end < target:
+                target = end
+                if end == layer:
+                    break  # not quiet here: no jump
+        return target
 
     def states_alive(self) -> int:
         """Total live states across all layers (graph-size gauge)."""
@@ -768,21 +848,27 @@ class IndexedMatchGraph:
         profiles and parent-pointer path reconstruction.
 
         ``limit`` stops after that many mappings; the lazy edge rows mean a
-        small limit touches only the layers along the walked paths.  Inside
-        a letter run, a stretch where the only option is the empty
-        operation set on a fixpoint profile is *skipped* in one stack
-        frame — the per-position choices there are forced, so the DFS
-        records the repeat count instead of walking every layer.
+        small limit touches only the layers along the walked paths.  A
+        frame whose profile is all *quiet* — every state's only live
+        option is its empty-opset self-loop — is forced until one of its
+        states stops being quiet, so it jumps there in one stack frame,
+        across letters, and records the repeat count instead of walking
+        every layer (:meth:`_quiet_end`).  A character class under a star
+        (``.*``, ``[0-9]+``) compiles to such a state; a star over a union
+        of letters such as ``(a|b)*`` compiles to one state per letter,
+        quiet only inside a run of its own letter, so on text those
+        automata keep the walk of one frame per layer.
         """
         if self.is_empty or (limit is not None and limit <= 0):
             return
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
         empty_oid = indexed.empty_opset_id
+        quiet = indexed.quiet_masks
+        quiet_end = self._quiet_end
         n = self._n
         final = self.final
         alive = self.alive
-        jump = self.jump
         tables = indexed.tables
         letter_ids = self.letter_ids
         edges = self._edges
@@ -791,7 +877,7 @@ class IndexedMatchGraph:
         # Stack frames: (layer, profile mask, path node); a path node is
         # (opset_id, repeat count, parent node) — reconstruction replaces
         # per-push tuple copies of the whole prefix, and the repeat count
-        # encodes skipped run stretches.
+        # encodes skipped quiet stretches.
         stack: list[tuple[int, int, tuple | None]] = [
             (0, 1 << indexed.initial_id, None)
         ]
@@ -826,11 +912,27 @@ class IndexedMatchGraph:
                     if limit is not None and emitted >= limit:
                         return
                 continue
+            lid = letter_ids[layer]
+            # Scan only where a quiet stretch can outlast this layer, that
+            # is where the next letter is quiet for the profile too: a
+            # one-layer stretch is this frame's own step, and a union
+            # star's per-letter states would scan at every repeated letter.
+            if (
+                not profile & ~quiet[lid]
+                and layer + 1 < n
+                and not profile & ~quiet[letter_ids[layer + 1]]
+            ):
+                j = quiet_end(profile, layer)
+                if j > layer:
+                    # Quiet: every state can only stay put, performing
+                    # nothing, until the first one stops being quiet.
+                    stack.append((j, profile, (empty_oid, j - layer, node)))
+                    continue
             # Inlined edge_row: the per-layer row build is the hot loop.
             cache = edges[layer]
             if cache is None:
                 cache = edges[layer] = {}
-            row_table = tables[letter_ids[layer]]
+            row_table = tables[lid]
             live = alive[layer + 1]
             options: dict[int, int] = {}
             mask = profile
@@ -854,15 +956,7 @@ class IndexedMatchGraph:
                 # Single choice (the common layer in sparse documents):
                 # skip the canonical sort.
                 oid, target_mask = options.popitem()
-                if oid == empty_oid and target_mask == profile:
-                    # Run-skip: the profile is a fixpoint and the only
-                    # choice performs no operations, so every layer of the
-                    # precomputed stretch repeats this exact (forced) step
-                    # — jump past it in one frame.
-                    j = jump[layer]
-                    stack.append((j, profile, (oid, j - layer, node)))
-                else:
-                    stack.append((layer + 1, target_mask, (oid, 1, node)))
+                stack.append((layer + 1, target_mask, (oid, 1, node)))
             else:
                 # Reverse rank order so the DFS pops options canonically.
                 for oid in sorted(options, key=rank.__getitem__, reverse=True):
@@ -875,16 +969,17 @@ class IndexedMatchGraph:
         A dedicated greedy walk: the DFS's first leaf is reached by taking
         the canonically-minimal operation set at every layer, so no stack,
         no generator frames, and no alternatives are ever pushed.  The
-        same run-skip as :meth:`enumerate` fast-forwards through forced
-        empty-opset stretches inside letter runs.
+        same skip as :meth:`enumerate` jumps a profile whose states are all
+        quiet to the first layer where one of them stops being quiet.
         """
         if self.is_empty:
             return None
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
-        empty_oid = indexed.empty_opset_id
+        quiet = indexed.quiet_masks
+        quiet_end = self._quiet_end
         edge_row = self.edge_row
-        jump = self.jump
+        letter_ids = self.letter_ids
         n = self._n
         guard = self._guard
         entries: list[tuple[int, OpSet]] = []
@@ -893,6 +988,15 @@ class IndexedMatchGraph:
         while layer < n:
             if guard is not None:
                 guard.tick()
+            if (
+                not profile & ~quiet[letter_ids[layer]]
+                and layer + 1 < n
+                and not profile & ~quiet[letter_ids[layer + 1]]
+            ):
+                j = quiet_end(profile, layer)
+                if j > layer:
+                    layer = j
+                    continue
             best_oid = -1
             best_rank = -1
             best_mask = 0
@@ -906,16 +1010,11 @@ class IndexedMatchGraph:
                         best_rank, best_oid, best_mask = rank[oid], oid, target_mask
                     elif oid == best_oid:
                         best_mask |= target_mask
-            if best_oid == empty_oid and best_mask == profile:
-                # Run-skip: forced-equivalent empty steps on a fixpoint
-                # profile — the greedy choice repeats through the stretch.
-                layer = jump[layer]
-            else:
-                ops = opsets[best_oid]
-                if ops:
-                    entries.append((layer + 1, ops))
-                profile = best_mask
-                layer += 1
+            ops = opsets[best_oid]
+            if ops:
+                entries.append((layer + 1, ops))
+            profile = best_mask
+            layer += 1
         final = self.final
         best_final = -1
         mask = profile
@@ -941,8 +1040,8 @@ class IndexedMatchGraph:
         predecessor rows (:meth:`IndexedVA.predecessor_rows`), each step
         intersected with the forward layer, which :meth:`extended` carries
         over.  Every forward-reachable state leads back to the initial one,
-        so no branch dead-ends, and no ``alive`` pass, ``jump`` table or
-        edge row is built.  A branch whose operation sets above layer
+        so no branch dead-ends, and no ``alive`` pass, quiet-stretch memo
+        or edge row is built.  A branch whose operation sets above layer
         ``m = prefix_length`` are all empty (the final one included)
         completes, through a state at layer ``m`` that accepts with the
         operation set chosen there, to a mapping of the prefix; such

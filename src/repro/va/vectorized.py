@@ -12,7 +12,7 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
   covers 64 states at once.  Per-layer masks of a whole document pack into
   one ``(len(d) + 1, n_planes)`` uint64 array, so whole-document
   combinations (the reachable ∩ co-reachable intersection, layer
-  popcounts, the run-skip jump comparisons) are single vectorized ops
+  popcounts, the batched DFS's layer contexts) are single vectorized ops
   instead of ``len(d)`` Python-int operations.
 * **Successor-plane table** — :class:`VectorizedVA` precomputes an
   ``(alphabet, states, n_planes)`` uint64 table; one transition
@@ -43,12 +43,13 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
 
 :class:`VectorizedMatchGraph` subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
-*inherited*, not re-implemented: the DFS, edge rows, and mapping
-reconstruction are the proven indexed code paths, fed by plane-backed
-``forward``/``alive``/``jump`` layers (unpacked to Python-int form exactly
-once, on demand).  :meth:`VectorizedMatchGraph.first` gets a dedicated
-walk that never materialises the alive layers at all: it prunes against
-interned co-reachability nodes and memoizes the greedy per-layer choice on
+*inherited*, not re-implemented: the scalar DFS with its quiet-stretch
+skip, the edge rows, and mapping reconstruction are the proven indexed
+code paths, fed by plane-backed ``forward``/``alive`` layers (unpacked to
+Python-int form exactly once, on demand).
+:meth:`VectorizedMatchGraph.first` gets a dedicated walk that never
+materialises the alive layers at all: it prunes against interned
+co-reachability nodes and memoizes the greedy per-layer choice on
 ``(profile, letter, co-reach node)`` in a kernel-level (cross-document)
 cache.
 
@@ -629,17 +630,18 @@ class VectorizedMatchGraph(IndexedMatchGraph):
 
     Construction runs only the adaptive Boolean forward frontier (enough
     for :attr:`is_empty`).  The per-layer forward masks, the backward
-    co-reachability pass, the run-skip jump table, and the layer gauges
-    are computed through the shared :class:`VectorizedKernel` and the
-    ``(len(d) + 1, n_planes)`` uint64 plane arrays; the reachable ∩
-    co-reachable intersection is one whole-document vectorized AND.
+    co-reachability pass, and the layer gauges are computed through the
+    shared :class:`VectorizedKernel` and the ``(len(d) + 1, n_planes)``
+    uint64 plane arrays; the reachable ∩ co-reachable intersection is one
+    whole-document vectorized AND.
 
-    Enumeration is *inherited* from :class:`IndexedMatchGraph` — the DFS,
-    edge rows, run-skipping, and mapping reconstruction are byte-for-byte
-    the indexed semantics, reading ``alive``/``jump`` through the
-    overridden properties (plane arrays unpacked to Python-int layers
-    once, on demand).  :meth:`first` never touches those layers: it walks
-    interned co-reachability nodes with a kernel-level greedy-choice memo.
+    The scalar fallback of :meth:`enumerate` is *inherited* from
+    :class:`IndexedMatchGraph` — the DFS, edge rows, the quiet-stretch
+    skip, and mapping reconstruction are byte-for-byte the indexed
+    semantics, reading ``alive`` through the overridden property (plane
+    arrays unpacked to Python-int layers once, on demand).  :meth:`first`
+    never touches those layers: it walks interned co-reachability nodes
+    with a kernel-level greedy-choice memo.
     """
 
     __slots__ = (
@@ -669,7 +671,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self._letter_ids = None
         self._forward = None
         self._alive = None
-        self._jump = None
+        self._quiet_ends = None
         self._kernel = None  # the scalar-kernel slot of the base stays unused
         self._forward_planes = None
         self._alive_planes = None
@@ -703,11 +705,12 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         nodes per appended letter, plane-power doubling when appended
         letters merge into the tail run.  Already-materialised prefix
         forward layers carry over, extended over the overhang; the plane
-        arrays, co-reachability nodes, jump table, and edge rows rebuild
-        lazily (they are pruned against the acceptance of the *new* final
-        layer).  A tail session's re-evaluation needs none of them: the
-        inherited :meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since`
-        walks back from the final layer over the carried forward layers
+        arrays, co-reachability nodes, quiet-stretch memo, and edge rows
+        rebuild lazily (they are pruned against the acceptance of the
+        *new* final layer).  A tail session's re-evaluation needs none of
+        them: the inherited
+        :meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since` walks
+        back from the final layer over the carried forward layers
         and stops at the checkpoint, so an append that completes no match
         costs O(appended) and each new mapping one walk back to layer 0.
         """
@@ -729,7 +732,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         graph._letter_ids = None
         graph._forward = None
         graph._alive = None
-        graph._jump = None
+        graph._quiet_ends = None
         graph._kernel = None
         graph._forward_planes = None
         graph._alive_planes = None
@@ -903,31 +906,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             alive = self._alive = _masks_from_planes(self.alive_planes)
         return alive
 
-    @property
-    def jump(self) -> "list[int]":
-        """Run-skip destinations per layer (see the indexed base class),
-        built by vectorized comparisons instead of a per-layer scan."""
-        jump = self._jump
-        if jump is None:
-            np = NUMPY
-            n = self._n
-            if n <= 1:
-                jump = list(range(1, n + 1))
-            else:
-                ids = np.fromiter(self.letter_ids, dtype=np.int64, count=n)
-                alive = self.alive_planes
-                # extendable[i] (i < n-1): layer i+1 reads the same letter
-                # and sees the same live successor layer — jump through it.
-                extendable = np.zeros(n, dtype=bool)
-                extendable[: n - 1] = (ids[1:] == ids[:-1]) & (
-                    alive[2:] == alive[1:-1]
-                ).all(axis=1)
-                position = np.arange(n, dtype=np.int64)
-                breaks = np.where(extendable, n - 1, position)
-                jump = (np.minimum.accumulate(breaks[::-1])[::-1] + 1).tolist()
-            self._jump = jump
-        return jump
-
     # -- gauges -----------------------------------------------------------
 
     def states_alive(self) -> int:
@@ -1058,12 +1036,12 @@ class VectorizedMatchGraph(IndexedMatchGraph):
                         # choose until the next fan, operating step, dead
                         # end, or the leaf.  The skip index maps
                         # ``(layer, profile)`` to that event in one hop —
-                        # unlike the scalar walk's same-letter run-skip it
-                        # crosses letter boundaries *and* profile changes
-                        # (a scanning profile may oscillate per letter),
-                        # and path compression means the first path to
-                        # walk a forced suffix pays O(stretch) once while
-                        # every later path joins it within a few layers.
+                        # unlike the scalar walk's quiet-stretch skip it
+                        # also crosses profile changes (a scanning profile
+                        # may oscillate per letter), and path compression
+                        # means the first path to walk a forced suffix
+                        # pays O(stretch) once while every later path
+                        # joins it within a few layers.
                         hop = fskip.get((layer, profile))
                         if hop is None:
                             walked = [(layer, profile)]
@@ -1170,9 +1148,11 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         """The first mapping in canonical order, or ``None`` if empty.
 
         Semantically identical to the inherited greedy walk (canonically
-        minimal operation set per layer, run-skip through forced
-        empty-opset fixpoints) but pruned against the co-reachability
-        nodes instead of the alive layers: a candidate target of a live
+        minimal operation set per layer) but pruned against the
+        co-reachability nodes instead of the alive layers, and with its
+        own skip: a step whose choice is the empty operation set on a
+        fixpoint profile repeats through the rest of its letter run while
+        the co-reach node stays the same.  A candidate target of a live
         profile is always forward-reachable, so ``target ∩ coreach`` is
         exactly ``target ∩ alive`` and the backward intersection never
         needs materialising.  The per-layer choice is memoized on
@@ -1228,8 +1208,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             if best_oid == empty_oid and best_mask == profile:
                 # Run-skip: forced-equivalent empty steps on a fixpoint
                 # profile — scan the stretch once (same letter, same
-                # co-reach context at the successor layer) and jump it,
-                # mirroring the inherited walk's jump-table skip.
+                # co-reach context at the successor layer) and jump it.
                 j = layer + 1
                 while j < n and letter_ids[j] == lid and cnodes[j + 1] is cnode:
                     j += 1

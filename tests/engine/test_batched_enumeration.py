@@ -31,7 +31,7 @@ needs_numpy = pytest.mark.skipif(
 )
 
 #: Run-heavy documents: long single-letter stretches (the inherited
-#: run-skip path interacting with the batched skip index).
+#: quiet-stretch skip interacting with the batched skip index).
 run_documents = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(min_value=1, max_value=40)),
     min_size=0,

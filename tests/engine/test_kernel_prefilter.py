@@ -30,8 +30,9 @@ _SETTINGS = settings(max_examples=50, deadline=None)
 ALL_BACKENDS = available_backends()
 
 #: Documents biased toward long single-letter runs — the regime the
-#: run-compressed kernel and the DFS run-skip target.  Includes the
-#: degenerate shapes: empty, and single-letter documents of every length.
+#: run-compressed kernel and the DFS quiet-stretch skip target.  Includes
+#: the degenerate shapes: empty, and single-letter documents of every
+#: length.
 run_documents = st.one_of(
     st.just(""),
     st.builds(

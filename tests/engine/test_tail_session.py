@@ -149,7 +149,7 @@ class _RecordingLayers(list):
 
 def assert_backward_layers_unbuilt(run):
     assert run._alive is None
-    assert run._jump is None
+    assert run._quiet_ends is None
     assert all(rows is None for rows in run._edges)
     for slot in ("_alive_planes", "_cnodes", "_layer_ctx"):
         assert getattr(run, slot, None) is None, slot

@@ -10,6 +10,7 @@ from repro.core import Document
 from repro.va import TransitionKernel, regex_to_va, trim
 from repro.va.vectorized import numpy_available
 
+from ..engine.test_quiet_skip import quiet_layers, skip_targets
 from ..properties.conftest import sequential_formulas
 
 pytestmark = pytest.mark.skipif(
@@ -307,7 +308,10 @@ class TestFrontierAgainstForwardLayers:
         vectorized_graph = VectorizedMatchGraph(va.vectorized(), doc)
         assert vectorized_graph.forward == indexed_graph.forward
         assert vectorized_graph.alive == indexed_graph.alive
-        assert vectorized_graph.jump == indexed_graph.jump
+        # The quiet states per layer and the skip targets they give.
+        layers = list(range(len(doc)))
+        assert quiet_layers(vectorized_graph) == quiet_layers(indexed_graph)
+        assert skip_targets(vectorized_graph, layers) == skip_targets(indexed_graph, layers)
         assert vectorized_graph.is_empty == indexed_graph.is_empty
         assert vectorized_graph.states_alive() == indexed_graph.states_alive()
         assert vectorized_graph.width() == indexed_graph.width()
