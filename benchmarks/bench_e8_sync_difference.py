@@ -11,11 +11,19 @@ Shapes to confirm:
 * the tracked-subset width (our stand-in for the paper's deterministic
   match structure D2) stays flat for the synchronized subtrahend and grows
   for an unsynchronized control with ambiguous operation placement.
+
+E8a also times the production route: ``Engine.evaluate`` of the same
+``RAQuery(Difference(...))``, which the optimizer lowers to Theorem 4.8
+and which runs the product's dense per-document form with no VA built
+(``engine_ms``, a warm engine: plan, static prefix and the prepared
+difference already built, so only the per-document half runs).  Both
+routes must return the same relation.
 """
 
 import random
 import time
 
+from repro import Difference, Engine, Instantiation, Leaf, RAQuery
 from repro.algebra import SyncDifferenceStats, synchronized_difference
 from repro.regex import capture, concat, sigma_star, star, sym, union
 from repro.utils import fit_power_law, format_table
@@ -79,21 +87,41 @@ def _run(doc: str, synchronized: bool = True):
     )
     result = evaluate_va(compiled, doc)
     elapsed = time.perf_counter() - start
-    return elapsed, stats, len(result)
+    return elapsed, stats, result
+
+
+def _engine_run(doc: str, expected) -> float:
+    """``Engine.evaluate`` of ``A1 \\ A2`` on a warm engine, in seconds;
+    asserts it agrees with the one-shot route."""
+    query = RAQuery(
+        Difference(Leaf("minuend"), Leaf("subtrahend")),
+        Instantiation(
+            spanners={"minuend": _minuend(), "subtrahend": _subtrahend_synchronized()}
+        ),
+        engine=Engine(),
+    )
+    query.evaluate(doc)  # warm-up: plan, static prefix, prepared difference
+    start = time.perf_counter()
+    result = query.evaluate(doc)
+    elapsed = time.perf_counter() - start
+    assert result == expected, (doc, "Engine.evaluate differs from evaluate_va")
+    return elapsed
 
 
 def _sweep():
     rows, xs, ys = [], [], []
     for block_length in LENGTH_SWEEP:
         doc = _document(block_length)
-        elapsed, stats, out = _run(doc)
+        elapsed, stats, result = _run(doc)
+        engine_elapsed = _engine_run(doc, result)
         rows.append(
             [
                 len(doc),
                 stats.max_tracked_set,
                 stats.product_nodes,
-                out,
+                len(result),
                 f"{elapsed * 1e3:.1f}",
+                f"{engine_elapsed * 1e3:.1f}",
             ]
         )
         xs.append(len(doc))
@@ -105,7 +133,7 @@ def bench_e8_document_sweep(benchmark, report):
     rows, xs, ys = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     exponent = fit_power_law(xs, ys)
     table = format_table(
-        ["doc_chars", "max_tracked_set", "product_nodes", "results", "ms"],
+        ["doc_chars", "max_tracked_set", "product_nodes", "results", "ms", "engine_ms"],
         rows,
         title=f"E8a synchronized difference (k={K}, all variables shared): "
         f"power-law exponent ≈ {exponent:.2f}; tracked-set width stays flat",

@@ -19,11 +19,15 @@ Step 3's per-used-set pairing subsumes the paper's dummy "marker variable"
 device (Appendix B.1): the markers exist to force the join to match
 mappings with equal V-domains, which pairing components with equal-domain
 paths achieves directly.  Note also that ``Good`` is defined through the
-true SPARQL compatibility relation — Appendix B.1's literal set complement
-of the marked extensions of R2 misclassifies subtrahend mappings whose
-domain differs from the minuend's (e.g. the empty mapping in R2 must empty
-the whole difference); see DESIGN.md and the regression test
-``test_empty_mapping_in_subtrahend_empties_difference``.
+true SPARQL compatibility relation, not as Appendix B.1's literal set
+complement of the marked extensions of R2.  The complement removes a
+minuend V-mapping only when some member of R2 *equals* it, domain
+included, while compatibility only asks the two to agree on their common
+domain.  So a subtrahend mapping whose domain differs from the minuend's
+would remove nothing: the empty mapping in R2, compatible with every
+mapping, must empty the whole difference, and the complement would keep
+it intact.  The regression test
+``test_empty_mapping_in_subtrahend_empties_difference`` pins this.
 """
 
 from __future__ import annotations

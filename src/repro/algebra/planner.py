@@ -39,6 +39,7 @@ from ..regex.ast import RegexFormula
 from ..va.automaton import VA
 from ..va.compile_regex import regex_to_va
 from ..va.evaluation import enumerate_mappings
+from ..va.indexed import LayeredIndexedVA
 from ..va.normalization import normalize
 from ..va.operations import project_va, relation_va, union_va
 from .difference import adhoc_difference
@@ -139,15 +140,21 @@ def apply_difference(
     return normalize(adhoc_difference(left, right, doc))
 
 
-def apply_sync_difference(prepared: PreparedSyncDifference, doc: Document) -> VA:
+def apply_sync_difference(
+    prepared: PreparedSyncDifference, doc: Document
+) -> "LayeredIndexedVA | VA":
     """``\\`` through the synchronized compilation (Theorem 4.8): the
-    per-document half of an already prepared difference.
+    per-document half of an already prepared difference, as the dense form
+    the engine runs (:meth:`PreparedSyncDifference.compile_layered`), or
+    the automaton the prepared difference keeps for its early answers.
+    Unlike every other ``apply_*``, no normalization pass runs: the form
+    is already what the enumeration backends index.
 
     Used by plans whose optimizer proved the subtrahend synchronized for
     the common variables; tractable for *unboundedly many* shared
     variables, so no ``max_shared`` check applies here.
     """
-    return normalize(prepared.compile(doc))
+    return prepared.compile_layered(doc)
 
 
 def check_shared(left: VA, right: VA, config: PlannerConfig, what: str) -> None:

@@ -5,10 +5,11 @@ tractable difference; this module implements the other: ``A1 \\ A2`` with
 **unboundedly many** common variables X, provided ``A1`` is semi-functional
 for X and ``A2`` is synchronized for X.
 
-Construction (following Appendix B.5, see DESIGN.md for the deviation).
+Construction (following Appendix B.5, with one deviation: step 3 tracks a
+*set* of subtrahend states where the paper determinises, see below).
 Step 1 is document independent and runs once, when a
 :class:`PreparedSyncDifference` is built; steps 2–4 run per document, in
-:meth:`PreparedSyncDifference.compile`:
+:meth:`PreparedSyncDifference.compile_layered`:
 
 1. Check both operands sequential.  Project ``A2`` onto X and trim.
    Synchronizedness makes every variable either used on all accepting
@@ -16,17 +17,26 @@ Step 1 is document independent and runs once, when a
    constrain compatibility), after which the subtrahend is *functional*
    over the effective common set (:func:`synchronized_subtrahend`).
    Decompose ``A1`` by the exact subset ``Y`` of common variables its runs
-   use, and factorize the subtrahend and every component, so their
-   per-state closure memos serve every document.
-2. Build the match graphs of the subtrahend and of each component on the
-   document.
-3. For each component, sweep the document once, tracking per layer the
-   pairs ``(q1, T)`` where ``q1`` is an A1-state and ``T`` the **set** of
-   A2 match-graph states reachable under operation sets that agree with
-   A1's on ``Γ_Y`` (operations on skipped variables are unconstrained —
-   a compatible subtrahend mapping may place them anywhere).
+   use.  Index the subtrahend and every component
+   (:class:`~repro.va.indexed.IndexedVA`, cached on their automata), and
+   restrict every operation set id to each ``Y`` once.
+2. Run the indexed match graphs of the subtrahend and of each component
+   on the document.
+3. For each component, sweep the document once, layer by layer, tracking
+   the pairs ``(q1, T)`` where ``q1`` is an A1-state and ``T`` the **set**
+   (a bitmask) of A2 match-graph states reachable under operation sets
+   that agree with A1's on ``Γ_Y`` (operations on skipped variables are
+   unconstrained — a compatible subtrahend mapping may place them
+   anywhere).
 4. Accept exactly when no consistent A2 acceptance exists — then, and only
    then, the A1 mapping survives the difference.
+
+The sweep emits its pairs directly in the dense form the engine runs, a
+:class:`~repro.va.indexed.LayeredIndexedVA`: per-layer node masks,
+per-node ``(opset id, target mask)`` rows and final opset ids, with every
+component under one root node.  No :class:`VA` is built per document
+unless a caller asks for one (:meth:`PreparedSyncDifference.compile`, or a
+plan node that composes automata).
 
 Tracking the *set* ``T`` is the universally-correct form of the paper's
 deterministic match structure ``D2``: for a synchronized subtrahend the
@@ -40,16 +50,19 @@ only the polynomial bound needs synchronizedness, so ``require_synchronized
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.document import Document, as_document
 from ..core.errors import NotSequentialError, NotSynchronizedError
 from ..core.mapping import Variable
-from ..va.automaton import VA, State
-from ..va.matchgraph import FactorizedVA, MatchGraph, OpSet
+from ..utils.bits import iter_bits
+from ..va.automaton import VA
+from ..va.indexed import IndexedMatchGraph, IndexedVA, LayeredIndexedVA
+from ..va.matchgraph import OpSet
 from ..va.matchstruct import never_used_variables
-from ..va.operations import empty_va, project_va, trim, union_all
+from ..va.operations import empty_va, project_va, trim
 from ..va.properties import is_functional, is_sequential, is_synchronized_for
-from .join import _ProductBuilder, used_set_components
+from .join import used_set_components
 
 
 @dataclass
@@ -107,15 +120,29 @@ def synchronized_subtrahend(
     return effective, subtrahend
 
 
+class _Component(NamedTuple):
+    """One used-set component of the minuend, with its operation set ids
+    mapped for the sweep once, up front."""
+
+    indexed: IndexedVA
+    #: ``key[oid]``: the id of the component opset's restriction to ``Y``.
+    key: tuple[int, ...]
+    #: ``subtrahend_key[oid]``: the same for the subtrahend's opsets.
+    subtrahend_key: tuple[int, ...]
+    #: ``out[oid]``: the component opset's id in the product's opsets.
+    out: tuple[int, ...]
+
+
 class PreparedSyncDifference:
     """The document-independent half of Theorem 4.8 for ``A1 \\ A2``
-    (construction step 1); :meth:`compile` runs steps 2–4 on a document.
+    (construction step 1); :meth:`compile_layered` runs steps 2–4 on a
+    document.
 
     Building one checks both operands sequential, analyses the subtrahend
     (:func:`synchronized_subtrahend`) and splits the minuend into its
-    used-set components.  The factorizations of the subtrahend and of each
-    component are kept, so their per-state closure memos serve every
-    document this object compiles.
+    used-set components.  The indexed forms of the subtrahend and of each
+    component are kept, so their tables serve every document this object
+    compiles, and so do the operation set ids the sweep reads.
 
     Args:
         first: the minuend ``A1`` (sequential; semi-functionalised for the
@@ -133,7 +160,14 @@ class PreparedSyncDifference:
         NotSynchronizedError: see :func:`synchronized_subtrahend`.
     """
 
-    __slots__ = ("_first", "_effective", "_subtrahend", "_components")
+    __slots__ = (
+        "_first",
+        "_effective",
+        "_subtrahend",
+        "_components",
+        "_opsets",
+        "_empty",
+    )
 
     def __init__(self, first: VA, second: VA, require_synchronized: bool = True):
         if not is_sequential(first) or not is_sequential(second):
@@ -145,25 +179,49 @@ class PreparedSyncDifference:
         )
         self._effective: frozenset[Variable] = frozenset()
         #: ``None`` when the subtrahend is the empty spanner.
-        self._subtrahend: FactorizedVA | None = None
-        self._components: tuple[tuple[frozenset[Variable], FactorizedVA], ...] = ()
+        self._subtrahend: IndexedVA | None = None
+        self._components: tuple[_Component, ...] = ()
+        #: The product's operation sets by id, shared by every form built.
+        self._opsets: list[OpSet] = []
+        self._empty = empty_va()
         if analysis is None:
             return
         self._effective, subtrahend = analysis
-        self._subtrahend = FactorizedVA(subtrahend)
-        if self._effective:
-            self._components = tuple(
-                (used, FactorizedVA(component))
-                for used, component in used_set_components(
-                    self._first, self._effective
-                ).items()
-            )
+        self._subtrahend = subtrahend.indexed()
+        if not self._effective:
+            return
+        out_ids: dict[OpSet, int] = {}
+        components = []
+        for used, component in used_set_components(self._first, self._effective).items():
+            indexed = component.indexed()
+            keys: dict[OpSet, int] = {}
 
-    def compile(
+            def key(ops: OpSet) -> int:
+                restricted = frozenset(op for op in ops if op.var in used)
+                return keys.setdefault(restricted, len(keys))
+
+            components.append(
+                _Component(
+                    indexed,
+                    tuple(map(key, indexed.opsets)),
+                    tuple(map(key, self._subtrahend.opsets)),
+                    tuple(out_ids.setdefault(ops, len(out_ids)) for ops in indexed.opsets),
+                )
+            )
+        self._components = tuple(components)
+        self._opsets = list(out_ids)
+
+    def compile_layered(
         self, document: Document | str, stats: SyncDifferenceStats | None = None
-    ) -> VA:
-        """An ad-hoc sequential VA ``Ad`` with ``⟦Ad⟧(d) = ⟦A1 \\ A2⟧(d)``
-        for ``document``.
+    ) -> "LayeredIndexedVA | VA":
+        """``⟦A1 \\ A2⟧(d)`` for ``document``, as the dense form the engine
+        runs.
+
+        The form is the product of steps 2–4.  Where the answer needs no
+        product, the result is instead an automaton this object keeps, the
+        same one for every document: the minuend, when the subtrahend
+        extracts nothing from the document (or nothing at all), and the
+        empty spanner when a Boolean subtrahend accepts it.
 
         Args:
             stats: optional accumulator for the E8 ablation measurements.
@@ -173,25 +231,41 @@ class PreparedSyncDifference:
             return self._first  # the subtrahend is the empty spanner
         if stats is not None:
             stats.effective_common = self._effective
-        graph2 = MatchGraph(self._subtrahend, doc)
-        if graph2.is_empty:
+        run2 = IndexedMatchGraph(self._subtrahend, doc)
+        if run2.is_empty:
             return self._first  # the subtrahend extracts nothing from this document
         if not self._effective:
             # Boolean subtrahend that accepts d: its empty mapping is
             # compatible with everything.
-            return empty_va()
+            return self._empty
         if stats is not None:
             stats.components = len(self._components)
-        pieces: list[VA] = []
-        for used, component in self._components:
-            piece = _component_difference(component, used, graph2, doc, stats)
-            if piece is not None:
-                pieces.append(piece)
-        if not pieces:
-            return empty_va()
-        if len(pieces) == 1:
-            return pieces[0]
-        return union_all(pieces).relabelled()
+        tables: list[list[tuple[tuple[int, int], ...]]] = [[] for _ in doc.text]
+        accept: list[tuple[int, ...]] = []
+        # Every component's initial pair is the root, node 0 of layer 0.
+        root_row: dict[int, int] = {}
+        root_accept: dict[int, None] = {}
+        for component in self._components:
+            run1 = IndexedMatchGraph(component.indexed, doc)
+            if not run1.is_empty:
+                _sweep(component, run1, run2, tables, accept, root_row, root_accept, stats)
+        if tables:
+            tables[0].append(tuple(root_row.items()))
+        else:
+            accept.append(tuple(root_accept))
+        return LayeredIndexedVA(doc, self._opsets, tables, accept)
+
+    def compile(
+        self, document: Document | str, stats: SyncDifferenceStats | None = None
+    ) -> VA:
+        """An ad-hoc sequential VA ``Ad`` with ``⟦Ad⟧(d) = ⟦A1 \\ A2⟧(d)``
+        for ``document``: :meth:`compile_layered`'s result as a VA.
+
+        Args:
+            stats: optional accumulator for the E8 ablation measurements.
+        """
+        result = self.compile_layered(document, stats)
+        return result if isinstance(result, VA) else result.va
 
 
 def synchronized_difference(
@@ -223,63 +297,93 @@ def synchronized_difference(
     return prepared.compile(document, stats)
 
 
-def _component_difference(
-    component: FactorizedVA,
-    used: frozenset[Variable],
-    graph2: MatchGraph,
-    doc: Document,
+def _sweep(
+    component: _Component,
+    run1: IndexedMatchGraph,
+    run2: IndexedMatchGraph,
+    tables: list[list[tuple[tuple[int, int], ...]]],
+    accept: list[tuple[int, ...]],
+    root_row: dict[int, int],
+    root_accept: dict[int, None],
     stats: SyncDifferenceStats | None,
-) -> VA | None:
-    """The ad-hoc automaton for one used-set component of the minuend."""
-    graph1 = MatchGraph(component, doc)
-    if graph1.is_empty:
-        return None
-    n = len(doc)
+) -> None:
+    """Step 3 for one component: add its pairs ``(q1, T)`` to the product,
+    layer by layer, as nodes with their rows (appended to ``tables``) and,
+    at the last layer, their accepting opset ids (appended to ``accept``).
 
-    def constrained(ops: OpSet) -> OpSet:
-        return frozenset(op for op in ops if op.var in used)
-
-    builder = _ProductBuilder()
-    accept: State = ("acc",)
-    accepting_used = False
-    initial_tracked: frozenset[State] = frozenset((graph2.factorized.va.initial,))
-    initial: State = (0, graph1.factorized.va.initial, initial_tracked)
-    seen: set[State] = {initial}
-    stack: list[State] = [initial]
-    while stack:
-        node = stack.pop()
-        layer, q1, tracked = node
+    A layer's pairs become its next node ids in discovery order, after the
+    nodes earlier components left there.  The initial pair is the root,
+    whose row and accepting opsets collect into ``root_row`` and
+    ``root_accept``.  ``T``'s options are grouped by restricted opset once
+    per layer and tracked set.  Both runs' edge rows are read inline from
+    their tables, pruned to the live states of the next layer, as
+    :meth:`IndexedMatchGraph.edge_row` would build them."""
+    n = len(tables)
+    key1, key2, out = component.key, component.subtrahend_key, component.out
+    tables1, ids1, alive1 = run1.indexed.tables, run1.letter_ids, run1.alive
+    tables2, ids2, alive2 = run2.indexed.tables, run2.letter_ids, run2.alive
+    frontier: dict[tuple[int, int], int] = {
+        (run1.indexed.initial_id, 1 << run2.indexed.initial_id): 0
+    }
+    for layer in range(n):
         if stats is not None:
-            stats.observe_set(len(tracked))
-            stats.product_nodes += 1
-        if layer == n:
-            for ops1 in graph1.final_opsets.get(q1, frozenset()):
-                key = constrained(ops1)
-                blocked = any(
-                    constrained(ops2) == key
-                    for q2 in tracked
-                    for ops2 in graph2.final_opsets.get(q2, frozenset())
-                )
-                if not blocked:
-                    builder.chain(node, ops1, None, accept)
-                    accepting_used = True
-            continue
-        options2 = graph2.successor_options(layer, tracked) if tracked else {}
-        for ops1, targets1 in graph1.edges[layer].get(q1, {}).items():
-            key = constrained(ops1)
-            next_tracked = frozenset(
-                t
-                for ops2, targets2 in options2.items()
-                if constrained(ops2) == key
-                for t in targets2
-            )
-            letter = doc.letter(layer + 1)
-            for r1 in targets1:
-                target: State = (layer + 1, r1, next_tracked)
-                builder.chain(node, ops1, letter, target)
-                if target not in seen:
-                    seen.add(target)
-                    stack.append(target)
-    if not accepting_used:
-        return None
-    return trim(VA(initial, (accept,), builder.transitions))
+            _observe(stats, frontier)
+        table1, live1 = tables1[ids1[layer]], alive1[layer + 1]
+        table2, live2 = tables2[ids2[layer]], alive2[layer + 1]
+        following: dict[tuple[int, int], int] = {}
+        next_id = len(tables[layer + 1]) if layer + 1 < n else len(accept)
+        by_tracked: dict[int, dict[int, int]] = {}
+        for q1, tracked in frontier:  # in id order, so rows append at their ids
+            options = by_tracked.get(tracked)
+            if options is None:
+                options = by_tracked[tracked] = {}
+                for q2 in iter_bits(tracked):
+                    for oid, targets2 in table2[q2]:
+                        targets2 &= live2
+                        if targets2:
+                            key = key2[oid]
+                            options[key] = options.get(key, 0) | targets2
+            row = []
+            for oid, targets1 in table1[q1]:
+                targets1 &= live1
+                if not targets1:
+                    continue
+                next_tracked = options.get(key1[oid], 0)
+                targets = 0
+                while targets1:
+                    low = targets1 & -targets1
+                    targets1 ^= low
+                    pair = (low.bit_length() - 1, next_tracked)
+                    target = following.get(pair)
+                    if target is None:
+                        target = following[pair] = next_id
+                        next_id += 1
+                    targets |= 1 << target
+                row.append((out[oid], targets))
+            if layer:
+                tables[layer].append(tuple(row))
+            else:
+                for oid, targets in row:
+                    root_row[oid] = root_row.get(oid, 0) | targets
+        frontier = following
+    if stats is not None:
+        _observe(stats, frontier)
+    final1, final2 = run1.final, run2.final
+    blocked_by: dict[int, set[int]] = {}
+    for q1, tracked in frontier:
+        blocked = blocked_by.get(tracked)
+        if blocked is None:
+            blocked = blocked_by[tracked] = {
+                key2[oid] for q2 in iter_bits(tracked) for oid in final2.get(q2, ())
+            }
+        survivors = [out[oid] for oid in final1.get(q1, ()) if key1[oid] not in blocked]
+        if n:
+            accept.append(tuple(survivors))
+        else:
+            root_accept.update(dict.fromkeys(survivors))
+
+
+def _observe(stats: SyncDifferenceStats, frontier: "dict[tuple[int, int], int]") -> None:
+    stats.product_nodes += len(frontier)
+    for _, tracked in frontier:
+        stats.observe_set(tracked.bit_count())

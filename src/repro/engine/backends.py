@@ -7,6 +7,13 @@ form once (:meth:`EnumerationBackend.prepare`), then builds a per-document
 enumeration plus the match-graph size gauges the engine's statistics
 report.
 
+A per-document product (Theorem 4.8's, a
+:class:`~repro.va.indexed.LayeredIndexedVA`) is already in the indexed
+form and is already layered: every backend prepares it as
+:class:`PreparedIndexedVA`, whose run takes its layers as the forward
+pass.  It has no document-independent tables for a kernel or for numpy
+planes to amortise.
+
 Shipped backends:
 
 * ``indexed`` (the default) — states relabelled to dense integers with
@@ -42,7 +49,7 @@ from ..core.document import Document, as_document
 from ..core.errors import NotSequentialError, SpannerError
 from ..core.mapping import Mapping
 from ..va.automaton import VA
-from ..va.indexed import IndexedMatchGraph, indexed_nonempty
+from ..va.indexed import IndexedMatchGraph, LayeredIndexedVA, indexed_nonempty
 from ..va.properties import is_sequential
 from ..va.vectorized import (
     VectorizedMatchGraph,
@@ -122,15 +129,17 @@ class EnumerationBackend(abc.ABC):
         return True
 
     @abc.abstractmethod
-    def prepare(self, va: VA) -> PreparedVA:
-        """Compile the document-independent form (checks sequentiality)."""
+    def prepare(self, va: "VA | LayeredIndexedVA") -> PreparedVA:
+        """Compile the document-independent form (checks sequentiality);
+        a per-document product becomes a :class:`PreparedIndexedVA`."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
-def _require_sequential(va: VA) -> None:
-    if not is_sequential(va):
+def _require_sequential(va: "VA | LayeredIndexedVA") -> None:
+    sequential = va.is_sequential() if isinstance(va, LayeredIndexedVA) else is_sequential(va)
+    if not sequential:
         raise NotSequentialError(
             "enumeration backends require a sequential VA"
         )
@@ -142,14 +151,20 @@ def _require_sequential(va: VA) -> None:
 class PreparedIndexedVA(PreparedVA):
     """Prepared form of the ``indexed`` backend: an :class:`IndexedVA`
     (cached on the automaton via :meth:`VA.indexed`) whose kernel is
-    shared by every document's run walk."""
+    shared by every document's run walk, or a per-document
+    :class:`LayeredIndexedVA` as it is (on every backend), which runs on
+    its own document only and builds its VA view only if :attr:`va` is
+    read."""
 
-    __slots__ = ("va", "indexed")
+    __slots__ = ("indexed",)
 
-    def __init__(self, va: VA):
+    def __init__(self, va: "VA | LayeredIndexedVA"):
         _require_sequential(va)
-        self.indexed = va.indexed()
-        self.va = self.indexed.va
+        self.indexed = va if isinstance(va, LayeredIndexedVA) else va.indexed()
+
+    @property
+    def va(self) -> VA:
+        return self.indexed.va
 
     def run(self, document: Document | str, guard=None) -> IndexedMatchGraph:
         return IndexedMatchGraph(self.indexed, as_document(document), guard=guard)
@@ -163,6 +178,8 @@ class PreparedIndexedVA(PreparedVA):
         return prior.extended(as_document(document), guard=guard)
 
     def kernel_hits(self) -> int:
+        if self.indexed.layers is not None:
+            return 0  # a per-document form never takes the run walk
         return self.indexed.kernel().run_hits
 
 
@@ -173,7 +190,7 @@ class IndexedBackend(EnumerationBackend):
 
     name = "indexed"
 
-    def prepare(self, va: VA) -> PreparedIndexedVA:
+    def prepare(self, va: "VA | LayeredIndexedVA") -> PreparedIndexedVA:
         return PreparedIndexedVA(va)
 
 
@@ -238,7 +255,11 @@ class VectorizedBackend(EnumerationBackend):
     def is_available(cls) -> bool:
         return numpy_available()
 
-    def prepare(self, va: VA) -> PreparedVectorizedVA:
+    def prepare(
+        self, va: "VA | LayeredIndexedVA"
+    ) -> "PreparedVectorizedVA | PreparedIndexedVA":
+        if isinstance(va, LayeredIndexedVA):
+            return PreparedIndexedVA(va)
         return PreparedVectorizedVA(va, block_size=self.enumeration_block_size)
 
 

@@ -46,7 +46,7 @@ from ..va.prefilter import VAPrefilter
 from ..va.properties import is_sequential
 from .backends import BACKENDS, EnumerationBackend, PreparedVA, get_backend
 from .guards import Budget, CancelToken, ExecutionGuard
-from .plan import CompiledPlan, StaticNode, plan_from_logical, resolve_logical
+from .plan import CompiledPlan, StaticNode, as_va, plan_from_logical, resolve_logical
 from .stats import EngineStats
 
 
@@ -70,6 +70,7 @@ class ExecutionContext:
         "backend",
         "stats",
         "_static_prepared",
+        "_reused",
         "_doc_cache",
         "_doc_cache_size",
         "_prefilter_enabled",
@@ -88,6 +89,11 @@ class ExecutionContext:
         self.backend = backend
         self.stats = stats
         self._static_prepared: PreparedVA | None = None
+        # The last ad-hoc VA prepared, with its prepared form: a plan node
+        # hands back the same VA object for every document where its answer
+        # is document independent (a synchronized difference's early
+        # answers), so that VA is prepared once.
+        self._reused: "tuple[VA, PreparedVA] | None" = None
         self._doc_cache: OrderedDict[str, PreparedVA] = OrderedDict()
         self._doc_cache_size = document_cache_size
         self._prefilter_enabled = prefilter
@@ -133,9 +139,16 @@ class ExecutionContext:
             return cached
         stats.document_misses += 1
         start = time.perf_counter()
-        prepared = self.backend.prepare(self.plan.va_for(doc, stats))
+        compiled = self.plan.va_for(doc, stats)
+        reused = self._reused
+        if reused is not None and reused[0] is compiled:
+            prepared = reused[1]
+        else:
+            prepared = self.backend.prepare(compiled)
+            self._mark_gauges(prepared)
+            if isinstance(compiled, VA):
+                self._reused = (compiled, prepared)
         stats.compile_seconds += time.perf_counter() - start
-        self._mark_gauges(prepared)
         if self._doc_cache_size > 0:
             self._doc_cache[key] = prepared
             while len(self._doc_cache) > self._doc_cache_size:
@@ -176,8 +189,8 @@ class ExecutionContext:
 
     def compile(self, doc: Document) -> VA:
         """The (possibly ad-hoc) VA for one document, bypassing the
-        backend."""
-        return self.plan.va_for(doc, self.stats)
+        backend (a dense per-document form gives its VA view)."""
+        return as_va(self.plan.va_for(doc, self.stats))
 
     def _absorb_trip(self, exc: ExecutionInterrupted, guard) -> bool:
         """Handle one guard trip: attribute the guard's counters, then

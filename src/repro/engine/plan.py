@@ -25,9 +25,16 @@ suffix; a query with no difference and no black box collapses to one
 :class:`StaticNode` and is compiled exactly once, ever.  A synchronized
 difference (Theorem 4.8) over static children splits further: its
 document-independent half — the operand checks, the subtrahend analysis
-and the minuend's used-set components — is built on the first document
-and kept in the :class:`SyncDifferencePlanNode`; only the match graphs
-and the product sweep run per document.
+and the minuend's indexed used-set components — is built on the first
+document and kept in the :class:`SyncDifferencePlanNode`; only the match
+graphs and the product sweep run per document.
+
+A node compiles to a :class:`VA`, or, for a synchronized difference, to
+the dense per-document form the sweep emits
+(:class:`~repro.va.indexed.LayeredIndexedVA`), which the engine runs with
+no VA in between; a projection over one projects the form.  A node that
+composes automata (union, join, either difference) takes its children's
+VAs (:func:`as_va`), building a form's VA view only then.
 
 The compilation primitives themselves live in
 :mod:`repro.algebra.planner` — this module only decides *when* each one
@@ -67,8 +74,15 @@ from ..core.errors import SpannerError
 from ..core.mapping import Variable
 from ..core.spanner import Spanner
 from ..va.automaton import VA
+from ..va.indexed import LayeredIndexedVA
 from .optimizer import OptimizerReport, optimize
 from .stats import EngineStats
+
+
+def as_va(compiled: "VA | LayeredIndexedVA") -> VA:
+    """A plan node's per-document result as a VA: a dense form's VA view
+    is built on demand."""
+    return compiled if isinstance(compiled, VA) else compiled.va
 
 
 class PlanNode(abc.ABC):
@@ -78,8 +92,9 @@ class PlanNode(abc.ABC):
     is_static: bool = False
 
     @abc.abstractmethod
-    def compile_for(self, doc: Document, stats: EngineStats) -> VA:
-        """The node's VA for one document."""
+    def compile_for(self, doc: Document, stats: EngineStats) -> "VA | LayeredIndexedVA":
+        """The node's VA for one document, or the dense form of a
+        per-document product."""
 
     def walk(self) -> Iterator["PlanNode"]:
         stack: list[PlanNode] = [self]
@@ -138,20 +153,33 @@ class BlackboxNode(PlanNode):
 
 
 class ProjectNode(PlanNode):
-    """Projection over an ad-hoc child."""
+    """Projection over an ad-hoc child.
 
-    __slots__ = ("child", "keep")
+    A dense per-document form is projected as a form, by re-interning its
+    opset ids.  A VA child is projected through the normalization
+    pipeline; when the child hands back the same VA as last time (a
+    synchronized difference's early answer), so does the projection, and
+    its prepared form is reused with it."""
+
+    __slots__ = ("child", "keep", "_last")
 
     def __init__(self, child: PlanNode, keep: frozenset[Variable]):
         self.child = child
         self.keep = keep
+        self._last: "tuple[VA, VA] | None" = None
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    def compile_for(self, doc: Document, stats: EngineStats) -> VA:
+    def compile_for(self, doc: Document, stats: EngineStats) -> "VA | LayeredIndexedVA":
         stats.adhoc_compiles += 1
-        return apply_project(self.child.compile_for(doc, stats), self.keep)
+        child = self.child.compile_for(doc, stats)
+        if isinstance(child, LayeredIndexedVA):
+            return child.projected(self.keep)
+        last = self._last
+        if last is None or last[0] is not child:
+            last = self._last = (child, apply_project(child, self.keep))
+        return last[1]
 
     def describe(self) -> str:
         keep = ",".join(sorted(map(str, self.keep)))
@@ -173,7 +201,8 @@ class UnionPlanNode(PlanNode):
     def compile_for(self, doc: Document, stats: EngineStats) -> VA:
         stats.adhoc_compiles += 1
         return apply_union(
-            self.left.compile_for(doc, stats), self.right.compile_for(doc, stats)
+            as_va(self.left.compile_for(doc, stats)),
+            as_va(self.right.compile_for(doc, stats)),
         )
 
     def describe(self) -> str:
@@ -196,8 +225,8 @@ class JoinPlanNode(PlanNode):
     def compile_for(self, doc: Document, stats: EngineStats) -> VA:
         stats.adhoc_compiles += 1
         return apply_join(
-            self.left.compile_for(doc, stats),
-            self.right.compile_for(doc, stats),
+            as_va(self.left.compile_for(doc, stats)),
+            as_va(self.right.compile_for(doc, stats)),
             self.config,
         )
 
@@ -221,8 +250,8 @@ class DifferencePlanNode(PlanNode):
     def compile_for(self, doc: Document, stats: EngineStats) -> VA:
         stats.adhoc_compiles += 1
         return apply_difference(
-            self.left.compile_for(doc, stats),
-            self.right.compile_for(doc, stats),
+            as_va(self.left.compile_for(doc, stats)),
+            as_va(self.right.compile_for(doc, stats)),
             doc,
             self.config,
         )
@@ -241,11 +270,14 @@ class SyncDifferencePlanNode(DifferencePlanNode):
     Theorem 4.8's document-independent half (the
     :class:`~repro.algebra.sync_difference.PreparedSyncDifference`: the
     operand checks, the subtrahend analysis, the minuend's used-set
-    components and their factorizations) is built on the first document
+    components and their indexed forms) is built on the first document
     and kept when both children are static, so later documents run only
-    the per-document half (match graphs and product sweep).  With an
-    ad-hoc child it is built per document.  A build that raises is not
-    kept, so the error repeats on every evaluation."""
+    the per-document half (match graphs and product sweep), which yields
+    the dense form the engine runs.  Its early answers (the minuend, the
+    empty spanner) are then one kept automaton each, for every document.
+    With an ad-hoc child the half is built per document, over the child's
+    VA.  A build that raises is not kept, so the error repeats on every
+    evaluation."""
 
     __slots__ = ("_prepared",)
 
@@ -253,11 +285,11 @@ class SyncDifferencePlanNode(DifferencePlanNode):
         super().__init__(left, right, config)
         self._prepared: PreparedSyncDifference | None = None
 
-    def compile_for(self, doc: Document, stats: EngineStats) -> VA:
+    def compile_for(self, doc: Document, stats: EngineStats) -> "VA | LayeredIndexedVA":
         stats.adhoc_compiles += 1
         # A static child hands back its compiled VA and counts the reuse.
-        left = self.left.compile_for(doc, stats)
-        right = self.right.compile_for(doc, stats)
+        left = as_va(self.left.compile_for(doc, stats))
+        right = as_va(self.right.compile_for(doc, stats))
         prepared = self._prepared
         if prepared is None:
             prepared = PreparedSyncDifference(left, right)
@@ -320,8 +352,11 @@ class CompiledPlan:
         """Whether one VA serves every document (no ad-hoc suffix)."""
         return self.root.is_static
 
-    def va_for(self, doc: Document, stats: EngineStats) -> VA:
-        """The (possibly ad-hoc) VA evaluating the query on ``doc``."""
+    def va_for(self, doc: Document, stats: EngineStats) -> "VA | LayeredIndexedVA":
+        """The (possibly ad-hoc) automaton evaluating the query on
+        ``doc``: a VA, or the dense form of a per-document product, which
+        the engine runs as is (:func:`as_va` gives its VA view).  Both
+        carry ``n_states``."""
         return self.root.compile_for(doc, stats)
 
     def static_states(self) -> int:

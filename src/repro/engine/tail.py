@@ -52,9 +52,12 @@ section):
   once; later extensions carry them over.
 * **Rebuilds** — the first re-evaluation, the first after :meth:`reset`,
   and every one for which the query prepares a new automaton (ad-hoc
-  plans prepare one per document) — build the run from position 0 and
-  enumerate everything; :class:`~repro.engine.stats.EngineStats`
-  attributes reused vs. recomputed layers either way.
+  plans prepare one per document, unless the plan hands back the
+  automaton it prepared last, as a synchronized difference does with its
+  minuend while the subtrahend extracts nothing) — build the run from
+  position 0 and enumerate everything;
+  :class:`~repro.engine.stats.EngineStats` attributes reused vs.
+  recomputed layers either way.
 """
 
 from __future__ import annotations

@@ -51,28 +51,33 @@ graph it extends.  Semantics are identical on both walks — the
 equivalence tests in ``tests/engine`` force each walk and check them
 against each other and against the naive enumerator.
 
-Both indexed forms are document independent and safe to share across
+:class:`IndexedVA` is document independent and safe to share across
 documents; :meth:`VA.indexed` caches one per automaton.
+:class:`LayeredIndexedVA` is the same dense form for an automaton built
+for one document, whose states are pinned to that document's layers
+(Theorem 4.8's per-document product): its layers *are* the forward pass,
+so :class:`IndexedMatchGraph` takes them as given instead of walking.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Iterator
 
 from ..core.document import Alphabet, Document, as_document
 from ..core.errors import NotSequentialError, SpannerError
-from ..core.mapping import Mapping
+from ..core.mapping import Mapping, Variable
 from ..core.spans import Span
 from ..utils.bits import apply_masks, iter_bits
-from .automaton import VA, State
+from .automaton import VA, State, Transition
 from .kernel import TransitionKernel, takes_run_walk
 from .matchgraph import (
-    EMPTY_OPSET,
     FactorizedVA,
     OpSet,
     opset_sort_key,
 )
+from .operations import trim
 from .properties import is_sequential
 
 
@@ -104,7 +109,11 @@ class IndexedVA:
         accept_mask: bitmask of states with at least one accepting opset.
         accept_by_opset: ``accept_by_opset[opset_id]`` is the bitmask of
             states that accept with that operation set.
+        layers: always ``None``: the form serves every document (see
+            :class:`LayeredIndexedVA`).
     """
+
+    layers: "list[int] | None" = None
 
     def __init__(self, va: VA, factorized: FactorizedVA | None = None):
         if factorized is None:
@@ -187,13 +196,9 @@ class IndexedVA:
             for oid in oids:
                 self.accept_by_opset[oid] |= 1 << sid
         self.states_by_id = tuple(states_by_id)
-        self.empty_opset_id = opset_ids.get(EMPTY_OPSET, -1)
         # Canonical enumeration rank per opset id (ids are interned in
         # discovery order, which is not the canonical order).
-        ranked = sorted(range(len(self.opsets)), key=lambda oid: opset_sort_key(self.opsets[oid]))
-        self.opset_rank = [0] * len(self.opsets)
-        for rank, oid in enumerate(ranked):
-            self.opset_rank[oid] = rank
+        self.opset_rank, self.empty_opset_id = _canonical_ranks(self.opsets)
         self._kernel: TransitionKernel | None = None
 
     @property
@@ -246,17 +251,9 @@ class IndexedVA:
         them.  Built once and cached (document independent)."""
         rows = getattr(self, "_predecessor_rows", None)
         if rows is None:
-            rows = []
-            for table in self.tables:
-                per_target: list[dict[int, int]] = [{} for _ in range(self.n_states)]
-                for sid, entries in enumerate(table):
-                    bit = 1 << sid
-                    for oid, target_mask in entries:
-                        for tid in iter_bits(target_mask):
-                            sources = per_target[tid]
-                            sources[oid] = sources.get(oid, 0) | bit
-                rows.append([tuple(sources.items()) for sources in per_target])
-            self._predecessor_rows = rows
+            rows = self._predecessor_rows = [
+                _inverted(table, self.n_states) for table in self.tables
+            ]
         return rows
 
     def op_programs(self) -> "list[tuple[tuple[str, ...], tuple[str, ...]]]":
@@ -282,8 +279,256 @@ class IndexedVA:
         )
 
 
+def _inverted(
+    table: "list[tuple[tuple[int, int], ...]]", width: int
+) -> "list[tuple[tuple[int, int], ...]]":
+    """One table of ``(opset_id, target_mask)`` rows inverted: for each of
+    the ``width`` targets, the ``(opset_id, source_mask)`` pairs of the
+    rows that reach it."""
+    per_target: list[dict[int, int]] = [{} for _ in range(width)]
+    for source, row in enumerate(table):
+        bit = 1 << source
+        for oid, target_mask in row:
+            for target in iter_bits(target_mask):
+                sources = per_target[target]
+                sources[oid] = sources.get(oid, 0) | bit
+    return [tuple(sources.items()) for sources in per_target]
+
+
+def _canonical_ranks(opsets: "list[OpSet]") -> "tuple[list[int], int]":
+    """Per-opset canonical enumeration ranks, and the id of the empty
+    operation set (``-1`` when absent)."""
+    rank = [0] * len(opsets)
+    ordered = sorted(range(len(opsets)), key=lambda oid: opset_sort_key(opsets[oid]))
+    for position, oid in enumerate(ordered):
+        rank[oid] = position
+    empty = next((oid for oid, ops in enumerate(opsets) if not ops), -1)
+    return rank, empty
+
+
+class LayeredIndexedVA:
+    """The dense indexed form of an automaton built for one document,
+    whose states are pinned to the document's layers.
+
+    Theorem 4.8's per-document product
+    (:meth:`~repro.algebra.sync_difference.PreparedSyncDifference.compile_layered`)
+    emits this form directly, and the engine runs it through
+    :class:`IndexedMatchGraph` with no :class:`VA` in between.  It offers
+    the attributes of :class:`IndexedVA` the match graph reads, with one
+    twist: its tables are indexed by layer where :class:`IndexedVA`'s are
+    indexed by letter.  A node's macro transitions are read only at its own
+    layer, under that layer's letter, so the layer stands in for the letter
+    (:attr:`letter_ids` is ``range(n)``) and the tables stay O(nodes)
+    instead of O(|Σ|·nodes).  Node ids are local to their layer, so no
+    state mask is wider than one layer.  No node has a self-loop, so none
+    is quiet and the kernel's run walk never applies.  Dead nodes are kept;
+    the match graph's backward pass prunes them.
+
+    Attributes:
+        document: the document the form is built for, and the only one it
+            evaluates.
+        tables: ``tables[i][node]`` is a tuple of ``(opset_id,
+            target_mask)`` macro transitions from a node of layer ``i`` into
+            layer ``i + 1``; an opset id may repeat.  Node 0 is layer 0's
+            only node.
+        successor_masks: ``successor_masks[i][node]`` is the union of
+            ``tables[i][node]``'s target masks.
+        accept: ``accept[node]`` is the tuple of accepting opset ids of a
+            last-layer node.
+        layers: ``layers[i]`` is the bitmask of all nodes of layer ``i``,
+            each forward reachable; the match graph takes them as its
+            forward layers.
+        opsets: operation sets by id, as in :class:`IndexedVA`; the list
+            may be shared with other forms.
+        n_states: the number of nodes over all layers.
+    """
+
+    initial_id = 0
+
+    def __init__(
+        self,
+        document: Document,
+        opsets: "list[OpSet]",
+        tables: "list[list[tuple[tuple[int, int], ...]]]",
+        accept: "list[tuple[int, ...]]",
+        successor_masks: "list[list[int]] | None" = None,
+    ):
+        self.document = document
+        self.opsets = opsets
+        self.tables = tables
+        self.accept = accept
+        self.layers = [(1 << len(rows)) - 1 for rows in tables]
+        self.layers.append((1 << len(accept)) - 1)
+        self.n_states = sum(map(len, tables)) + len(accept)
+        if successor_masks is None:
+            successor_masks = []
+            for rows in tables:
+                masks = []
+                for row in rows:
+                    mask = 0
+                    for _, target_mask in row:
+                        mask |= target_mask
+                    masks.append(mask)
+                successor_masks.append(masks)
+        self.successor_masks = successor_masks
+        self.letter_ids = range(len(tables))
+        self.quiet_masks = [0] * len(tables)
+        self.opset_rank, self.empty_opset_id = _canonical_ranks(opsets)
+        accept_mask = 0
+        accept_by_opset = [0] * len(opsets)
+        for node, oids in enumerate(accept):
+            bit = 1 << node
+            for oid in oids:
+                accept_mask |= bit
+                accept_by_opset[oid] |= bit
+        self.accept_mask = accept_mask
+        self.accept_by_opset = accept_by_opset
+        self._predecessor_rows: "list | None" = None
+        self._va: VA | None = None
+
+    def projected(self, keep: "frozenset[Variable]") -> "LayeredIndexedVA":
+        """``π_keep`` of this form: every operation set restricted to the
+        variables of ``keep`` and re-interned, so operation sets that
+        become equal share one id.  The successor masks are shared with
+        this form."""
+        ids: dict[OpSet, int] = {}
+        opsets: list[OpSet] = []
+        remap: list[int] = []
+        for ops in self.opsets:
+            kept = frozenset(op for op in ops if op.var in keep)
+            oid = ids.get(kept)
+            if oid is None:
+                oid = ids[kept] = len(opsets)
+                opsets.append(kept)
+            remap.append(oid)
+        tables = [
+            [tuple([(remap[oid], target_mask) for oid, target_mask in row]) for row in rows]
+            for rows in self.tables
+        ]
+        accept = [tuple(dict.fromkeys(remap[oid] for oid in oids)) for oids in self.accept]
+        return LayeredIndexedVA(
+            self.document, opsets, tables, accept, successor_masks=self.successor_masks
+        )
+
+    def is_sequential(self) -> bool:
+        """Whether every run of the form is valid (§2.3): no variable is
+        opened twice, closed while not open, or left open at acceptance.
+
+        One forward pass over the layers, tracking for each reachable
+        status — the variables opened so far and those closed — the mask
+        of the nodes reached with it.  Each status steps every opset id
+        once, into a table the pass indexes.  Dead nodes are checked too,
+        which is stricter than sequentiality only on branches that cannot
+        accept."""
+        bits: dict[Variable, int] = {}
+        effects: list[tuple[int, int]] = []
+        for ops in self.opsets:
+            opens = closes = 0
+            for op in ops:
+                bit = bits.setdefault(op.var, 1 << len(bits))
+                if op.is_open:
+                    opens |= bit
+                else:
+                    closes |= bit
+            effects.append((opens, closes))
+        # A status is ``opened | closed << width``; ``after(status)[oid]``
+        # is the status past that opset, or -1 when the opset is invalid.
+        width = len(bits)
+        full = (1 << width) - 1
+        steps: dict[int, list[int]] = {}
+
+        def after(status: int) -> list[int]:
+            table = steps.get(status)
+            if table is None:
+                opened, closed = status & full, status >> width
+                table = steps[status] = [
+                    -1
+                    if opens & opened or closes & (closed | ~(opened | opens))
+                    else (opened | opens) | (closed | closes) << width
+                    for opens, closes in effects
+                ]
+            return table
+
+        reached: dict[int, int] = {0: self.layers[0]}
+        for rows in self.tables:
+            following: dict[int, int] = {}
+            for status, mask in reached.items():
+                table = after(status)
+                while mask:
+                    low = mask & -mask
+                    mask ^= low
+                    for oid, target_mask in rows[low.bit_length() - 1]:
+                        step = table[oid]
+                        if step < 0:
+                            return False
+                        following[step] = following.get(step, 0) | target_mask
+            reached = following
+        for status, mask in reached.items():
+            table = after(status)
+            for node in iter_bits(mask & self.accept_mask):
+                for oid in self.accept[node]:
+                    step = table[oid]
+                    if step < 0 or step & full != step >> width:
+                        return False
+        return True
+
+    def predecessor_rows(self) -> "list[list[tuple[tuple[int, int], ...]]]":
+        """The tables inverted, as :meth:`IndexedVA.predecessor_rows`:
+        ``rows[i][node]`` lists the ``(opset_id, source_mask)`` pairs of the
+        layer-``i`` nodes that reach ``node`` of layer ``i + 1``.  Built
+        once and cached."""
+        if self._predecessor_rows is None:
+            self._predecessor_rows = [
+                _inverted(rows, self.layers[layer + 1].bit_length())
+                for layer, rows in enumerate(self.tables)
+            ]
+        return self._predecessor_rows
+
+    @property
+    def va(self) -> VA:
+        """An equivalent trimmed, sequential :class:`VA`, built on first
+        use for callers that compose automata: the node of layer ``i``
+        numbered ``k`` becomes state ``(i, k)``, and each macro transition a
+        chain performing its operations, opens before closes, then reading
+        the layer's letter."""
+        if self._va is None:
+            text = self.document.text
+            fresh = count()
+            transitions: list[Transition] = []
+
+            def chain(source: State, ops: OpSet) -> State:
+                for op in sorted(ops, key=lambda op: (not op.is_open, op.var)):
+                    target = ("op", next(fresh))
+                    transitions.append((source, op, target))
+                    source = target
+                return source
+
+            for layer, rows in enumerate(self.tables):
+                for node, row in enumerate(rows):
+                    for oid, target_mask in row:
+                        end = chain((layer, node), self.opsets[oid])
+                        transitions.extend(
+                            (end, text[layer], (layer + 1, target))
+                            for target in iter_bits(target_mask)
+                        )
+            last = len(self.tables)
+            accepting = [
+                chain((last, node), self.opsets[oid])
+                for node, oids in enumerate(self.accept)
+                for oid in oids
+            ]
+            self._va = trim(VA((0, 0), accepting, transitions))
+        return self._va
+
+    def __repr__(self) -> str:
+        return (
+            f"LayeredIndexedVA(states={self.n_states}, opsets={len(self.opsets)}, "
+            f"layers={len(self.layers)})"
+        )
+
+
 def indexed_nonempty(
-    indexed: IndexedVA, document: Document | str, guard=None
+    indexed: "IndexedVA | LayeredIndexedVA", document: Document | str, guard=None
 ) -> bool:
     """Decide ``⟦A⟧(d) ≠ ∅`` with the Boolean bitmask pass alone.
 
@@ -295,9 +540,12 @@ def indexed_nonempty(
     letter walk steps per letter.  An
     :class:`~repro.engine.guards.ExecutionGuard` is checked once per run
     on the run walk, and once up front and then ticked per letter on the
-    letter walk.
+    letter walk.  A :class:`LayeredIndexedVA`'s layers are that pass
+    already, so it answers from its last layer.
     """
     doc = as_document(document)
+    if indexed.layers is not None:
+        return not IndexedMatchGraph(indexed, doc, guard=guard).is_empty
     runs = doc.runs()
     mask = 1 << indexed.initial_id
     if takes_run_walk(len(doc), len(runs)):
@@ -431,7 +679,9 @@ class IndexedMatchGraph:
     inside runs); the letter walk keeps every forward layer as it steps.
     The backward pruning pass materialises on first access to
     :attr:`alive`, and enumeration edge rows per (layer, state) as the DFS
-    reaches them.
+    reaches them.  A :class:`LayeredIndexedVA` walks nothing: its layers
+    are the forward masks, it keeps the letter walk's layout, and its
+    layers stand in for the document's letter ids.
 
     ``guard`` attaches an :class:`~repro.engine.guards.ExecutionGuard`:
     the run walk's forward/backward passes check it once per letter run
@@ -468,9 +718,21 @@ class IndexedMatchGraph:
         self._forward: list[int] | None = None
         self._alive: list[int] | None = None
         self._quiet_ends: list[list[int] | None] | None = None
-        runs = doc.runs()
         mask = 1 << indexed.initial_id
-        if takes_run_walk(n, len(runs)):
+        if indexed.layers is not None:
+            # A per-document form: its layers are the forward pass.
+            if doc.text != indexed.document.text:
+                raise SpannerError(
+                    "a per-document form evaluates only the document it was built for"
+                )
+            if guard is not None:
+                guard.check()
+            self._runs = None
+            self._kernel = None
+            self._letter_ids = indexed.letter_ids
+            self._forward = indexed.layers
+            mask = indexed.layers[n]
+        elif takes_run_walk(n, len(runs := doc.runs())):
             self._kernel = indexed.kernel()
             self._runs: tuple[tuple[int, int, int], ...] | None = tuple(
                 _encoded_runs(runs, indexed.alphabet)
@@ -545,7 +807,9 @@ class IndexedMatchGraph:
         callers (normally a tail session, via
         :meth:`~repro.core.document.Document.append`) guarantee it, and
         only the lengths are checked — a full prefix comparison would cost
-        the O(document) this path exists to avoid.
+        the O(document) this path exists to avoid.  A
+        :class:`LayeredIndexedVA` covers only its own document, so its graph
+        extends to that document alone.
         """
         doc = as_document(document)
         old_n = self._n
@@ -556,6 +820,8 @@ class IndexedMatchGraph:
                 f"document ({n} letters < {old_n})"
             )
         indexed = self.indexed
+        if indexed.layers is not None:
+            return IndexedMatchGraph(indexed, doc, guard=guard)
         graph = IndexedMatchGraph.__new__(IndexedMatchGraph)
         graph.indexed = indexed
         graph.document = doc

@@ -9,9 +9,12 @@ bench traces exactly that curve.
 Construction: semi-functionalise for all variables (making the used-set of
 every accepting state definite), then for each used-set ``V`` realised by
 some accepting state, carve out the sub-automaton of runs ending in those
-states.  Each carved automaton is functional for ``V`` (see the argument in
-DESIGN.md / the paper's Appendix A.2), and their union is equivalent to the
-input.
+states.  Each carved automaton is functional for ``V`` (the paper's
+Appendix A.2): its accepting runs end in states whose used-set is ``V``,
+so each run closes exactly the variables of ``V``, and a valid run closes
+every variable it opens, so it operates on ``V`` and nothing else.  Every
+accepting run of the input ends in exactly one accepting state, hence in
+exactly one carved automaton, so their union is equivalent to the input.
 """
 
 from __future__ import annotations

@@ -37,9 +37,11 @@ class TestBasicCases:
         assert evaluate_va(compiled, "ab").is_empty
 
     def test_empty_mapping_in_subtrahend_empties_difference(self):
-        # Regression pinning the Appendix-B.1 subtlety (see DESIGN.md):
-        # the subtrahend produces the empty mapping, which is compatible
-        # with everything — the difference must be empty.
+        # Regression pinning the Appendix-B.1 subtlety: the subtrahend
+        # produces the empty mapping, which is compatible with everything,
+        # so the difference must be empty — while the literal complement of
+        # the subtrahend's marked extensions, which removes only mappings
+        # equal to one of them, would keep every minuend mapping.
         a1 = compile_formula("x{a}[ab]*")
         a2 = compile_formula("(y{a}|ε)[ab]*")  # produces µ = {} among others
         compiled = adhoc_difference(a1, a2, "ab")

@@ -6,13 +6,23 @@ import pytest
 
 from repro.core import NotSynchronizedError
 from repro.regex import parse
-from repro.va import evaluate_naive, evaluate_va, is_sequential, regex_to_va, trim
+from repro.va import (
+    evaluate_naive,
+    evaluate_va,
+    is_sequential,
+    regex_to_va,
+    rename_variables,
+    trim,
+)
+from repro.va.matchgraph import FactorizedVA, MatchGraph
 from repro.algebra import (
     PreparedSyncDifference,
     SyncDifferenceStats,
     semantic_difference,
     synchronized_difference,
 )
+from repro.algebra.join import used_set_components
+from repro.algebra.sync_difference import synchronized_subtrahend
 from repro.workloads import (
     random_sequential_formula,
     synchronized_block_formula,
@@ -142,3 +152,96 @@ class TestRandomizedAgainstSemantic:
                 evaluate_naive(a1, doc), evaluate_va(subtrahend, doc)
             )
             assert evaluate_va(compiled, doc) == expected, (f1.to_text(), doc)
+
+
+def frozenset_sweep_counts(a1, a2, doc: str, synchronized: bool = True) -> "tuple[int, int]":
+    """``(product_nodes, max_tracked_set)`` of step 3 run over frozenset
+    :class:`MatchGraph` objects: a depth-first search over the pairs
+    ``(layer, q1, T)``, one component at a time, skipping a component whose
+    match graph is empty.  An independent count of the pairs the dense
+    sweep must discover."""
+    first = trim(a1)
+    analysis = synchronized_subtrahend(
+        trim(a2), first.variables & a2.variables, require_synchronized=synchronized
+    )
+    if analysis is None or not analysis[0]:
+        return 0, 0
+    effective, subtrahend = analysis
+    graph2 = MatchGraph(FactorizedVA(subtrahend), doc)
+    if graph2.is_empty:
+        return 0, 0
+    nodes = widest = 0
+    for used, component in used_set_components(first, effective).items():
+        graph1 = MatchGraph(FactorizedVA(component), doc)
+        if graph1.is_empty:
+            continue
+
+        def key(ops):
+            return frozenset(op for op in ops if op.var in used)
+
+        initial = (0, graph1.factorized.va.initial, frozenset({graph2.factorized.va.initial}))
+        seen, stack = {initial}, [initial]
+        while stack:
+            layer, q1, tracked = stack.pop()
+            nodes += 1
+            widest = max(widest, len(tracked))
+            if layer == len(doc):
+                continue
+            options = graph2.successor_options(layer, tracked) if tracked else {}
+            for ops1, targets1 in graph1.edges[layer].get(q1, {}).items():
+                next_tracked = frozenset(
+                    t for ops2, targets2 in options.items() if key(ops2) == key(ops1)
+                    for t in targets2
+                )
+                for r1 in targets1:
+                    target = (layer + 1, r1, next_tracked)
+                    if target not in seen:
+                        seen.add(target)
+                        stack.append(target)
+    return nodes, widest
+
+
+class TestProductSize:
+    """E8's columns count the product's pairs; the dense sweep must find
+    exactly the pairs of the frozenset sweep."""
+
+    def test_empty_minuend_graph_adds_no_nodes(self):
+        # The subtrahend matches "ab", the minuend's only component does
+        # not: the component is swept over no pair.
+        stats = SyncDifferenceStats()
+        a1 = compile_formula("x1{a}c")
+        a2 = compile_formula(synchronized_block_formula(1))
+        assert evaluate_va(synchronized_difference(a1, a2, "ab", stats=stats), "ab").is_empty
+        assert (stats.components, stats.product_nodes, stats.max_tracked_set) == (1, 0, 0)
+
+    def test_random_minuends_match_the_frozenset_sweep(self):
+        rng = random.Random(7)
+        # ``(subtrahend, synchronized)``: against the unsynchronized one,
+        # the minuend that may skip each variable tracks sets of up to
+        # three states.
+        subtrahends = [
+            (compile_formula(synchronized_block_formula(2)), True),
+            (compile_formula("[ab]*x1{a}[ab]*c[abc]*"), True),
+            (compile_formula(unsynchronized_block_formula(2)), False),
+        ]
+        skipping = compile_formula("(x1{[ab]*}[ab]*|[ab]*)c(x2{[ab]*}[ab]*|[ab]*)")
+        widest = 0
+        for _ in range(48):
+            if rng.random() < 0.5:
+                a1 = skipping
+            else:
+                f1 = random_sequential_formula(2, rng, alphabet="abc", depth=3)
+                a1 = trim(regex_to_va(f1))
+                a1 = rename_variables(a1, dict(zip(sorted(a1.variables), ("x1", "x2"))))
+            a2, synchronized = rng.choice(subtrahends)
+            doc = "c".join(
+                "".join(rng.choice("ab") for _ in range(rng.randint(0, 3))) for _ in range(2)
+            )
+            stats = SyncDifferenceStats()
+            synchronized_difference(
+                a1, a2, doc, require_synchronized=synchronized, stats=stats
+            )
+            counts = (stats.product_nodes, stats.max_tracked_set)
+            assert counts == frozenset_sweep_counts(a1, a2, doc, synchronized), doc
+            widest = max(widest, stats.max_tracked_set)
+        assert widest > 1

@@ -20,7 +20,8 @@ from repro import (
 from repro.algebra import sync_difference
 from repro.core import Mapping, NotSequentialError, SpanRelation, SpannerError
 from repro.core.spanner import RelationSpanner
-from repro.algebra.planner import evaluate_ra
+from repro.algebra import fpt_join, synchronized_difference
+from repro.algebra.planner import compile_static_atom, evaluate_ra
 from repro.engine import available_backends
 from repro.engine.plan import (
     BlackboxNode,
@@ -29,7 +30,7 @@ from repro.engine.plan import (
     SyncDifferencePlanNode,
     build_plan,
 )
-from repro.va import VA, open_op
+from repro.va import VA, evaluate_va, is_sequential, open_op
 from repro.workloads.students import (
     STUDENTS_DOCUMENT,
     alpha_info,
@@ -358,3 +359,34 @@ class TestSyncDifferenceAcrossDocuments:
             query = queries[name]
             assert got == list(Engine().enumerate(query, doc)), (name, doc)
             assert SpanRelation(got) == lemma_4_2.evaluate(query, doc), (name, doc)
+
+    def test_public_apis_return_sequential_vas(self):
+        # The engine runs the product's dense per-document form; the APIs
+        # that return a VA build its VA view, which must agree with the
+        # engine on every document, the early answers included.
+        queries = _student_queries()
+        atom = compile_static_atom
+        figure2 = queries["figure2"]
+        operands = {
+            "figure2": (
+                fpt_join(atom(alpha_student_mail()), atom(alpha_student_phone())),
+                atom(alpha_recommendation()),
+            ),
+            "example2.4": (atom(alpha_info()), atom(alpha_uk_mail())),
+        }
+        differences = {
+            "figure2": RAQuery(figure2.tree.child, figure2.instantiation, figure2.config),
+            "example2.4": queries["example2.4"],
+        }
+        engine = Engine()
+        for doc in dict.fromkeys(self.DOCUMENTS):
+            for name, query in queries.items():
+                expected = engine.evaluate(query, doc)
+                for compiled in (engine.compile(query, doc), query.compile(doc)):
+                    assert isinstance(compiled, VA) and is_sequential(compiled), name
+                    assert evaluate_va(compiled, doc) == expected, (name, doc)
+                compiled = synchronized_difference(*operands[name], doc)
+                assert isinstance(compiled, VA) and is_sequential(compiled), name
+                assert evaluate_va(compiled, doc) == engine.evaluate(
+                    differences[name], doc
+                ), (name, doc)
