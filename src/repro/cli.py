@@ -119,7 +119,6 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
-        enumeration_block_size=args.enum_block,
     )
     guard = _make_guard(args)
     relation = SpanRelation(
@@ -149,7 +148,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         document_cache_size=args.cache_documents,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
-        enumeration_block_size=args.enum_block,
     )
     va = _compile(args)
     guard = _make_guard(args)
@@ -227,7 +225,6 @@ def _cmd_corpus_query(args: argparse.Namespace) -> int:
         backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
-        enumeration_block_size=args.enum_block,
     )
     va = _compile(args)
     with _open_store(args) as store:
@@ -327,7 +324,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
-        enumeration_block_size=args.enum_block,
     )
     va = _compile(args)
 
@@ -512,16 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
             action="store_true",
             help="disable the VA-derived document prefilter (run the full "
             "Boolean pass on every document)",
-        )
-        p.add_argument(
-            "--enum-block",
-            type=int,
-            default=None,
-            metavar="N",
-            help="batched-enumeration block budget for the vectorized "
-            "backend: fall back to the scalar walk past N distinct "
-            "(letter, live mask) layer contexts; 0 disables batching "
-            "(default: the backend's built-in budget)",
         )
 
     def add_guard(p: argparse.ArgumentParser) -> None:

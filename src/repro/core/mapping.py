@@ -52,28 +52,6 @@ class Mapping:
         )
         self._hash = hash(self._items)
 
-    @classmethod
-    def from_arrays(
-        cls, items: tuple[tuple[Variable, Span], ...]
-    ) -> "Mapping":
-        """Trusted bulk constructor: build a mapping directly from a
-        **sorted** tuple of ``(variable, Span)`` pairs with unique
-        variables, skipping the per-item validation and re-sorting of
-        ``__init__``.
-
-        This is the emission path of the vectorized batched enumerator
-        (:mod:`repro.va.vectorized`), which reconstructs whole blocks of
-        accepting paths at once — per-mapping validation there would cost
-        more than the reconstruction itself.  Callers own the invariants;
-        a mapping built from unsorted or duplicated items breaks equality
-        and hashing.  The result is indistinguishable from a validated
-        ``Mapping`` (same ``_items`` layout, same hash).
-        """
-        self = object.__new__(cls)
-        self._items = items
-        self._hash = hash(items)
-        return self
-
     # -- basic protocol ----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

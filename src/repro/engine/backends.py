@@ -27,9 +27,10 @@ Shipped backends:
 * ``vectorized`` — the numpy uint64 state-plane substrate
   (:mod:`repro.va.vectorized`): interned frontier nodes over a
   precomputed successor-plane table, plane-matrix power doubling on
-  runs, and whole-document plane arrays for the backward pass.  Needs
-  numpy (the ``[fast]`` extra); requesting it without numpy raises a
-  clean :class:`~repro.core.errors.BackendUnavailableError`.
+  runs, and whole-document plane arrays for the backward pass.  It
+  enumerates on the indexed DFS and keeps its own ``first()`` walk.
+  Needs numpy (the ``[fast]`` extra); requesting it without numpy raises
+  a clean :class:`~repro.core.errors.BackendUnavailableError`.
 
 Both backends are interchangeable: ``tests/engine`` checks each against
 the reference oracles — the naive run-semantics enumerator and the
@@ -101,26 +102,11 @@ class PreparedVA(abc.ABC):
         ``frontier_cache_misses``."""
         return 0
 
-    def edge_rows_batched(self) -> int:
-        """Cumulative batched edge-row contexts materialised behind this
-        prepared form (``0`` for backends without batched enumeration).
-        The engine samples it around each evaluation to attribute
-        ``edge_rows_batched``."""
-        return 0
-
 
 class EnumerationBackend(abc.ABC):
     """A strategy for preparing and enumerating sequential VAs."""
 
     name: str
-
-    #: Block budget for backends with a batched enumeration path: the
-    #: maximum number of distinct ``(letter, live mask)`` layer contexts a
-    #: document may have before enumeration falls back to the scalar
-    #: walk; ``0`` disables batching, ``None`` keeps the backend default
-    #: (:data:`repro.va.vectorized.DEFAULT_ENUM_BLOCK_SIZE`).  Set by the
-    #: engine's ``enumeration_block_size`` knob / ``--enum-block``.
-    enumeration_block_size: "int | None" = None
 
     @classmethod
     def is_available(cls) -> bool:
@@ -203,21 +189,15 @@ class PreparedVectorizedVA(PreparedVA):
     via :meth:`VA.vectorized`) sharing one frontier-node kernel across
     every document."""
 
-    __slots__ = ("va", "vectorized", "block_size")
+    __slots__ = ("va", "vectorized")
 
-    def __init__(self, va: VA, block_size: "int | None" = None):
+    def __init__(self, va: VA):
         _require_sequential(va)
         self.vectorized = va.vectorized()
         self.va = self.vectorized.va
-        self.block_size = block_size
 
     def run(self, document: Document | str, guard=None) -> VectorizedMatchGraph:
-        return VectorizedMatchGraph(
-            self.vectorized,
-            as_document(document),
-            block_size=self.block_size,
-            guard=guard,
-        )
+        return VectorizedMatchGraph(self.vectorized, as_document(document), guard=guard)
 
     def is_nonempty(self, document: Document | str, guard=None) -> bool:
         return vectorized_nonempty(self.vectorized, document, guard=guard)
@@ -232,9 +212,6 @@ class PreparedVectorizedVA(PreparedVA):
 
     def frontier_misses(self) -> int:
         return self.vectorized.kernel().step_misses
-
-    def edge_rows_batched(self) -> int:
-        return self.vectorized.kernel().edge_rows_batched
 
 
 class VectorizedBackend(EnumerationBackend):
@@ -260,7 +237,7 @@ class VectorizedBackend(EnumerationBackend):
     ) -> "PreparedVectorizedVA | PreparedIndexedVA":
         if isinstance(va, LayeredIndexedVA):
             return PreparedIndexedVA(va)
-        return PreparedVectorizedVA(va, block_size=self.enumeration_block_size)
+        return PreparedVectorizedVA(va)
 
 
 # -- registry ---------------------------------------------------------------

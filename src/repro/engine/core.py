@@ -167,25 +167,19 @@ class ExecutionContext:
         tail session re-entering between samples).  Instead each prepared
         form carries a single watermark; :meth:`_sync_gauges` attributes
         exactly the growth since the last sync, once."""
-        prepared._gauge_mark = (
-            prepared.kernel_hits(),
-            prepared.frontier_misses(),
-            prepared.edge_rows_batched(),
-        )
+        prepared._gauge_mark = (prepared.kernel_hits(), prepared.frontier_misses())
 
     def _sync_gauges(self, prepared: PreparedVA) -> None:
         """Attribute the prepared form's counter growth since the last
         watermark to :attr:`stats` (exactly once), and advance the mark."""
         kernel_hits = prepared.kernel_hits()
         frontier_misses = prepared.frontier_misses()
-        edge_rows = prepared.edge_rows_batched()
         mark = getattr(prepared, "_gauge_mark", None)
         if mark is not None:
             stats = self.stats
             stats.kernel_run_hits += kernel_hits - mark[0]
             stats.frontier_cache_misses += frontier_misses - mark[1]
-            stats.edge_rows_batched += edge_rows - mark[2]
-        prepared._gauge_mark = (kernel_hits, frontier_misses, edge_rows)
+        prepared._gauge_mark = (kernel_hits, frontier_misses)
 
     def compile(self, doc: Document) -> VA:
         """The (possibly ad-hoc) VA for one document, bypassing the
@@ -387,15 +381,10 @@ class Engine:
             non-matching documents in O(1), before any graph is built
             (default).  ``False`` is the escape hatch: every document
             runs the full Boolean pass.
-        enumeration_block_size: block budget for backends with a batched
-            enumeration path (``vectorized``): the maximum number of
-            distinct ``(letter, live mask)`` layer contexts a document
-            may have before enumeration falls back to the scalar walk.
-            ``0`` disables batching entirely (the equivalence escape
-            hatch); ``None`` keeps the backend default
-            (:data:`repro.va.vectorized.DEFAULT_ENUM_BLOCK_SIZE`).  The
-            context cache is the memory cost — each context holds one
-            edge-row set.  Ignored by backends without batching.
+
+    Both backends enumerate on the same DFS
+    (:meth:`~repro.va.indexed.IndexedMatchGraph.enumerate`); they differ
+    in the Boolean passes behind it and in ``first()``.
     """
 
     def __init__(
@@ -405,15 +394,11 @@ class Engine:
         document_cache_size: int = 0,
         optimize: bool = True,
         prefilter: bool = True,
-        enumeration_block_size: "int | None" = None,
     ):
         self.backend = get_backend(backend)
         self.stats = EngineStats()
         self.optimize = optimize
         self.prefilter = prefilter
-        self.enumeration_block_size = enumeration_block_size
-        if enumeration_block_size is not None:
-            self.backend.enumeration_block_size = enumeration_block_size
         self._plan_cache_size = plan_cache_size
         self._document_cache_size = document_cache_size
         self._contexts: OrderedDict[object, ExecutionContext] = OrderedDict()
@@ -868,7 +853,6 @@ class Engine:
             document_cache_size=self._document_cache_size,
             optimize=self.optimize,
             prefilter=self.prefilter,
-            enumeration_block_size=self.enumeration_block_size,
             deadline=guard.remaining() if guard is not None else None,
             budget=guard.budget if guard is not None else None,
         )

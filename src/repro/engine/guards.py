@@ -118,11 +118,13 @@ class Budget:
         mappings: maximum mappings emitted to the caller.
         states: maximum live match-graph states materialised (summed over
             every graph whose backward pass runs under the guard).
-        edge_rows: maximum enumeration edge rows / batched layer contexts
-            materialised.
+        edge_rows: maximum enumeration edge rows materialised (one per
+            live ``(layer, state)`` pair the DFS expands).
         cache_bytes: ceiling on the (estimated) bytes held by the
-            vectorized kernel's frontier/batch caches — a gauge, not a
-            cumulative charge.
+            vectorized kernel's cross-document caches (interned frontier
+            nodes, the ``first()`` memo, plane powers) — a gauge of their
+            current size, checked once per guarded vectorized graph
+            construction, not a cumulative charge.
     """
 
     mappings: "int | None" = None
@@ -324,7 +326,7 @@ class ExecutionGuard:
             self._budget_trip("states", budget.states)
 
     def charge_edge_rows(self, count: int = 1) -> None:
-        """Charge materialised enumeration edge rows / layer contexts."""
+        """Charge materialised enumeration edge rows."""
         self.spent_edge_rows += count
         budget = self.budget
         if (

@@ -102,7 +102,6 @@ def _run_shard(
     document_cache_size: int,
     optimize: bool,
     prefilter: bool,
-    enumeration_block_size: "int | None" = None,
     deadline: "float | None" = None,
     budget=None,
     crashable: bool = True,
@@ -127,7 +126,6 @@ def _run_shard(
         document_cache_size=document_cache_size,
         optimize=optimize,
         prefilter=prefilter,
-        enumeration_block_size=enumeration_block_size,
     )
     query = _rebuild_query(payload)
     guard = None
@@ -149,7 +147,6 @@ def evaluate_sharded(
     document_cache_size: int = 0,
     optimize: bool = True,
     prefilter: bool = True,
-    enumeration_block_size: "int | None" = None,
     deadline: "float | None" = None,
     budget=None,
 ) -> "tuple[list[SpanRelation], list[EngineStats], list[str | None], int]":
@@ -182,8 +179,7 @@ def evaluate_sharded(
             for texts in shards:
                 futures.append(pool.submit(
                     _run_shard, payload, backend_name, texts, limit,
-                    document_cache_size, optimize, prefilter,
-                    enumeration_block_size, deadline, budget,
+                    document_cache_size, optimize, prefilter, deadline, budget,
                 ))
         except BrokenProcessPool:
             pass  # shards never submitted join the serial reap below
@@ -196,8 +192,8 @@ def evaluate_sharded(
     for offset in lost:
         results[offset] = _run_shard(
             payload, backend_name, shards[offset], limit,
-            document_cache_size, optimize, prefilter,
-            enumeration_block_size, deadline, budget, crashable=False,
+            document_cache_size, optimize, prefilter, deadline, budget,
+            crashable=False,
         )
     relations: list[SpanRelation | None] = [None] * len(documents)
     for offset, shard_result in enumerate(results):

@@ -51,10 +51,12 @@ class EngineStats:
             backend actually computed through its numpy plane tables —
             every other position was served by the interned frontier-node
             cache (``0`` on backends without a frontier cache).
-        edge_rows_batched: layer contexts whose enumeration edge rows the
-            vectorized backend materialised through a batched plane
-            gather — every other layer shared a previously built context
-            (``0`` on backends without batched enumeration).
+        edge_rows_batched: always ``0``.  It counted the edge-row
+            contexts of the vectorized backend's batched DFS, which is
+            gone (both backends now share one DFS); the field stays only
+            because the repository benchmark (``perfbench/harness.py``)
+            reads it from :meth:`as_dict`, and goes with that benchmark's
+            next change.
         tail_reevaluations: incremental ``TailSession.reevaluate()`` calls
             (including ones short-circuited by the prefilter).
         tail_reused_layers: document layers served from a checkpointed
@@ -186,7 +188,6 @@ class EngineStats:
             f"hydrations         {self.hydrations}",
             f"kernel run hits    {self.kernel_run_hits}",
             f"frontier misses    {self.frontier_cache_misses}",
-            f"edge rows batched  {self.edge_rows_batched}",
             f"tail reevaluations {self.tail_reevaluations}"
             f" ({self.tail_reused_layers} layers reused /"
             f" {self.tail_recomputed_layers} recomputed)",

@@ -42,9 +42,11 @@ layer where one of them stops being quiet.  Each state finds the end of
 a stretch once, for every later entry to reuse, so a no-capture stretch
 costs one stack frame per path.  A star over a union of letters such as
 ``(a|b)*`` compiles to one state per letter, quiet only inside a run of
-its own letter, so on text such automata keep the walk of one frame per
-layer.  A tail session's re-evaluation instead walks back from the final
-layer over the forward masks alone
+its own letter; the DFS crosses its stretches with a second skip, an
+index from each forced frame to the end of its stretch, which the first
+path through a stretch builds and every later path hops along.  A tail
+session's re-evaluation instead walks back from the final layer over the
+forward masks alone
 (:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
 run's length; :meth:`IndexedMatchGraph.extended` keeps the walk of the
 graph it extends.  Semantics are identical on both walks — the
@@ -104,6 +106,10 @@ class IndexedVA:
             self-transitions on it all carry the empty operation set — the
             states the enumeration walks may skip with (see
             :meth:`IndexedMatchGraph.enumerate`).
+        star_mask: the union of :attr:`quiet_masks`, the *star states*:
+            those with a quiet self-loop on some letter, which is what a
+            star compiles to.  Only profiles of star states can start a
+            forced stretch of the enumeration DFS.
         accept: ``accept[state_id]`` is the tuple of accepting opset ids,
             canonically ordered.
         accept_mask: bitmask of states with at least one accepting opset.
@@ -189,6 +195,9 @@ class IndexedVA:
         self.tables = tables
         self.successor_masks = successor_masks
         self.quiet_masks = quiet_masks
+        self.star_mask = 0
+        for mask in quiet_masks:
+            self.star_mask |= mask
         self.accept = accept
         self.accept_mask = accept_mask
         self.accept_by_opset = [0] * len(self.opsets)
@@ -215,34 +224,6 @@ class IndexedVA:
             self._kernel = TransitionKernel(self)
         return self._kernel
 
-    def letter_edge_arrays(
-        self, letter_id: int
-    ) -> "tuple[list[int], list[int], list[int]]":
-        """The macro transitions of one letter, flattened to parallel
-        arrays ``(source_sids, opset_ids, target_masks)`` over every
-        ``(state, opset)`` edge of ``tables[letter_id]``.
-
-        This is the columnar view the vectorized batch edge-row builder
-        gathers from: one plane AND over the whole target column prunes
-        every edge of a layer context at once, instead of walking
-        ``tables[letter_id][sid]`` per (layer, state) pair.  Built once
-        per letter and cached (document independent)."""
-        cache = getattr(self, "_letter_edge_arrays", None)
-        if cache is None:
-            cache = self._letter_edge_arrays = {}
-        arrays = cache.get(letter_id)
-        if arrays is None:
-            sids: list[int] = []
-            oids: list[int] = []
-            targets: list[int] = []
-            for sid, entries in enumerate(self.tables[letter_id]):
-                for oid, target_mask in entries:
-                    sids.append(sid)
-                    oids.append(oid)
-                    targets.append(target_mask)
-            arrays = cache[letter_id] = (sids, oids, targets)
-        return arrays
-
     def predecessor_rows(self) -> "list[list[tuple[tuple[int, int], ...]]]":
         """The macro transitions inverted: ``rows[letter_id][state_id]`` is
         a tuple of ``(opset_id, source_mask)`` pairs, the states that reach
@@ -255,22 +236,6 @@ class IndexedVA:
                 _inverted(table, self.n_states) for table in self.tables
             ]
         return rows
-
-    def op_programs(self) -> "list[tuple[tuple[str, ...], tuple[str, ...]]]":
-        """Per-opset ``(open_vars, close_vars)`` programs, indexed by
-        opset id — the unpacked form of :attr:`opsets` the bulk mapping
-        emitter replays without iterating frozensets per accepting path.
-        Built once and cached (document independent)."""
-        programs = getattr(self, "_op_programs", None)
-        if programs is None:
-            programs = self._op_programs = [
-                (
-                    tuple(op.var for op in ops if op.is_open),
-                    tuple(op.var for op in ops if not op.is_open),
-                )
-                for ops in self.opsets
-            ]
-        return programs
 
     def __repr__(self) -> str:
         return (
@@ -321,8 +286,8 @@ class LayeredIndexedVA:
     (:attr:`letter_ids` is ``range(n)``) and the tables stay O(nodes)
     instead of O(|Σ|·nodes).  Node ids are local to their layer, so no
     state mask is wider than one layer.  No node has a self-loop, so none
-    is quiet and the kernel's run walk never applies.  Dead nodes are kept;
-    the match graph's backward pass prunes them.
+    is quiet or a star state, and the kernel's run walk never applies.
+    Dead nodes are kept; the match graph's backward pass prunes them.
 
     Attributes:
         document: the document the form is built for, and the only one it
@@ -373,6 +338,7 @@ class LayeredIndexedVA:
         self.successor_masks = successor_masks
         self.letter_ids = range(len(tables))
         self.quiet_masks = [0] * len(tables)
+        self.star_mask = 0
         self.opset_rank, self.empty_opset_id = _canonical_ranks(opsets)
         accept_mask = 0
         accept_by_opset = [0] * len(opsets)
@@ -1109,29 +1075,49 @@ class IndexedMatchGraph:
             ]
         return row
 
+    #: Entry cap of the forced-stretch index of one :meth:`enumerate`
+    #: call: one entry per forced ``(layer, profile)`` frame a stretch
+    #: passes.  Past it the index stops growing and later paths step
+    #: through the stretches they enter, with the same result.
+    FORCED_INDEX_LIMIT = 1 << 19
+
     def enumerate(self, limit: int | None = None) -> Iterator[Mapping]:
         """DFS enumeration with polynomial delay (Theorem 2.5), bitmask
         profiles and parent-pointer path reconstruction.
 
         ``limit`` stops after that many mappings; the lazy edge rows mean a
-        small limit touches only the layers along the walked paths.  A
-        frame whose profile is all *quiet* — every state's only live
-        option is its empty-opset self-loop — is forced until one of its
-        states stops being quiet, so it jumps there in one stack frame,
-        across letters, and records the repeat count instead of walking
-        every layer (:meth:`_quiet_end`).  A character class under a star
-        (``.*``, ``[0-9]+``) compiles to such a state; a star over a union
-        of letters such as ``(a|b)*`` compiles to one state per letter,
-        quiet only inside a run of its own letter, so on text those
-        automata keep the walk of one frame per layer.
+        small limit touches only the layers along the walked paths.  A path
+        goes on in place with its canonically first option and stacks the
+        others.  Two skips cross the layers where nothing can be captured:
+
+        * A frame whose profile is all *quiet* (every state's only live
+          option is its empty-opset self-loop, which is what a character
+          class under a star, ``.*`` or ``[0-9]+``, compiles to) jumps in
+          one frame, across letters, to the first layer where one of its
+          states stops being quiet (:meth:`_quiet_end`).
+        * A *forced* frame (its profile holds only star states, see
+          :attr:`IndexedVA.star_mask`, and its one live option is the
+          empty operation set) starts a forced stretch, which the first
+          path to reach it walks and indexes (:meth:`_forced_end`); every
+          later path that enters the stretch hops to its end in one frame.
+          A star over a union of letters such as ``(a|b)*`` compiles to
+          one state per letter, so its profile changes with the letter
+          and only this skip crosses its stretches.  The index is a lazy
+          form of the jump pointers of Amarilli, Bourhis, Mengel and
+          Niewerth (ICDT 2019); it lives for one call, holds at most
+          :attr:`FORCED_INDEX_LIMIT` entries, and stays empty for automata
+          without star states, such as Theorem 4.8's per-document forms.
+
+        A path node is ``((position, operation set), parent)`` and records
+        only operating steps, so skips push the parent unchanged and a leaf
+        rebuilds its mapping in O(captures), not O(layers).
         """
         if self.is_empty or (limit is not None and limit <= 0):
             return
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
-        empty_oid = indexed.empty_opset_id
-        quiet = indexed.quiet_masks
-        quiet_end = self._quiet_end
+        quiet, star = indexed.quiet_masks, indexed.star_mask
+        quiet_end, forced_end = self._quiet_end, self._forced_end
         n = self._n
         final = self.final
         alive = self.alive
@@ -1139,94 +1125,188 @@ class IndexedMatchGraph:
         letter_ids = self.letter_ids
         edges = self._edges
         guard = self._guard
+        forced: dict[tuple[int, int], tuple[int, int]] = {}
         emitted = 0
-        # Stack frames: (layer, profile mask, path node); a path node is
-        # (opset_id, repeat count, parent node) — reconstruction replaces
-        # per-push tuple copies of the whole prefix, and the repeat count
-        # encodes skipped quiet stretches.
+        # Stack frames: (layer, profile mask, path node).
         stack: list[tuple[int, int, tuple | None]] = [
             (0, 1 << indexed.initial_id, None)
         ]
         while stack:
-            if guard is not None:
-                guard.tick()
             layer, profile, node = stack.pop()
-            if layer == n:
-                options_set: set[int] = set()
+            while True:
+                if guard is not None:
+                    guard.tick()
+                if layer == n:
+                    options_set: set[int] = set()
+                    mask = profile
+                    while mask:
+                        low = mask & -mask
+                        options_set.update(final.get(low.bit_length() - 1, ()))
+                        mask ^= low
+                    entries: list[tuple[int, OpSet]] = []
+                    while node is not None:
+                        entry, node = node
+                        entries.append(entry)
+                    entries.reverse()
+                    for oid in sorted(options_set, key=rank.__getitem__):
+                        final_ops = opsets[oid]
+                        yield _mapping_from_entries(
+                            entries + [(n + 1, final_ops)] if final_ops else entries
+                        )
+                        emitted += 1
+                        if limit is not None and emitted >= limit:
+                            return
+                    break
+                lid = letter_ids[layer]
+                if not profile & ~star:
+                    # Scan only where a quiet stretch can outlast this
+                    # layer, that is where the next letter is quiet for the
+                    # profile too: a one-layer stretch is this frame's own
+                    # step.
+                    if (
+                        not profile & ~quiet[lid]
+                        and layer + 1 < n
+                        and not profile & ~quiet[letter_ids[layer + 1]]
+                    ):
+                        j = quiet_end(profile, layer)
+                        if j > layer:
+                            layer = j
+                            continue
+                    hop = forced.get((layer, profile))
+                    if hop is not None:
+                        layer, profile = hop
+                        continue
+                # Inlined edge_row: the per-layer row build is the hot loop.
+                cache = edges[layer]
+                if cache is None:
+                    cache = edges[layer] = {}
+                row_table = tables[lid]
+                live = alive[layer + 1]
+                options: dict[int, int] = {}
                 mask = profile
                 while mask:
                     low = mask & -mask
-                    options_set.update(final.get(low.bit_length() - 1, ()))
                     mask ^= low
-                # Sparse reconstruction: only skipped (empty) opsets carry
-                # a repeat count, so operating positions are exact.
-                entries: list[tuple[int, OpSet]] = []
-                position = n
-                while node is not None:
-                    oid, count, node = node
+                    sid = low.bit_length() - 1
+                    row = cache.get(sid)
+                    if row is None:
+                        if guard is not None:
+                            guard.charge_edge_rows(1)
+                        row = cache[sid] = [
+                            (oid, target_mask & live)
+                            for oid, target_mask in row_table[sid]
+                            if target_mask & live
+                        ]
+                    for oid, target_mask in row:
+                        prev = options.get(oid)
+                        options[oid] = target_mask if prev is None else prev | target_mask
+                if len(options) == 1:
+                    # Single choice (the common layer in sparse documents):
+                    # skip the canonical sort.
+                    oid, target_mask = options.popitem()
                     ops = opsets[oid]
                     if ops:
-                        entries.append((position, ops))
-                    position -= count
-                entries.reverse()
-                for oid in sorted(options_set, key=rank.__getitem__):
-                    final_ops = opsets[oid]
-                    yield _mapping_from_entries(
-                        entries + [(n + 1, final_ops)] if final_ops else entries
-                    )
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
-                continue
+                        node = ((layer + 1, ops), node)
+                    elif not (profile | target_mask) & ~star:
+                        # Forced, into a frame that may be forced too.
+                        layer, profile = forced_end(layer, profile, target_mask, forced)
+                        continue
+                elif options:
+                    ordered = sorted(options, key=rank.__getitem__)
+                    # Stack the later options in reverse rank order, so the
+                    # DFS pops them canonically.
+                    for oid in ordered[:0:-1]:
+                        ops = opsets[oid]
+                        stack.append(
+                            (layer + 1, options[oid], ((layer + 1, ops), node) if ops else node)
+                        )
+                    oid = ordered[0]
+                    target_mask = options[oid]
+                    ops = opsets[oid]
+                    if ops:
+                        node = ((layer + 1, ops), node)
+                else:
+                    break  # a dead profile (live layers have none)
+                layer += 1
+                profile = target_mask
+
+    def _forced_end(
+        self,
+        layer: int,
+        profile: int,
+        target: int,
+        index: "dict[tuple[int, int], tuple[int, int]]",
+    ) -> tuple[int, int]:
+        """The end of the forced stretch that starts at the forced frame
+        ``(layer, profile)``, whose one live option leads to ``target``:
+        the first frame on from it that is not forced, as ``(layer,
+        profile)``, where a leaf counts as not forced.
+
+        Walks the stretch frame by frame, ticking the guard once per
+        frame, jumps its quiet stretches (:meth:`_quiet_end`), and stops
+        early where it joins a stretch ``index`` holds.  Then records the
+        end in ``index`` for every forced frame it passed, this one
+        included, unless the end is the next layer, where a hop would be
+        no shorter than the step."""
+        n = self._n
+        indexed = self.indexed
+        empty = indexed.empty_opset_id
+        quiet, star = indexed.quiet_masks, indexed.star_mask
+        tables = indexed.tables
+        letter_ids = self.letter_ids
+        alive = self.alive
+        guard = self._guard
+        walked = [(layer, profile)]
+        start = layer
+        layer += 1
+        profile = target
+        end = None
+        while layer < n:
+            if guard is not None:
+                guard.tick()
+            key = (layer, profile)
+            end = index.get(key)
+            if end is not None or profile & ~star:
+                break
             lid = letter_ids[layer]
-            # Scan only where a quiet stretch can outlast this layer, that
-            # is where the next letter is quiet for the profile too: a
-            # one-layer stretch is this frame's own step, and a union
-            # star's per-letter states would scan at every repeated letter.
             if (
                 not profile & ~quiet[lid]
                 and layer + 1 < n
                 and not profile & ~quiet[letter_ids[layer + 1]]
             ):
-                j = quiet_end(profile, layer)
+                j = self._quiet_end(profile, layer)
                 if j > layer:
-                    # Quiet: every state can only stay put, performing
-                    # nothing, until the first one stops being quiet.
-                    stack.append((j, profile, (empty_oid, j - layer, node)))
+                    walked.append(key)
+                    layer = j
                     continue
-            # Inlined edge_row: the per-layer row build is the hot loop.
-            cache = edges[layer]
-            if cache is None:
-                cache = edges[layer] = {}
+            # Forced here when every live option of every state is the
+            # empty operation set; a later path hops this frame, so its
+            # edge rows are read from the tables and not kept.
             row_table = tables[lid]
             live = alive[layer + 1]
-            options: dict[int, int] = {}
+            target = 0
             mask = profile
             while mask:
                 low = mask & -mask
                 mask ^= low
-                sid = low.bit_length() - 1
-                row = cache.get(sid)
-                if row is None:
-                    if guard is not None:
-                        guard.charge_edge_rows(1)
-                    row = cache[sid] = [
-                        (oid, target_mask & live)
-                        for oid, target_mask in row_table[sid]
-                        if target_mask & live
-                    ]
-                for oid, target_mask in row:
-                    prev = options.get(oid)
-                    options[oid] = target_mask if prev is None else prev | target_mask
-            if len(options) == 1:
-                # Single choice (the common layer in sparse documents):
-                # skip the canonical sort.
-                oid, target_mask = options.popitem()
-                stack.append((layer + 1, target_mask, (oid, 1, node)))
-            else:
-                # Reverse rank order so the DFS pops options canonically.
-                for oid in sorted(options, key=rank.__getitem__, reverse=True):
-                    stack.append((layer + 1, options[oid], (oid, 1, node)))
+                for oid, target_mask in row_table[low.bit_length() - 1]:
+                    target_mask &= live
+                    if target_mask:
+                        if oid != empty:
+                            target = mask = 0
+                            break
+                        target |= target_mask
+            if not target:
+                break
+            walked.append(key)
+            layer += 1
+            profile = target
+        if end is None:
+            end = (layer, profile)
+        if end[0] > start + 1 and len(index) < self.FORCED_INDEX_LIMIT:
+            for key in walked:
+                index[key] = end
+        return end
 
     def first(self) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty —

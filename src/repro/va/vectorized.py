@@ -12,8 +12,8 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
   covers 64 states at once.  Per-layer masks of a whole document pack into
   one ``(len(d) + 1, n_planes)`` uint64 array, so whole-document
   combinations (the reachable ∩ co-reachable intersection, layer
-  popcounts, the batched DFS's layer contexts) are single vectorized ops
-  instead of ``len(d)`` Python-int operations.
+  popcounts) are single vectorized ops instead of ``len(d)`` Python-int
+  operations.
 * **Successor-plane table** — :class:`VectorizedVA` precomputes an
   ``(alphabet, states, n_planes)`` uint64 table; one transition
   application is a gather of the frontier's state rows plus one
@@ -43,10 +43,10 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
 
 :class:`VectorizedMatchGraph` subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
-*inherited*, not re-implemented: the scalar DFS with its quiet-stretch
-skip, the edge rows, and mapping reconstruction are the proven indexed
-code paths, fed by plane-backed ``forward``/``alive`` layers (unpacked to
-Python-int form exactly once, on demand).
+*inherited*, not re-implemented: the DFS with its quiet-stretch and
+forced-stretch skips, the edge rows, and mapping reconstruction are the
+indexed code paths, fed by plane-backed ``forward``/``alive`` layers
+(unpacked to Python-int form exactly once, on demand).
 :meth:`VectorizedMatchGraph.first` gets a dedicated walk that never
 materialises the alive layers at all: it prunes against interned
 co-reachability nodes and memoizes the greedy per-layer choice on
@@ -76,7 +76,6 @@ from ..core.errors import (
     SpannerError,
 )
 from ..core.mapping import Mapping
-from ..core.spans import Span
 from ..utils.bits import iter_bits
 from .automaton import VA
 from .indexed import (
@@ -106,17 +105,6 @@ _NUMPY_HINT = (
     "the vectorized backend needs numpy — install the fast extra "
     "(pip install repro[fast]) or pick another backend (e.g. indexed)"
 )
-
-#: Default block budget of the batched enumeration path: the maximum
-#: number of distinct (letter, live-successor-mask) *layer contexts* a
-#: document may have before full enumeration falls back to the inherited
-#: scalar DFS.  Run-compressed dedup means real documents collapse to a
-#: handful of contexts (a 10k-letter run is one), so the budget only
-#: trips on adversarially heterogeneous documents where the batched row
-#: cache would churn.  Override per engine with ``enumeration_block_size``
-#: (``0`` disables batching outright — the scalar escape hatch).
-DEFAULT_ENUM_BLOCK_SIZE = 4096
-
 
 def numpy_available() -> bool:
     """Whether the vectorized substrate can be built in this process."""
@@ -203,7 +191,6 @@ class VectorizedVA:
         "n_planes",
         "succ_planes",
         "_kernel",
-        "_letter_edges",
     )
 
     def __init__(self, indexed: IndexedVA):
@@ -222,7 +209,6 @@ class VectorizedVA:
             n_letters, n_states, n_planes
         )
         self._kernel: "VectorizedKernel | None" = None
-        self._letter_edges: dict[int, tuple] = {}
 
     @property
     def va(self) -> VA:
@@ -239,20 +225,6 @@ class VectorizedVA:
         if self._kernel is None:
             self._kernel = VectorizedKernel(self)
         return self._kernel
-
-    def letter_edge_planes(self, letter_id: int) -> tuple:
-        """The flattened ``(source_sids, opset_ids, target_planes)``
-        columns of one letter's macro transitions, with the target column
-        packed as an ``(edges, n_planes)`` uint64 array — the gather table
-        of the batch edge-row builder.  One plane AND of this column
-        against a layer's live mask prunes every edge of the layer at
-        once.  Built once per letter and cached (document independent)."""
-        arrays = self._letter_edges.get(letter_id)
-        if arrays is None:
-            sids, oids, targets = self.indexed.letter_edge_arrays(letter_id)
-            planes = _planes_from_masks(targets, self.n_planes)
-            arrays = self._letter_edges[letter_id] = (sids, oids, planes)
-        return arrays
 
     def __repr__(self) -> str:
         return (
@@ -281,11 +253,6 @@ class VectorizedKernel:
         step_misses: frontier transitions actually computed through the
             plane tables (cache misses), sampled into
             ``EngineStats.frontier_cache_misses``.
-        edge_rows_batched: layer contexts whose edge rows were actually
-            materialised by the batch builder (one per distinct
-            ``(letter, live mask)`` pair — every other layer was served
-            from the cross-document row cache), sampled into
-            ``EngineStats.edge_rows_batched``.
     """
 
     #: Total interned nodes + filled successor slots across both node
@@ -296,12 +263,6 @@ class VectorizedKernel:
 
     #: Entries in the cross-document greedy-walk memo of ``first()``.
     FIRST_CACHE_LIMIT = 1 << 16
-
-    #: Entries in each of the batched-enumeration caches (edge rows per
-    #: layer context, canonical option fans per DFS step).  Past the
-    #: bound the builders keep computing but stop caching, like the
-    #: frontier-node bound above.
-    BATCH_CACHE_LIMIT = 1 << 16
 
     __slots__ = (
         "vva",
@@ -315,11 +276,8 @@ class VectorizedKernel:
         "_powers",
         "_pred_tables",
         "first_memo",
-        "_batch_rows",
-        "options_memo",
         "run_hits",
         "step_misses",
-        "edge_rows_batched",
     )
 
     def __init__(self, vva: VectorizedVA):
@@ -335,15 +293,8 @@ class VectorizedKernel:
         self._powers: dict[int, list] = {}
         self._pred_tables: dict[int, object] = {}
         self.first_memo: dict = {}
-        # _batch_rows[(lid, alive_int)]: {sid: [(oid, live_target), ...]}
-        # — the batch-materialised edge rows of one layer context.
-        self._batch_rows: dict = {}
-        # options_memo[(profile, lid, alive_int)]: the canonical option
-        # fan of one DFS step, rank sorted — the batched walk's hot probe.
-        self.options_memo: dict = {}
         self.run_hits = 0
         self.step_misses = 0
-        self.edge_rows_batched = 0
 
     # -- the vectorized transition op ------------------------------------
 
@@ -439,64 +390,6 @@ class VectorizedKernel:
             self._pred_tables[letter_id] = table
         return table
 
-    # -- batched enumeration: edge rows and option fans --------------------
-
-    def batch_rows(self, letter_id: int, alive_row, alive_int: int) -> dict:
-        """The edge rows of one *layer context* — every live macro
-        transition of ``letter_id`` into the live successor mask — as
-        ``{source_sid: [(opset_id, live_target_mask), ...]}``, built in
-        one plane gather over the letter's flattened edge column
-        (``target_planes & alive_row`` + a nonzero scan) instead of a
-        per-(layer, state) Python loop.
-
-        Contexts are keyed ``(letter_id, live_mask)``: run-compressed
-        dedup means a 10k-letter run (or any two layers reading the same
-        letter with the same live successor mask, across *documents* —
-        tail sessions re-hit unchanged-prefix contexts) costs one build.
-        ``alive_row`` is the plane form of ``alive_int`` (the caller has
-        it at hand; only misses touch it).
-        """
-        key = (letter_id, alive_int)
-        rows = self._batch_rows.get(key)
-        if rows is None:
-            sids, oids, planes = self.vva.letter_edge_planes(letter_id)
-            live = planes & alive_row
-            kept = NUMPY.nonzero(live.any(axis=1))[0]
-            masks = _masks_from_planes(live[kept])
-            rows = {}
-            for flat, mask in zip(kept.tolist(), masks):
-                sid = sids[flat]
-                entry = rows.get(sid)
-                if entry is None:
-                    rows[sid] = [(oids[flat], mask)]
-                else:
-                    entry.append((oids[flat], mask))
-            self.edge_rows_batched += 1
-            if len(self._batch_rows) < self.BATCH_CACHE_LIMIT:
-                self._batch_rows[key] = rows
-        return rows
-
-    def batch_options(
-        self, profile: int, letter_id: int, alive_row, alive_int: int
-    ) -> tuple:
-        """The canonical option fan of one batched DFS step: the distinct
-        ``(opset_id, union live target)`` choices of ``profile`` at a
-        layer context, sorted by canonical opset rank — exactly the
-        ``options`` dict the inherited scalar DFS rebuilds per stack
-        frame, precomputed once per ``(profile, letter, live mask)`` and
-        memoized across documents."""
-        rows = self.batch_rows(letter_id, alive_row, alive_int)
-        options: dict[int, int] = {}
-        for sid in iter_bits(profile):
-            for oid, mask in rows.get(sid, ()):
-                prev = options.get(oid)
-                options[oid] = mask if prev is None else prev | mask
-        rank = self.vva.indexed.opset_rank
-        opts = tuple(sorted(options.items(), key=lambda kv: rank[kv[0]]))
-        if len(self.options_memo) < self.BATCH_CACHE_LIMIT:
-            self.options_memo[(profile, letter_id, alive_int)] = opts
-        return opts
-
     # -- run compression on planes ----------------------------------------
 
     def power(self, letter_id: int, k: int):
@@ -589,18 +482,18 @@ class VectorizedKernel:
 
     def cache_bytes_estimate(self) -> int:
         """A rough gauge of this kernel's cross-document cache footprint
-        (interned nodes, batched edge rows, option/first memos) — what a
-        guard's ``cache_bytes`` budget is checked against.  Deliberately
+        (interned frontier nodes, the ``first()`` memo, plane powers) —
+        what a guard's ``cache_bytes`` budget is checked against, once per
+        guarded :class:`VectorizedMatchGraph` construction.  Deliberately
         coarse: per-entry constants stand in for deep ``sys.getsizeof``
-        walks, so the gauge is cheap enough to consult per enumeration."""
+        walks, so the gauge is cheap enough to consult per document."""
         slots = self._n_letters + 2
         node_bytes = self._cached_steps * 8 * slots
-        row_bytes = 96 * len(self._batch_rows)
-        memo_bytes = 96 * (len(self.options_memo) + len(self.first_memo))
+        memo_bytes = 96 * len(self.first_memo)
         power_bytes = sum(
             sum(p.nbytes for p in powers) for powers in self._powers.values()
         )
-        return node_bytes + row_bytes + memo_bytes + power_bytes
+        return node_bytes + memo_bytes + power_bytes
 
     def __repr__(self) -> str:
         cached_powers = sum(len(p) - 1 for p in self._powers.values())
@@ -635,13 +528,17 @@ class VectorizedMatchGraph(IndexedMatchGraph):
     uint64 plane arrays; the reachable ∩ co-reachable intersection is one
     whole-document vectorized AND.
 
-    The scalar fallback of :meth:`enumerate` is *inherited* from
-    :class:`IndexedMatchGraph` — the DFS, edge rows, the quiet-stretch
-    skip, and mapping reconstruction are byte-for-byte the indexed
-    semantics, reading ``alive`` through the overridden property (plane
-    arrays unpacked to Python-int layers once, on demand).  :meth:`first`
-    never touches those layers: it walks interned co-reachability nodes
-    with a kernel-level greedy-choice memo.
+    :meth:`enumerate` is *inherited* from :class:`IndexedMatchGraph` —
+    the DFS, edge rows, the quiet-stretch and forced-stretch skips, and
+    mapping reconstruction are the indexed code, reading ``alive``
+    through the overridden property (plane arrays unpacked to Python-int
+    layers once, on demand).  :meth:`first` never touches those layers:
+    it walks interned co-reachability nodes with a kernel-level
+    greedy-choice memo.
+
+    A guarded construction checks the shared kernel's cache footprint
+    (:meth:`VectorizedKernel.cache_bytes_estimate`) against the guard's
+    ``cache_bytes`` budget once, after its forward sweep.
     """
 
     __slots__ = (
@@ -650,18 +547,9 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         "_forward_planes",
         "_alive_planes",
         "_cnodes",
-        "_block_size",
-        "_layer_ctx",
-        "_forced_skips",
     )
 
-    def __init__(
-        self,
-        vva: VectorizedVA,
-        document: Document | str,
-        block_size: "int | None" = None,
-        guard=None,
-    ):
+    def __init__(self, vva: VectorizedVA, document: Document | str, guard=None):
         indexed = vva.indexed
         self.vva = vva
         self.indexed = indexed
@@ -676,16 +564,13 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self._forward_planes = None
         self._alive_planes = None
         self._cnodes = None
-        self._layer_ctx = None
-        self._forced_skips: dict = {}
-        self._block_size = (
-            DEFAULT_ENUM_BLOCK_SIZE if block_size is None else block_size
-        )
         kernel = self._vkernel = vva.kernel()
         self._runs = tuple(_encoded_runs(self.document.runs(), indexed.alphabet))
         mask = kernel.frontier(
             self.document, 1 << indexed.initial_id, guard=guard
         )
+        if guard is not None:
+            guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
         # Checkpoint for append-extensions (see the base class).
         self._frontier = mask
         final_mask = mask & indexed.accept_mask
@@ -737,9 +622,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         graph._forward_planes = None
         graph._alive_planes = None
         graph._cnodes = None
-        graph._layer_ctx = None
-        graph._forced_skips = {}
-        graph._block_size = self._block_size
         kernel = graph._vkernel = self._vkernel
         ids_get = indexed.alphabet.ids.get
         old_runs = self._runs
@@ -777,6 +659,8 @@ class VectorizedMatchGraph(IndexedMatchGraph):
                 i += 1
                 forward[i] = m
             graph._forward = forward
+        if guard is not None:
+            guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
         graph._frontier = mask
         final_mask = mask & indexed.accept_mask
         graph.final_mask = final_mask
@@ -916,231 +800,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         """Maximum number of live states in any layer."""
         counts = _popcounts(self.alive_planes)
         return int(counts.max()) if counts.size else 0
-
-    # -- batched enumeration ----------------------------------------------
-
-    def enumerate(self, limit: "int | None" = None) -> Iterator[Mapping]:
-        """DFS enumeration over *batched* edge rows (same mappings, same
-        canonical order, same polynomial delay as the inherited scalar
-        walk).
-
-        The scalar DFS rebuilds an options dict per stack frame from
-        per-(layer, state) edge rows.  Here each layer resolves to a
-        *context* ``(letter, live successor mask)`` whose full option fan
-        is materialised once by :meth:`VectorizedKernel.batch_options`
-        from a whole-column plane gather, then shared by every layer,
-        run repetition, and document that reproduces the context.  Paths
-        are parent-pointer arrays (three flat int lists) instead of
-        per-node tuples, and leaves emit through the trusted
-        :meth:`Mapping.from_arrays` bulk constructor.
-
-        Falls back to the inherited scalar walk when the document's
-        distinct contexts exceed the block budget (``block_size`` /
-        ``--enum-block``; ``0`` disables batching) — the context cache is
-        the memory cost, so wildly heterogeneous documents keep the lazy
-        per-edge path.
-        """
-        if self.is_empty or (limit is not None and limit <= 0):
-            return iter(())
-        block = self._block_size
-        if block > 0 and self._distinct_contexts() <= block:
-            return self._enumerate_batched(limit)
-        return super().enumerate(limit=limit)
-
-    def _distinct_contexts(self) -> int:
-        """Number of distinct ``(letter, live successor mask)`` layer
-        contexts — the batched DFS materialises one edge-row set per
-        context, so this is its working-set size (vectorized row-dedup
-        over the packed alive planes)."""
-        if self._n == 0:
-            return 0
-        return len(self._layer_contexts()[1])
-
-    def _layer_contexts(self) -> tuple:
-        """Per-layer context assignment: ``(inverse, reps)`` where
-        ``inverse[i]`` is the dense context id of layer ``i`` and
-        ``reps[c]`` is the first layer with context ``c`` — one
-        ``np.unique`` row-dedup over ``(letter, packed alive planes)``."""
-        cached = self._layer_ctx
-        if cached is None:
-            np = NUMPY
-            n = self._n
-            key = np.empty((n, 1 + self.vva.n_planes), dtype=_U64)
-            key[:, 0] = np.fromiter(
-                self.letter_ids, dtype=np.int64, count=n
-            ).astype(np.uint64)
-            key[:, 1:] = self.alive_planes[1:]
-            uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-            inverse = inverse.reshape(n)  # numpy 2.x returns the keyed shape
-            reps = np.zeros(len(uniq), dtype=np.int64)
-            # Reversed fancy assignment: the last write per context is its
-            # smallest layer index.
-            reps[inverse[::-1]] = np.arange(n - 1, -1, -1, dtype=np.int64)
-            cached = self._layer_ctx = (inverse, reps)
-        return cached
-
-    #: Entry cap of the forced-stretch skip index (see
-    #: :meth:`_enumerate_batched`): one entry per distinct
-    #: ``(layer, profile)`` pair inside a forced stretch, so the cap only
-    #: trips when the DFS genuinely visits that many distinct pairs — at
-    #: which point the index stops growing and the walk degrades to
-    #: stepping, never to incorrectness.
-    _SKIP_INDEX_LIMIT = 1 << 19
-
-    def _enumerate_batched(self, limit: "int | None") -> Iterator[Mapping]:
-        indexed = self.indexed
-        opsets, rank = indexed.opsets, indexed.opset_rank
-        programs = indexed.op_programs()
-        n = self._n
-        final = self.final
-        alive = self.alive
-        alive_planes = self.alive_planes
-        letter_ids = self.letter_ids
-        kernel = self._vkernel
-        omemo = kernel.options_memo
-        build_options = kernel.batch_options
-        fskip = self._forced_skips
-        skip_limit = self._SKIP_INDEX_LIMIT
-        guard = self._guard
-        if guard is not None:
-            guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
-        emitted = 0
-        # Parent-pointer arenas: one slot per *operating* (non-empty
-        # opset) step — run stretches and empty steps leave no trace, so
-        # leaf reconstruction costs O(captures), not O(path).
-        node_pos: list[int] = []
-        node_oid: list[int] = []
-        node_parent: list[int] = []
-        stack: list[tuple[int, int, int]] = [
-            (0, 1 << indexed.initial_id, -1)
-        ]
-        while stack:
-            layer, profile, parent = stack.pop()
-            while layer < n:
-                if guard is not None:
-                    guard.tick()
-                lid = letter_ids[layer]
-                a_int = alive[layer + 1]
-                opts = omemo.get((profile, lid, a_int))
-                if opts is None:
-                    if guard is not None:
-                        guard.charge_edge_rows(1)
-                    opts = build_options(
-                        profile, lid, alive_planes[layer + 1], a_int
-                    )
-                if len(opts) == 1:
-                    oid, target = opts[0]
-                    if not opsets[oid]:
-                        # Forced no-op stretch: a single empty-opset
-                        # option means nothing to record and nothing to
-                        # choose until the next fan, operating step, dead
-                        # end, or the leaf.  The skip index maps
-                        # ``(layer, profile)`` to that event in one hop —
-                        # unlike the scalar walk's quiet-stretch skip it
-                        # also crosses profile changes (a scanning profile
-                        # may oscillate per letter), and path compression
-                        # means the first path to walk a forced suffix
-                        # pays O(stretch) once while every later path
-                        # joins it within a few layers.
-                        hop = fskip.get((layer, profile))
-                        if hop is None:
-                            walked = [(layer, profile)]
-                            hl, hp = layer + 1, target
-                            while hl < n:
-                                if guard is not None:
-                                    guard.tick()
-                                hop = fskip.get((hl, hp))
-                                if hop is not None:
-                                    break
-                                hlid = letter_ids[hl]
-                                ha = alive[hl + 1]
-                                hopts = omemo.get((hp, hlid, ha))
-                                if hopts is None:
-                                    if guard is not None:
-                                        guard.charge_edge_rows(1)
-                                    hopts = build_options(
-                                        hp, hlid, alive_planes[hl + 1], ha
-                                    )
-                                if len(hopts) != 1 or opsets[hopts[0][0]]:
-                                    break
-                                walked.append((hl, hp))
-                                hl += 1
-                                hp = hopts[0][1]
-                            if hop is None:
-                                hop = (hl, hp)
-                            if len(fskip) < skip_limit:
-                                for step in walked:
-                                    fskip[step] = hop
-                        layer, profile = hop
-                        continue
-                elif not opts:
-                    break  # dead profile (unreachable on live layers)
-                else:
-                    # Alternatives pushed in reverse rank so later pops
-                    # walk them canonically; the rank-first option
-                    # continues inline without a push/pop round-trip.
-                    for oid, target in opts[:0:-1]:
-                        if opsets[oid]:
-                            node_pos.append(layer + 1)
-                            node_oid.append(oid)
-                            node_parent.append(parent)
-                            stack.append(
-                                (layer + 1, target, len(node_pos) - 1)
-                            )
-                        else:
-                            stack.append((layer + 1, target, parent))
-                    oid, target = opts[0]
-                if opsets[oid]:
-                    node_pos.append(layer + 1)
-                    node_oid.append(oid)
-                    node_parent.append(parent)
-                    parent = len(node_pos) - 1
-                profile = target
-                layer += 1
-            else:
-                # Leaf (layer == n): canonical final fan over the
-                # profile's accepting states, spans rebuilt once from the
-                # parent chain and shared across the fan.
-                options_set: set[int] = set()
-                mask = profile
-                while mask:
-                    low = mask & -mask
-                    options_set.update(final.get(low.bit_length() - 1, ()))
-                    mask ^= low
-                chain: list[int] = []
-                p = parent
-                while p >= 0:
-                    chain.append(p)
-                    p = node_parent[p]
-                opened: dict[str, int] = {}
-                spans: dict[str, Span] = {}
-                for p in reversed(chain):
-                    position = node_pos[p]
-                    opens, closes = programs[node_oid[p]]
-                    for var in opens:
-                        opened[var] = position
-                    for var in closes:
-                        spans[var] = Span(opened.pop(var), position)
-                base_items = None
-                for foid in sorted(options_set, key=rank.__getitem__):
-                    fopens, fcloses = programs[foid]
-                    if fopens or fcloses:
-                        opened_f = dict(opened)
-                        spans_f = dict(spans)
-                        for var in fopens:
-                            opened_f[var] = n + 1
-                        for var in fcloses:
-                            spans_f[var] = Span(opened_f.pop(var), n + 1)
-                        yield Mapping.from_arrays(
-                            tuple(sorted(spans_f.items()))
-                        )
-                    else:
-                        if base_items is None:
-                            base_items = tuple(sorted(spans.items()))
-                        yield Mapping.from_arrays(base_items)
-                    emitted += 1
-                    if limit is not None and emitted >= limit:
-                        return
 
     # -- first(): memoized greedy walk ------------------------------------
 

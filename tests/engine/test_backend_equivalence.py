@@ -1,12 +1,18 @@
 """Backend interchangeability: every enumeration backend computes exactly
 the spanner of the naive run-semantics baseline, in the canonical order
-of the match-graph oracle (hypothesis)."""
+of the match-graph oracle (hypothesis), and so does every backend leg
+(the indexed backend pinned to each walk too) on >64-state multi-plane
+automata and on ``limit`` prefixes that end mid-fan."""
+
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import NotSequentialError, SpanRelation
-from repro.engine import available_backends, get_backend
+from repro.engine import Engine, available_backends, get_backend
+from repro.regex import parse
 from repro.va import (
     VA,
     enumerate_indexed,
@@ -15,8 +21,10 @@ from repro.va import (
     regex_to_va,
     trim,
 )
+from repro.va import kernel as kernel_module
 
 from ..properties.conftest import documents, sequential_formulas
+from .conftest import BACKEND_LEGS, PINNED_WALKS
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -53,6 +61,54 @@ class TestBackendsMatchNaive:
             other = SpanRelation(prepared.enumerate(doc + "a"))
             assert first == again
             assert other == evaluate_naive(va, doc + "a")
+
+
+def _leg_engine(leg: str) -> Engine:
+    """An engine for one of ``BACKEND_LEGS``; call it inside
+    :func:`_pinned`, which pins the walk of a pinned leg."""
+    return Engine(backend="indexed" if leg in PINNED_WALKS else leg)
+
+
+def _pinned(leg: str):
+    threshold = PINNED_WALKS.get(leg, kernel_module.RUN_WALK_THRESHOLD)
+    return patch.object(kernel_module, "RUN_WALK_THRESHOLD", threshold)
+
+
+def _multi_plane_va():
+    """A sequential VA with more than 64 dense states (≥ 2 planes)."""
+    va = trim(regex_to_va(parse("(a|b)*x{" + "ab" * 12 + "a+}(a|b)*")))
+    assert va.indexed().n_states > 64
+    return va
+
+
+class TestBackendLegs:
+    @pytest.mark.parametrize("leg", BACKEND_LEGS)
+    @pytest.mark.parametrize(
+        "doc", ["", "ab" * 13 + "aa", "ab" * 40, "a" * 120, "ab" * 13 + "ac"]
+    )
+    def test_multi_plane_documents(self, leg, doc):
+        va = _multi_plane_va()
+        oracle = list(enumerate_mappings(va, doc))
+        with _pinned(leg):
+            engine = _leg_engine(leg)
+            full = list(engine.enumerate(va, doc))
+            assert full == oracle
+            for limit in (1, 3):
+                assert list(engine.enumerate(va, doc, limit=limit)) == full[:limit]
+
+    @given(
+        sequential_formulas(),
+        documents,
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(BACKEND_LEGS),
+    )
+    @_SETTINGS
+    def test_limit_is_a_prefix_even_mid_fan(self, formula, doc, limit, leg):
+        va = trim(regex_to_va(formula))
+        oracle = list(enumerate_mappings(va, doc))
+        with _pinned(leg):
+            got = list(_leg_engine(leg).enumerate(va, doc, limit=limit))
+        assert got == oracle[:limit]
 
 
 class TestIndexedForm:

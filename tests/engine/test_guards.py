@@ -3,7 +3,8 @@
 The acceptance workload is the Prop. 4.10 reduction's γ1 on ``(bab)^n`` —
 2^n mappings from an O(n) query, the worst case the paper's lower bounds
 promise — pinned to trip a 100 ms deadline on every backend at the first
-clock read past it, at most one tick stride after the read before.
+clock read past it, at most one tick stride after the read before, with
+exactly the mappings the walk emits before that read as its partial.
 """
 
 import time
@@ -149,6 +150,25 @@ class TestBudgetEnforcement:
         assert guarded == full
         assert not guarded.truncated
 
+    def test_cache_bytes_budget_trips_vectorized_construction(self):
+        # The vectorized kernel's caches are gauged once per guarded graph
+        # construction; the indexed backend has no such caches.
+        if "vectorized" not in ALL_BACKENDS:
+            pytest.skip("vectorized unavailable")
+        va = _va("[ab]*x{[ab]+}[ab]*")
+        engine = Engine(backend="vectorized")
+        full = engine.evaluate(va, "abab")
+        with pytest.raises(BudgetExceeded, match="cache-bytes") as info:
+            engine.evaluate(va, "abab", budget="cache-bytes=1")
+        assert info.value.reason == "budget:cache-bytes"
+        assert len(info.value.partial) == 0  # tripped before the DFS
+        relation = engine.evaluate(
+            va, "abab", budget="cache-bytes=1", on_budget="partial"
+        )
+        assert relation.truncated and len(relation) == 0
+        assert engine.evaluate(va, "abab", budget="cache-bytes=64m") == full
+        assert Engine().evaluate(va, "abab", budget="cache-bytes=1") == full
+
     @pytest.mark.parametrize("backend", ["indexed", "vectorized"])
     def test_edge_row_budget_trips_enumeration(self, backend):
         if backend not in ALL_BACKENDS:
@@ -215,11 +235,13 @@ class TestDeadlines:
     def test_adversarial_deadline_acceptance(self, backend):
         """γ1 on (bab)^16 (65536 mappings), 100 ms deadline, warm plan:
         DeadlineExceeded at the first clock read past the deadline, at
-        most ``TICK_STRIDE`` ticks after the read before it.
+        most ``TICK_STRIDE`` ticks after the read before it, carrying
+        exactly the mappings the same walk emits before that read.
 
-        The overshoot is bounded in guard units, not wall-clock time: a
-        host pause (a debug allocator, a garbage collection) stretches
-        the time between reads but adds no ticks."""
+        Both bounds are in guard units, not wall-clock time: a host pause
+        (a debug allocator, a garbage collection) stretches the time
+        between reads but adds no ticks.  A pause may trip the deadline
+        before the first mapping, and then the partial is empty."""
         reads: list[tuple[int, float]] = []  # (ticks so far, clock value)
         ticks = 0
         tripped_at: list[int] = []  # index into `reads` of the tripping read
@@ -255,7 +277,18 @@ class TestDeadlines:
         assert tripped_at == [first_past], (backend, tripped_at, first_past)
         ticks_since_last_read = reads[first_past][0] - reads[first_past - 1][0]
         assert ticks_since_last_read <= ExecutionGuard.TICK_STRIDE, backend
-        assert 0 < len(info.value.partial) < 65536
+        # The same warm walk under a guard with no limits ticks the same
+        # way; a mapping it emits after t ticks precedes the tripping
+        # read exactly when t is below that read's tick count.
+        tripped_ticks = reads[first_past][0]
+        ticks = 0
+        prefix = []
+        for mapping in engine.enumerate(va, doc, guard=CountingGuard()):
+            if ticks >= tripped_ticks:
+                break
+            prefix.append(mapping)
+        assert len(prefix) < 65536
+        assert set(info.value.partial) == set(prefix), backend
 
 
 class TestBatchGuards:

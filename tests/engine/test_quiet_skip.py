@@ -1,12 +1,15 @@
-"""The quiet-stretch skip of the indexed enumeration walks.
+"""The quiet-stretch and forced-stretch skips of the enumeration walks.
 
 A state is *quiet* at a layer when its only live option there is its
 empty-opset self-loop; a DFS frame (or a ``first()`` step) whose profile
 is all quiet jumps to the first later layer where one of its states stops
-being quiet.  These tests pin the skip's targets against a per-layer
-definition, its exactness on named shapes on both pinned indexed walks
-and on the vectorized backend's scalar DFS, and the output-linear cost it
-buys on CSV exports.
+being quiet.  A DFS frame is *forced* when its profile holds only star
+states and its one live option is the empty operation set; the first
+path through a forced stretch indexes its end, and later paths hop there.
+These tests pin both skips' targets against per-layer definitions, their
+exactness on named shapes on both pinned indexed walks and on the
+vectorized backend, which inherits the DFS, and the output-linear cost
+they buy on CSV exports and on stars over unions of letters.
 """
 
 from unittest.mock import patch
@@ -19,7 +22,7 @@ from repro.core import Document
 from repro.engine import Engine
 from repro.engine.guards import ExecutionGuard
 from repro.regex import parse
-from repro.regex.builder import chars, concat, star
+from repro.regex.builder import chars, concat, star, sym, union
 from repro.utils.bits import iter_bits
 from repro.va import (
     VA,
@@ -40,9 +43,9 @@ from .test_kernel_prefilter import run_documents
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
-#: The scalar DFS legs: the indexed backend on each pinned walk, and the
-#: vectorized backend with its batched DFS off, which inherits the walk.
-LEGS = [*PINNED_WALKS, "vectorized-scalar"]
+#: The DFS legs: the indexed backend on each pinned walk, and the
+#: vectorized backend, which inherits the DFS.
+LEGS = [*PINNED_WALKS, "vectorized"]
 
 
 @pytest.fixture(params=LEGS)
@@ -53,7 +56,7 @@ def engine(request, monkeypatch):
         return Engine(backend="indexed")
     if not numpy_available():
         pytest.skip("numpy is not installed")
-    return Engine(backend="vectorized", enumeration_block_size=0)
+    return Engine(backend="vectorized")
 
 
 def _va(text: str):
@@ -95,6 +98,47 @@ def skip_targets(graph, layers: "list[int]") -> "dict[tuple[int, int], int]":
         for layer in layers
         for sid in iter_bits(quiet[layer])
     }
+
+
+def forced_target(graph, layer: int, profile: int) -> int:
+    """The definition: the frame is forced when its profile holds only
+    star states and its one live option is the empty operation set; the
+    option's target, or 0 when the frame is not forced."""
+    indexed = graph.indexed
+    if profile & ~indexed.star_mask:
+        return 0
+    options: dict[int, int] = {}
+    for sid in iter_bits(profile):
+        for oid, target in graph.edge_row(layer, sid):
+            options[oid] = options.get(oid, 0) | target
+    if list(options) != [indexed.empty_opset_id]:
+        return 0
+    return options[indexed.empty_opset_id]
+
+
+def reference_forced_end(graph, layer: int, profile: int) -> "tuple[int, int]":
+    """The first frame from ``(layer, profile)`` on that is not forced, or
+    the leaf, by stepping frame by frame."""
+    n = len(graph.document)
+    while layer < n:
+        target = forced_target(graph, layer, profile)
+        if not target:
+            break
+        layer, profile = layer + 1, target
+    return layer, profile
+
+
+def hop_targets(graph, frames) -> "tuple[dict, dict]":
+    """``_forced_end`` of every forced frame of ``frames``, queried in that
+    order against one index, so later queries join indexed stretches; and
+    the index they leave."""
+    index: dict = {}
+    ends = {}
+    for layer, profile in frames:
+        target = forced_target(graph, layer, profile)
+        if target:
+            ends[layer, profile] = graph._forced_end(layer, profile, target, index)
+    return ends, index
 
 
 class CountingGuard(ExecutionGuard):
@@ -160,6 +204,68 @@ CASES = {
 }
 
 
+class TestHopTargets:
+    @given(
+        sequential_formulas(),
+        st.booleans(),
+        st.one_of(run_documents, documents),
+        st.sampled_from(sorted(PINNED_WALKS)),
+    )
+    @_SETTINGS
+    def test_every_hop_lands_where_stepping_lands(self, formula, wrap, text, walk):
+        if wrap:
+            # A union star on both sides: the shape of E16's matrix query.
+            skip = star(union(sym("a"), sym("b"), sym("c")))
+            formula = concat(skip, formula, skip)
+        indexed = trim(regex_to_va(formula)).indexed()
+        doc = Document(text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+            forward, backward = IndexedMatchGraph(indexed, doc), IndexedMatchGraph(indexed, doc)
+        n = len(doc)
+        alive = forward.alive
+        # Every single live state, and every whole live layer.
+        frames = [
+            (layer, profile)
+            for layer in range(n)
+            for profile in [*(1 << sid for sid in iter_bits(alive[layer])), alive[layer]]
+            if profile
+        ]
+        for graph, order in ((forward, frames), (backward, frames[::-1])):
+            ends, index = hop_targets(graph, order)
+            for frame, end in [*ends.items(), *index.items()]:
+                assert end == reference_forced_end(forward, *frame), frame
+                assert end[0] > frame[0]
+
+    def test_union_star_stretch_is_walked_once_then_joined(self):
+        # Alternating letters: no state is quiet at two layers in a row,
+        # so only the forced-stretch index crosses the trailing union star.
+        formula, text = CASES["union-star"][0], "ab" * 8
+        guard = CountingGuard()
+        graph = IndexedMatchGraph(_va(formula).indexed(), text, guard=guard)
+        n = len(text)
+        # x captures the first `a` and closes as the next letter is read,
+        # into the trailing (a|b)* state of that letter, which is forced
+        # through to the leaf.
+        layer = 2
+        (profile,) = [
+            1 << sid
+            for sid in iter_bits(graph.alive[layer])
+            if reference_forced_end(graph, layer, 1 << sid)[0] == n
+        ]
+        target = forced_target(graph, layer, profile)
+        index: dict = {}
+        guard.ticks = 0
+        end = graph._forced_end(layer, profile, target, index)
+        assert end == reference_forced_end(graph, layer, profile)
+        assert guard.ticks == n - layer - 1  # one per frame after this one
+        assert len(index) == n - layer and index[layer, profile] == end
+        # A query one frame into the stretch joins it at its next frame.
+        later = (layer + 1, target)
+        guard.ticks = 0
+        assert graph._forced_end(*later, forced_target(graph, *later), index) == end
+        assert guard.ticks == 1
+
+
 class TestExactness:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_case_matches_the_oracle(self, engine, case):
@@ -190,28 +296,27 @@ class TestExactness:
         assert is_quiet(graph, sid, layer)
         assert graph._quiet_end(1 << sid, layer) == len(text)
 
-    def test_union_star_keeps_the_walk_and_class_star_skips(self):
+    def test_union_star_and_class_star_ticks_per_mapping_stay_flat(self, engine):
         union_formula, text = CASES["union-star"]
         class_formula, same_text = CASES["class-star"]
         assert text == same_text
         union_va, class_va = _va(union_formula), _va(class_formula)
         assert (union_va.indexed().n_states, class_va.indexed().n_states) == (22, 14)
-        growth = {}
         for name, va in (("union", union_va), ("class", class_va)):
+            prepared = engine.backend.prepare(va)
             per_mapping = []
             for copies in (1, 8):
                 guard = CountingGuard()
-                graph = IndexedMatchGraph(va.indexed(), text * copies, guard=guard)
+                graph = prepared.run(text * copies, guard=guard)
                 graph.alive
                 guard.ticks = 0
                 mappings = list(graph.enumerate())
                 assert mappings == list(enumerate_mappings(va, text * copies))
                 per_mapping.append(guard.ticks / len(mappings))
-            growth[name] = per_mapping[1] / per_mapping[0]
-        # A mapping's path crosses every layer after its `a` one frame at
-        # a time on the union star, and in one frame on the class star.
-        assert growth["union"] > 4
-        assert growth["class"] < 1.5
+            # A mapping's path hops the stretch after its `a` (the union
+            # star's forced stretch, the class star's quiet one) in one
+            # frame, where stepping would cross it one frame per layer.
+            assert per_mapping[1] <= 1.5 * per_mapping[0], (name, per_mapping)
 
     def test_loud_self_loop_is_never_quiet(self):
         # A self-loop that performs operations repeats them when pumped,

@@ -1,8 +1,8 @@
 """The ``vectorized`` backend end to end: cross-backend equivalence
 (hypothesis, including empty documents, run-heavy inputs, and >64-state
 multi-plane automata), the dedicated ``first()`` path, engine batch /
-parallel / streaming wiring, the frontier-miss statistic, and graceful
-degradation when numpy is missing."""
+parallel / streaming wiring, the frontier-miss statistic and its
+watermark, and graceful degradation when numpy is missing."""
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +148,29 @@ class TestEngineIntegration:
         assert vectorized.first(va, doc) == indexed.first(va, doc)
         # first() decides without enumerating: one mapping, counted.
         assert vectorized.stats.mappings == 1
+
+
+@needs_numpy
+class TestGaugeWatermark:
+    """The kernel behind a prepared form is shared and its counters are
+    cumulative — interleaved enumerations and tail re-evaluations must
+    attribute each increment to :class:`EngineStats` exactly once (the
+    old sample-a-base-around-each-evaluation scheme double-counted)."""
+
+    def test_interleaved_consumers_attribute_growth_exactly_once(self):
+        va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))
+        engine = Engine(backend="vectorized", document_cache_size=0)
+        session = engine.tail(va)
+        gen = engine.enumerate(va, "ab" * 15)
+        next(gen)  # leave the first enumeration suspended mid-flight
+        session.reevaluate("ab" * 10)  # a tail pass touches the kernel
+        list(gen)  # now finish the suspended enumeration
+        session.reevaluate("ba" * 6)
+        engine.evaluate(va, "abab")
+        engine.is_nonempty(va, "ab")
+        kernel = va.vectorized().kernel()
+        assert engine.stats.kernel_run_hits == kernel.run_hits
+        assert engine.stats.frontier_cache_misses == kernel.step_misses
 
 
 class TestGracefulDegradation:
