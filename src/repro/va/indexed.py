@@ -1211,7 +1211,7 @@ class IndexedMatchGraph:
                         # Forced, into a frame that may be forced too.
                         layer, profile = forced_end(layer, profile, target_mask, forced)
                         continue
-                elif options:
+                else:
                     ordered = sorted(options, key=rank.__getitem__)
                     # Stack the later options in reverse rank order, so the
                     # DFS pops them canonically.
@@ -1225,8 +1225,6 @@ class IndexedMatchGraph:
                     ops = opsets[oid]
                     if ops:
                         node = ((layer + 1, ops), node)
-                else:
-                    break  # a dead profile (live layers have none)
                 layer += 1
                 profile = target_mask
 
