@@ -22,9 +22,10 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   on a >64-state (multi-plane) query: Boolean
   emptiness and first-match on a low-run 100k-letter document (where the
   vectorized frontier-node walk should win ≥5x) and on a run-heavy
-  document (where the indexed kernel's Python-int doubling stays ahead —
-  both cells are reported so the README's backend-selection matrix stays
-  honest).
+  document (which takes the indexed run walk on both backends; only
+  ``first()`` differs) — both cells are reported so the README's
+  backend-selection matrix stays honest.  The backends take turns within
+  each repeat, so host speed phases hit both sides of a ratio.
 * **enumeration throughput** (E16e) — *full enumeration* (mappings/sec)
   across a run-length × match-density grid, on ``indexed`` and on
   ``vectorized`` (which shares its DFS), plus the DFS frames per mapping,
@@ -422,14 +423,23 @@ def _backend_matrix_sweep():
     runnable = [b for b in MATRIX_BACKENDS if b in available_backends()]
     rows = []
     for workload, doc in _matrix_documents():
+        prepared = {backend: get_backend(backend).prepare(va) for backend in runnable}
+        for form in prepared.values():
+            form.is_nonempty(doc)  # warm caches (nodes, powers, encoding)
+        best: dict = {}
+        # The backends take turns within each repeat, in alternating
+        # order, so a speed phase of the host lands on both sides of a
+        # ratio alike; each keeps its best of REPEATS.
+        for repeat in range(REPEATS):
+            for backend in runnable if repeat % 2 == 0 else runnable[::-1]:
+                form = prepared[backend]
+                nonempty_ms, nonempty = _best_of(1, lambda: form.is_nonempty(doc))
+                first_ms, first = _best_of(1, lambda: form.run(doc).first())
+                assert nonempty and first is not None, (workload, backend)
+                old = best.get(backend, (nonempty_ms, first_ms))
+                best[backend] = (min(old[0], nonempty_ms), min(old[1], first_ms))
         for backend in runnable:
-            prepared = get_backend(backend).prepare(va)
-            prepared.is_nonempty(doc)  # warm caches (nodes, powers, encoding)
-            nonempty_ms, nonempty = _best_of(
-                REPEATS, lambda: prepared.is_nonempty(doc)
-            )
-            first_ms, first = _best_of(REPEATS, lambda: prepared.run(doc).first())
-            assert nonempty and first is not None, (workload, backend)
+            nonempty_ms, first_ms = best[backend]
             rows.append(
                 {
                     "workload": workload,
@@ -491,8 +501,9 @@ def bench_e16_backend_matrix(benchmark, report):
     if not TINY and "low_run" in speedups:
         # Acceptance bar: ≥5x over indexed on a low-run 100k-letter
         # document with a ≥64-state query, for both emptiness and
-        # first-match.  (Run-heavy documents are indexed's home turf —
-        # reported, not asserted.)
+        # first-match.  (Run-heavy documents run the indexed code on both
+        # backends, except for vectorized's own first() — reported, not
+        # asserted.)
         low_run = speedups["low_run"]
         assert low_run["nonempty"] >= 5.0, speedups
         assert low_run["first"] >= 5.0, speedups
@@ -572,12 +583,13 @@ def _enumeration_cell(va, doc: Document, have_numpy: bool) -> dict:
         "frames_per_mapping": _frames_per_mapping(indexed, doc),
     }
     if have_numpy:
-        from repro.va.vectorized import VectorizedMatchGraph
+        from repro.engine import get_backend
 
-        vva = va.vectorized()
+        # The engine's path: run-heavy documents run the indexed code.
+        prepared = get_backend("vectorized").prepare(va)
         vectorized_ms, n_vectorized = _best_of(
             ENUM_REPEATS,
-            lambda: sum(1 for _ in VectorizedMatchGraph(vva, doc).enumerate()),
+            lambda: sum(1 for _ in prepared.run(doc).enumerate()),
         )
         assert n_vectorized == mappings, (len(doc), n_vectorized, mappings)
         cell["vectorized_ms"] = round(vectorized_ms, 3)

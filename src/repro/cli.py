@@ -38,8 +38,9 @@ Subcommands:
 ``extract`` and ``batch`` run through :class:`repro.engine.Engine`;
 ``--backend`` picks the enumeration backend (``indexed`` by default, which
 takes the run walk or the letter walk per document; the numpy-backed
-``vectorized`` backend needs the ``[fast]`` extra and exits with an
-install hint when numpy is missing), ``--limit K`` stops after K
+``vectorized`` backend replaces the letter walk, runs the run walk's
+documents on the indexed code, needs the ``[fast]`` extra and exits with
+an install hint when numpy is missing), ``--limit K`` stops after K
 mappings per document (short-circuiting graph construction on the lazy
 indexed backend), ``--no-optimize`` disables the logical-plan optimizer, ``--no-prefilter``
 disables the VA-derived document prefilter (by default provably
@@ -484,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BACKEND,
             help="enumeration backend (default: %(default)s; indexed "
             "chooses its run or letter walk per document, vectorized "
-            "needs numpy)",
+            "needs numpy and replaces only the letter walk)",
         )
         p.add_argument(
             "--stats", action="store_true", help="print engine statistics to stderr"

@@ -25,12 +25,14 @@ Shipped backends:
   applications, the letter walk (text, where runs are short) takes one
   mask step per letter.
 * ``vectorized`` — the numpy uint64 state-plane substrate
-  (:mod:`repro.va.vectorized`): interned frontier nodes over a
-  precomputed successor-plane table, plane-matrix power doubling on
-  runs, and whole-document plane arrays for the backward pass.  It
-  enumerates on the indexed DFS and keeps its own ``first()`` walk.
-  Needs numpy (the ``[fast]`` extra); requesting it without numpy raises
-  a clean :class:`~repro.core.errors.BackendUnavailableError`.
+  (:mod:`repro.va.vectorized`) for the letter walk: interned frontier
+  nodes over a precomputed successor-plane table, whole-document plane
+  arrays for the backward pass, and its own memoized ``first()`` walk.
+  A document that takes the run walk runs the ``indexed`` code itself,
+  on the same :class:`~repro.va.indexed.IndexedVA` and kernel, and both
+  enumerate on the indexed DFS.  Needs numpy (the ``[fast]`` extra);
+  requesting it without numpy raises a clean
+  :class:`~repro.core.errors.BackendUnavailableError`.
 
 Both backends are interchangeable: ``tests/engine`` checks each against
 the reference oracles — the naive run-semantics enumerator and the
@@ -53,9 +55,9 @@ from ..va.automaton import VA
 from ..va.indexed import IndexedMatchGraph, LayeredIndexedVA, indexed_nonempty
 from ..va.properties import is_sequential
 from ..va.vectorized import (
-    VectorizedMatchGraph,
     numpy_available,
     require_numpy,
+    vectorized_graph,
     vectorized_nonempty,
 )
 
@@ -80,7 +82,6 @@ class PreparedVA(abc.ABC):
         """Decide ``⟦A⟧(d) ≠ ∅`` with a Boolean forward pass that never
         builds enumeration edges."""
 
-    @abc.abstractmethod
     def run_extended(
         self, prior: IndexedMatchGraph, document: Document | str, guard=None
     ) -> IndexedMatchGraph:
@@ -88,18 +89,19 @@ class PreparedVA(abc.ABC):
         document, resumed from ``prior``'s checkpointed frontier in
         O(appended) walk steps
         (:meth:`~repro.va.indexed.IndexedMatchGraph.extended`)."""
+        return prior.extended(as_document(document), guard=guard)
 
     def kernel_hits(self) -> int:
         """Cumulative run-compressed kernel advances behind this prepared
-        form (``0`` for backends without a kernel).  The engine samples it
-        around each evaluation to attribute ``kernel_run_hits``."""
+        form (``0`` without a kernel).  The kernel is shared by every
+        engine on the automaton, so the engine counts only the growth
+        across each of its own calls into the backend."""
         return 0
 
     def frontier_misses(self) -> int:
         """Cumulative frontier-transition cache misses behind this
-        prepared form (``0`` for backends without a frontier cache).  The
-        engine samples it around each evaluation to attribute
-        ``frontier_cache_misses``."""
+        prepared form (``0`` without a frontier cache), counted by the
+        engine like :meth:`kernel_hits`."""
         return 0
 
 
@@ -158,11 +160,6 @@ class PreparedIndexedVA(PreparedVA):
     def is_nonempty(self, document: Document | str, guard=None) -> bool:
         return indexed_nonempty(self.indexed, document, guard=guard)
 
-    def run_extended(
-        self, prior: IndexedMatchGraph, document: Document | str, guard=None
-    ) -> IndexedMatchGraph:
-        return prior.extended(as_document(document), guard=guard)
-
     def kernel_hits(self) -> int:
         if self.indexed.layers is not None:
             return 0  # a per-document form never takes the run walk
@@ -187,7 +184,9 @@ class PreparedVectorizedVA(PreparedVA):
     """Prepared form of the ``vectorized`` backend: a
     :class:`~repro.va.vectorized.VectorizedVA` (cached on the automaton
     via :meth:`VA.vectorized`) sharing one frontier-node kernel across
-    every document."""
+    every text document.  A document that takes the run walk
+    (:func:`~repro.va.kernel.takes_run_walk`) runs on the indexed form
+    underneath, as on the ``indexed`` backend."""
 
     __slots__ = ("va", "vectorized")
 
@@ -196,19 +195,14 @@ class PreparedVectorizedVA(PreparedVA):
         self.vectorized = va.vectorized()
         self.va = self.vectorized.va
 
-    def run(self, document: Document | str, guard=None) -> VectorizedMatchGraph:
-        return VectorizedMatchGraph(self.vectorized, as_document(document), guard=guard)
+    def run(self, document: Document | str, guard=None) -> IndexedMatchGraph:
+        return vectorized_graph(self.vectorized, document, guard=guard)
 
     def is_nonempty(self, document: Document | str, guard=None) -> bool:
         return vectorized_nonempty(self.vectorized, document, guard=guard)
 
-    def run_extended(
-        self, prior: VectorizedMatchGraph, document: Document | str, guard=None
-    ) -> VectorizedMatchGraph:
-        return prior.extended(as_document(document), guard=guard)
-
     def kernel_hits(self) -> int:
-        return self.vectorized.kernel().run_hits
+        return self.vectorized.indexed.kernel().run_hits
 
     def frontier_misses(self) -> int:
         return self.vectorized.kernel().step_misses

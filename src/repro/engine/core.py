@@ -126,7 +126,6 @@ class ExecutionContext:
                 start = time.perf_counter()
                 self._static_prepared = self.backend.prepare(self.plan.root.va)
                 stats.compile_seconds += time.perf_counter() - start
-                self._mark_gauges(self._static_prepared)
                 stats.static_reuses += 1
             else:
                 stats.document_hits += 1
@@ -145,7 +144,6 @@ class ExecutionContext:
             prepared = reused[1]
         else:
             prepared = self.backend.prepare(compiled)
-            self._mark_gauges(prepared)
             if isinstance(compiled, VA):
                 self._reused = (compiled, prepared)
         stats.compile_seconds += time.perf_counter() - start
@@ -155,31 +153,26 @@ class ExecutionContext:
                 self._doc_cache.popitem(last=False)
         return prepared
 
-    @staticmethod
-    def _mark_gauges(prepared: PreparedVA) -> None:
-        """Watermark the prepared form's cumulative kernel counters.
+    def _counted(self, prepared: PreparedVA, call, *args):
+        """``call(*args)``, one synchronous call into the backend, with the
+        growth of ``prepared``'s kernel counters during it added to
+        :attr:`stats`.
 
-        The kernel behind a prepared form is shared (cached on the
-        automaton), so its counters are *cumulative across everything
-        that ever touched it* — attributing them to :attr:`stats` by
-        sampling a base around each evaluation double-counts as soon as
-        two evaluations overlap (interleaved enumeration generators, or a
-        tail session re-entering between samples).  Instead each prepared
-        form carries a single watermark; :meth:`_sync_gauges` attributes
-        exactly the growth since the last sync, once."""
-        prepared._gauge_mark = (prepared.kernel_hits(), prepared.frontier_misses())
-
-    def _sync_gauges(self, prepared: PreparedVA) -> None:
-        """Attribute the prepared form's counter growth since the last
-        watermark to :attr:`stats` (exactly once), and advance the mark."""
-        kernel_hits = prepared.kernel_hits()
-        frontier_misses = prepared.frontier_misses()
-        mark = getattr(prepared, "_gauge_mark", None)
-        if mark is not None:
+        The kernels behind a prepared form are cached on the automaton
+        and shared by every engine and backend that evaluates it, so
+        their counters are cumulative across all of them; growth inside
+        one synchronous call, during which no other evaluation in the
+        thread can touch the kernels, is this engine's own.  So every
+        call into the backend goes through here: construction, each
+        ``next()`` of an enumeration, ``first()``, ``is_nonempty()``, and
+        a tail extension and its walk."""
+        hits, misses = prepared.kernel_hits(), prepared.frontier_misses()
+        try:
+            return call(*args)
+        finally:
             stats = self.stats
-            stats.kernel_run_hits += kernel_hits - mark[0]
-            stats.frontier_cache_misses += frontier_misses - mark[1]
-        prepared._gauge_mark = (kernel_hits, frontier_misses)
+            stats.kernel_run_hits += prepared.kernel_hits() - hits
+            stats.frontier_cache_misses += prepared.frontier_misses() - misses
 
     def compile(self, doc: Document) -> VA:
         """The (possibly ad-hoc) VA for one document, bypassing the
@@ -234,10 +227,9 @@ class ExecutionContext:
         stats.documents += 1
         start = time.perf_counter()
         try:
-            run = prepared.run(doc, guard=guard)
+            run = self._counted(prepared, prepared.run, doc, guard)
         except ExecutionInterrupted as exc:
             stats.compile_seconds += time.perf_counter() - start
-            self._sync_gauges(prepared)
             if self._absorb_trip(exc, guard):
                 return
             raise
@@ -248,7 +240,7 @@ class ExecutionContext:
         try:
             while True:
                 try:
-                    mapping = next(iterator)
+                    mapping = self._counted(prepared, next, iterator)
                     if guard is not None:
                         guard.charge_mappings(1)
                 except StopIteration:
@@ -270,12 +262,11 @@ class ExecutionContext:
             # Recorded on the way out (even on early abandonment) so the
             # lazy backend does not pay the gauge before the first yield.
             try:
-                stats.states_explored += run.states_alive()
+                stats.states_explored += self._counted(prepared, run.states_alive)
             except ExecutionInterrupted:
                 # A tripped guard re-trips on the gauge's lazy backward
                 # pass; the gauge is best-effort on the way out.
                 pass
-            self._sync_gauges(prepared)
             if guard is not None:
                 guard.drain_into(stats)
 
@@ -291,9 +282,9 @@ class ExecutionContext:
         Boolean forward pass plus a single greedy root-to-sink descent,
         never a full edge build.  On the indexed backend the descent reads
         the backward ``alive`` layers, so they are built here; only the
-        vectorized backend's memoized walk prunes against co-reachability
-        nodes and skips that pass.  A deliberate fast path all the same:
-        it skips the ``states_explored`` gauge.
+        vectorized backend's memoized walk, on text, prunes against
+        co-reachability nodes and skips that pass.  A deliberate fast
+        path all the same: it skips the ``states_explored`` gauge.
         """
         doc = as_document(document)
         stats = self.stats
@@ -306,22 +297,20 @@ class ExecutionContext:
         stats.documents += 1
         start = time.perf_counter()
         try:
-            run = prepared.run(doc, guard=guard)
+            run = self._counted(prepared, prepared.run, doc, guard)
             stats.compile_seconds += time.perf_counter() - start
             start = time.perf_counter()
-            mapping = run.first()
+            mapping = self._counted(prepared, run.first)
             stats.enumerate_seconds += time.perf_counter() - start
         except ExecutionInterrupted as exc:
             # Decision calls have no partial prefix to degrade to, so a
             # trip always raises — partial mode only softens enumeration.
-            self._sync_gauges(prepared)
             guard.drain_into(stats)
             if exc.stats is None:
                 exc.stats = stats.snapshot()
             raise
         if mapping is not None:
             stats.mappings += 1
-        self._sync_gauges(prepared)
         if guard is not None:
             guard.drain_into(stats)
         return mapping
@@ -346,16 +335,14 @@ class ExecutionContext:
         stats.nonempty_checks += 1
         start = time.perf_counter()
         try:
-            result = prepared.is_nonempty(doc, guard=guard)
+            result = self._counted(prepared, prepared.is_nonempty, doc, guard)
         except ExecutionInterrupted as exc:
             stats.enumerate_seconds += time.perf_counter() - start
-            self._sync_gauges(prepared)
             guard.drain_into(stats)
             if exc.stats is None:
                 exc.stats = stats.snapshot()
             raise
         stats.enumerate_seconds += time.perf_counter() - start
-        self._sync_gauges(prepared)
         if guard is not None:
             guard.drain_into(stats)
         return result

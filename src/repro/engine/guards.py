@@ -122,9 +122,10 @@ class Budget:
             live ``(layer, state)`` pair the DFS expands).
         cache_bytes: ceiling on the (estimated) bytes held by the
             vectorized kernel's cross-document caches (interned frontier
-            nodes, the ``first()`` memo, plane powers) — a gauge of their
-            current size, checked once per guarded vectorized graph
-            construction, not a cumulative charge.
+            nodes, the ``first()`` memo) — a gauge of their current
+            size, checked once per guarded vectorized graph construction
+            (on text: documents that take the run walk build the indexed
+            graph, which has no such caches), not a cumulative charge.
     """
 
     mappings: "int | None" = None

@@ -50,7 +50,8 @@ class EngineStats:
         frontier_cache_misses: frontier transitions the vectorized
             backend actually computed through its numpy plane tables —
             every other position was served by the interned frontier-node
-            cache (``0`` on backends without a frontier cache).
+            cache (``0`` on the indexed backend, and on the documents the
+            vectorized backend sends to the run walk).
         edge_rows_batched: always ``0``.  It counted the edge-row
             contexts of the vectorized backend's batched DFS, which is
             gone (both backends now share one DFS); the field stays only

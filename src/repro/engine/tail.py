@@ -185,17 +185,18 @@ class TailSession:
             # still resumes instead of rebuilding.
             stats.prefilter_rejects += 1
             return []
-        prepared = self._context.prepared_for(doc)
+        context = self._context
+        prepared = context.prepared_for(doc)
         n = len(doc)
         start = time.perf_counter()
         if self._run is not None and prepared is self._prepared:
-            run = prepared.run_extended(self._run, doc)
+            run = context._counted(prepared, prepared.run_extended, self._run, doc)
             # Every mapping of the checkpointed document is in `_seen`.
             since = self._run_n
             stats.tail_reused_layers += since
             stats.tail_recomputed_layers += n - since
         else:
-            run = prepared.run(doc)
+            run = context._counted(prepared, prepared.run, doc)
             since = -1
             stats.tail_recomputed_layers += n
         stats.compile_seconds += time.perf_counter() - start
@@ -203,18 +204,16 @@ class TailSession:
         self._run = run
         self._run_n = n
         if run.is_empty:
-            # The checkpoint resume still advanced the kernel — attribute
-            # it now, not to whichever evaluation happens to sample next.
-            self._context._sync_gauges(prepared)
             return []
         seen = self._seen
         start = time.perf_counter()
-        fresh = sorted(
+        fresh = context._counted(
+            prepared,
+            list,
             (m for m in run.enumerate_since(since) if m not in seen),
-            key=_canonical_key,
         )
+        fresh.sort(key=_canonical_key)
         stats.enumerate_seconds += time.perf_counter() - start
-        self._context._sync_gauges(prepared)
         seen.update(fresh)
         stats.mappings += len(fresh)
         self.total_matches += len(fresh)

@@ -564,10 +564,10 @@ def _encoded_runs(runs, alphabet: Alphabet):
 
 def _advance_runs(kernel, runs, mask: int, guard) -> int:
     """The run walk: the frontier after the encoded ``runs``, started at
-    ``mask``, each run advanced through ``kernel`` (a
-    :class:`~repro.va.kernel.TransitionKernel`, or the vectorized kernel
-    with the same ``advance``), with one guard check per run (``0`` once
-    nothing survives, or at a letter unknown to the VA)."""
+    ``mask``, each run advanced through ``kernel``, the
+    :class:`~repro.va.kernel.TransitionKernel` both backends share, with
+    one guard check per run (``0`` once nothing survives, or at a letter
+    unknown to the VA)."""
     for lid, _start, length in runs:
         if guard is not None:
             guard.check()
@@ -756,10 +756,12 @@ class IndexedMatchGraph:
         The graph is layered by position, so the appended letters only
         extend the frontier: the prefix contributes nothing but its
         checkpoint.  The extension keeps this graph's walk, whatever the
-        new document's run profile.  Already-materialised prefix forward
-        layers (always, on the letter walk) are carried over and the
-        overhang's layers are expanded after them (the frontier falls out
-        of that walk), which is all :meth:`enumerate_since` needs;
+        new document's run profile; a vectorized graph, a letter walk,
+        extends into an indexed one over its :attr:`forward` layers.
+        Already-materialised prefix forward layers (always, on the letter
+        walk) are carried over and the overhang's layers are expanded
+        after them (the frontier falls out of that walk), which is all
+        :meth:`enumerate_since` needs;
         otherwise an appended run that merges with the tail run advances
         through the kernel's memoized transformer powers in O(log extra).
         The carried layers and the run tuple are copied, in C, so an
@@ -835,7 +837,7 @@ class IndexedMatchGraph:
             graph._runs = None
             graph._kernel = None
             ids = indexed.alphabet.ids
-            forward = list(self._forward)
+            forward = list(self.forward)
             forward.extend([0] * (n - old_n))
             mask = _walk_letters(
                 indexed.successor_masks,

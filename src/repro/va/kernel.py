@@ -28,10 +28,13 @@ counter the engine samples into ``EngineStats.kernel_run_hits``.
 Whether a document advances per run at all is one rule,
 :func:`takes_run_walk`: documents of long runs take the *run walk* through
 the kernel, text (mean run length near 1) takes the *letter walk*, one
-mask step per letter.  Both substrates consult it
+mask step per letter.  The indexed substrate consults it
 (:class:`~repro.va.indexed.IndexedMatchGraph`,
-:func:`~repro.va.indexed.indexed_nonempty` and
-:meth:`~repro.va.vectorized.VectorizedKernel.frontier`).
+:func:`~repro.va.indexed.indexed_nonempty`), and so does the vectorized
+one (:func:`~repro.va.vectorized.vectorized_graph`,
+:func:`~repro.va.vectorized.vectorized_nonempty`), which sends the run
+walk's documents to the indexed code, so this kernel is the only run
+walk there is.
 """
 
 from __future__ import annotations

@@ -1,11 +1,11 @@
 """Vectorized bitset transition kernel: numpy uint64 state planes.
 
-The Boolean forward/backward passes of the indexed substrate
-(:mod:`repro.va.indexed`) step Python-int bitsets one letter at a time —
-fast for small automata, but on large documents with ≥64-state queries the
-per-position big-int walk dominates everything (``is_nonempty``,
-``first``, graph construction).  This module reworks those passes around
-numpy uint64 *state planes* plus an on-the-fly subset construction:
+The letter walk of the indexed substrate (:mod:`repro.va.indexed`) steps
+Python-int bitsets one letter at a time — fast for small automata, but
+on large text documents with ≥64-state queries the per-position big-int
+walk dominates everything (``is_nonempty``, ``first``, graph
+construction).  This module reworks the letter walk around numpy uint64
+*state planes* plus an on-the-fly subset construction:
 
 * **State planes** — a state set over ``n`` states is an ``(n_planes,)``
   uint64 array with ``n_planes = ceil(n / 64)``; every word operation
@@ -26,32 +26,37 @@ numpy uint64 *state planes* plus an on-the-fly subset construction:
   would drown in per-call overhead.  Instead the kernel interns every
   frontier it has ever seen as a *node* whose per-letter successor slots
   are filled lazily — an on-the-fly subset construction over exactly the
-  reachable frontiers.  The hot loop is ``node = node[letter_id]``; the
+  reachable frontiers, akin to the deterministic automata of Florenzano
+  et al. (PODS 2018).  The hot loop is ``node = node[letter_id]``; the
   plane gather runs only on cache misses, and real workloads revisit a
   handful of distinct frontiers, so almost every position is one list
-  index.  Nodes are document independent and shared across a corpus —
-  like the memoized transformer powers of PR 4 — and bounded
-  (:attr:`VectorizedKernel.STEP_CACHE_LIMIT`); pathological automata
-  that overflow the bound keep computing misses through the plane table.
-* **Run doubling on planes** — long maximal letter runs advance through
-  memoized ``(letter, 2^k)`` *plane-matrix* transformer powers (the
-  vectorized mirror of :class:`repro.va.kernel.TransitionKernel`), with
-  the same fixpoint absorption, so run-heavy documents keep their
-  O(runs · log run) cost; :meth:`VectorizedKernel.frontier` picks the
-  node walk or the run walk per document with the indexed substrate's
-  rule, :func:`~repro.va.kernel.takes_run_walk`.
+  index.  Nodes are document independent and shared across a corpus,
+  and bounded (:attr:`VectorizedKernel.STEP_CACHE_LIMIT`); pathological
+  automata that overflow the bound keep computing misses through the
+  plane table.
 
-:class:`VectorizedMatchGraph` subclasses
+Documents of long letter runs, the ones
+:func:`~repro.va.kernel.takes_run_walk` sends to the run walk, run the
+indexed code itself: :func:`vectorized_graph` builds an
+:class:`~repro.va.indexed.IndexedMatchGraph` over
+:attr:`VectorizedVA.indexed`, whose
+:class:`~repro.va.kernel.TransitionKernel` advances each run in O(log
+run) memoized mask applications, and :func:`vectorized_nonempty` answers
+through :func:`~repro.va.indexed.indexed_nonempty`.  Fixpoint absorption
+on Python ints beats plane gathers there, so the planes serve the letter
+walk only.
+
+:class:`VectorizedMatchGraph`, the letter walk's graph, subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
 *inherited*, not re-implemented: the DFS with its quiet-stretch and
-forced-stretch skips, the edge rows, and mapping reconstruction are the
-indexed code paths, fed by plane-backed ``forward``/``alive`` layers
-(unpacked to Python-int form exactly once, on demand).
-:meth:`VectorizedMatchGraph.first` gets a dedicated walk that never
-materialises the alive layers at all: it prunes against interned
-co-reachability nodes and memoizes the greedy per-layer choice on
-``(profile, letter, co-reach node)`` in a kernel-level (cross-document)
-cache.
+forced-stretch skips, the edge rows, mapping reconstruction and tail
+extensions are the indexed code paths, fed by plane-backed
+``forward``/``alive`` layers (unpacked to Python-int form exactly once,
+on demand).  :meth:`VectorizedMatchGraph.first` gets a dedicated walk
+that never materialises the alive layers at all: it prunes against
+interned co-reachability nodes and memoizes the greedy per-layer choice
+on ``(profile, letter, co-reach node)`` in a kernel-level
+(cross-document) cache.
 
 numpy is an *optional* dependency (the ``[fast]`` extra).  When it is not
 installed, importing this module is harmless; building any vectorized
@@ -70,20 +75,15 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterator
 
 from ..core.document import Document, as_document
-from ..core.errors import (
-    BackendUnavailableError,
-    NotSequentialError,
-    SpannerError,
-)
+from ..core.errors import BackendUnavailableError, NotSequentialError
 from ..core.mapping import Mapping
 from ..utils.bits import iter_bits
 from .automaton import VA
 from .indexed import (
     IndexedMatchGraph,
     IndexedVA,
-    _advance_runs,
-    _encoded_runs,
     _mapping_from_entries,
+    indexed_nonempty,
 )
 from .kernel import takes_run_walk
 from .properties import is_sequential
@@ -220,8 +220,8 @@ class VectorizedVA:
         return self.indexed.alphabet
 
     def kernel(self) -> "VectorizedKernel":
-        """The shared vectorized kernel (frontier nodes, plane powers),
-        built once and reused by every document."""
+        """The shared vectorized kernel (frontier nodes, the ``first()``
+        memo), built once and reused by every document."""
         if self._kernel is None:
             self._kernel = VectorizedKernel(self)
         return self._kernel
@@ -242,16 +242,11 @@ class VectorizedKernel:
     ``node[n_letters + 1]`` a kernel-unique small id (the memo handle of
     :meth:`VectorizedMatchGraph.first`).  Separate node families cover
     the successor and the predecessor relation; misses are computed by
-    the vectorized plane gather.  Long maximal letter runs go through
-    :meth:`advance`, the plane mirror of
-    :meth:`repro.va.kernel.TransitionKernel.advance`: fixpoint absorption
-    first, memoized ``(letter, 2^k)`` plane-matrix powers otherwise.
+    the vectorized plane gather (:meth:`extend`, :meth:`pred_extend`).
 
     Attributes:
-        run_hits: compressed run advances (length ≥ 2), sampled into
-            ``EngineStats.kernel_run_hits``.
         step_misses: frontier transitions actually computed through the
-            plane tables (cache misses), sampled into
+            plane tables (cache misses), counted into
             ``EngineStats.frontier_cache_misses``.
     """
 
@@ -273,10 +268,8 @@ class VectorizedKernel:
         "_pred_nodes",
         "_next_id",
         "_cached_steps",
-        "_powers",
         "_pred_tables",
         "first_memo",
-        "run_hits",
         "step_misses",
     )
 
@@ -289,11 +282,8 @@ class VectorizedKernel:
         self._pred_nodes: dict[int, list] = {}
         self._next_id = 0
         self._cached_steps = 0
-        # _powers[lid][k]: the (states, n_planes) transformer of 2^k letters.
-        self._powers: dict[int, list] = {}
         self._pred_tables: dict[int, object] = {}
         self.first_memo: dict = {}
-        self.run_hits = 0
         self.step_misses = 0
 
     # -- the vectorized transition op ------------------------------------
@@ -334,7 +324,8 @@ class VectorizedKernel:
 
     def extend(self, node: list, letter_id: int) -> list:
         """Fill (and link, within the bound) one successor slot by a
-        plane gather — the forward cache-miss path."""
+        plane gather — the forward cache-miss path: the node of the
+        states reached from ``node``'s by one ``letter_id``."""
         nxt_mask = self._gather(
             self.vva.succ_planes[letter_id], node[self._mask_slot]
         )
@@ -346,7 +337,8 @@ class VectorizedKernel:
         return nxt
 
     def pred_extend(self, node: list, letter_id: int) -> list:
-        """Fill one predecessor slot — the backward cache-miss path."""
+        """Fill one predecessor slot — the backward cache-miss path: the
+        node of the states with a ``letter_id`` successor in ``node``'s."""
         nxt_mask = self._gather(
             self.pred_table(letter_id), node[self._mask_slot]
         )
@@ -356,22 +348,6 @@ class VectorizedKernel:
             node[letter_id] = nxt
             self._cached_steps += 1
         return nxt
-
-    def step(self, letter_id: int, mask: int) -> int:
-        """One letter forward: the image of the frontier ``mask``."""
-        node = self._intern(self._nodes, mask)
-        nxt = node[letter_id]
-        if nxt is None:
-            nxt = self.extend(node, letter_id)
-        return nxt[self._mask_slot]
-
-    def pred_step(self, letter_id: int, mask: int) -> int:
-        """One letter backward: the states with a successor in ``mask``."""
-        node = self._intern(self._pred_nodes, mask)
-        nxt = node[letter_id]
-        if nxt is None:
-            nxt = self.pred_extend(node, letter_id)
-        return nxt[self._mask_slot]
 
     def pred_table(self, letter_id: int):
         """The ``(states, n_planes)`` predecessor-plane table of a letter
@@ -390,78 +366,19 @@ class VectorizedKernel:
             self._pred_tables[letter_id] = table
         return table
 
-    # -- run compression on planes ----------------------------------------
-
-    def power(self, letter_id: int, k: int):
-        """The memoized ``(states, n_planes)`` transformer of ``2^k``
-        copies of the letter, composed by repeated plane-matrix squaring."""
-        np = NUMPY
-        powers = self._powers.get(letter_id)
-        if powers is None:
-            powers = self._powers[letter_id] = [
-                np.ascontiguousarray(self.vva.succ_planes[letter_id])
-            ]
-        n_states = self.vva.n_states
-        while len(powers) <= k:
-            previous = powers[-1]
-            # bits[s, t]: state t is in the image row of state s.  The
-            # where/reduce pair is the plane form of kernel.compose().
-            bits = np.unpackbits(
-                previous.view(np.uint8), axis=1, bitorder="little"
-            )[:, :n_states].astype(bool)
-            zero = np.zeros(1, dtype=_U64)
-            powers.append(
-                np.bitwise_or.reduce(
-                    np.where(bits[:, :, None], previous[None, :, :], zero),
-                    axis=1,
-                )
-            )
-        return powers[k]
-
-    def advance(self, letter_id: int, mask: int, length: int) -> int:
-        """The frontier after a run of ``length`` copies of the letter —
-        O(1) on a fixpoint, O(log length) plane gathers otherwise."""
-        if length <= 0 or not mask:
-            return mask
-        nxt = self.step(letter_id, mask)
-        if length == 1:
-            return nxt
-        self.run_hits += 1
-        if nxt == mask or not nxt:
-            return nxt
-        remaining = length - 1
-        mask = nxt
-        k = 0
-        while remaining and mask:
-            if remaining & 1:
-                mask = self._gather(self.power(letter_id, k), mask)
-            remaining >>= 1
-            k += 1
-        return mask
-
     # -- whole-document sweeps ---------------------------------------------
 
     def frontier(self, document: Document, mask: int, guard=None) -> int:
         """The final forward frontier of ``document`` started at ``mask``
-        (``0`` if the frontier dies or a letter is unknown to the VA).
+        (``0`` if the frontier dies or a letter is unknown to the VA):
+        one interned-node step, a list index, per letter.
 
-        Adaptive (:func:`~repro.va.kernel.takes_run_walk`): documents
-        dominated by short runs walk interned nodes per position (one list
-        index each); run-heavy documents advance per run through fixpoint
-        absorption and plane-power doubling.
-        A ``guard`` is checked once per run on the run walk; the
-        node walk keeps its unguarded hot loop untouched and runs a
-        chunked twin (one check per ~4k positions) only when guarded.
+        A ``guard`` leaves the unguarded hot loop untouched: a chunked
+        twin runs instead and checks it once per ~4k letters.
         """
         if not mask:
             return 0
-        n = len(document)
-        if n == 0:
-            return mask
         alphabet = self.vva.indexed.alphabet
-        runs = document.runs()
-        if takes_run_walk(n, len(runs)):
-            return _advance_runs(self, _encoded_runs(runs, alphabet), mask, guard)
         ids = alphabet.ids
         if any(letter not in ids for letter in document.letter_counts()):
             return 0  # an unknown letter kills every run through it
@@ -473,7 +390,7 @@ class VectorizedKernel:
                 nxt = node[lid]
                 node = nxt if nxt is not None else extend(node, lid)
         else:
-            for start in range(0, n, 4096):
+            for start in range(0, len(encoded), 4096):
                 guard.check()
                 for lid in encoded[start : start + 4096]:
                     nxt = node[lid]
@@ -482,49 +399,63 @@ class VectorizedKernel:
 
     def cache_bytes_estimate(self) -> int:
         """A rough gauge of this kernel's cross-document cache footprint
-        (interned frontier nodes, the ``first()`` memo, plane powers) —
-        what a guard's ``cache_bytes`` budget is checked against, once per
-        guarded :class:`VectorizedMatchGraph` construction.  Deliberately
-        coarse: per-entry constants stand in for deep ``sys.getsizeof``
-        walks, so the gauge is cheap enough to consult per document."""
+        (interned frontier nodes, the ``first()`` memo) — what a guard's
+        ``cache_bytes`` budget is checked against, once per guarded
+        :class:`VectorizedMatchGraph` construction.  Deliberately coarse:
+        per-entry constants stand in for deep ``sys.getsizeof`` walks, so
+        the gauge is cheap enough to consult per document."""
         slots = self._n_letters + 2
-        node_bytes = self._cached_steps * 8 * slots
-        memo_bytes = 96 * len(self.first_memo)
-        power_bytes = sum(
-            sum(p.nbytes for p in powers) for powers in self._powers.values()
-        )
-        return node_bytes + memo_bytes + power_bytes
+        return self._cached_steps * 8 * slots + 96 * len(self.first_memo)
 
     def __repr__(self) -> str:
-        cached_powers = sum(len(p) - 1 for p in self._powers.values())
         return (
             f"VectorizedKernel(states={self.vva.n_states}, "
             f"cached_steps={self._cached_steps}, "
-            f"cached_powers={cached_powers}, run_hits={self.run_hits})"
+            f"step_misses={self.step_misses})"
         )
 
 
 def vectorized_nonempty(
     vva: VectorizedVA, document: Document | str, guard=None
 ) -> bool:
-    """Decide ``⟦A⟧(d) ≠ ∅`` with the vectorized Boolean forward pass
-    (one adaptive frontier sweep — see :meth:`VectorizedKernel.frontier`)."""
+    """Decide ``⟦A⟧(d) ≠ ∅`` with one Boolean forward sweep: the interned
+    node walk (:meth:`VectorizedKernel.frontier`) on text, the indexed
+    run walk (:func:`~repro.va.indexed.indexed_nonempty`) when
+    :func:`~repro.va.kernel.takes_run_walk` holds."""
     doc = as_document(document)
     indexed = vva.indexed
+    if takes_run_walk(len(doc), len(doc.runs())):
+        return indexed_nonempty(indexed, doc, guard=guard)
     mask = vva.kernel().frontier(doc, 1 << indexed.initial_id, guard=guard)
     return bool(mask & indexed.accept_mask)
+
+
+def vectorized_graph(
+    vva: VectorizedVA, document: Document | str, guard=None
+) -> IndexedMatchGraph:
+    """The match graph of ``document`` on the vectorized substrate: a
+    :class:`VectorizedMatchGraph` on text, the indexed run walk's
+    :class:`~repro.va.indexed.IndexedMatchGraph` over ``vva.indexed`` when
+    :func:`~repro.va.kernel.takes_run_walk` holds."""
+    doc = as_document(document)
+    if takes_run_walk(len(doc), len(doc.runs())):
+        return IndexedMatchGraph(vva.indexed, doc, guard=guard)
+    return VectorizedMatchGraph(vva, doc, guard=guard)
 
 
 # -- the per-document graph ---------------------------------------------------
 
 
 class VectorizedMatchGraph(IndexedMatchGraph):
-    """The layered match graph on one document, with plane-array layers.
+    """The layered match graph on one document, with plane-array layers:
+    the letter walk of the vectorized substrate (:func:`vectorized_graph`
+    builds it for text only, but it is correct on every document).
 
-    Construction runs only the adaptive Boolean forward frontier (enough
-    for :attr:`is_empty`).  The per-layer forward masks, the backward
-    co-reachability pass, and the layer gauges are computed through the
-    shared :class:`VectorizedKernel` and the ``(len(d) + 1, n_planes)``
+    Construction runs only the Boolean forward frontier (enough for
+    :attr:`is_empty`).  The per-layer forward masks, the backward
+    co-reachability pass, and the layer gauges are computed one
+    interned-node step per letter through the shared
+    :class:`VectorizedKernel` and packed into ``(len(d) + 1, n_planes)``
     uint64 plane arrays; the reachable ∩ co-reachable intersection is one
     whole-document vectorized AND.
 
@@ -532,9 +463,11 @@ class VectorizedMatchGraph(IndexedMatchGraph):
     the DFS, edge rows, the quiet-stretch and forced-stretch skips, and
     mapping reconstruction are the indexed code, reading ``alive``
     through the overridden property (plane arrays unpacked to Python-int
-    layers once, on demand).  :meth:`first` never touches those layers:
-    it walks interned co-reachability nodes with a kernel-level
-    greedy-choice memo.
+    layers once, on demand).  So is :meth:`extended`: an append-extension
+    takes the indexed letter walk from the checkpointed frontier over the
+    carried :attr:`forward` layers and is an :class:`IndexedMatchGraph`.
+    :meth:`first` never touches the alive layers: it walks interned
+    co-reachability nodes with a kernel-level greedy-choice memo.
 
     A guarded construction checks the shared kernel's cache footprint
     (:meth:`VectorizedKernel.cache_bytes_estimate`) against the guard's
@@ -560,12 +493,13 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self._forward = None
         self._alive = None
         self._quiet_ends = None
-        self._kernel = None  # the scalar-kernel slot of the base stays unused
+        # The base's run-walk slots stay unused: this is a letter walk.
+        self._runs = None
+        self._kernel = None
         self._forward_planes = None
         self._alive_planes = None
         self._cnodes = None
         kernel = self._vkernel = vva.kernel()
-        self._runs = tuple(_encoded_runs(self.document.runs(), indexed.alphabet))
         mask = kernel.frontier(
             self.document, 1 << indexed.initial_id, guard=guard
         )
@@ -579,132 +513,33 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
         self._edges = [None] * n
 
-    def extended(
-        self, document: Document | str, guard=None
-    ) -> "VectorizedMatchGraph":
-        """The match graph of ``document`` — an append-extension of this
-        graph's document — resumed from the checkpointed frontier (the
-        vectorized mirror of the base-class override).
-
-        The overhang advances through the shared kernel: interned frontier
-        nodes per appended letter, plane-power doubling when appended
-        letters merge into the tail run.  Already-materialised prefix
-        forward layers carry over, extended over the overhang; the plane
-        arrays, co-reachability nodes, quiet-stretch memo, and edge rows
-        rebuild lazily (they are pruned against the acceptance of the
-        *new* final layer).  A tail session's re-evaluation needs none of
-        them: the inherited
-        :meth:`~repro.va.indexed.IndexedMatchGraph.enumerate_since` walks
-        back from the final layer over the carried forward layers
-        and stops at the checkpoint, so an append that completes no match
-        costs O(appended) and each new mapping one walk back to layer 0.
-        """
-        doc = as_document(document)
-        old_n = self._n
-        n = len(doc)
-        if n < old_n:
-            raise SpannerError(
-                f"extended() needs an append-extension of the graph's "
-                f"document ({n} letters < {old_n})"
-            )
-        indexed = self.indexed
-        graph = VectorizedMatchGraph.__new__(VectorizedMatchGraph)
-        graph.vva = self.vva
-        graph.indexed = indexed
-        graph.document = doc
-        graph._guard = guard
-        graph._n = n
-        graph._letter_ids = None
-        graph._forward = None
-        graph._alive = None
-        graph._quiet_ends = None
-        graph._kernel = None
-        graph._forward_planes = None
-        graph._alive_planes = None
-        graph._cnodes = None
-        kernel = graph._vkernel = self._vkernel
-        ids_get = indexed.alphabet.ids.get
-        old_runs = self._runs
-        keep = max(len(old_runs) - 1, 0)
-        graph._runs = old_runs[:keep] + tuple(
-            _encoded_runs(doc.runs()[keep:], indexed.alphabet)
-        )
-        mask = self._frontier
-        for lid, start, length in graph._runs[keep:]:
-            if guard is not None:
-                guard.check()
-            end = start + length
-            if end <= old_n or not mask:
-                continue
-            if lid < 0:
-                mask = 0
-                break
-            mask = kernel.advance(lid, mask, end - max(start, old_n))
-            if not mask:
-                break
-        if self._forward is not None:
-            forward = list(self._forward)
-            forward.extend([0] * (n - old_n))
-            m = self._frontier
-            i = old_n
-            for ch in doc.text[old_n:]:
-                if not m:
-                    break
-                lid = ids_get(ch, -1)
-                if lid < 0:
-                    break
-                m = kernel.step(lid, m)
-                if not m:
-                    break
-                i += 1
-                forward[i] = m
-            graph._forward = forward
-        if guard is not None:
-            guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
-        graph._frontier = mask
-        final_mask = mask & indexed.accept_mask
-        graph.final_mask = final_mask
-        accept = indexed.accept
-        graph.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
-        graph._edges = [None] * n
-        return graph
-
     # -- plane-backed layer materialisation --------------------------------
 
     @property
     def forward(self) -> "list[int]":
-        """Forward-reachable masks per layer (int form, built once): the
-        interned-node walk over the runs, with fixpoint slice fill."""
+        """Forward-reachable masks per layer (int form, built once): one
+        interned-node step per letter.  The guard is checked once up
+        front and ticked per letter."""
         forward = self._forward
         if forward is None:
-            n = self._n
             guard = self._guard
-            forward = [0] * (n + 1)
-            mask = forward[0] = 1 << self.indexed.initial_id
+            if guard is not None:
+                guard.check()
             kernel = self._vkernel
             mask_slot = kernel._mask_slot
             extend = kernel.extend
-            node = kernel.node(mask)
-            for lid, start, length in self._runs:
+            node = kernel.node(1 << self.indexed.initial_id)
+            forward = [node[mask_slot]]
+            append = forward.append
+            for lid in self.letter_ids:
                 if guard is not None:
-                    guard.check()
-                if lid < 0 or not node[mask_slot]:
-                    break
-                end = start + length
-                i = start
-                while i < end:
-                    nxt = node[lid]
-                    if nxt is None:
-                        nxt = kernel.extend(node, lid)
-                    i += 1
-                    forward[i] = nxt[mask_slot]
-                    if nxt is node:
-                        # Fixpoint: the rest of the run repeats this mask.
-                        forward[i + 1 : end + 1] = [nxt[mask_slot]] * (end - i)
-                        i = end
-                    node = nxt
-                if not node[mask_slot]:
-                    break
+                    guard.tick()
+                if lid < 0:
+                    break  # a letter unknown to the VA: nothing lives past it
+                nxt = node[lid]
+                node = nxt if nxt is not None else extend(node, lid)
+                append(node[mask_slot])
+            forward.extend([0] * (self._n + 1 - len(forward)))
             self._forward = forward
         return forward
 
@@ -720,33 +555,30 @@ class VectorizedMatchGraph(IndexedMatchGraph):
 
     def _coreach_nodes(self) -> "list[list]":
         """Interned co-reachability nodes per layer: the pure backward
-        recurrence ``C[i] = pred(C[i + 1])`` from the accepting layer,
-        with node-identity fixpoint slice fill inside runs."""
+        recurrence ``C[i] = pred(C[i + 1])`` from the accepting layer, one
+        node step per letter (ticking the guard per letter)."""
         cnodes = self._cnodes
         if cnodes is None:
             kernel = self._vkernel
-            guard = self._guard
             n = self._n
             node = kernel.pred_node(self.final_mask)
-            cnodes = [node] * (n + 1)
             if self.final_mask:
-                for lid, start, length in reversed(self._runs):
+                guard = self._guard
+                if guard is not None:
+                    guard.check()
+                pred_extend = kernel.pred_extend
+                cnodes = [node]
+                append = cnodes.append
+                # A surviving frontier read no letter unknown to the VA.
+                for lid in reversed(self.letter_ids):
                     if guard is not None:
-                        guard.check()
-                    i = start + length - 1
-                    while i >= start:
-                        nxt = node[lid]
-                        if nxt is None:
-                            nxt = kernel.pred_extend(node, lid)
-                        cnodes[i] = nxt
-                        if nxt is node:
-                            # Fixpoint: the rest of the run repeats it.
-                            cnodes[start:i] = [nxt] * (i - start)
-                            i = start
-                        i -= 1
-                        node = nxt
+                        guard.tick()
+                    nxt = node[lid]
+                    node = nxt if nxt is not None else pred_extend(node, lid)
+                    append(node)
+                cnodes.reverse()
             else:
-                cnodes[:n] = [kernel.pred_node(0)] * n
+                cnodes = [node] * (n + 1)
             self._cnodes = cnodes
         return cnodes
 
@@ -896,11 +728,11 @@ def enumerate_vectorized(
     limit: "int | None" = None,
 ) -> Iterator[Mapping]:
     """Enumerate ``⟦A⟧(d)`` via the vectorized substrate (lazy — the graph
-    is built on the first ``next()``)."""
+    is built on the first ``next()``; see :func:`vectorized_graph`)."""
     if isinstance(vectorized, VA):
         if not is_sequential(vectorized):
             raise NotSequentialError(
                 "vectorized enumeration requires a sequential VA"
             )
         vectorized = vectorized.vectorized()
-    yield from VectorizedMatchGraph(vectorized, document).enumerate(limit=limit)
+    yield from vectorized_graph(vectorized, document).enumerate(limit=limit)

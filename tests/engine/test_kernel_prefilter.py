@@ -6,6 +6,7 @@ and the CLI escape hatches."""
 
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,6 +133,21 @@ class TestKernelEquivalence:
         assert text.is_nonempty(va, "ab" * 25 + "c" + "ba" * 25)
         assert text.evaluate(va, "ab" * 25 + "cc" + "ba" * 25)
         assert text.stats.kernel_run_hits == 0
+
+    @pytest.mark.parametrize("quiet_backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("busy_backend", ALL_BACKENDS)
+    def test_run_hits_stay_with_the_engine_that_advanced_the_runs(
+        self, busy_backend, quiet_backend
+    ):
+        # Every engine on the automaton shares its kernel: one engine's
+        # run walk must not show up in another engine's statistics.
+        va = _va("a*x{b}a*")
+        quiet, busy = Engine(backend=quiet_backend), Engine(backend=busy_backend)
+        assert len(quiet.evaluate(va, "ab")) == 1  # the letter walk
+        assert len(busy.evaluate(va, "a" * 64 + "b" + "a" * 64)) == 1
+        assert len(quiet.evaluate(va, "ab")) == 1
+        assert quiet.stats.kernel_run_hits == 0
+        assert busy.stats.kernel_run_hits == 2  # the two long a-runs
 
 
 class TestPrefilterWiring:

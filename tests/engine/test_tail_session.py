@@ -7,7 +7,8 @@ from repro.core import Document, Span, SpanRelation
 from repro.core.errors import SpannerError
 from repro.engine import Engine, TailSession, get_backend
 from repro.regex import parse
-from repro.va import regex_to_va, trim
+from repro.va import IndexedMatchGraph, VectorizedMatchGraph, regex_to_va, trim
+from repro.va.vectorized import numpy_available
 
 from .conftest import BACKEND_LEGS
 
@@ -118,6 +119,22 @@ class TestLayerReuse:
         assert kernel.run_hits > hits
         assert kernel.cached_power_count() == cached
         assert len(session.reevaluate("b")) == 1
+
+    @pytest.mark.skipif(not numpy_available(), reason="vectorized needs numpy")
+    def test_vectorized_letter_walk_extends_on_the_indexed_code(self):
+        # A text document runs on the vectorized graph; its extension is
+        # the indexed letter walk, resumed from the checkpoint.
+        engine = Engine(backend="vectorized")
+        va = compile_va("(a|b)*x{ab}(a|b)*")
+        session = engine.tail(va, "abba" * 4)
+        first = session.reevaluate()
+        assert type(session._run) is VectorizedMatchGraph
+        fresh = session.reevaluate("ab")
+        assert type(session._run) is IndexedMatchGraph
+        assert session._run._runs is None  # the letter walk's branch
+        assert engine.stats.tail_reused_layers == 16
+        assert SpanRelation(first + fresh) == engine.evaluate(va, "abba" * 4 + "ab")
+        assert len(fresh) == 1
 
     @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):

@@ -1,17 +1,19 @@
 """The ``vectorized`` backend end to end: cross-backend equivalence
 (hypothesis, including empty documents, run-heavy inputs, and >64-state
-multi-plane automata), the dedicated ``first()`` path, engine batch /
-parallel / streaming wiring, the frontier-miss statistic and its
-watermark, and graceful degradation when numpy is missing."""
+multi-plane automata), the routing of run-walk documents to the indexed
+code, the dedicated ``first()`` path, engine batch / parallel /
+streaming wiring, the frontier-miss statistic and its per-call
+attribution, and graceful degradation when numpy is missing."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BackendUnavailableError, SpanRelation
+from repro.core import BackendUnavailableError, Document, SpanRelation
 from repro.engine import BACKENDS, Engine, available_backends, get_backend
 from repro.regex import parse
-from repro.va import evaluate_naive, regex_to_va, trim
+from repro.va import IndexedMatchGraph, evaluate_naive, regex_to_va, trim
+from repro.va.kernel import takes_run_walk
 from repro.va.vectorized import numpy_available
 
 from ..properties.conftest import documents, sequential_formulas
@@ -22,7 +24,7 @@ needs_numpy = pytest.mark.skipif(
     not numpy_available(), reason="vectorized backend needs numpy"
 )
 
-#: Run-heavy documents: long single-letter stretches (the doubling path).
+#: Run-heavy documents: long single-letter stretches (the run walk).
 run_documents = st.lists(
     st.tuples(st.sampled_from("ab"), st.integers(min_value=1, max_value=40)),
     min_size=0,
@@ -58,6 +60,28 @@ class TestVectorizedMatchesOtherBackends:
         indexed = get_backend("indexed").prepare(va)
         assert list(vectorized.enumerate(doc)) == list(indexed.enumerate(doc))
         assert vectorized.is_nonempty(doc) == indexed.is_nonempty(doc)
+
+    @given(
+        sequential_formulas(),
+        st.one_of(run_documents, st.text(alphabet="ab", max_size=24)),
+    )
+    @_SETTINGS
+    def test_run_walk_documents_run_the_indexed_code(self, formula, doc):
+        va = trim(regex_to_va(formula))
+        vectorized = get_backend("vectorized").prepare(va)
+        indexed = get_backend("indexed").prepare(va)
+        document = Document(doc)
+        run_walk = takes_run_walk(len(document), len(document.runs()))
+        kernel = va.vectorized().kernel()
+        misses = kernel.step_misses
+        run = vectorized.run(document)
+        assert (type(run) is IndexedMatchGraph) == run_walk
+        assert list(run.enumerate()) == list(indexed.run(document).enumerate())
+        assert vectorized.run(document).first() == indexed.run(document).first()
+        assert vectorized.is_nonempty(document) == indexed.is_nonempty(document)
+        if run_walk:
+            # The node walk never ran: no frontier node was stepped.
+            assert kernel.step_misses == misses
 
     @given(sequential_formulas(), documents)
     @_SETTINGS
@@ -152,10 +176,11 @@ class TestEngineIntegration:
 
 @needs_numpy
 class TestGaugeWatermark:
-    """The kernel behind a prepared form is shared and its counters are
-    cumulative — interleaved enumerations and tail re-evaluations must
-    attribute each increment to :class:`EngineStats` exactly once (the
-    old sample-a-base-around-each-evaluation scheme double-counted)."""
+    """The kernels behind a prepared form are shared and their counters
+    cumulative, so the engine adds only the growth across each of its own
+    calls into the backend: interleaved enumerations and tail
+    re-evaluations attribute each increment to :class:`EngineStats`
+    exactly once."""
 
     def test_interleaved_consumers_attribute_growth_exactly_once(self):
         va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))
@@ -167,10 +192,11 @@ class TestGaugeWatermark:
         list(gen)  # now finish the suspended enumeration
         session.reevaluate("ba" * 6)
         engine.evaluate(va, "abab")
+        engine.evaluate(va, "a" * 40 + "b" * 40)  # the run walk
         engine.is_nonempty(va, "ab")
-        kernel = va.vectorized().kernel()
-        assert engine.stats.kernel_run_hits == kernel.run_hits
-        assert engine.stats.frontier_cache_misses == kernel.step_misses
+        run_hits = va.indexed().kernel().run_hits
+        assert engine.stats.kernel_run_hits == run_hits > 0
+        assert engine.stats.frontier_cache_misses == va.vectorized().kernel().step_misses
 
 
 class TestGracefulDegradation:

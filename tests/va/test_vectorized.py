@@ -1,12 +1,13 @@
 """The numpy state-plane substrate: plane packing round-trips, the
-frontier-node kernel against the scalar :class:`TransitionKernel`, run
-doubling on planes, the cache bound, and the adaptive document sweep."""
+frontier-node kernel against the scalar :class:`TransitionKernel`, the
+cache bound, and the node-walk document sweep."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Document
+from repro.utils.bits import apply_masks
 from repro.va import TransitionKernel, regex_to_va, trim
 from repro.va.vectorized import numpy_available
 
@@ -22,7 +23,7 @@ _SETTINGS = settings(max_examples=60, deadline=None)
 #: Masks wide enough to need three uint64 planes.
 wide_masks = st.integers(min_value=0, max_value=2**170 - 1)
 
-#: Documents biased toward long single-letter runs (the doubling path).
+#: Documents biased toward long single-letter runs.
 run_documents = st.lists(
     st.tuples(st.sampled_from("abc"), st.integers(min_value=1, max_value=9)),
     min_size=0,
@@ -83,10 +84,20 @@ class TestPlanePacking:
         assert planes.tolist() == [0, 1]
 
 
+def _extended_mask(kernel, mask: int, lid: int) -> int:
+    """One forward step of ``mask`` computed by a plane gather."""
+    return kernel.extend(kernel.node(mask), lid)[kernel._mask_slot]
+
+
+def _pred_extended_mask(kernel, mask: int, lid: int) -> int:
+    """One backward step of ``mask`` computed by a plane gather."""
+    return kernel.pred_extend(kernel.pred_node(mask), lid)[kernel._mask_slot]
+
+
 class TestVectorizedKernel:
     @given(sequential_formulas(), st.data())
     @_SETTINGS
-    def test_step_matches_the_scalar_kernel(self, formula, data):
+    def test_extend_matches_the_scalar_kernel(self, formula, data):
         vva = _vectorized_for(formula)
         indexed = vva.indexed
         if not len(indexed.alphabet):
@@ -99,88 +110,50 @@ class TestVectorizedKernel:
         mask = data.draw(
             st.integers(min_value=0, max_value=(1 << indexed.n_states) - 1)
         )
-        assert kernel.step(lid, mask) == scalar.step(lid, mask)
+        assert _extended_mask(kernel, mask, lid) == scalar.step(lid, mask)
 
     @given(sequential_formulas(), st.data())
     @_SETTINGS
-    def test_advance_equals_per_letter_stepping(self, formula, data):
+    def test_pred_extend_matches_the_scalar_pred_row(self, formula, data):
         vva = _vectorized_for(formula)
         indexed = vva.indexed
         if not len(indexed.alphabet):
             return
+        scalar = TransitionKernel(indexed)
         kernel = vva.kernel()
         lid = data.draw(
             st.integers(min_value=0, max_value=len(indexed.alphabet) - 1)
         )
-        length = data.draw(st.integers(min_value=0, max_value=40))
         mask = data.draw(
             st.integers(min_value=0, max_value=(1 << indexed.n_states) - 1)
         )
-        expected = mask
-        for _ in range(length):
-            expected = kernel.step(lid, expected)
-        assert kernel.advance(lid, mask, length) == expected
-
-    @given(sequential_formulas(), st.data())
-    @_SETTINGS
-    def test_pred_step_is_the_transpose_of_step(self, formula, data):
-        vva = _vectorized_for(formula)
-        indexed = vva.indexed
-        if not len(indexed.alphabet):
-            return
-        kernel = vva.kernel()
-        lid = data.draw(
-            st.integers(min_value=0, max_value=len(indexed.alphabet) - 1)
+        assert _pred_extended_mask(kernel, mask, lid) == apply_masks(
+            scalar.pred_row(lid), mask
         )
+        # The transpose of the successor relation, state by state.
         succ = indexed.successor_masks[lid]
         for target in range(indexed.n_states):
-            pred_mask = kernel.pred_step(lid, 1 << target)
             expected = 0
             for source in range(indexed.n_states):
                 if (succ[source] >> target) & 1:
                     expected |= 1 << source
-            assert pred_mask == expected
+            assert _pred_extended_mask(kernel, 1 << target, lid) == expected
 
-    @given(sequential_formulas(), run_documents)
+    @given(sequential_formulas(), st.one_of(run_documents, st.text("abc", max_size=12)))
     @_SETTINGS
     def test_frontier_matches_per_letter_fold(self, formula, text):
         vva = _vectorized_for(formula)
         indexed = vva.indexed
-        kernel = vva.kernel()
+        scalar = TransitionKernel(indexed)
         mask = 1 << indexed.initial_id
         expected = mask
         ids = indexed.alphabet.ids
         for letter in text:
             lid = ids.get(letter, -1)
-            expected = 0 if lid < 0 else kernel.step(lid, expected)
+            expected = 0 if lid < 0 else scalar.step(lid, expected)
             if not expected:
                 break
-        assert kernel.frontier(Document(text), mask) == expected
-
-    def test_frontier_takes_both_adaptive_paths(self):
-        vva = _small_vva()
-        kernel = vva.kernel()
-        letter = vva.alphabet.signature[0]
-        mask = 1 << vva.indexed.initial_id
-        # One long run: run-compressed (run_hits moves, if mask survives
-        # past the first step).
-        before = kernel.run_hits
-        kernel.frontier(Document(letter * 64), mask)
-        compressed_hits = kernel.run_hits - before
-        # Alternating letters (run length 1): the per-position node walk.
-        letters = vva.alphabet.signature
-        text = "".join(letters[i % len(letters)] for i in range(12))
-        before = kernel.run_hits
-        result = kernel.frontier(Document(text), mask)
-        assert kernel.run_hits == before  # node walk, no run compression
-        expected = mask
-        ids = vva.alphabet.ids
-        for ch in text:
-            expected = kernel.step(ids[ch], expected)
-            if not expected:
-                break
-        assert result == expected
-        assert compressed_hits >= 0  # the run path at least ran
+        assert vva.kernel().frontier(Document(text), mask) == expected
 
     def test_frontier_rejects_unknown_letters_on_both_paths(self):
         vva = _small_vva()
@@ -194,12 +167,6 @@ class TestVectorizedKernel:
         vva = _small_vva()
         assert vva.kernel().frontier(Document(""), 0b11) == 0b11
         assert vva.kernel().frontier(Document("abc"), 0) == 0
-
-    def test_powers_are_memoized(self):
-        vva = _small_vva()
-        kernel = vva.kernel()
-        p3 = kernel.power(0, 3)
-        assert kernel.power(0, 3) is p3
 
     def test_step_misses_stop_growing_on_revisits(self):
         vva = _small_vva()
@@ -272,13 +239,13 @@ class TestMultiPlaneKernel:
                 expected = scalar.step(ids[ch], expected)
             assert kernel.frontier(Document(text), mask) == expected
 
-    def test_pred_step_transpose_across_planes(self):
+    def test_pred_extend_transpose_across_planes(self):
         va = _multi_plane_va()
         vva = va.vectorized()
         kernel = vva.kernel()
         succ = vva.indexed.successor_masks[0]
         full = (1 << vva.n_states) - 1
-        pred_all = kernel.pred_step(0, full)
+        pred_all = _pred_extended_mask(kernel, full, 0)
         expected = 0
         for source, targets in enumerate(succ):
             if targets:
