@@ -52,15 +52,6 @@ class TestVectorizedMatchesOtherBackends:
         assert list(vectorized.enumerate(doc)) == list(indexed.enumerate(doc))
         assert vectorized.is_nonempty(doc) == bool(len(expected))
 
-    @given(sequential_formulas(), run_documents)
-    @_SETTINGS
-    def test_matches_indexed_on_run_heavy_documents(self, formula, doc):
-        va = trim(regex_to_va(formula))
-        vectorized = get_backend("vectorized").prepare(va)
-        indexed = get_backend("indexed").prepare(va)
-        assert list(vectorized.enumerate(doc)) == list(indexed.enumerate(doc))
-        assert vectorized.is_nonempty(doc) == indexed.is_nonempty(doc)
-
     @given(
         sequential_formulas(),
         st.one_of(run_documents, st.text(alphabet="ab", max_size=24)),
