@@ -130,14 +130,6 @@ class TestVectorizedKernel:
         assert _pred_extended_mask(kernel, mask, lid) == apply_masks(
             scalar.pred_row(lid), mask
         )
-        # The transpose of the successor relation, state by state.
-        succ = indexed.successor_masks[lid]
-        for target in range(indexed.n_states):
-            expected = 0
-            for source in range(indexed.n_states):
-                if (succ[source] >> target) & 1:
-                    expected |= 1 << source
-            assert _pred_extended_mask(kernel, 1 << target, lid) == expected
 
     @given(sequential_formulas(), st.one_of(run_documents, st.text("abc", max_size=12)))
     @_SETTINGS
