@@ -554,31 +554,28 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         return planes
 
     def _coreach_nodes(self) -> "list[list]":
-        """Interned co-reachability nodes per layer: the pure backward
-        recurrence ``C[i] = pred(C[i + 1])`` from the accepting layer, one
-        node step per letter (ticking the guard per letter)."""
+        """Interned co-reachability nodes per layer of a non-empty graph:
+        the pure backward recurrence ``C[i] = pred(C[i + 1])`` from the
+        accepting layer, one node step per letter (the guard is checked
+        once up front and ticked per letter)."""
         cnodes = self._cnodes
         if cnodes is None:
             kernel = self._vkernel
-            n = self._n
+            guard = self._guard
+            if guard is not None:
+                guard.check()
+            pred_extend = kernel.pred_extend
             node = kernel.pred_node(self.final_mask)
-            if self.final_mask:
-                guard = self._guard
+            cnodes = [node]
+            append = cnodes.append
+            # A surviving frontier read no letter unknown to the VA.
+            for lid in reversed(self.letter_ids):
                 if guard is not None:
-                    guard.check()
-                pred_extend = kernel.pred_extend
-                cnodes = [node]
-                append = cnodes.append
-                # A surviving frontier read no letter unknown to the VA.
-                for lid in reversed(self.letter_ids):
-                    if guard is not None:
-                        guard.tick()
-                    nxt = node[lid]
-                    node = nxt if nxt is not None else pred_extend(node, lid)
-                    append(node)
-                cnodes.reverse()
-            else:
-                cnodes = [node] * (n + 1)
+                    guard.tick()
+                nxt = node[lid]
+                node = nxt if nxt is not None else pred_extend(node, lid)
+                append(node)
+            cnodes.reverse()
             self._cnodes = cnodes
         return cnodes
 
