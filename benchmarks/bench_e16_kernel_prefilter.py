@@ -426,27 +426,30 @@ def _backend_matrix_sweep():
         prepared = {backend: get_backend(backend).prepare(va) for backend in runnable}
         for form in prepared.values():
             form.is_nonempty(doc)  # warm caches (nodes, powers, encoding)
-        best: dict = {}
-        # The backends take turns within each repeat, in alternating
-        # order, so a speed phase of the host lands on both sides of a
-        # ratio alike; each keeps its best of REPEATS.
-        for repeat in range(REPEATS):
-            for backend in runnable if repeat % 2 == 0 else runnable[::-1]:
-                form = prepared[backend]
-                nonempty_ms, nonempty = _best_of(1, lambda: form.is_nonempty(doc))
-                first_ms, first = _best_of(1, lambda: form.run(doc).first())
-                assert nonempty and first is not None, (workload, backend)
-                old = best.get(backend, (nonempty_ms, first_ms))
-                best[backend] = (min(old[0], nonempty_ms), min(old[1], first_ms))
+        best = {backend: {} for backend in runnable}
+        # Each cell times the backends in turns within each repeat, in
+        # alternating order, so a speed phase of the host (or the state
+        # the previous call leaves) lands on both sides of a ratio alike;
+        # each keeps its best of REPEATS.
+        for metric, call in (
+            ("nonempty_ms", lambda form: form.is_nonempty(doc)),
+            ("first_ms", lambda form: form.run(doc).first()),
+        ):
+            for repeat in range(REPEATS):
+                for backend in runnable if repeat % 2 == 0 else runnable[::-1]:
+                    ms, answer = _best_of(1, lambda: call(prepared[backend]))
+                    # A true emptiness answer, or a first mapping.
+                    assert answer not in (False, None), (workload, backend, metric)
+                    cell = best[backend]
+                    cell[metric] = min(cell.get(metric, ms), ms)
         for backend in runnable:
-            nonempty_ms, first_ms = best[backend]
             rows.append(
                 {
                     "workload": workload,
                     "backend": backend,
                     "doc_letters": len(doc),
-                    "nonempty_ms": round(nonempty_ms, 4),
-                    "first_ms": round(first_ms, 4),
+                    "nonempty_ms": round(best[backend]["nonempty_ms"], 4),
+                    "first_ms": round(best[backend]["first_ms"], 4),
                 }
             )
     return rows
