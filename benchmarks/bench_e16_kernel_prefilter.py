@@ -25,7 +25,12 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   document (which runs the same indexed code on both backends) — both
   cells are reported so the README's backend-selection matrix stays
   honest.  The backends take turns within each repeat, so host speed
-  phases hit both sides of a ratio.
+  phases hit both sides of a ratio, and a call shorter than
+  :data:`MIN_SAMPLE_S` repeats back to back within each timed sample.
+  The barred cells time warm documents, whose runs and letter ids are
+  cached; a second leg, with no bar, times the same calls on a new
+  ``Document`` per call, which pays the routing scan and the encoding
+  as the engine does on a document it has not seen.
 * **enumeration throughput** (E16e) — *full enumeration* (mappings/sec)
   across a run-length × match-density grid, on ``indexed`` and on
   ``vectorized`` (which shares its DFS), plus the DFS frames per mapping,
@@ -35,6 +40,10 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   document are at most 1.5x those on its first quarter (a walk that
   steps one frame per layer grows about 4x).
 
+Every timed call runs with the garbage collector paused, as ``timeit``
+does, so a collection triggered by earlier allocations cannot land in one
+side of a ratio.
+
 Results are written as human-readable tables (the ``report`` fixture) and
 machine-readably to ``BENCH_kernel.json`` at the repository root (CI
 uploads it as an artifact; ``bench_common.write_json_report`` stamps the
@@ -43,6 +52,8 @@ still exercises every code path and the full JSON schema, with the timing
 assertions relaxed.
 """
 
+import gc
+import math
 import os
 import random
 import time
@@ -95,12 +106,23 @@ def _compiled():
     return compile_formula(FORMULA)
 
 
-def _best_of(repeats, func):
+def _best_of(repeats, func, calls=1):
+    """The best per-call wall time (ms) over ``repeats`` samples of
+    ``calls`` back-to-back calls of ``func``, and its last value.  The
+    collector is paused while a sample runs and restored after it, as
+    ``timeit`` does."""
     best, value = None, None
     for _ in range(repeats):
-        start = time.perf_counter()
-        value = func()
-        elapsed = time.perf_counter() - start
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            for _ in range(calls):
+                value = func()
+            elapsed = (time.perf_counter() - start) / calls
+        finally:
+            if collecting:
+                gc.enable()
         if best is None or elapsed < best:
             best = elapsed
     return best * 1e3, value
@@ -412,7 +434,22 @@ def _matrix_documents() -> "list[tuple[str, Document]]":
     ]
 
 
-def _backend_matrix_sweep():
+#: The shortest timed sample of a matrix cell: a call faster than this
+#: repeats back to back within each sample, so a few milliseconds of host
+#: jitter cannot decide a ratio of short calls.
+MIN_SAMPLE_S = 0.03
+
+
+def _calls_per_sample(func) -> int:
+    """Back-to-back calls of ``func`` per timed sample: enough that a
+    sample lasts at least :data:`MIN_SAMPLE_S`, from one probe call."""
+    ms, _ = _best_of(1, func)
+    return max(1, math.ceil(MIN_SAMPLE_S * 1e3 / ms))
+
+
+def _matrix_sweep(fresh: bool):
+    """The backend-matrix cells, each call on the workload's own warm
+    document, or (``fresh``) on a new ``Document`` of its text."""
     from repro.engine import available_backends, get_backend
     from repro.regex import parse
 
@@ -423,21 +460,33 @@ def _backend_matrix_sweep():
     runnable = [b for b in MATRIX_BACKENDS if b in available_backends()]
     rows = []
     for workload, doc in _matrix_documents():
+
+        def subject(doc=doc):
+            return Document(doc.text) if fresh else doc
+
         prepared = {backend: get_backend(backend).prepare(va) for backend in runnable}
         for form in prepared.values():
-            form.is_nonempty(doc)  # warm caches (nodes, powers, encoding)
+            # Warm the automaton's caches (nodes, powers) and, on the warm
+            # leg, the document's (runs, encoding).
+            form.is_nonempty(subject())
         best = {backend: {} for backend in runnable}
         # Each cell times the backends in turns within each repeat, in
         # alternating order, so a speed phase of the host (or the state
         # the previous call leaves) lands on both sides of a ratio alike;
         # each keeps its best of REPEATS.
         for metric, call in (
-            ("nonempty_ms", lambda form: form.is_nonempty(doc)),
-            ("first_ms", lambda form: form.run(doc).first()),
+            ("nonempty_ms", lambda form: form.is_nonempty(subject())),
+            ("first_ms", lambda form: form.run(subject()).first()),
         ):
+            calls = {
+                backend: _calls_per_sample(lambda: call(prepared[backend]))
+                for backend in runnable
+            }
             for repeat in range(REPEATS):
                 for backend in runnable if repeat % 2 == 0 else runnable[::-1]:
-                    ms, answer = _best_of(1, lambda: call(prepared[backend]))
+                    ms, answer = _best_of(
+                        1, lambda: call(prepared[backend]), calls[backend]
+                    )
                     # A true emptiness answer, or a first mapping.
                     assert answer not in (False, None), (workload, backend, metric)
                     cell = best[backend]
@@ -453,6 +502,17 @@ def _backend_matrix_sweep():
                 }
             )
     return rows
+
+
+def _backend_matrix_sweep():
+    """The barred matrix cells, on warm documents (the live perf gate
+    re-runs this)."""
+    return _matrix_sweep(fresh=False)
+
+
+def _fresh_matrix_sweep():
+    """The same cells on a new ``Document`` per call (reported only)."""
+    return _matrix_sweep(fresh=True)
 
 
 def _matrix_speedups(rows):
@@ -472,8 +532,8 @@ def _matrix_speedups(rows):
     return speedups
 
 
-def bench_e16_backend_matrix(benchmark, report):
-    rows = benchmark.pedantic(_backend_matrix_sweep, rounds=1, iterations=1)
+def _report_matrix(report, name: str, section: str, rows, documents: str):
+    """Report one backend-matrix leg and record it as a JSON section."""
     speedups = _matrix_speedups(rows)
     table = format_table(
         ["workload", "backend", "letters", "nonempty_ms", "first_ms"],
@@ -488,19 +548,29 @@ def bench_e16_backend_matrix(benchmark, report):
             for r in rows
         ],
         title="E16d backend matrix on a >64-state query "
-        f"({MATRIX_DOC_LETTERS} letters): Boolean emptiness and first-match "
-        "per enumeration backend",
+        f"({MATRIX_DOC_LETTERS} letters, {documents}): Boolean emptiness "
+        "and first-match per enumeration backend",
     )
-    report("E16d_backend_matrix", table)
-    _JSON["sections"]["backend_matrix"] = {
+    report(name, table)
+    _JSON["sections"][section] = {
         "formula": MATRIX_FORMULA,
         "doc_letters": MATRIX_DOC_LETTERS,
         "repeats": REPEATS,
+        "min_sample_s": MIN_SAMPLE_S,
+        "documents": documents,
         "backends": list(MATRIX_BACKENDS),
         "rows": rows,
         "vectorized_speedup_vs_indexed": speedups,
     }
     _flush_json()
+    return speedups
+
+
+def bench_e16_backend_matrix(benchmark, report):
+    rows = benchmark.pedantic(_backend_matrix_sweep, rounds=1, iterations=1)
+    speedups = _report_matrix(
+        report, "E16d_backend_matrix", "backend_matrix", rows, "warm documents"
+    )
     if not TINY and "low_run" in speedups:
         # Acceptance bar: ≥5x over indexed on a low-run 100k-letter
         # document with a ≥64-state query, for both emptiness and
@@ -509,6 +579,19 @@ def bench_e16_backend_matrix(benchmark, report):
         low_run = speedups["low_run"]
         assert low_run["nonempty"] >= 5.0, speedups
         assert low_run["first"] >= 5.0, speedups
+
+
+def bench_e16_backend_matrix_fresh(benchmark, report):
+    # What the engine pays on a document it has not seen: the routing
+    # scan, the letter encoding and, on the run walk, the runs.  No bar.
+    rows = benchmark.pedantic(_fresh_matrix_sweep, rounds=1, iterations=1)
+    _report_matrix(
+        report,
+        "E16d_backend_matrix_fresh",
+        "backend_matrix_fresh",
+        rows,
+        "a new Document per call",
+    )
 
 
 # -- enumeration throughput: indexed vs vectorized, and DFS frames -----------

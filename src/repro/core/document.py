@@ -16,8 +16,9 @@ automaton many times) encodes each document exactly once.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
-from itertools import groupby
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -80,16 +81,27 @@ class Alphabet:
 #: Per-document encoding caches keep at most this many alphabets.
 _ENCODING_CACHE_LIMIT = 8
 
+#: One maximal run of a single letter (newlines included).
+_RUN = re.compile(r"(.)\1*", re.S)
+
+
+def _run_triples(matches, offset: int) -> tuple[tuple[str, int, int], ...]:
+    """``(letter, start, length)`` triples of ``_RUN`` matches, their
+    starts shifted by ``offset``."""
+    return tuple([(m[1], m.start() + offset, m.end() - m.start()) for m in matches])
+
 
 class Document:
     """An input document: an immutable string with span-based access."""
 
-    __slots__ = ("_text", "_encodings", "_runs", "_letter_counts")
+    __slots__ = ("_text", "_encodings", "_runs", "_runs_over", "_letter_counts")
 
     def __init__(self, text: str):
         self._text = text
         self._encodings: dict[tuple[str, ...], tuple[int, ...]] | None = None
         self._runs: tuple[tuple[str, int, int], ...] | None = None
+        # The largest limit known to be exceeded by the run count (-1: none).
+        self._runs_over = -1
         self._letter_counts: "Mapping[str, int] | None" = None
 
     @classmethod
@@ -175,21 +187,37 @@ class Document:
         """The maximal letter runs of this document, as ``(letter, start,
         length)`` triples with 0-based ``start`` offsets.
 
-        Computed once and cached — the run-length encoding is alphabet
-        independent, so one RLE serves every automaton.  The run-compressed
-        transition kernel (:mod:`repro.va.kernel`) advances each run in
-        ``O(log length)`` mask applications instead of ``O(length)``
-        per-letter steps.
+        Computed once, by one regex scan in C, and cached — the
+        run-length encoding is alphabet independent, so one RLE serves
+        every automaton.  The run-compressed transition kernel
+        (:mod:`repro.va.kernel`) advances each run in ``O(log length)``
+        mask applications instead of ``O(length)`` per-letter steps; only
+        the documents that take that walk need the runs at all, and
+        :meth:`runs_within` builds them for those alone.
+        """
+        return self.runs_within(len(self._text))
+
+    def runs_within(self, limit: int) -> "tuple[tuple[str, int, int], ...] | None":
+        """:meth:`runs` if this document has at most ``limit`` maximal
+        runs, else ``None``.
+
+        The scan stops at the ``limit + 1``-th run, so text (mean run
+        length near 1) costs ``O(limit)`` and builds no triples.  Both
+        outcomes are cached: the runs themselves, or the largest limit
+        known to be exceeded.  The walk router
+        (:func:`repro.va.kernel.run_walk_runs`) decides each document's
+        walk through here.
         """
         cached = self._runs
-        if cached is None:
-            out = []
-            position = 0
-            for letter, group in groupby(self._text):
-                length = sum(1 for _ in group)
-                out.append((letter, position, length))
-                position += length
-            cached = self._runs = tuple(out)
+        if cached is not None:
+            return cached if len(cached) <= limit else None
+        if limit <= self._runs_over:
+            return None
+        matches = list(islice(_RUN.finditer(self._text), limit + 1))
+        if len(matches) > limit:
+            self._runs_over = limit
+            return None
+        cached = self._runs = _run_triples(matches, 0)
         return cached
 
     def letter_counts(self) -> "Mapping[str, int]":
@@ -215,42 +243,40 @@ class Document:
         """A new document holding ``self.text + suffix``, with every cached
         artifact *extended* instead of recomputed.
 
-        The incremental entry point of the tailing runtime: the run-length
-        encoding, the letter histogram, and every cached per-alphabet
-        encoding of the result are derived from this document's caches in
-        O(len(suffix)) interpreter steps — letters that merge with the
-        last maximal run extend that run — so repeatedly tailing a growing
-        document never re-walks the prefix in Python.  The text, the run
-        tuple and every cached encoding are still copied, in C, so each
-        append also costs O(document) copying.  ``self`` is untouched
-        (documents stay immutable); an empty suffix returns a document
-        sharing the caches outright.
+        The incremental entry point of the tailing runtime: the letter
+        histogram, every cached per-alphabet encoding and, if this
+        document has them cached, the runs of the result are derived from
+        this document's caches in O(len(suffix)) interpreter steps — the
+        suffix's first run merges into the last one when the letters
+        agree — so repeatedly tailing a growing document never re-walks
+        the prefix in Python.  A document without cached runs passes none
+        on, so a tail session on text never builds them.  The text, the
+        run tuple and every cached encoding are still copied, in C, so
+        each append also costs O(document) copying.  ``self`` is
+        untouched (documents stay immutable); an empty suffix returns a
+        document sharing the caches outright.
         """
         if isinstance(suffix, Document):
             suffix = suffix._text
+        doc = Document.__new__(Document)
+        doc._runs_over = -1
         if not suffix:
-            doc = Document.__new__(Document)
             doc._text = self._text
             doc._encodings = dict(self._encodings) if self._encodings else None
-            doc._runs = self.runs()
+            doc._runs = self._runs
             doc._letter_counts = self.letter_counts()
             return doc
-        doc = Document.__new__(Document)
         doc._text = self._text + suffix
-        # Runs: the suffix's own runs, with its first run merged into our
-        # last one when the letters agree.
-        old_runs = self.runs()
-        out = list(old_runs)
-        position = len(self._text)
-        for letter, group in groupby(suffix):
-            length = sum(1 for _ in group)
-            if out and position == out[-1][1] + out[-1][2] and out[-1][0] == letter:
-                last = out[-1]
-                out[-1] = (letter, last[1], last[2] + length)
+        runs = self._runs
+        if runs is not None:
+            tail = _run_triples(_RUN.finditer(suffix), len(self._text))
+            if runs and runs[-1][0] == tail[0][0]:
+                letter, start, length = runs[-1]
+                merged = (letter, start, length + tail[0][2])
+                runs = runs[:-1] + (merged,) + tail[1:]
             else:
-                out.append((letter, position, length))
-            position += length
-        doc._runs = tuple(out)
+                runs = runs + tail
+        doc._runs = runs
         # Histogram: add the suffix's counts on top of ours.
         counts = dict(self.letter_counts())
         for letter, count in Counter(suffix).items():

@@ -19,15 +19,15 @@ Shipped backends:
 * ``indexed`` (the default) — states relabelled to dense integers with
   precomputed per-letter/per-opset transition tables and bitmask state
   sets (:mod:`repro.va.indexed`).  Each document takes one of two walks,
-  chosen by :func:`~repro.va.kernel.takes_run_walk`: the run walk advances
+  chosen by :func:`~repro.va.kernel.run_walk_runs`: the run walk advances
   maximal letter runs through the
   :class:`~repro.va.kernel.TransitionKernel` in O(log run) memoized mask
   applications, the letter walk (text, where runs are short) takes one
   mask step per letter.
-* ``vectorized`` — the numpy uint64 state-plane substrate
-  (:mod:`repro.va.vectorized`) for the letter walk: interned frontier
-  nodes over a precomputed successor-plane table, whole-document plane
-  arrays for the backward pass, and its own memoized ``first()`` walk.
+* ``vectorized`` — the interned-frontier-node substrate
+  (:mod:`repro.va.vectorized`) for the letter walk: frontier and
+  co-reachability nodes whose cache misses a numpy uint64 plane table
+  computes, and its own memoized ``first()`` walk.
   A document that takes the run walk runs the ``indexed`` code itself,
   on the same :class:`~repro.va.indexed.IndexedVA` and kernel, and both
   enumerate on the indexed DFS.  Needs numpy (the ``[fast]`` extra);
@@ -185,7 +185,7 @@ class PreparedVectorizedVA(PreparedVA):
     :class:`~repro.va.vectorized.VectorizedVA` (cached on the automaton
     via :meth:`VA.vectorized`) sharing one frontier-node kernel across
     every text document.  A document that takes the run walk
-    (:func:`~repro.va.kernel.takes_run_walk`) runs on the indexed form
+    (:func:`~repro.va.kernel.run_walk_runs`) runs on the indexed form
     underneath, as on the ``indexed`` backend."""
 
     __slots__ = ("va", "vectorized")

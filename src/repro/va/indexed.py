@@ -19,8 +19,9 @@ machine words instead of string hashing and frozenset algebra.
 :class:`IndexedMatchGraph` is *lazy* (streaming): construction runs only a
 cheap Boolean forward pass — enough to decide emptiness (Theorem 2.5's
 linear preprocessing).  The pass takes one of two walks, chosen per
-document by :func:`~repro.va.kernel.takes_run_walk` from its cached
-run-length encoding (:meth:`~repro.core.document.Document.runs`):
+document by :func:`~repro.va.kernel.run_walk_runs`, which builds the
+run-length encoding (:meth:`~repro.core.document.Document.runs`) only
+for the documents that take the run walk:
 
 * the **run walk** (documents of long runs, and the empty document)
   advances each maximal single-letter run through the
@@ -73,7 +74,7 @@ from ..core.mapping import Mapping, Variable
 from ..core.spans import Span
 from ..utils.bits import apply_masks, iter_bits
 from .automaton import VA, State, Transition
-from .kernel import TransitionKernel, takes_run_walk
+from .kernel import TransitionKernel, run_walk_runs
 from .matchgraph import (
     FactorizedVA,
     OpSet,
@@ -500,7 +501,7 @@ def indexed_nonempty(
 
     One forward sweep — no edge rows, no backward pruning, early exit as
     soon as the frontier dies — on the walk
-    :func:`~repro.va.kernel.takes_run_walk` picks for the document: the
+    :func:`~repro.va.kernel.run_walk_runs` picks for the document: the
     run walk advances over its run-length encoding through the
     :class:`~repro.va.kernel.TransitionKernel` in O(runs · log run), the
     letter walk steps per letter.  An
@@ -512,9 +513,9 @@ def indexed_nonempty(
     doc = as_document(document)
     if indexed.layers is not None:
         return not IndexedMatchGraph(indexed, doc, guard=guard).is_empty
-    runs = doc.runs()
+    runs = run_walk_runs(doc)
     mask = 1 << indexed.initial_id
-    if takes_run_walk(len(doc), len(runs)):
+    if runs is not None:
         mask = _advance_runs(
             indexed.kernel(), _encoded_runs(runs, indexed.alphabet), mask, guard
         )
@@ -638,7 +639,7 @@ class IndexedMatchGraph:
 
     Construction runs only the Boolean forward pass, which already
     decides :attr:`is_empty`, on the walk
-    :func:`~repro.va.kernel.takes_run_walk` picks for the document: the
+    :func:`~repro.va.kernel.run_walk_runs` picks for the document: the
     run walk advances each letter run through the shared
     :class:`~repro.va.kernel.TransitionKernel` and expands the per-layer
     forward masks on first access to :attr:`forward` (with fixpoint fill
@@ -698,7 +699,7 @@ class IndexedMatchGraph:
             self._letter_ids = indexed.letter_ids
             self._forward = indexed.layers
             mask = indexed.layers[n]
-        elif takes_run_walk(n, len(runs := doc.runs())):
+        elif (runs := run_walk_runs(doc)) is not None:
             self._kernel = indexed.kernel()
             self._runs: tuple[tuple[int, int, int], ...] | None = tuple(
                 _encoded_runs(runs, indexed.alphabet)

@@ -28,8 +28,10 @@ counter the engine samples into ``EngineStats.kernel_run_hits``.
 Whether a document advances per run at all is one rule,
 :func:`takes_run_walk`: documents of long runs take the *run walk* through
 the kernel, text (mean run length near 1) takes the *letter walk*, one
-mask step per letter.  The indexed substrate consults it
-(:class:`~repro.va.indexed.IndexedMatchGraph`,
+mask step per letter.  :func:`run_walk_runs` decides it for a document
+from one scan that stops once the document has too many runs to qualify,
+so text never builds a run-length encoding.  The indexed substrate routes
+through it (:class:`~repro.va.indexed.IndexedMatchGraph`,
 :func:`~repro.va.indexed.indexed_nonempty`), and so does the vectorized
 one (:func:`~repro.va.vectorized.vectorized_graph`,
 :func:`~repro.va.vectorized.vectorized_nonempty`), which sends the run
@@ -44,6 +46,7 @@ from typing import TYPE_CHECKING
 from ..utils.bits import apply_masks, iter_bits
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..core.document import Document
     from .indexed import IndexedVA
 
 
@@ -57,6 +60,18 @@ def takes_run_walk(length: int, runs: int) -> bool:
     than the letter walk.  The empty document has no runs and takes the
     run walk, which has nothing to walk."""
     return length >= RUN_WALK_THRESHOLD * runs
+
+
+def run_walk_runs(document: "Document") -> "tuple[tuple[str, int, int], ...] | None":
+    """The maximal runs of ``document`` if it takes the run walk, else
+    ``None`` — :func:`takes_run_walk` decided by a scan that stops past
+    the most runs the rule admits (``len // RUN_WALK_THRESHOLD``; a
+    threshold of 0 admits every document), through
+    :meth:`~repro.core.document.Document.runs_within`.  A document with
+    cached runs (a store-hydrated one, say) routes from those."""
+    threshold = RUN_WALK_THRESHOLD
+    length = len(document)
+    return document.runs_within(length // threshold if threshold else length)
 
 
 def compose(outer: "list[int]", inner: "list[int]") -> "list[int]":

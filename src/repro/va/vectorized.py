@@ -1,62 +1,59 @@
-"""Vectorized bitset transition kernel: numpy uint64 state planes.
+"""Vectorized letter walk: interned frontier nodes over numpy plane tables.
 
 The letter walk of the indexed substrate (:mod:`repro.va.indexed`) steps
 Python-int bitsets one letter at a time — fast for small automata, but
 on large text documents with ≥64-state queries the per-position big-int
 walk dominates everything (``is_nonempty``, ``first``, graph
-construction).  This module reworks the letter walk around numpy uint64
-*state planes* plus an on-the-fly subset construction:
+construction).  This module reworks the letter walk around an
+on-the-fly subset construction, with numpy uint64 *state planes* for the
+transitions it has not seen yet:
 
-* **State planes** — a state set over ``n`` states is an ``(n_planes,)``
-  uint64 array with ``n_planes = ceil(n / 64)``; every word operation
-  covers 64 states at once.  Per-layer masks of a whole document pack into
-  one ``(len(d) + 1, n_planes)`` uint64 array, so whole-document
-  combinations (the reachable ∩ co-reachable intersection, layer
-  popcounts) are single vectorized ops instead of ``len(d)`` Python-int
-  operations.
-* **Successor-plane table** — :class:`VectorizedVA` precomputes an
-  ``(alphabet, states, n_planes)`` uint64 table; one transition
-  application is a gather of the frontier's state rows plus one
-  ``bitwise_or.reduce`` — the vectorized form of
-  :func:`repro.utils.bits.apply_masks`.  The backward co-reachability
-  pass mirrors it with predecessor-plane tables (the transposed
-  relation), built per letter on demand.
 * **Frontier nodes** — the forward recurrence is inherently sequential
   (layer ``i + 1`` needs layer ``i``), so raw per-position numpy calls
   would drown in per-call overhead.  Instead the kernel interns every
   frontier it has ever seen as a *node* whose per-letter successor slots
   are filled lazily — an on-the-fly subset construction over exactly the
   reachable frontiers, akin to the deterministic automata of Florenzano
-  et al. (PODS 2018).  The hot loop is ``node = node[letter_id]``; the
-  plane gather runs only on cache misses, and real workloads revisit a
-  handful of distinct frontiers, so almost every position is one list
-  index.  Nodes are document independent and shared across a corpus,
-  and bounded (:attr:`VectorizedKernel.STEP_CACHE_LIMIT`); pathological
-  automata that overflow the bound keep computing misses through the
-  plane table.
+  et al. (PODS 2018).  The hot loop is ``node = node[letter_id]``; real
+  workloads revisit a handful of distinct frontiers, so almost every
+  position is one list index.  Nodes are document independent and
+  shared across a corpus, and bounded
+  (:attr:`VectorizedKernel.STEP_CACHE_LIMIT`); pathological automata
+  that overflow the bound keep computing misses through the plane table.
+  The backward co-reachability pass walks a second node family over the
+  predecessor relation the same way.
+* **Plane tables** — a cache miss is one transition application on a
+  state set over ``n`` states, held as ``ceil(n / 64)`` uint64 words.
+  :class:`VectorizedVA` precomputes an ``(alphabet, states, n_planes)``
+  successor-plane table, so a miss is a gather of the frontier's state
+  rows plus one ``bitwise_or.reduce`` — the vectorized form of
+  :func:`repro.utils.bits.apply_masks`.  Predecessor-plane tables (the
+  transposed relation) are built per letter on demand.  The layers a
+  graph keeps are Python ints: its live layers are one ``&`` per layer
+  of the forward and co-reachability masks.
 
 Documents of long letter runs, the ones
-:func:`~repro.va.kernel.takes_run_walk` sends to the run walk, run the
+:func:`~repro.va.kernel.run_walk_runs` sends to the run walk, run the
 indexed code itself: :func:`vectorized_graph` builds an
 :class:`~repro.va.indexed.IndexedMatchGraph` over
 :attr:`VectorizedVA.indexed`, whose
 :class:`~repro.va.kernel.TransitionKernel` advances each run in O(log
 run) memoized mask applications, and :func:`vectorized_nonempty` answers
 through :func:`~repro.va.indexed.indexed_nonempty`.  Fixpoint absorption
-on Python ints beats plane gathers there, so the planes serve the letter
+on Python ints beats plane gathers there, so the nodes serve the letter
 walk only.
 
 :class:`VectorizedMatchGraph`, the letter walk's graph, subclasses
 :class:`~repro.va.indexed.IndexedMatchGraph` so enumeration semantics are
 *inherited*, not re-implemented: the DFS with its quiet-stretch and
-forced-stretch skips, the edge rows, mapping reconstruction and tail
-extensions are the indexed code paths, fed by plane-backed
-``forward``/``alive`` layers (unpacked to Python-int form exactly once,
-on demand).  :meth:`VectorizedMatchGraph.first` gets a dedicated walk
-that never materialises the alive layers at all: it prunes against
-interned co-reachability nodes and memoizes the greedy per-layer choice
-on ``(profile, letter, co-reach node)`` in a kernel-level
-(cross-document) cache.
+forced-stretch skips, the edge rows, the ``alive`` layers and their
+gauges, mapping reconstruction and tail extensions are the indexed code
+paths, fed by node-walk ``forward`` and co-reachability layers.
+:meth:`VectorizedMatchGraph.first` gets a dedicated walk that never
+materialises the alive layers at all: it prunes against interned
+co-reachability nodes and memoizes the greedy per-layer choice on
+``(profile, letter, co-reach node)`` in a kernel-level (cross-document)
+cache.
 
 numpy is an *optional* dependency (the ``[fast]`` extra).  When it is not
 installed, importing this module is harmless; building any vectorized
@@ -85,7 +82,7 @@ from .indexed import (
     _mapping_from_entries,
     indexed_nonempty,
 )
-from .kernel import takes_run_walk
+from .kernel import run_walk_runs
 from .properties import is_sequential
 
 try:  # pragma: no cover - exercised by the no-numpy CI leg
@@ -121,14 +118,6 @@ def require_numpy():
 # -- plane packing ------------------------------------------------------------
 
 
-def mask_to_planes(mask: int, n_planes: int):
-    """Pack an int bitset into an ``(n_planes,)`` uint64 plane array."""
-    np = require_numpy()
-    return np.frombuffer(
-        mask.to_bytes(8 * n_planes, "little"), dtype=_U64
-    ).copy()
-
-
 def planes_to_mask(planes) -> int:
     """Unpack a plane array (any shape, one state set) back to an int."""
     return int.from_bytes(planes.tobytes(), "little")
@@ -142,32 +131,6 @@ def _planes_from_masks(masks, n_planes: int):
     row = 8 * n_planes
     buf = b"".join(mask.to_bytes(row, "little") for mask in masks)
     return np.frombuffer(buf, dtype=_U64).reshape(len(masks), n_planes)
-
-
-def _masks_from_planes(planes) -> "list[int]":
-    """Unpack a ``(rows, n_planes)`` array into a list of int bitsets."""
-    n_planes = planes.shape[1]
-    if n_planes == 1:
-        return planes[:, 0].tolist()
-    out = planes[:, 0].tolist()
-    for p in range(1, n_planes):
-        shift = 64 * p
-        out = [
-            low | (high << shift) if high else low
-            for low, high in zip(out, planes[:, p].tolist())
-        ]
-    return out
-
-
-def _popcounts(planes):
-    """Per-row population counts of a ``(rows, n_planes)`` plane array."""
-    np = NUMPY
-    if hasattr(np, "bitwise_count"):  # numpy ≥ 2.0
-        return np.bitwise_count(planes).sum(axis=1)
-    bits = np.unpackbits(
-        np.ascontiguousarray(planes).view(np.uint8), axis=1, bitorder="little"
-    )
-    return bits.sum(axis=1, dtype=np.int64)
 
 
 # -- the document-independent vectorized form ---------------------------------
@@ -420,11 +383,11 @@ def vectorized_nonempty(
 ) -> bool:
     """Decide ``⟦A⟧(d) ≠ ∅`` with one Boolean forward sweep: the interned
     node walk (:meth:`VectorizedKernel.frontier`) on text, the indexed
-    run walk (:func:`~repro.va.indexed.indexed_nonempty`) when
-    :func:`~repro.va.kernel.takes_run_walk` holds."""
+    run walk (:func:`~repro.va.indexed.indexed_nonempty`) on the
+    documents :func:`~repro.va.kernel.run_walk_runs` sends there."""
     doc = as_document(document)
     indexed = vva.indexed
-    if takes_run_walk(len(doc), len(doc.runs())):
+    if run_walk_runs(doc) is not None:
         return indexed_nonempty(indexed, doc, guard=guard)
     mask = vva.kernel().frontier(doc, 1 << indexed.initial_id, guard=guard)
     return bool(mask & indexed.accept_mask)
@@ -435,10 +398,11 @@ def vectorized_graph(
 ) -> IndexedMatchGraph:
     """The match graph of ``document`` on the vectorized substrate: a
     :class:`VectorizedMatchGraph` on text, the indexed run walk's
-    :class:`~repro.va.indexed.IndexedMatchGraph` over ``vva.indexed`` when
-    :func:`~repro.va.kernel.takes_run_walk` holds."""
+    :class:`~repro.va.indexed.IndexedMatchGraph` over ``vva.indexed`` on
+    the documents :func:`~repro.va.kernel.run_walk_runs` sends to the run
+    walk."""
     doc = as_document(document)
-    if takes_run_walk(len(doc), len(doc.runs())):
+    if run_walk_runs(doc) is not None:
         return IndexedMatchGraph(vva.indexed, doc, guard=guard)
     return VectorizedMatchGraph(vva, doc, guard=guard)
 
@@ -447,40 +411,33 @@ def vectorized_graph(
 
 
 class VectorizedMatchGraph(IndexedMatchGraph):
-    """The layered match graph on one document, with plane-array layers:
+    """The layered match graph on one document, with node-walk layers:
     the letter walk of the vectorized substrate (:func:`vectorized_graph`
     builds it for text only, but it is correct on every document).
 
     Construction runs only the Boolean forward frontier (enough for
-    :attr:`is_empty`).  The per-layer forward masks, the backward
-    co-reachability pass, and the layer gauges are computed one
-    interned-node step per letter through the shared
-    :class:`VectorizedKernel` and packed into ``(len(d) + 1, n_planes)``
-    uint64 plane arrays; the reachable ∩ co-reachable intersection is one
-    whole-document vectorized AND.
+    :attr:`is_empty`).  The per-layer forward masks and the backward
+    co-reachability nodes are computed one interned-node step per letter
+    through the shared :class:`VectorizedKernel`; the live layers are
+    their per-layer intersection, as Python ints.
 
     :meth:`enumerate` is *inherited* from :class:`IndexedMatchGraph` —
     the DFS, edge rows, the quiet-stretch and forced-stretch skips, and
-    mapping reconstruction are the indexed code, reading ``alive``
-    through the overridden property (plane arrays unpacked to Python-int
-    layers once, on demand).  So is :meth:`extended`: an append-extension
-    takes the indexed letter walk from the checkpointed frontier over the
-    carried :attr:`forward` layers and is an :class:`IndexedMatchGraph`.
-    :meth:`first` never touches the alive layers: it walks interned
-    co-reachability nodes with a kernel-level greedy-choice memo.
+    mapping reconstruction are the indexed code — and so are ``alive``,
+    its gauges and the guard's ``states`` charge, over the layers
+    :meth:`_alive_by_letters` builds.  So is :meth:`extended`: an
+    append-extension takes the indexed letter walk from the checkpointed
+    frontier over the carried :attr:`forward` layers and is an
+    :class:`IndexedMatchGraph`.  :meth:`first` never touches the alive
+    layers: it walks interned co-reachability nodes with a kernel-level
+    greedy-choice memo.
 
     A guarded construction checks the shared kernel's cache footprint
     (:meth:`VectorizedKernel.cache_bytes_estimate`) against the guard's
     ``cache_bytes`` budget once, after its forward sweep.
     """
 
-    __slots__ = (
-        "vva",
-        "_vkernel",
-        "_forward_planes",
-        "_alive_planes",
-        "_cnodes",
-    )
+    __slots__ = ("vva", "_vkernel", "_cnodes")
 
     def __init__(self, vva: VectorizedVA, document: Document | str, guard=None):
         indexed = vva.indexed
@@ -496,8 +453,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         # The base's run-walk slots stay unused: this is a letter walk.
         self._runs = None
         self._kernel = None
-        self._forward_planes = None
-        self._alive_planes = None
         self._cnodes = None
         kernel = self._vkernel = vva.kernel()
         mask = kernel.frontier(
@@ -513,7 +468,7 @@ class VectorizedMatchGraph(IndexedMatchGraph):
         self.final = {sid: accept[sid] for sid in iter_bits(final_mask)}
         self._edges = [None] * n
 
-    # -- plane-backed layer materialisation --------------------------------
+    # -- node-walk layers ---------------------------------------------------
 
     @property
     def forward(self) -> "list[int]":
@@ -543,16 +498,6 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             self._forward = forward
         return forward
 
-    @property
-    def forward_planes(self):
-        """The forward layers as a ``(n + 1, n_planes)`` uint64 array."""
-        planes = self._forward_planes
-        if planes is None:
-            planes = self._forward_planes = _planes_from_masks(
-                self.forward, self.vva.n_planes
-            )
-        return planes
-
     def _coreach_nodes(self) -> "list[list]":
         """Interned co-reachability nodes per layer of a non-empty graph:
         the pure backward recurrence ``C[i] = pred(C[i + 1])`` from the
@@ -579,56 +524,16 @@ class VectorizedMatchGraph(IndexedMatchGraph):
             self._cnodes = cnodes
         return cnodes
 
-    @property
-    def alive_planes(self):
-        """Live (reachable ∩ co-reachable) plane layers.
-
-        Chains the backward co-reachability nodes, packs them, and
-        intersects with the forward layers in one whole-document
-        vectorized AND — equal to the indexed backend's per-layer pruning
-        (a forward state's successor along any path is itself forward, so
-        intersecting late loses nothing)."""
-        planes = self._alive_planes
-        if planes is None:
-            np = NUMPY
-            n_planes = self.vva.n_planes
-            if not self.final_mask:
-                planes = np.zeros((self._n + 1, n_planes), dtype=_U64)
-            else:
-                mask_slot = self._vkernel._mask_slot
-                coreach = [node[mask_slot] for node in self._coreach_nodes()]
-                planes = self.forward_planes & _planes_from_masks(
-                    coreach, n_planes
-                )
-            self._alive_planes = planes
-            guard = self._guard
-            if (
-                guard is not None
-                and guard.budget is not None
-                and guard.budget.states is not None
-            ):
-                guard.charge_states(int(_popcounts(planes).sum()))
-        return planes
-
-    @property
-    def alive(self) -> "list[int]":
-        """Live masks per layer in int form (unpacked once, for the
-        inherited DFS and edge rows)."""
-        alive = self._alive
-        if alive is None:
-            alive = self._alive = _masks_from_planes(self.alive_planes)
-        return alive
-
-    # -- gauges -----------------------------------------------------------
-
-    def states_alive(self) -> int:
-        """Total live states across all layers (vectorized popcount)."""
-        return int(_popcounts(self.alive_planes).sum())
-
-    def width(self) -> int:
-        """Maximum number of live states in any layer."""
-        counts = _popcounts(self.alive_planes)
-        return int(counts.max()) if counts.size else 0
+    def _alive_by_letters(self) -> "list[int]":
+        """Live layers: each forward layer intersected with its
+        co-reachability node's mask — equal to the indexed backend's
+        per-layer pruning (a forward state's successor along any path is
+        itself forward, so intersecting late loses nothing)."""
+        mask_slot = self._vkernel._mask_slot
+        return [
+            f & node[mask_slot]
+            for f, node in zip(self.forward, self._coreach_nodes())
+        ]
 
     # -- first(): memoized greedy walk ------------------------------------
 

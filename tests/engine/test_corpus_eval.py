@@ -4,6 +4,7 @@ and warm-store hydration that never recomputes document artifacts."""
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +107,7 @@ class TestWarmStore:
             raise AssertionError("artifact recomputation on the store path")
 
         monkeypatch.setattr(document_module, "Counter", boom)
-        monkeypatch.setattr(document_module, "groupby", boom)
+        monkeypatch.setattr(document_module, "_RUN", SimpleNamespace(finditer=boom))
         with CorpusStore(path) as warm:
             engine = Engine()
             assert engine.evaluate_many(va, warm) == expected

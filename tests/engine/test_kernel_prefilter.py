@@ -149,6 +149,20 @@ class TestKernelEquivalence:
         assert quiet.stats.kernel_run_hits == 0
         assert busy.stats.kernel_run_hits == 2  # the two long a-runs
 
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    def test_text_takes_the_letter_walk_without_building_runs(self, backend):
+        # Routing stops scanning once the document has too many runs for
+        # the run walk, so a text document never gets its run-length
+        # encoding built.
+        va = _va("(a|b)*x{ab}(a|b)*")
+        engine = Engine(backend=backend)
+        doc = Document("ba" * 40)
+        assert len(engine.evaluate(va, doc)) == 39
+        assert engine.is_nonempty(va, doc)
+        assert engine.first(va, doc) is not None
+        assert doc._runs is None
+        assert engine.stats.kernel_run_hits == 0
+
 
 class TestPrefilterWiring:
     @given(sequential_formulas(), run_documents)

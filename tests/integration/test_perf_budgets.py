@@ -84,6 +84,7 @@ class TestCommittedBaseline:
             "prefilter_selectivity",
             "batch_corpus",
             "backend_matrix",
+            "backend_matrix_fresh",
             "enumeration_throughput",
         ):
             assert sections[name]["rows"], name

@@ -1,7 +1,9 @@
 """The run-compressed transition kernel: power doubling, predecessor
-transformers, document RLE/histogram caches, and the shared bit helpers."""
+transformers, the walk router, document RLE/histogram caches, and the
+shared bit helpers."""
 
 import random
+from unittest.mock import patch
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from repro.core import Document
 from repro.utils import apply_masks, iter_bits
 from repro.va import TransitionKernel, regex_to_va, trim
+from repro.va import kernel as kernel_module
+from repro.va.kernel import run_walk_runs, takes_run_walk
 from repro.workloads import random_sequential_formula
 
 from ..properties.conftest import sequential_formulas
@@ -21,6 +25,38 @@ run_documents = st.lists(
     min_size=0,
     max_size=5,
 ).map(lambda runs: "".join(letter * length for letter, length in runs))
+
+
+#: Small-alphabet text mixing short and long runs, the empty text included.
+mixed_run_texts = st.lists(
+    st.tuples(st.sampled_from("ab\n"), st.integers(min_value=1, max_value=12)),
+    max_size=8,
+).map(lambda runs: "".join(letter * length for letter, length in runs))
+
+#: The default threshold and the two the pinned test legs set.
+THRESHOLDS = (kernel_module.RUN_WALK_THRESHOLD, 0, 1 << 20)
+
+
+@st.composite
+def routed_documents(draw):
+    """A document of mixed runs as the engine meets one: fresh, hydrated
+    with seeded runs, or grown by a chain of appends whose prefixes were
+    scanned under some run limit (or not) on the way, so their caches
+    carry over."""
+    text = draw(mixed_run_texts)
+    kind = draw(st.sampled_from(("fresh", "cached", "appended")))
+    if kind == "fresh":
+        return Document(text)
+    if kind == "cached":
+        return Document.from_cached(text, runs=Document(text).runs())
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)))
+    pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    doc = Document(pieces[0])
+    for piece in pieces[1:]:
+        if draw(st.booleans()):
+            doc.runs_within(draw(st.integers(0, len(doc) + 1)))
+        doc = doc.append(piece)
+    return doc
 
 
 def _kernel_for(formula):
@@ -98,6 +134,37 @@ class TestTransitionKernel:
         assert kernel.run_hits == before
         kernel.advance(0, 1, 12)
         assert kernel.run_hits == before + 1
+
+
+class TestRunWalkRouting:
+    @given(routed_documents(), st.permutations(THRESHOLDS))
+    @_SETTINGS
+    def test_router_decides_the_rule_on_a_fresh_copy(self, doc, thresholds):
+        # The reference counts the runs of a separate copy; the router
+        # answers from one cached scan per document, whatever order the
+        # thresholds come in.
+        reference = Document(doc.text).runs()
+        for threshold in thresholds:
+            with patch.object(kernel_module, "RUN_WALK_THRESHOLD", threshold):
+                runs = run_walk_runs(doc)
+                assert (runs is not None) == takes_run_walk(len(doc), len(reference))
+            if runs is not None:
+                assert runs == reference
+
+    @given(routed_documents(), st.data())
+    @_SETTINGS
+    def test_runs_within_answers_every_limit(self, doc, data):
+        reference = Document(doc.text).runs()
+        for limit in data.draw(st.permutations(range(len(doc) + 2))):
+            expected = reference if len(reference) <= limit else None
+            assert doc.runs_within(limit) == expected
+
+    def test_text_stops_the_scan_and_builds_no_runs(self):
+        doc = Document("ab" * 50)
+        assert run_walk_runs(doc) is None
+        assert doc._runs is None
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 0):
+            assert run_walk_runs(doc) == Document("ab" * 50).runs()
 
 
 class TestDocumentRunCaches:

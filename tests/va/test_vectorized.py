@@ -46,42 +46,39 @@ def _small_vva():
 
 
 class TestPlanePacking:
+    """Plane packing as the plane tables (``pred_table``) pack and the
+    cache-miss gather (``_gather``) unpacks: ``_planes_from_masks`` rows
+    read back through ``planes_to_mask``."""
+
     @given(wide_masks)
     def test_mask_round_trips_through_planes(self, mask):
-        from repro.va.vectorized import mask_to_planes, planes_to_mask
+        from repro.va.vectorized import _planes_from_masks, planes_to_mask
 
-        planes = mask_to_planes(mask, 3)
+        (planes,) = _planes_from_masks([mask], 3)
         assert planes.shape == (3,)
         assert planes_to_mask(planes) == mask
 
     @given(st.lists(wide_masks, min_size=1, max_size=8))
     def test_mask_lists_round_trip_through_plane_arrays(self, masks):
-        from repro.va.vectorized import _masks_from_planes, _planes_from_masks
+        from repro.va.vectorized import _planes_from_masks, planes_to_mask
 
         planes = _planes_from_masks(masks, 3)
         assert planes.shape == (len(masks), 3)
-        assert _masks_from_planes(planes) == masks
+        assert [planes_to_mask(row) for row in planes] == masks
 
     @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1))
     def test_single_plane_fast_path_round_trips(self, masks):
-        from repro.va.vectorized import _masks_from_planes, _planes_from_masks
+        from repro.va.vectorized import _planes_from_masks, planes_to_mask
 
         planes = _planes_from_masks(masks, 1)
-        assert _masks_from_planes(planes) == masks
-
-    @given(st.lists(wide_masks, min_size=1, max_size=8))
-    def test_popcounts_match_int_bit_count(self, masks):
-        from repro.va.vectorized import _planes_from_masks, _popcounts
-
-        counts = _popcounts(_planes_from_masks(masks, 3))
-        assert counts.tolist() == [mask.bit_count() for mask in masks]
+        assert [planes_to_mask(row) for row in planes] == masks
 
     def test_plane_word_layout_is_little_endian(self):
-        from repro.va.vectorized import mask_to_planes
+        from repro.va.vectorized import _planes_from_masks
 
         # State 64 lives in bit 0 of word 1.
-        planes = mask_to_planes(1 << 64, 2)
-        assert planes.tolist() == [0, 1]
+        planes = _planes_from_masks([1 << 64], 2)
+        assert planes.tolist() == [[0, 1]]
 
 
 def _extended_mask(kernel, mask: int, lid: int) -> int:
