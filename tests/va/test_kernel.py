@@ -159,13 +159,6 @@ class TestRunWalkRouting:
             expected = reference if len(reference) <= limit else None
             assert doc.runs_within(limit) == expected
 
-    def test_text_stops_the_scan_and_builds_no_runs(self):
-        doc = Document("ab" * 50)
-        assert run_walk_runs(doc) is None
-        assert doc._runs is None
-        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 0):
-            assert run_walk_runs(doc) == Document("ab" * 50).runs()
-
 
 class TestDocumentRunCaches:
     @given(st.text(alphabet="abc", max_size=30))
