@@ -18,23 +18,23 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   throughput on a sparse corpus (≤10% matching documents).
 * **shared-corpus batches** — ``Engine.evaluate_many`` prefilters up
   front and only evaluates (or ships to workers) the survivors.
-* **backend matrix** — ``indexed`` vs the numpy ``vectorized`` backend
-  on a >64-state (multi-plane) query: Boolean
-  emptiness and first-match on a low-run 100k-letter document (where the
-  vectorized frontier-node walk should win ≥5x) and on a run-heavy
-  document (which runs the same indexed code on both backends) — both
-  cells are reported so the README's backend-selection matrix stays
-  honest.  The backends take turns within each repeat, so host speed
-  phases hit both sides of a ratio, and a call shorter than
-  :data:`MIN_SAMPLE_S` repeats back to back within each timed sample.
+* **walk matrix** (E16d) — the engine's letter walk, which steps
+  interned frontier nodes, vs the per-letter mask walk it replaced
+  (:func:`_mask_walk_nonempty` and :class:`_MaskWalkGraph`, kept here as
+  the baseline) on a >64-state query: Boolean emptiness and first-match
+  on a low-run 100k-letter document (where the node walk should win ≥5x)
+  and on a run-heavy document (which takes the same run walk on both
+  sides) — both cells are reported so the README's matrix stays honest.
+  The sides take turns within each repeat, so host speed phases hit both
+  sides of a ratio, and a call shorter than :data:`MIN_SAMPLE_S` repeats
+  back to back within each timed sample.
   The barred cells time warm documents, whose runs and letter ids are
   cached; a second leg, with no bar, times the same calls on a new
   ``Document`` per call, which pays the routing scan and the encoding
   as the engine does on a document it has not seen.
 * **enumeration throughput** (E16e) — *full enumeration* (mappings/sec)
-  across a run-length × match-density grid, on ``indexed`` and on
-  ``vectorized`` (which shares its DFS), plus the DFS frames per mapping,
-  each on every cell's document and on its first quarter.  The
+  across a run-length × match-density grid, plus the DFS frames per
+  mapping, each on every cell's document and on its first quarter.  The
   acceptance bar is a count: on the low-run 100k-letter cells, whose
   query stars a union of letters, frames per mapping on the whole
   document are at most 1.5x those on its first quarter (a walk that
@@ -61,9 +61,10 @@ from unittest.mock import patch
 
 from repro.core import Document
 from repro.engine import Engine, ExecutionGuard
-from repro.utils import format_table
+from repro.utils import apply_masks, format_table
 from repro.va import IndexedMatchGraph, indexed_nonempty
 from repro.va import kernel as kernel_module
+from repro.va.kernel import run_walk_runs
 
 TINY = bool(os.environ.get("BENCH_E16_TINY"))
 
@@ -403,14 +404,90 @@ def _batch_sweep():
     return rows
 
 
-# -- backend matrix: indexed vs vectorized ------------------------------------
+# -- walk matrix: the node walk vs the per-letter mask walk -------------------
 
-#: A >64-state query (≥ 2 uint64 planes once indexed): an anchored 24-letter
+#: A >64-state query (wider than one machine word): an anchored 24-letter
 #: pattern inside a capture, in an a/b sea.
 MATRIX_FORMULA = "(a|b)*x{" + "ab" * 12 + "a+}(a|b)*"
 MATRIX_DOC_LETTERS = 2_000 if TINY else 100_000
 MATRIX_RUN_LENGTH = 25_000  # the run-heavy workload's run size (non-tiny)
-MATRIX_BACKENDS = ("indexed", "vectorized")
+#: The two sides of every cell: the baseline first, then the engine.
+MATRIX_WALKS = ("mask_walk", "node_walk")
+
+
+def _mask_walk_nonempty(indexed, doc: Document) -> bool:
+    """``is_nonempty`` as the letter walk ran before it stepped interned
+    frontier nodes: one mask application per letter, stopping once the
+    frontier dies.  A document of long runs takes the run walk, as it
+    did then."""
+    if run_walk_runs(doc) is not None:
+        return indexed_nonempty(indexed, doc)
+    succ = indexed.successor_masks
+    mask = 1 << indexed.initial_id
+    for lid in doc.encoded(indexed.alphabet):
+        if lid < 0:
+            return False  # a letter unknown to the VA: no run survives
+        mask = apply_masks(succ[lid], mask)
+        if not mask:
+            return False
+    return bool(mask & indexed.accept_mask)
+
+
+class _MaskWalkGraph(IndexedMatchGraph):
+    """The match graph as the letter walk built it before it stepped
+    interned frontier nodes, for ``first()``: forward layers by one mask
+    application per letter, live layers by testing each forward state's
+    successors against the next live layer, and the library's greedy
+    ``first()`` over those live layers, with its quiet-stretch skip.  A
+    document of long runs takes the run walk, as it did then."""
+
+    __slots__ = ()
+
+    def __init__(self, indexed, document):
+        super().__init__(indexed, document)
+        if self._runs is None:
+            # Without a kernel, first() reads the live layers below.
+            self._kernel = None
+
+    @property
+    def forward(self):
+        if self._forward is None and self._runs is None:
+            indexed = self.indexed
+            succ = indexed.successor_masks
+            forward = [0] * (self._n + 1)
+            mask = forward[0] = 1 << indexed.initial_id
+            for i, lid in enumerate(self.letter_ids):
+                if lid < 0:
+                    break
+                mask = apply_masks(succ[lid], mask)
+                if not mask:
+                    break
+                forward[i + 1] = mask
+            self._forward = forward
+        return super().forward
+
+    @property
+    def alive(self):
+        if self._alive is None and self._runs is None:
+            ids = self.letter_ids
+            forward = self.forward
+            succ = self.indexed.successor_masks
+            alive = [0] * (self._n + 1)
+            live = alive[self._n] = self.final_mask
+            for i in range(self._n - 1, -1, -1):
+                if not live:
+                    break  # nothing co-reachable earlier either
+                row = succ[ids[i]]
+                layer_alive = 0
+                mask = forward[i]
+                while mask:
+                    low = mask & -mask
+                    if row[low.bit_length() - 1] & live:
+                        layer_alive |= low
+                    mask ^= low
+                alive[i] = live = layer_alive
+            self._alive = alive
+        return super().alive
 
 
 def _matrix_documents() -> "list[tuple[str, Document]]":
@@ -448,108 +525,113 @@ def _calls_per_sample(func) -> int:
 
 
 def _matrix_sweep(fresh: bool):
-    """The backend-matrix cells, each call on the workload's own warm
+    """The walk-matrix cells, each call on the workload's own warm
     document, or (``fresh``) on a new ``Document`` of its text."""
-    from repro.engine import available_backends, get_backend
+    from repro.engine import get_backend
     from repro.regex import parse
 
     from bench_common import compile_formula
 
     va = compile_formula(parse(MATRIX_FORMULA))
-    assert va.indexed().n_states > 64  # multi-plane by construction
-    runnable = [b for b in MATRIX_BACKENDS if b in available_backends()]
+    indexed = va.indexed()
+    assert indexed.n_states > 64  # wider than one machine word
+    prepared = get_backend("indexed").prepare(va)
+    sides = {
+        "mask_walk": {
+            "nonempty_ms": lambda doc: _mask_walk_nonempty(indexed, doc),
+            "first_ms": lambda doc: _MaskWalkGraph(indexed, doc).first(),
+        },
+        "node_walk": {
+            "nonempty_ms": prepared.is_nonempty,
+            "first_ms": lambda doc: prepared.run(doc).first(),
+        },
+    }
     rows = []
     for workload, doc in _matrix_documents():
 
         def subject(doc=doc):
             return Document(doc.text) if fresh else doc
 
-        prepared = {backend: get_backend(backend).prepare(va) for backend in runnable}
-        for form in prepared.values():
+        for side in MATRIX_WALKS:
             # Warm the automaton's caches (nodes, powers) and, on the warm
             # leg, the document's (runs, encoding).
-            form.is_nonempty(subject())
-        best = {backend: {} for backend in runnable}
-        # Each cell times the backends in turns within each repeat, in
+            sides[side]["nonempty_ms"](subject())
+        best = {side: {} for side in MATRIX_WALKS}
+        # Each cell times the sides in turns within each repeat, in
         # alternating order, so a speed phase of the host (or the state
         # the previous call leaves) lands on both sides of a ratio alike;
         # each keeps its best of REPEATS.
-        for metric, call in (
-            ("nonempty_ms", lambda form: form.is_nonempty(subject())),
-            ("first_ms", lambda form: form.run(subject()).first()),
-        ):
+        for metric in ("nonempty_ms", "first_ms"):
             calls = {
-                backend: _calls_per_sample(lambda: call(prepared[backend]))
-                for backend in runnable
+                side: _calls_per_sample(lambda: sides[side][metric](subject()))
+                for side in MATRIX_WALKS
             }
             for repeat in range(REPEATS):
-                for backend in runnable if repeat % 2 == 0 else runnable[::-1]:
+                order = MATRIX_WALKS if repeat % 2 == 0 else MATRIX_WALKS[::-1]
+                for side in order:
                     ms, answer = _best_of(
-                        1, lambda: call(prepared[backend]), calls[backend]
+                        1, lambda: sides[side][metric](subject()), calls[side]
                     )
                     # A true emptiness answer, or a first mapping.
-                    assert answer not in (False, None), (workload, backend, metric)
-                    cell = best[backend]
+                    assert answer not in (False, None), (workload, side, metric)
+                    cell = best[side]
                     cell[metric] = min(cell.get(metric, ms), ms)
-        for backend in runnable:
+        for side in MATRIX_WALKS:
             rows.append(
                 {
                     "workload": workload,
-                    "backend": backend,
+                    "walk": side,
                     "doc_letters": len(doc),
-                    "nonempty_ms": round(best[backend]["nonempty_ms"], 4),
-                    "first_ms": round(best[backend]["first_ms"], 4),
+                    "nonempty_ms": round(best[side]["nonempty_ms"], 4),
+                    "first_ms": round(best[side]["first_ms"], 4),
                 }
             )
     return rows
 
 
-def _backend_matrix_sweep():
+def _walk_matrix_sweep():
     """The barred matrix cells, on warm documents (the live perf gate
     re-runs this)."""
     return _matrix_sweep(fresh=False)
 
 
-def _fresh_matrix_sweep():
+def _fresh_walk_matrix_sweep():
     """The same cells on a new ``Document`` per call (reported only)."""
     return _matrix_sweep(fresh=True)
 
 
 def _matrix_speedups(rows):
-    """Vectorized-over-indexed ratios per workload (absent without numpy)."""
-    by_key = {(r["workload"], r["backend"]): r for r in rows}
+    """Node-walk-over-mask-walk ratios per workload."""
+    by_key = {(r["workload"], r["walk"]): r for r in rows}
     speedups = {}
     for workload in ("low_run", "run_heavy"):
-        indexed = by_key.get((workload, "indexed"))
-        vectorized = by_key.get((workload, "vectorized"))
-        if indexed and vectorized:
-            speedups[workload] = {
-                "nonempty": round(
-                    indexed["nonempty_ms"] / vectorized["nonempty_ms"], 2
-                ),
-                "first": round(indexed["first_ms"] / vectorized["first_ms"], 2),
-            }
+        mask = by_key[(workload, "mask_walk")]
+        node = by_key[(workload, "node_walk")]
+        speedups[workload] = {
+            "nonempty": round(mask["nonempty_ms"] / node["nonempty_ms"], 2),
+            "first": round(mask["first_ms"] / node["first_ms"], 2),
+        }
     return speedups
 
 
 def _report_matrix(report, name: str, section: str, rows, documents: str):
-    """Report one backend-matrix leg and record it as a JSON section."""
+    """Report one walk-matrix leg and record it as a JSON section."""
     speedups = _matrix_speedups(rows)
     table = format_table(
-        ["workload", "backend", "letters", "nonempty_ms", "first_ms"],
+        ["workload", "walk", "letters", "nonempty_ms", "first_ms"],
         [
             [
                 r["workload"],
-                r["backend"],
+                r["walk"],
                 r["doc_letters"],
                 r["nonempty_ms"],
                 r["first_ms"],
             ]
             for r in rows
         ],
-        title="E16d backend matrix on a >64-state query "
+        title="E16d walk matrix on a >64-state query "
         f"({MATRIX_DOC_LETTERS} letters, {documents}): Boolean emptiness "
-        "and first-match per enumeration backend",
+        "and first-match, per-letter mask walk vs interned-node walk",
     )
     report(name, table)
     _JSON["sections"][section] = {
@@ -558,43 +640,43 @@ def _report_matrix(report, name: str, section: str, rows, documents: str):
         "repeats": REPEATS,
         "min_sample_s": MIN_SAMPLE_S,
         "documents": documents,
-        "backends": list(MATRIX_BACKENDS),
+        "walks": list(MATRIX_WALKS),
         "rows": rows,
-        "vectorized_speedup_vs_indexed": speedups,
+        "node_walk_speedup_vs_mask_walk": speedups,
     }
     _flush_json()
     return speedups
 
 
-def bench_e16_backend_matrix(benchmark, report):
-    rows = benchmark.pedantic(_backend_matrix_sweep, rounds=1, iterations=1)
+def bench_e16_walk_matrix(benchmark, report):
+    rows = benchmark.pedantic(_walk_matrix_sweep, rounds=1, iterations=1)
     speedups = _report_matrix(
-        report, "E16d_backend_matrix", "backend_matrix", rows, "warm documents"
+        report, "E16d_walk_matrix", "walk_matrix", rows, "warm documents"
     )
-    if not TINY and "low_run" in speedups:
-        # Acceptance bar: ≥5x over indexed on a low-run 100k-letter
+    if not TINY:
+        # Acceptance bar: ≥5x over the mask walk on a low-run 100k-letter
         # document with a ≥64-state query, for both emptiness and
-        # first-match.  (Run-heavy documents run the same indexed code on
-        # both backends — reported, not asserted.)
+        # first-match.  (Run-heavy documents take the same run walk on
+        # both sides — reported, not asserted.)
         low_run = speedups["low_run"]
         assert low_run["nonempty"] >= 5.0, speedups
         assert low_run["first"] >= 5.0, speedups
 
 
-def bench_e16_backend_matrix_fresh(benchmark, report):
+def bench_e16_walk_matrix_fresh(benchmark, report):
     # What the engine pays on a document it has not seen: the routing
     # scan, the letter encoding and, on the run walk, the runs.  No bar.
-    rows = benchmark.pedantic(_fresh_matrix_sweep, rounds=1, iterations=1)
+    rows = benchmark.pedantic(_fresh_walk_matrix_sweep, rounds=1, iterations=1)
     _report_matrix(
         report,
-        "E16d_backend_matrix_fresh",
-        "backend_matrix_fresh",
+        "E16d_walk_matrix_fresh",
+        "walk_matrix_fresh",
         rows,
         "a new Document per call",
     )
 
 
-# -- enumeration throughput: indexed vs vectorized, and DFS frames -----------
+# -- enumeration throughput and DFS frames -------------------------------------
 
 ENUM_DOC_LETTERS = 2_000 if TINY else 100_000
 #: Gap shapes for the needle sea: 1 = low-run (random a/b letters),
@@ -653,84 +735,57 @@ def _frames_per_mapping(indexed, doc: Document) -> "float | None":
     return round(counter.ticks / mappings, 1) if mappings else None
 
 
-def _enumeration_cell(va, doc: Document, have_numpy: bool) -> dict:
-    """Full enumeration of one document on each backend, and its DFS
-    frames per mapping.  Each backend enumerates a fresh copy of the
-    document, so each pays the letter encoding a document caches, as
-    the engine does on a new document."""
-    indexed = va.indexed()
+def _enumeration_cell(indexed, doc: Document) -> dict:
+    """Full enumeration of one document, on a fresh copy so it pays the
+    letter encoding a document caches, as the engine does on a new
+    document, and its DFS frames per mapping."""
     indexed_ms, mappings = _best_of(
         ENUM_REPEATS,
         lambda: sum(
             1 for _ in IndexedMatchGraph(indexed, Document(doc.text)).enumerate()
         ),
     )
-    cell = {
+    return {
         "letters": len(doc),
         "mappings": mappings,
         "indexed_ms": round(indexed_ms, 3),
         "frames_per_mapping": _frames_per_mapping(indexed, doc),
     }
-    if have_numpy:
-        from repro.engine import get_backend
-
-        # The engine's path: run-heavy documents run the indexed code.
-        prepared = get_backend("vectorized").prepare(va)
-        vectorized_ms, n_vectorized = _best_of(
-            ENUM_REPEATS,
-            lambda: sum(1 for _ in prepared.run(Document(doc.text)).enumerate()),
-        )
-        assert n_vectorized == mappings, (len(doc), n_vectorized, mappings)
-        cell["vectorized_ms"] = round(vectorized_ms, 3)
-    return cell
 
 
 def _enumeration_sweep():
-    from repro.engine import available_backends
     from repro.regex import parse
 
     from bench_common import compile_formula
 
-    va = compile_formula(parse(MATRIX_FORMULA))
-    have_numpy = "vectorized" in available_backends()
+    indexed = compile_formula(parse(MATRIX_FORMULA)).indexed()
     rows = []
     for run_length in ENUM_RUN_LENGTHS:
         for rate in ENUM_NEEDLE_RATES:
             doc = _enum_document(
                 run_length, rate, seed=run_length * 1000 + int(rate * 100)
             )
-            full = _enumeration_cell(va, doc, have_numpy)
+            full = _enumeration_cell(indexed, doc)
             assert full["mappings"] > 0, (run_length, rate)
-            quarter = _enumeration_cell(
-                va, Document(doc.text[: len(doc) // 4]), have_numpy
+            quarter = _enumeration_cell(indexed, Document(doc.text[: len(doc) // 4]))
+            rows.append(
+                {
+                    "workload": "low_run" if run_length <= 1 else "run_heavy",
+                    "run_length": run_length,
+                    "needle_rate": rate,
+                    "doc_letters": full["letters"],
+                    "mappings": full["mappings"],
+                    "indexed_ms": full["indexed_ms"],
+                    "indexed_maps_per_s": round(
+                        full["mappings"] / (full["indexed_ms"] / 1e3), 1
+                    ),
+                    "frames_per_mapping": full["frames_per_mapping"],
+                    "quarter_letters": quarter["letters"],
+                    "quarter_mappings": quarter["mappings"],
+                    "quarter_indexed_ms": quarter["indexed_ms"],
+                    "quarter_frames_per_mapping": quarter["frames_per_mapping"],
+                }
             )
-            row = {
-                "workload": "low_run" if run_length <= 1 else "run_heavy",
-                "run_length": run_length,
-                "needle_rate": rate,
-                "doc_letters": full["letters"],
-                "mappings": full["mappings"],
-                "indexed_ms": full["indexed_ms"],
-                "indexed_maps_per_s": round(
-                    full["mappings"] / (full["indexed_ms"] / 1e3), 1
-                ),
-                "frames_per_mapping": full["frames_per_mapping"],
-                "quarter_letters": quarter["letters"],
-                "quarter_mappings": quarter["mappings"],
-                "quarter_indexed_ms": quarter["indexed_ms"],
-                "quarter_frames_per_mapping": quarter["frames_per_mapping"],
-            }
-            if have_numpy:
-                row.update(
-                    {
-                        "vectorized_ms": full["vectorized_ms"],
-                        "vectorized_maps_per_s": round(
-                            full["mappings"] / (full["vectorized_ms"] / 1e3), 1
-                        ),
-                        "quarter_vectorized_ms": quarter["vectorized_ms"],
-                    }
-                )
-            rows.append(row)
     return rows
 
 
@@ -742,11 +797,9 @@ def bench_e16_enumeration_throughput(benchmark, report):
             "needle_rate",
             "mappings",
             "indexed_ms",
-            "vectorized_ms",
             "frames/map",
             "quarter: mappings",
             "indexed_ms",
-            "vectorized_ms",
             "frames/map",
         ],
         [
@@ -755,11 +808,9 @@ def bench_e16_enumeration_throughput(benchmark, report):
                 r["needle_rate"],
                 r["mappings"],
                 r["indexed_ms"],
-                r.get("vectorized_ms", "-"),
                 r["frames_per_mapping"],
                 r["quarter_mappings"],
                 r["quarter_indexed_ms"],
-                r.get("quarter_vectorized_ms", "-"),
                 "-"
                 if r["quarter_frames_per_mapping"] is None
                 else r["quarter_frames_per_mapping"],
@@ -768,7 +819,7 @@ def bench_e16_enumeration_throughput(benchmark, report):
         ],
         title="E16e full-enumeration throughput on the >64-state matrix "
         f"query ({ENUM_DOC_LETTERS} letters and the first quarter): "
-        "indexed vs vectorized, and DFS frames per mapping, "
+        "full enumeration and DFS frames per mapping, "
         "run-length x match-density",
     )
     report("E16e_enumeration_throughput", table)

@@ -36,20 +36,17 @@ Subcommands:
 * ``dot``      — compile to a vset-automaton and emit Graphviz DOT.
 
 ``extract`` and ``batch`` run through :class:`repro.engine.Engine`;
-``--backend`` picks the enumeration backend (``indexed`` by default, which
-takes the run walk or the letter walk per document; the numpy-backed
-``vectorized`` backend replaces the letter walk, runs the run walk's
-documents on the indexed code, needs the ``[fast]`` extra and exits with
-an install hint when numpy is missing), ``--limit K`` stops after K
+``--backend`` names the enumeration backend (``indexed``, the only one,
+which takes the run walk or the letter walk per document), ``--limit K`` stops after K
 mappings per document (short-circuiting graph construction on the lazy
 indexed backend), ``--no-optimize`` disables the logical-plan optimizer, ``--no-prefilter``
 disables the VA-derived document prefilter (by default provably
 non-matching documents are rejected in O(1) from their letter histogram),
 ``batch --workers N`` shards the surviving corpus across N worker
 processes, and ``--stats`` prints the engine's cache/compile/enumerate
-statistics to stderr (including ``prefilter rejects``, the run-compressed
-kernel's ``kernel run hits``, and the vectorized backend's ``frontier
-misses``).
+statistics to stderr (including ``prefilter rejects``, the transition
+kernel's ``kernel run hits`` on the run walk, and its ``frontier misses``
+on the letter walk).
 """
 
 from __future__ import annotations
@@ -483,9 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--backend",
             choices=sorted(BACKENDS),
             default=DEFAULT_BACKEND,
-            help="enumeration backend (default: %(default)s; indexed "
-            "chooses its run or letter walk per document, vectorized "
-            "needs numpy and replaces only the letter walk)",
+            help="enumeration backend (default: %(default)s, which "
+            "chooses its run or letter walk per document)",
         )
         p.add_argument(
             "--stats", action="store_true", help="print engine statistics to stderr"

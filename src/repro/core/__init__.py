@@ -3,7 +3,6 @@
 from .document import Alphabet, Document, as_document
 from .errors import (
     ArityError,
-    BackendUnavailableError,
     BudgetExceeded,
     DeadlineExceeded,
     EvaluationError,
@@ -28,7 +27,6 @@ from .spans import Span, all_spans, count_spans, span
 __all__ = [
     "Alphabet",
     "ArityError",
-    "BackendUnavailableError",
     "BudgetExceeded",
     "ConstantSpanner",
     "DeadlineExceeded",

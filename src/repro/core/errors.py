@@ -58,12 +58,6 @@ class EvaluationError(SpannerError, RuntimeError):
     """An internal invariant of an evaluation algorithm was violated."""
 
 
-class BackendUnavailableError(SpannerError, RuntimeError):
-    """A requested enumeration backend cannot run in this environment,
-    e.g. ``--backend vectorized`` without numpy installed.  The message
-    names the missing dependency and the portable alternatives."""
-
-
 class ExecutionInterrupted(SpannerError, RuntimeError):
     """An evaluation was stopped by an
     :class:`~repro.engine.guards.ExecutionGuard` before completing.

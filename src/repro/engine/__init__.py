@@ -1,5 +1,5 @@
-"""The staged execution engine: plan caching, pluggable backends, batch
-evaluation.
+"""The staged execution engine: plan caching, the enumeration backend,
+batch evaluation.
 
 Layering: ``core`` → ``regex``/``va`` → ``algebra`` → **engine**.  The
 engine sits on top of the algebra and owns everything that amortises work
@@ -14,11 +14,10 @@ across documents:
 * :mod:`repro.engine.plan` — lowering to the static-prefix /
   ad-hoc-suffix split of every RA query (the paper's Sections 3–5
   compilation modes), with plan-level CSE;
-* :mod:`repro.engine.backends` — interchangeable enumeration backends
-  (``indexed``, which picks the run walk or the letter walk per document,
-  and the numpy-backed ``vectorized``); the frozenset
-  :class:`~repro.va.matchgraph.MatchGraph` walk and the naive enumerator
-  stay in :mod:`repro.va` as reference oracles, not backends;
+* :mod:`repro.engine.backends` — the enumeration backend (``indexed``,
+  which picks the run walk or the letter walk per document); the
+  frozenset :class:`~repro.va.matchgraph.MatchGraph` walk and the naive
+  enumerator stay in :mod:`repro.va` as reference oracles, not backends;
 * :mod:`repro.engine.guards` — execution guards: wall-clock deadlines,
   cooperative cancellation (:class:`CancelToken`), and resource budgets
   (:class:`Budget`) enforced cooperatively along every evaluation path;
@@ -32,7 +31,6 @@ from .backends import (
     EnumerationBackend,
     IndexedBackend,
     PreparedVA,
-    VectorizedBackend,
     available_backends,
     get_backend,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "StaticNode",
     "SyncDifferencePlanNode",
     "TailSession",
-    "VectorizedBackend",
     "available_backends",
     "build_plan",
     "get_backend",

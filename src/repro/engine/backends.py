@@ -1,4 +1,4 @@
-"""Pluggable enumeration backends.
+"""The enumeration backend.
 
 A backend turns a sequential VA into a document-independent *prepared*
 form once (:meth:`EnumerationBackend.prepare`), then builds a per-document
@@ -7,40 +7,24 @@ form once (:meth:`EnumerationBackend.prepare`), then builds a per-document
 enumeration plus the match-graph size gauges the engine's statistics
 report.
 
-A per-document product (Theorem 4.8's, a
+One backend ships, ``indexed`` (the default): states relabelled to dense
+integers with precomputed per-letter/per-opset transition tables and
+bitmask state sets (:mod:`repro.va.indexed`).  Each document takes one of
+two walks through the automaton's shared
+:class:`~repro.va.kernel.TransitionKernel`, chosen by
+:func:`~repro.va.kernel.run_walk_runs`: the run walk advances maximal
+letter runs in O(log run) memoized mask applications, the letter walk
+(text, where runs are short) steps interned frontier nodes, one list
+index per letter.  A per-document product (Theorem 4.8's, a
 :class:`~repro.va.indexed.LayeredIndexedVA`) is already in the indexed
-form and is already layered: every backend prepares it as
-:class:`PreparedIndexedVA`, whose run takes its layers as the forward
-pass.  It has no document-independent tables for a kernel or for numpy
-planes to amortise.
+form and already layered: its run takes its layers as the forward pass,
+and it has no kernel.
 
-Shipped backends:
-
-* ``indexed`` (the default) — states relabelled to dense integers with
-  precomputed per-letter/per-opset transition tables and bitmask state
-  sets (:mod:`repro.va.indexed`).  Each document takes one of two walks,
-  chosen by :func:`~repro.va.kernel.run_walk_runs`: the run walk advances
-  maximal letter runs through the
-  :class:`~repro.va.kernel.TransitionKernel` in O(log run) memoized mask
-  applications, the letter walk (text, where runs are short) takes one
-  mask step per letter.
-* ``vectorized`` — the interned-frontier-node substrate
-  (:mod:`repro.va.vectorized`) for the letter walk: frontier and
-  co-reachability nodes whose cache misses a numpy uint64 plane table
-  computes, and its own memoized ``first()`` walk.
-  A document that takes the run walk runs the ``indexed`` code itself,
-  on the same :class:`~repro.va.indexed.IndexedVA` and kernel, and both
-  enumerate on the indexed DFS.  Needs numpy (the ``[fast]`` extra);
-  requesting it without numpy raises a clean
-  :class:`~repro.core.errors.BackendUnavailableError`.
-
-Both backends are interchangeable: ``tests/engine`` checks each against
-the reference oracles — the naive run-semantics enumerator and the
-frozenset :class:`~repro.va.matchgraph.MatchGraph` walk
+``tests/engine`` checks the backend, on each walk, against the reference
+oracles — the naive run-semantics enumerator and the frozenset
+:class:`~repro.va.matchgraph.MatchGraph` walk
 (:func:`~repro.va.evaluation.enumerate_mappings`) — on random automata
 and documents, in both content and enumeration order.
-:func:`available_backends` lists the ones that can actually run in this
-environment (``indexed`` always, ``vectorized`` with numpy).
 """
 
 from __future__ import annotations
@@ -54,12 +38,6 @@ from ..core.mapping import Mapping
 from ..va.automaton import VA
 from ..va.indexed import IndexedMatchGraph, LayeredIndexedVA, indexed_nonempty
 from ..va.properties import is_sequential
-from ..va.vectorized import (
-    numpy_available,
-    require_numpy,
-    vectorized_graph,
-    vectorized_nonempty,
-)
 
 
 class PreparedVA(abc.ABC):
@@ -110,12 +88,6 @@ class EnumerationBackend(abc.ABC):
 
     name: str
 
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can run in the current environment
-        (``vectorized`` needs numpy; ``indexed`` always can)."""
-        return True
-
     @abc.abstractmethod
     def prepare(self, va: "VA | LayeredIndexedVA") -> PreparedVA:
         """Compile the document-independent form (checks sequentiality);
@@ -139,10 +111,9 @@ def _require_sequential(va: "VA | LayeredIndexedVA") -> None:
 class PreparedIndexedVA(PreparedVA):
     """Prepared form of the ``indexed`` backend: an :class:`IndexedVA`
     (cached on the automaton via :meth:`VA.indexed`) whose kernel is
-    shared by every document's run walk, or a per-document
-    :class:`LayeredIndexedVA` as it is (on every backend), which runs on
-    its own document only and builds its VA view only if :attr:`va` is
-    read."""
+    shared by every document's walk, or a per-document
+    :class:`LayeredIndexedVA` as it is, which runs on its own document
+    only and builds its VA view only if :attr:`va` is read."""
 
     __slots__ = ("indexed",)
 
@@ -162,14 +133,19 @@ class PreparedIndexedVA(PreparedVA):
 
     def kernel_hits(self) -> int:
         if self.indexed.layers is not None:
-            return 0  # a per-document form never takes the run walk
+            return 0  # a per-document form has no kernel
         return self.indexed.kernel().run_hits
+
+    def frontier_misses(self) -> int:
+        if self.indexed.layers is not None:
+            return 0
+        return self.indexed.kernel().step_misses
 
 
 class IndexedBackend(EnumerationBackend):
     """Dense-indexed evaluator (see :mod:`repro.va.indexed`): the run walk
     through the transition kernel on run-heavy documents, the letter walk
-    on text."""
+    over its interned frontier nodes on text."""
 
     name = "indexed"
 
@@ -177,96 +153,35 @@ class IndexedBackend(EnumerationBackend):
         return PreparedIndexedVA(va)
 
 
-# -- vectorized: numpy uint64 state planes + interned frontier nodes --------
-
-
-class PreparedVectorizedVA(PreparedVA):
-    """Prepared form of the ``vectorized`` backend: a
-    :class:`~repro.va.vectorized.VectorizedVA` (cached on the automaton
-    via :meth:`VA.vectorized`) sharing one frontier-node kernel across
-    every text document.  A document that takes the run walk
-    (:func:`~repro.va.kernel.run_walk_runs`) runs on the indexed form
-    underneath, as on the ``indexed`` backend."""
-
-    __slots__ = ("va", "vectorized")
-
-    def __init__(self, va: VA):
-        _require_sequential(va)
-        self.vectorized = va.vectorized()
-        self.va = self.vectorized.va
-
-    def run(self, document: Document | str, guard=None) -> IndexedMatchGraph:
-        return vectorized_graph(self.vectorized, document, guard=guard)
-
-    def is_nonempty(self, document: Document | str, guard=None) -> bool:
-        return vectorized_nonempty(self.vectorized, document, guard=guard)
-
-    def kernel_hits(self) -> int:
-        return self.vectorized.indexed.kernel().run_hits
-
-    def frontier_misses(self) -> int:
-        return self.vectorized.kernel().step_misses
-
-
-class VectorizedBackend(EnumerationBackend):
-    """The numpy state-plane evaluator (see :mod:`repro.va.vectorized`).
-
-    Constructing the backend without numpy raises
-    :class:`~repro.core.errors.BackendUnavailableError` — requesting
-    ``--backend vectorized`` fails fast with the install hint instead of
-    dying mid-evaluation.
-    """
-
-    name = "vectorized"
-
-    def __init__(self):
-        require_numpy()
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return numpy_available()
-
-    def prepare(
-        self, va: "VA | LayeredIndexedVA"
-    ) -> "PreparedVectorizedVA | PreparedIndexedVA":
-        if isinstance(va, LayeredIndexedVA):
-            return PreparedIndexedVA(va)
-        return PreparedVectorizedVA(va)
-
-
 # -- registry ---------------------------------------------------------------
 
 BACKENDS: dict[str, type[EnumerationBackend]] = {
     IndexedBackend.name: IndexedBackend,
-    VectorizedBackend.name: VectorizedBackend,
 }
 
 DEFAULT_BACKEND = IndexedBackend.name
 
+#: Retired backend names that still resolve.  The repository benchmark
+#: builds its csv-extract engine with ``backend="vectorized"``, the name of
+#: the backend whose letter walk the indexed one took over; the entry goes
+#: once that benchmark moves to the default backend.
+_ALIASES = {"vectorized": IndexedBackend.name}
+
 
 def available_backends() -> "list[str]":
-    """The registered backend names that can run in this environment
-    (sorted) — ``indexed`` unconditionally, plus ``vectorized`` when numpy
-    is importable."""
-    return sorted(
-        name for name, cls in BACKENDS.items() if cls.is_available()
-    )
+    """The registered backend names (sorted)."""
+    return sorted(BACKENDS)
 
 
 def get_backend(backend: "str | EnumerationBackend | None") -> EnumerationBackend:
-    """Resolve a backend name (or pass an instance through).
-
-    Unknown names raise :class:`SpannerError`; a known backend whose
-    dependencies are missing raises
-    :class:`~repro.core.errors.BackendUnavailableError` (with the install
-    hint) from its constructor.
-    """
+    """Resolve a backend name (or pass an instance through).  Unknown
+    names raise :class:`SpannerError`."""
     if backend is None:
         backend = DEFAULT_BACKEND
     if isinstance(backend, EnumerationBackend):
         return backend
     try:
-        cls = BACKENDS[backend]
+        cls = BACKENDS[_ALIASES.get(backend, backend)]
     except KeyError:
         raise SpannerError(
             f"unknown enumeration backend {backend!r}; "

@@ -6,10 +6,10 @@ An :class:`Engine` owns:
   a ``(tree, instantiation)`` pair, or a bare sequential VA) is compiled
   once into a :class:`~repro.engine.plan.CompiledPlan` whose static prefix
   is shared across all documents;
-* a pluggable **enumeration backend** (``indexed``, the default, or
-  ``vectorized``, see :mod:`repro.engine.backends`) preparing each
-  compiled VA for fast repeated evaluation; the ``indexed`` backend
-  chooses the run walk or the letter walk per document;
+* an **enumeration backend** (``indexed``, see
+  :mod:`repro.engine.backends`) preparing each compiled VA for fast
+  repeated evaluation, which chooses the run walk or the letter walk per
+  document;
 * **batch/streaming APIs** — :meth:`Engine.evaluate_many`,
   :meth:`Engine.is_nonempty_many` and :meth:`Engine.enumerate_stream`
   amortise all document-independent work over a document stream, and
@@ -280,11 +280,12 @@ class ExecutionContext:
         Delegates to the run's dedicated
         :meth:`~repro.va.indexed.IndexedMatchGraph.first` walk — one
         Boolean forward pass plus a single greedy root-to-sink descent,
-        never a full edge build.  On the indexed backend the descent reads
-        the backward ``alive`` layers, so they are built here; only the
-        vectorized backend's memoized walk, on text, prunes against
-        co-reachability nodes and skips that pass.  A deliberate fast
-        path all the same: it skips the ``states_explored`` gauge.
+        never a full edge build.  On text (the letter walk) the descent
+        prunes against interned co-reachability nodes and memoizes its
+        choices across documents, so the backward ``alive`` layers are
+        never built; on the run walk and on Theorem 4.8's per-document
+        forms it reads them, so they are built here.  A deliberate fast
+        path either way: it skips the ``states_explored`` gauge.
         """
         doc = as_document(document)
         stats = self.stats

@@ -121,11 +121,12 @@ class Budget:
         edge_rows: maximum enumeration edge rows materialised (one per
             live ``(layer, state)`` pair the DFS expands).
         cache_bytes: ceiling on the (estimated) bytes held by the
-            vectorized kernel's cross-document caches (interned frontier
-            nodes, the ``first()`` memo) — a gauge of their current
-            size, checked once per guarded vectorized graph construction
-            (on text: documents that take the run walk build the indexed
-            graph, which has no such caches), not a cumulative charge.
+            transition kernel's cross-document letter-walk caches
+            (interned frontier nodes, the ``first()`` memo) — a gauge of
+            their current size, checked once per guarded letter-walk
+            graph construction (text; documents that take the run walk
+            and Theorem 4.8's per-document forms build no nodes), not a
+            cumulative charge.
     """
 
     mappings: "int | None" = None

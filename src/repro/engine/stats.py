@@ -47,14 +47,13 @@ class EngineStats:
         kernel_run_hits: letter runs advanced by the run-compressed
             transition kernel (fixpoint absorption or power doubling)
             instead of per-letter stepping.
-        frontier_cache_misses: frontier transitions the vectorized
-            backend actually computed through its numpy plane tables —
-            every other position was served by the interned frontier-node
-            cache (``0`` on the indexed backend, and on the documents the
-            vectorized backend sends to the run walk).
+        frontier_cache_misses: frontier transitions the letter walk
+            actually computed (one mask application each) — every other
+            position was served by the kernel's interned frontier nodes
+            (``0`` on the documents that take the run walk, and on
+            Theorem 4.8's per-document forms).
         edge_rows_batched: always ``0``.  It counted the edge-row
-            contexts of the vectorized backend's batched DFS, which is
-            gone (both backends now share one DFS); the field stays only
+            contexts of a batched DFS that is gone; the field stays only
             because the repository benchmark (``perfbench/harness.py``)
             reads it from :meth:`as_dict`, and goes with that benchmark's
             next change.

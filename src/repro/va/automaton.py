@@ -31,7 +31,6 @@ from ..core.mapping import Variable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .indexed import IndexedVA
     from .prefilter import VAPrefilter
-    from .vectorized import VectorizedVA
 
 State = Hashable
 
@@ -94,7 +93,6 @@ class VA:
         "_states",
         "_vars",
         "_indexed",
-        "_vectorized",
         "_prefilter",
         "_fingerprint",
     )
@@ -127,7 +125,6 @@ class VA:
         self._out = {state: tuple(edges) for state, edges in out.items()}
         self._vars = frozenset(variables)
         self._indexed: "IndexedVA | None" = None
-        self._vectorized = None
         self._prefilter: "VAPrefilter | None" = None
         self._fingerprint: str | None = None
 
@@ -186,21 +183,6 @@ class VA:
 
             self._indexed = IndexedVA(self)
         return self._indexed
-
-    def vectorized(self) -> "VectorizedVA":
-        """The numpy plane-table form of this automaton (see
-        :mod:`repro.va.vectorized`), computed once and cached.
-
-        Wraps :meth:`indexed` with the uint64 successor-plane tables and
-        the shared frontier-stepping kernel; document independent like the
-        indexed form.  Raises
-        :class:`~repro.core.errors.BackendUnavailableError` without numpy.
-        """
-        if self._vectorized is None:
-            from .vectorized import VectorizedVA
-
-            self._vectorized = VectorizedVA(self.indexed())
-        return self._vectorized
 
     def prefilter(self) -> "VAPrefilter":
         """The document prefilter derived from this automaton (see

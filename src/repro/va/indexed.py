@@ -1,4 +1,4 @@
-"""Dense-indexed evaluation substrate (the engine's ``indexed`` backend).
+"""Dense-indexed evaluation substrate (the engine's backend).
 
 :class:`~repro.va.matchgraph.FactorizedVA` keeps states as arbitrary
 hashable objects and macro transitions as per-state dictionaries — flexible,
@@ -18,48 +18,53 @@ machine words instead of string hashing and frozenset algebra.
 
 :class:`IndexedMatchGraph` is *lazy* (streaming): construction runs only a
 cheap Boolean forward pass — enough to decide emptiness (Theorem 2.5's
-linear preprocessing).  The pass takes one of two walks, chosen per
+linear preprocessing).  The pass takes one of two walks through the
+automaton's shared :class:`~repro.va.kernel.TransitionKernel`, chosen per
 document by :func:`~repro.va.kernel.run_walk_runs`, which builds the
 run-length encoding (:meth:`~repro.core.document.Document.runs`) only
 for the documents that take the run walk:
 
 * the **run walk** (documents of long runs, and the empty document)
-  advances each maximal single-letter run through the
-  :class:`~repro.va.kernel.TransitionKernel` in O(log run) memoized mask
+  advances each maximal single-letter run in O(log run) memoized mask
   applications, so construction scales with the number of *runs*; the
   per-layer forward masks expand on demand, and the backward pass reuses
   the kernel's predecessor transformers with fixpoint fill inside runs;
-* the **letter walk** (text, where the mean run is short) takes one mask
-  step per letter and keeps every forward layer on the way.
+* the **letter walk** (text, where the mean run is short) steps the
+  kernel's interned frontier nodes, one list index per letter, and keeps
+  only the final frontier; the per-layer forward masks and the backward
+  co-reachability nodes are walked the same way on demand, and each live
+  layer is one ``&`` of the two.
 
-The backward co-reachability pruning and the per-(layer, state)
-enumeration edge rows materialise on demand on both walks.  The
-enumeration DFS and the dedicated :meth:`IndexedMatchGraph.first` walk
-additionally *skip* quiet stretches: a state is quiet at a layer when its
-only live option there is its empty-opset self-loop, which is what a
-character class under a star (``.*``, ``[0-9]*``) compiles to, and a
-profile of quiet states jumps in one step, across letters, to the first
-layer where one of them stops being quiet.  Each state finds the end of
-a stretch once, for every later entry to reuse, so a no-capture stretch
-costs one stack frame per path.  A star over a union of letters such as
-``(a|b)*`` compiles to one state per letter, quiet only inside a run of
-its own letter; the DFS crosses its stretches with a second skip, an
-index from each forced frame to the end of its stretch, which the first
-path through a stretch builds and every later path hops along.  A tail
-session's re-evaluation instead walks back from the final layer over the
-forward masks alone
-(:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
-run's length; :meth:`IndexedMatchGraph.extended` keeps the walk of the
-graph it extends.  Semantics are identical on both walks — the
-equivalence tests in ``tests/engine`` force each walk and check them
-against each other and against the naive enumerator.
+The per-(layer, state) enumeration edge rows materialise on demand on
+both walks.  The enumeration DFS additionally *skips* quiet stretches: a
+state is quiet at a layer when its only live option there is its
+empty-opset self-loop, which is what a character class under a star
+(``.*``, ``[0-9]*``) compiles to, and a profile of quiet states jumps in
+one step, across letters, to the first layer where one of them stops
+being quiet.  Each state finds the end of a stretch once, for every
+later entry to reuse, so a no-capture stretch costs one stack frame per
+path.  A star over a union of letters such as ``(a|b)*`` compiles to one
+state per letter, quiet only inside a run of its own letter; the DFS
+crosses its stretches with a second skip, an index from each forced
+frame to the end of its stretch, which the first path through a stretch
+builds and every later path hops along.  :meth:`IndexedMatchGraph.first`
+is a greedy walk: on the letter walk it prunes against the
+co-reachability nodes and memoizes its choices in the kernel, across
+documents; otherwise it reads the live layers, with the quiet skip.  A
+tail session's re-evaluation instead walks back from the final layer
+over the forward masks alone (:meth:`IndexedMatchGraph.enumerate_since`),
+pruned at the previous run's length; :meth:`IndexedMatchGraph.extended`
+keeps the walk of the graph it extends.  Semantics are identical on
+both walks — the equivalence tests in ``tests/engine`` force each walk
+and check them against each other and against the naive enumerator.
 
 :class:`IndexedVA` is document independent and safe to share across
 documents; :meth:`VA.indexed` caches one per automaton.
 :class:`LayeredIndexedVA` is the same dense form for an automaton built
 for one document, whose states are pinned to that document's layers
 (Theorem 4.8's per-document product): its layers *are* the forward pass,
-so :class:`IndexedMatchGraph` takes them as given instead of walking.
+so :class:`IndexedMatchGraph` takes them as given instead of walking,
+and it has no kernel.
 """
 
 from __future__ import annotations
@@ -217,13 +222,22 @@ class IndexedVA:
         return self.factorized.va
 
     def kernel(self) -> TransitionKernel:
-        """The run-compressed transition kernel over this automaton
+        """The transition kernel over this automaton
         (:mod:`repro.va.kernel`), built once and cached.  Its memoized
-        ``(letter, 2^k)`` power transformers are shared by every document
-        evaluated through this indexed form."""
+        ``(letter, 2^k)`` power transformers, interned frontier nodes and
+        ``first()`` memo are shared by every document evaluated through
+        this indexed form."""
         if self._kernel is None:
             self._kernel = TransitionKernel(self)
         return self._kernel
+
+    def __getstate__(self) -> dict:
+        # The kernel is a cache, and its interned nodes link into chains
+        # deeper than pickle's recursion limit: a copy, such as a
+        # worker's, starts a kernel of its own.
+        state = self.__dict__.copy()
+        state["_kernel"] = None
+        return state
 
     def predecessor_rows(self) -> "list[list[tuple[tuple[int, int], ...]]]":
         """The macro transitions inverted: ``rows[letter_id][state_id]`` is
@@ -497,40 +511,29 @@ class LayeredIndexedVA:
 def indexed_nonempty(
     indexed: "IndexedVA | LayeredIndexedVA", document: Document | str, guard=None
 ) -> bool:
-    """Decide ``⟦A⟧(d) ≠ ∅`` with the Boolean bitmask pass alone.
-
-    One forward sweep — no edge rows, no backward pruning, early exit as
-    soon as the frontier dies — on the walk
-    :func:`~repro.va.kernel.run_walk_runs` picks for the document: the
-    run walk advances over its run-length encoding through the
-    :class:`~repro.va.kernel.TransitionKernel` in O(runs · log run), the
-    letter walk steps per letter.  An
+    """Decide ``⟦A⟧(d) ≠ ∅`` with the Boolean forward pass alone — no
+    edge rows, no backward pruning — on the walk
+    :func:`~repro.va.kernel.run_walk_runs` picks for the document, through
+    the shared :class:`~repro.va.kernel.TransitionKernel`: the run walk
+    advances over its run-length encoding in O(runs · log run) and stops
+    once the frontier dies, the letter walk steps one interned node per
+    letter (:meth:`~repro.va.kernel.TransitionKernel.frontier`).  An
     :class:`~repro.engine.guards.ExecutionGuard` is checked once per run
-    on the run walk, and once up front and then ticked per letter on the
-    letter walk.  A :class:`LayeredIndexedVA`'s layers are that pass
-    already, so it answers from its last layer.
+    on the run walk, and once per ~4k letters on the letter walk.  A
+    :class:`LayeredIndexedVA`'s layers are that pass already, so it
+    answers from its last layer.
     """
     doc = as_document(document)
     if indexed.layers is not None:
         return not IndexedMatchGraph(indexed, doc, guard=guard).is_empty
+    kernel = indexed.kernel()
     runs = run_walk_runs(doc)
     mask = 1 << indexed.initial_id
     if runs is not None:
-        mask = _advance_runs(
-            indexed.kernel(), _encoded_runs(runs, indexed.alphabet), mask, guard
-        )
-        return bool(mask & indexed.accept_mask)
-    if guard is not None:
-        guard.check()
-    succ = indexed.successor_masks
-    for lid in doc.encoded(indexed.alphabet):
-        if guard is not None:
-            guard.tick()
-        if lid < 0:
-            return False  # letter unknown to the VA: no run survives
-        mask = apply_masks(succ[lid], mask)
-        if not mask:
-            return False
+        runs = _encoded_runs(runs, indexed.alphabet)
+        mask = _advance_runs(kernel, runs, mask, guard)
+    else:
+        mask = kernel.frontier(doc.encoded(indexed.alphabet), mask, guard)
     return bool(mask & indexed.accept_mask)
 
 
@@ -565,10 +568,10 @@ def _encoded_runs(runs, alphabet: Alphabet):
 
 def _advance_runs(kernel, runs, mask: int, guard) -> int:
     """The run walk: the frontier after the encoded ``runs``, started at
-    ``mask``, each run advanced through ``kernel``, the
-    :class:`~repro.va.kernel.TransitionKernel` both backends share, with
-    one guard check per run (``0`` once nothing survives, or at a letter
-    unknown to the VA)."""
+    ``mask``, each run advanced through ``kernel``, the automaton's
+    :class:`~repro.va.kernel.TransitionKernel`, with one guard check per
+    run (``0`` once nothing survives, or at a letter unknown to the
+    VA)."""
     for lid, _start, length in runs:
         if guard is not None:
             guard.check()
@@ -577,29 +580,6 @@ def _advance_runs(kernel, runs, mask: int, guard) -> int:
         mask = kernel.advance(lid, mask, length)
         if not mask:
             return 0
-    return mask
-
-
-def _walk_letters(succ, forward, ids, mask: int, begin: int, guard) -> int:
-    """The letter walk: fill ``forward[begin + 1:]`` from ``mask`` at layer
-    ``begin``, one mask step per letter id of ``ids`` (the letters after
-    layer ``begin``), and return the last layer's mask (``0`` once nothing
-    survives).  The guard is checked once up front, since a document
-    shorter than its tick stride would otherwise never read the clock or
-    the cancel token, and ticked per letter."""
-    if guard is not None:
-        guard.check()
-    i = begin
-    for lid in ids:
-        if guard is not None:
-            guard.tick()
-        if lid < 0:
-            return 0  # letter unknown to the VA: nothing lives past it
-        mask = apply_masks(succ[lid], mask)
-        if not mask:
-            return 0
-        i += 1
-        forward[i] = mask
     return mask
 
 
@@ -639,24 +619,29 @@ class IndexedMatchGraph:
 
     Construction runs only the Boolean forward pass, which already
     decides :attr:`is_empty`, on the walk
-    :func:`~repro.va.kernel.run_walk_runs` picks for the document: the
-    run walk advances each letter run through the shared
-    :class:`~repro.va.kernel.TransitionKernel` and expands the per-layer
-    forward masks on first access to :attr:`forward` (with fixpoint fill
-    inside runs); the letter walk keeps every forward layer as it steps.
-    The backward pruning pass materialises on first access to
+    :func:`~repro.va.kernel.run_walk_runs` picks for the document, through
+    the automaton's shared :class:`~repro.va.kernel.TransitionKernel`:
+    the run walk advances each letter run, the letter walk steps one
+    interned frontier node per letter; both keep only the final frontier.
+    The per-layer forward masks materialise on first access to
+    :attr:`forward` (run interiors with fixpoint fill, or one node step
+    per letter), the backward pruning pass on first access to
     :attr:`alive`, and enumeration edge rows per (layer, state) as the DFS
     reaches them.  A :class:`LayeredIndexedVA` walks nothing: its layers
-    are the forward masks, it keeps the letter walk's layout, and its
-    layers stand in for the document's letter ids.
+    are the forward masks, it has no kernel, and its layers stand in for
+    the document's letter ids.
 
     ``guard`` attaches an :class:`~repro.engine.guards.ExecutionGuard`:
     the run walk's forward/backward passes check it once per letter run
-    (O(runs) overhead, not O(positions)), the letter walk checks it once
-    and ticks it per letter, the enumeration DFS ticks it per stack frame,
-    and every materialised edge row is charged against the ``edge_rows``
-    budget.  With no guard every checkpoint is a single ``is not None``
-    test.
+    (O(runs) overhead, not O(positions)), the letter walk's construction
+    checks it once per ~4k letters and its per-layer walks once up front
+    and then tick it per letter, the enumeration DFS ticks it per stack
+    frame, and every materialised edge row is charged against the
+    ``edge_rows`` budget.  A guarded letter-walk construction checks the
+    shared kernel's cache footprint
+    (:meth:`~repro.va.kernel.TransitionKernel.cache_bytes_estimate`)
+    against the ``cache_bytes`` budget once, after its forward pass.  With
+    no guard every checkpoint is a single ``is not None`` test.
     """
 
     __slots__ = (
@@ -671,6 +656,7 @@ class IndexedMatchGraph:
         "_forward",
         "_frontier",
         "_alive",
+        "_cnodes",
         "_quiet_ends",
         "_edges",
         "_guard",
@@ -684,7 +670,9 @@ class IndexedMatchGraph:
         self._letter_ids: tuple[int, ...] | None = None
         self._forward: list[int] | None = None
         self._alive: list[int] | None = None
+        self._cnodes: list[list] | None = None
         self._quiet_ends: list[list[int] | None] | None = None
+        self._runs: tuple[tuple[int, int, int], ...] | None = None
         mask = 1 << indexed.initial_id
         if indexed.layers is not None:
             # A per-document form: its layers are the forward pass.
@@ -694,25 +682,20 @@ class IndexedMatchGraph:
                 )
             if guard is not None:
                 guard.check()
-            self._runs = None
-            self._kernel = None
+            self._kernel: TransitionKernel | None = None
             self._letter_ids = indexed.letter_ids
             self._forward = indexed.layers
             mask = indexed.layers[n]
-        elif (runs := run_walk_runs(doc)) is not None:
-            self._kernel = indexed.kernel()
-            self._runs: tuple[tuple[int, int, int], ...] | None = tuple(
-                _encoded_runs(runs, indexed.alphabet)
-            )
-            mask = _advance_runs(self._kernel, self._runs, mask, guard)
         else:
-            self._runs = None
-            self._kernel = None
-            forward = self._forward = [0] * (n + 1)
-            forward[0] = mask
-            mask = _walk_letters(
-                indexed.successor_masks, forward, self.letter_ids, mask, 0, guard
-            )
+            kernel = self._kernel = indexed.kernel()
+            runs = run_walk_runs(doc)
+            if runs is not None:
+                self._runs = tuple(_encoded_runs(runs, indexed.alphabet))
+                mask = _advance_runs(kernel, self._runs, mask, guard)
+            else:
+                mask = kernel.frontier(self.letter_ids, mask, guard)
+                if guard is not None:
+                    guard.gauge_cache_bytes(kernel.cache_bytes_estimate())
         # Checkpoint the raw pre-acceptance frontier: an append-extension
         # resumes the forward pass from here instead of position 0.
         self._frontier = mask
@@ -757,20 +740,19 @@ class IndexedMatchGraph:
         The graph is layered by position, so the appended letters only
         extend the frontier: the prefix contributes nothing but its
         checkpoint.  The extension keeps this graph's walk, whatever the
-        new document's run profile; a vectorized graph, a letter walk,
-        extends into an indexed one over its :attr:`forward` layers.
-        Already-materialised prefix forward layers (always, on the letter
-        walk) are carried over and the overhang's layers are expanded
+        new document's run profile.  Already-materialised prefix forward
+        layers are carried over and the overhang's layers are expanded
         after them (the frontier falls out of that walk), which is all
-        :meth:`enumerate_since` needs;
-        otherwise an appended run that merges with the tail run advances
-        through the kernel's memoized transformer powers in O(log extra).
-        The carried layers and the run tuple are copied, in C, so an
-        extension also costs O(document) copying.  The backward pruning,
-        quiet-stretch memo, and enumeration edge rows are *not* carried
-        over — they are pruned against the final layer's acceptance, which
-        every append changes — and rebuild lazily over the new document on
-        demand.
+        :meth:`enumerate_since` needs; otherwise the checkpoint advances
+        over the overhang alone, one interned node per letter on the
+        letter walk, and on the run walk an appended run that merges with
+        the tail run advances through the kernel's memoized transformer
+        powers in O(log extra).  The carried layers and the run tuple are
+        copied, in C, so an extension also costs O(document) copying.  The
+        backward pruning, co-reachability nodes, quiet-stretch memo, and
+        enumeration edge rows are *not* carried over — they are pruned
+        against the final layer's acceptance, which every append changes
+        — and rebuild lazily over the new document on demand.
 
         ``document`` must extend ``self.document`` letter for letter;
         callers (normally a tail session, via
@@ -799,12 +781,13 @@ class IndexedMatchGraph:
         graph._letter_ids = None
         graph._forward = None
         graph._alive = None
+        graph._cnodes = None
         graph._quiet_ends = None
+        kernel = graph._kernel = self._kernel
         mask = self._frontier
         if self._runs is not None:
             # The run walk: splice the encoded runs (only the possibly
             # merged tail run and the new suffix runs are re-encoded).
-            kernel = graph._kernel = self._kernel
             old_runs = self._runs
             keep = max(len(old_runs) - 1, 0)
             overhang = tuple(_encoded_runs(doc.runs()[keep:], indexed.alphabet))
@@ -833,22 +816,17 @@ class IndexedMatchGraph:
                     if not mask:
                         break
         else:
-            # The letter walk keeps every forward layer, so the extension
-            # fills the overhang's layers too.
+            # The letter walk: step the overhang's letters from the
+            # checkpoint, filling their layers if the prefix's are built.
             graph._runs = None
-            graph._kernel = None
-            ids = indexed.alphabet.ids
-            forward = list(self.forward)
-            forward.extend([0] * (n - old_n))
-            mask = _walk_letters(
-                indexed.successor_masks,
-                forward,
-                (ids.get(letter, -1) for letter in doc.text[old_n:]),
-                mask,
-                old_n,
-                guard,
-            )
-            graph._forward = forward
+            overhang = indexed.alphabet.encode(doc.text[old_n:])
+            if self._forward is not None:
+                forward = list(self._forward)
+                mask = kernel.walk(overhang, mask, forward, guard)
+                forward.extend([0] * (n + 1 - len(forward)))
+                graph._forward = forward
+            else:
+                mask = kernel.frontier(overhang, mask, guard)
         graph._frontier = mask
         final_mask = mask & indexed.accept_mask
         graph.final_mask = final_mask
@@ -859,20 +837,26 @@ class IndexedMatchGraph:
 
     @property
     def forward(self) -> list[int]:
-        """Forward-reachable state masks per layer.
+        """Forward-reachable state masks per layer, built on first access.
 
-        The letter walk keeps them as it steps; the run walk keeps only
-        the run-boundary frontier, and this expands run interiors layer by
-        layer on first access, short-cutting to a slice fill once a run's
-        frontier hits a fixpoint."""
+        The run walk expands run interiors layer by layer, short-cutting
+        to a slice fill once a run's frontier hits a fixpoint; the letter
+        walk steps one interned node per letter
+        (:meth:`~repro.va.kernel.TransitionKernel.walk`)."""
         forward = self._forward
         if forward is None:
             indexed = self.indexed
-            forward = [0] * (self._n + 1)
-            forward[0] = 1 << indexed.initial_id
-            _expand_runs(
-                indexed.successor_masks, forward, self._runs, forward[0], 0, self._guard
-            )
+            start = 1 << indexed.initial_id
+            if self._runs is not None:
+                forward = [0] * (self._n + 1)
+                forward[0] = start
+                _expand_runs(
+                    indexed.successor_masks, forward, self._runs, start, 0, self._guard
+                )
+            else:
+                forward = [start]
+                self._kernel.walk(self.letter_ids, start, forward, self._guard)
+                forward.extend([0] * (self._n + 1 - len(forward)))
             self._forward = forward
         return forward
 
@@ -883,9 +867,12 @@ class IndexedMatchGraph:
 
         On the run walk the pass walks the run-length encoding with the
         kernel's predecessor transformers, filling whole run interiors
-        once the co-reachability chain hits a fixpoint.  An empty
-        graph never runs the pass at all: a full accepting path crosses
-        every layer, so one empty layer means all layers are empty."""
+        once the co-reachability chain hits a fixpoint; the letter walk
+        intersects the forward layers with interned co-reachability nodes;
+        a :class:`LayeredIndexedVA` tests each node's successors against
+        the next live layer.  An empty graph never runs the pass at all: a
+        full accepting path crosses every layer, so one empty layer means
+        all layers are empty."""
         alive = self._alive
         if alive is None:
             n = self._n
@@ -893,8 +880,10 @@ class IndexedMatchGraph:
                 alive = [0] * (n + 1)
             elif self._runs is not None:
                 alive = self._alive_by_runs()
-            else:
+            elif self._kernel is not None:
                 alive = self._alive_by_letters()
+            else:
+                alive = self._alive_by_layers()
             self._alive = alive
             guard = self._guard
             if (
@@ -953,7 +942,20 @@ class IndexedMatchGraph:
         return alive
 
     def _alive_by_letters(self) -> list[int]:
-        ids = self.letter_ids
+        """Live layers of the letter walk: each forward layer intersected
+        with its co-reachability node's mask.  Equal to intersecting layer
+        by layer, since a forward state's successor along any path is
+        itself forward."""
+        mask_slot = self._kernel._mask_slot
+        return [
+            f & node[mask_slot]
+            for f, node in zip(self.forward, self._coreach_nodes())
+        ]
+
+    def _alive_by_layers(self) -> list[int]:
+        """Live layers of a :class:`LayeredIndexedVA`, which has no
+        kernel: a forward node is live when one of its successors is live
+        at the next layer (the guard is ticked per layer)."""
         forward = self.forward
         succ = self.indexed.successor_masks
         n = self._n
@@ -965,7 +967,7 @@ class IndexedMatchGraph:
                 guard.tick()
             if not live:
                 break  # nothing co-reachable earlier either
-            row = succ[ids[i]]
+            row = succ[i]  # a layer stands in for its letter
             layer_alive = 0
             mask = forward[i]
             while mask:
@@ -975,6 +977,32 @@ class IndexedMatchGraph:
                 mask ^= low
             alive[i] = live = layer_alive
         return alive
+
+    def _coreach_nodes(self) -> "list[list]":
+        """Interned co-reachability nodes per layer of a non-empty
+        letter-walk graph: the pure backward recurrence ``C[i] =
+        pred(C[i + 1])`` from the accepting layer, one node step per letter
+        (the guard is checked once up front and ticked per letter)."""
+        cnodes = self._cnodes
+        if cnodes is None:
+            kernel = self._kernel
+            guard = self._guard
+            if guard is not None:
+                guard.check()
+            pred_extend = kernel.pred_extend
+            node = kernel.pred_node(self.final_mask)
+            cnodes = [node]
+            append = cnodes.append
+            # A surviving frontier read no letter unknown to the VA.
+            for lid in reversed(self.letter_ids):
+                if guard is not None:
+                    guard.tick()
+                nxt = node[lid]
+                node = nxt if nxt is not None else pred_extend(node, lid)
+                append(node)
+            cnodes.reverse()
+            self._cnodes = cnodes
+        return cnodes
 
     def _quiet_memo(self, sid: int) -> list[int]:
         """State ``sid``'s quiet-stretch memo: once known, ``stops[i]`` is
@@ -1311,16 +1339,22 @@ class IndexedMatchGraph:
 
     def first(self) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty —
-        one Boolean pass plus the edges along a single root-to-sink path.
+        one Boolean pass plus a single root-to-sink path.
 
         A dedicated greedy walk: the DFS's first leaf is reached by taking
         the canonically-minimal operation set at every layer, so no stack,
-        no generator frames, and no alternatives are ever pushed.  The
-        same skip as :meth:`enumerate` jumps a profile whose states are all
-        quiet to the first layer where one of them stops being quiet.
+        no generator frames, and no alternatives are ever pushed.  On the
+        letter walk it prunes against the co-reachability nodes and
+        memoizes each choice in the kernel (:meth:`_first_by_nodes`).  On
+        the run walk and on a :class:`LayeredIndexedVA` it reads the live
+        layers and the edges along the path, and the same skip as
+        :meth:`enumerate` jumps a profile whose states are all quiet to the
+        first layer where one of them stops being quiet.
         """
         if self.is_empty:
             return None
+        if self._runs is None and self._kernel is not None:
+            return self._first_by_nodes()
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
         quiet = indexed.quiet_masks
@@ -1369,6 +1403,85 @@ class IndexedMatchGraph:
             low = mask & -mask
             mask ^= low
             for oid in final.get(low.bit_length() - 1, ()):
+                if best_final < 0 or rank[oid] < rank[best_final]:
+                    best_final = oid
+        final_ops = opsets[best_final]
+        if final_ops:
+            entries.append((n + 1, final_ops))
+        return _mapping_from_entries(entries)
+
+    def _first_by_nodes(self) -> Mapping:
+        """:meth:`first` on a non-empty letter-walk graph, with its own
+        skip: a step whose choice is the empty operation set on a fixpoint
+        profile repeats through the rest of its letter run while the
+        co-reach node stays the same.  A candidate target of a live
+        profile is always forward-reachable, so ``target ∩ coreach`` is
+        exactly ``target ∩ alive`` and the live layers are never built.
+        The per-layer choice is memoized on ``(profile, letter, co-reach
+        node id)`` in the kernel's :attr:`~repro.va.kernel.TransitionKernel.first_memo`,
+        shared across documents, so a long document costs one dictionary
+        probe per position, with the edge inspection running only on
+        misses."""
+        indexed = self.indexed
+        opsets, rank = indexed.opsets, indexed.opset_rank
+        empty_oid = indexed.empty_opset_id
+        tables = indexed.tables
+        kernel = self._kernel
+        mask_slot, id_slot = kernel._mask_slot, kernel._id_slot
+        memo = kernel.first_memo
+        memo_limit = kernel.FIRST_CACHE_LIMIT
+        letter_ids = self.letter_ids
+        cnodes = self._coreach_nodes()
+        n = self._n
+        guard = self._guard
+        entries: list[tuple[int, OpSet]] = []
+        profile = 1 << indexed.initial_id
+        layer = 0
+        while layer < n:
+            if guard is not None:
+                guard.tick()
+            lid = letter_ids[layer]
+            cnode = cnodes[layer + 1]
+            key = (profile, lid, cnode[id_slot])
+            best = memo.get(key)
+            if best is None:
+                live = cnode[mask_slot]
+                row_table = tables[lid]
+                best_oid = -1
+                best_rank = -1
+                best_mask = 0
+                for sid in iter_bits(profile):
+                    for oid, target_mask in row_table[sid]:
+                        target_mask &= live
+                        if not target_mask:
+                            continue
+                        if best_rank < 0 or rank[oid] < best_rank:
+                            best_rank, best_oid = rank[oid], oid
+                            best_mask = target_mask
+                        elif oid == best_oid:
+                            best_mask |= target_mask
+                best = (best_oid, best_mask)
+                if len(memo) < memo_limit:
+                    memo[key] = best
+            best_oid, best_mask = best
+            if best_oid == empty_oid and best_mask == profile:
+                # Forced-equivalent empty steps on a fixpoint profile:
+                # scan the stretch once (same letter, same co-reach node
+                # at the successor layer) and jump it.
+                j = layer + 1
+                while j < n and letter_ids[j] == lid and cnodes[j + 1] is cnode:
+                    j += 1
+                layer = j
+            else:
+                ops = opsets[best_oid]
+                if ops:
+                    entries.append((layer + 1, ops))
+                profile = best_mask
+                layer += 1
+        final = self.final
+        best_final = -1
+        for sid in iter_bits(profile):
+            for oid in final.get(sid, ()):
                 if best_final < 0 or rank[oid] < rank[best_final]:
                     best_final = oid
         final_ops = opsets[best_final]

@@ -13,8 +13,7 @@ from repro import (
     parse,
 )
 from repro.core import SpannerError
-from repro.engine import EngineStats, available_backends, get_backend
-from repro.va.vectorized import numpy_available
+from repro.engine import EngineStats, IndexedBackend, available_backends, get_backend
 
 
 def _query(engine=None):
@@ -105,8 +104,11 @@ class TestBackendSelection:
         assert name not in available_backends()
 
     def test_available_backends(self):
-        expected = ["indexed", "vectorized"] if numpy_available() else ["indexed"]
-        assert available_backends() == expected
+        assert available_backends() == ["indexed"]
+        # The retired backend's name resolves to the one that took over
+        # its letter walk, and is listed nowhere.
+        assert isinstance(get_backend("vectorized"), IndexedBackend)
+        assert isinstance(Engine(backend="vectorized").backend, IndexedBackend)
 
     def test_backend_instance_passthrough(self):
         backend = get_backend("indexed")

@@ -150,13 +150,11 @@ class TestBudgetEnforcement:
         assert guarded == full
         assert not guarded.truncated
 
-    def test_cache_bytes_budget_trips_vectorized_construction(self):
-        # The vectorized kernel's caches are gauged once per guarded graph
-        # construction; the indexed backend has no such caches.
-        if "vectorized" not in ALL_BACKENDS:
-            pytest.skip("vectorized unavailable")
+    def test_cache_bytes_budget_trips_letter_walk_construction(self):
+        # The kernel's letter-walk caches are gauged once per guarded
+        # letter-walk construction; the run walk builds no nodes.
         va = _va("[ab]*x{[ab]+}[ab]*")
-        engine = Engine(backend="vectorized")
+        engine = Engine()
         full = engine.evaluate(va, "abab")
         with pytest.raises(BudgetExceeded, match="cache-bytes") as info:
             engine.evaluate(va, "abab", budget="cache-bytes=1")
@@ -167,12 +165,22 @@ class TestBudgetEnforcement:
         )
         assert relation.truncated and len(relation) == 0
         assert engine.evaluate(va, "abab", budget="cache-bytes=64m") == full
-        assert Engine().evaluate(va, "abab", budget="cache-bytes=1") == full
+        runs = "aaaabbbb"
+        assert engine.evaluate(va, runs, budget="cache-bytes=1") == engine.evaluate(
+            va, runs
+        )
 
-    @pytest.mark.parametrize("backend", ["indexed", "vectorized"])
+    def test_guards_without_a_cache_budget_never_gauge_one(self):
+        va = _va("[ab]*x{[ab]+}[ab]*")
+        engine = Engine()
+        full = engine.evaluate(va, "abab")
+        assert va.indexed().kernel().cache_bytes_estimate() > 1
+        for budget in ("mappings=1000", "states=1m,edge-rows=1m"):
+            assert engine.evaluate(va, "abab", budget=budget) == full
+        assert engine.evaluate(va, "abab", guard=ExecutionGuard(deadline=60.0)) == full
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_edge_row_budget_trips_enumeration(self, backend):
-        if backend not in ALL_BACKENDS:
-            pytest.skip(f"{backend} unavailable")
         va, doc = tovey_workload(10)
         engine = Engine(backend=backend)
         with pytest.raises(BudgetExceeded, match="edge-rows"):

@@ -1,9 +1,12 @@
 """The run walk and the letter walk, and the VA-derived prefilter at the
 engine level: the two walks agree with each other and with the oracles,
-the walk choice shows in the statistics, the prefilter wiring in
-single-document / batch / parallel paths, the new statistics counters,
-and the CLI escape hatches."""
+the walk choice shows in the statistics, the letter walk's frontier
+nodes through the engine, the prefilter wiring in single-document /
+batch / parallel paths, the new statistics counters, and the CLI escape
+hatches."""
 
+import pickle
+import re
 from unittest.mock import patch
 
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Document, SpanRelation
-from repro.engine import Engine, EngineStats, available_backends
+from repro.engine import Engine, EngineStats, available_backends, get_backend
 from repro.va import (
     IndexedMatchGraph,
     enumerate_mappings,
@@ -22,6 +25,7 @@ from repro.va import (
     trim,
 )
 from repro.va import kernel as kernel_module
+from repro.va.kernel import takes_run_walk
 
 from ..properties.conftest import documents, sequential_formulas
 from .conftest import PINNED_WALKS
@@ -164,6 +168,104 @@ class TestKernelEquivalence:
         assert engine.stats.kernel_run_hits == 0
 
 
+class TestFrontierNodes:
+    """The letter walk's interned frontier nodes through the engine: the
+    misses it counts per engine call, the documents that step none, and
+    the memoized ``first()``."""
+
+    def test_frontier_misses_are_counted_and_stop_growing_on_repeats(self):
+        va = _va("x{[ab]+}c")
+        engine = Engine(document_cache_size=0)
+        engine.evaluate_many(va, ["ababc", "zzz", "abc"])
+        assert engine.stats.prefilter_rejects == 1  # "zzz"
+        assert engine.stats.frontier_cache_misses > 0
+        assert "frontier misses" in engine.stats.summary()
+        engine.is_nonempty(va, "abababc")
+        misses = engine.stats.frontier_cache_misses
+        engine.is_nonempty(va, "abababc")  # every frontier already interned
+        assert engine.stats.frontier_cache_misses == misses
+
+    @given(
+        sequential_formulas(),
+        st.one_of(run_documents, st.text(alphabet="ab", max_size=24)),
+    )
+    @_SETTINGS
+    def test_run_walk_documents_step_no_nodes(self, formula, text):
+        va = trim(regex_to_va(formula))
+        prepared = get_backend("indexed").prepare(va)
+        kernel = va.indexed().kernel()
+        # The reference counts a copy's runs, so the backend routes a
+        # document with nothing cached.
+        document = Document(text)
+        run_walk = takes_run_walk(len(text), len(Document(text).runs()))
+        misses = kernel.step_misses
+        run = prepared.run(document)
+        assert (run._runs is not None) == run_walk
+        list(run.enumerate())
+        prepared.run(document).first()
+        prepared.is_nonempty(document)
+        if run_walk:
+            assert kernel.step_misses == misses
+
+    def test_first_on_text_never_builds_the_live_layers(self):
+        va = _va("(a|b)*x{(a|b)+}(a|b)*")
+        prepared = get_backend("indexed").prepare(va)
+        for doc, letter_walk in (("ab" * 50, True), ("a" * 50 + "b" * 50, False)):
+            run = prepared.run(doc)
+            assert run.first() == next(prepared.run(doc).enumerate())
+            # The letter walk prunes against co-reachability nodes; the run
+            # walk reads the live layers.
+            assert (run._alive is None) == letter_walk
+        engine = Engine()
+        assert engine.first(va, "ab" * 50) is not None
+        assert engine.stats.mappings == 1
+
+    @pytest.mark.parametrize("name", ["indexed", "vectorized"])
+    def test_unknown_letters_are_found_without_the_histogram(self, name):
+        # The letter walk finds a letter outside the automaton's alphabet
+        # in the letter ids it reads, so deciding emptiness builds no
+        # letter histogram ("vectorized" is the retired backend's alias).
+        va = _va("(a|b)*x{ab}(a|b)*")
+        doc = Document("ab" * 20 + "z" + "ab" * 20)
+        assert not get_backend(name).prepare(va).is_nonempty(doc)
+        assert doc._runs is None  # the letter walk
+        assert doc._letter_counts is None
+
+    def test_workers_receive_the_automaton_without_its_nodes(self):
+        # A capture of 600 letters walks a chain of 600 interned nodes,
+        # deeper than pickle's recursion limit: the automaton a worker
+        # receives must leave them behind.
+        va = _va("(a|b)*x{" + "ab" * 300 + "}(a|b)*")
+        engine = Engine()
+        docs = ["ab" * 400, "ba" * 350]
+        serial = engine.evaluate_many(va, docs)
+        assert len(va.indexed().kernel()._nodes) > 600
+        copy = pickle.loads(pickle.dumps(va))
+        assert copy.indexed()._kernel is None
+        assert engine.evaluate_many(va, docs, workers=2) == serial
+        assert engine.stats.parallel_shards == 2
+
+    def test_interleaved_consumers_attribute_growth_exactly_once(self):
+        # The kernel is shared and its counters cumulative, so the engine
+        # adds only the growth across each of its own calls: interleaved
+        # enumerations and tail re-evaluations attribute each increment
+        # exactly once.
+        va = _va("(a|b)*x{ab}(a|b)*")
+        engine = Engine(document_cache_size=0)
+        session = engine.tail(va)
+        gen = engine.enumerate(va, "ab" * 15)
+        next(gen)  # leave the first enumeration suspended mid-flight
+        session.reevaluate("ab" * 10)  # a tail pass touches the kernel
+        list(gen)  # now finish the suspended enumeration
+        session.reevaluate("ba" * 6)
+        engine.evaluate(va, "abab")
+        engine.evaluate(va, "a" * 40 + "b" * 40)  # the run walk
+        engine.is_nonempty(va, "ab")
+        kernel = va.indexed().kernel()
+        assert engine.stats.kernel_run_hits == kernel.run_hits > 0
+        assert engine.stats.frontier_cache_misses == kernel.step_misses > 0
+
+
 class TestPrefilterWiring:
     @given(sequential_formulas(), run_documents)
     @_SETTINGS
@@ -287,13 +389,17 @@ class TestCliEscapeHatches:
     def test_extract_stats_show_the_walk_of_the_document(self, capsys):
         from repro.cli import main
 
-        for text, hits in (("abacaba", "0"), ("a" * 20 + "c" + "b" * 20, "2")):
+        for text, hits, misses in (
+            ("abacaba", "0", "[1-9][0-9]*"),
+            ("a" * 20 + "c" + "b" * 20, "2", "0"),
+        ):
             assert main(
                 ["extract", "(a|b)*x{c+}(a|b)*", "--text", text, "--stats"]
             ) == 0
             captured = capsys.readouterr()
             assert "1 mapping(s)" in captured.out
             assert f"kernel run hits    {hits}\n" in captured.err
+            assert re.search(f"^frontier misses +{misses}$", captured.err, re.M)
 
 
 def test_batch_prefilter_preserves_relations():

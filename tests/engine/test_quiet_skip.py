@@ -7,9 +7,8 @@ being quiet.  A DFS frame is *forced* when its profile holds only star
 states and its one live option is the empty operation set; the first
 path through a forced stretch indexes its end, and later paths hop there.
 These tests pin both skips' targets against per-layer definitions, their
-exactness on named shapes on both pinned indexed walks and on the
-vectorized backend, which inherits the DFS, and the output-linear cost
-they buy on CSV exports and on stars over unions of letters.
+exactness on named shapes on both pinned walks, and the output-linear
+cost they buy on CSV exports and on stars over unions of letters.
 """
 
 from unittest.mock import patch
@@ -34,7 +33,6 @@ from repro.va import (
 )
 from repro.va import kernel as kernel_module
 from repro.va.automaton import VarOp
-from repro.va.vectorized import numpy_available
 from repro.workloads.packs import csv_records
 
 from ..properties.conftest import documents, sequential_formulas
@@ -43,20 +41,14 @@ from .test_kernel_prefilter import run_documents
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
-#: The DFS legs: the indexed backend on each pinned walk, and the
-#: vectorized backend, which inherits the DFS.
-LEGS = [*PINNED_WALKS, "vectorized"]
+#: The DFS legs: the indexed backend on each pinned walk.
+LEGS = list(PINNED_WALKS)
 
 
 @pytest.fixture(params=LEGS)
 def engine(request, monkeypatch):
-    leg = request.param
-    if leg in PINNED_WALKS:
-        monkeypatch.setattr(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[leg])
-        return Engine(backend="indexed")
-    if not numpy_available():
-        pytest.skip("numpy is not installed")
-    return Engine(backend="vectorized")
+    monkeypatch.setattr(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[request.param])
+    return Engine(backend="indexed")
 
 
 def _va(text: str):

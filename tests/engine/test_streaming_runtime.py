@@ -1,6 +1,8 @@
 """The streaming runtime: lazy graph construction, ``limit=k`` prefix
 semantics, Boolean emptiness wiring, and parallel batch evaluation."""
 
+from unittest.mock import patch
+
 from hypothesis import given, settings
 
 from repro.core import RelationSpanner, SpanRelation
@@ -15,6 +17,7 @@ from repro.va import (
     regex_to_va,
     trim,
 )
+from repro.va import kernel as kernel_module
 
 from ..properties.conftest import documents, sequential_formulas
 
@@ -43,13 +46,23 @@ class TestLazyVsEagerGraphs:
 
     def test_first_touches_only_walked_edge_rows(self):
         indexed = trim(regex_to_va_text("(a|b)*x{(a|b)+}(a|b)*")).indexed()
-        graph = IndexedMatchGraph(indexed, "abab")
+        # The run walk's first() reads the live layers and the edge rows
+        # along its path.
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 0):
+            graph = IndexedMatchGraph(indexed, "abab")
         graph.first()
         touched = sum(len(layer) for layer in graph._edges if layer is not None)
         # An eager build makes one edge row per live state of every layer
         # that has a successor layer.
         total = sum(mask.bit_count() for mask in graph.alive[: len(graph._edges)])
         assert 0 < touched < total
+        # The letter walk's first() prunes against co-reachability nodes,
+        # and builds neither.
+        graph = IndexedMatchGraph(indexed, "abab")
+        assert graph._runs is None
+        assert graph.first() is not None
+        assert graph._alive is None
+        assert all(layer is None for layer in graph._edges)
 
 
 class TestLimitSemantics:

@@ -7,8 +7,7 @@ from repro.core import Document, Span, SpanRelation
 from repro.core.errors import SpannerError
 from repro.engine import Engine, TailSession, get_backend
 from repro.regex import parse
-from repro.va import IndexedMatchGraph, VectorizedMatchGraph, regex_to_va, trim
-from repro.va.vectorized import numpy_available
+from repro.va import regex_to_va, trim
 
 from .conftest import BACKEND_LEGS
 
@@ -120,21 +119,26 @@ class TestLayerReuse:
         assert kernel.cached_power_count() == cached
         assert len(session.reevaluate("b")) == 1
 
-    @pytest.mark.skipif(not numpy_available(), reason="vectorized needs numpy")
-    def test_vectorized_letter_walk_extends_on_the_indexed_code(self):
-        # A text document runs on the vectorized graph; its extension is
-        # the indexed letter walk, resumed from the checkpoint.
-        engine = Engine(backend="vectorized")
-        va = compile_va("(a|b)*x{ab}(a|b)*")
-        session = engine.tail(va, "abba" * 4)
-        first = session.reevaluate()
-        assert type(session._run) is VectorizedMatchGraph
+    def test_letter_walk_extensions_step_nodes_from_the_checkpoint(self):
+        # Until the document first matches its forward layers stay
+        # unbuilt, and an extension steps the kernel's frontier nodes over
+        # the appended letters alone; once enumerate_since has built them,
+        # extensions carry them over.
+        engine = Engine(backend="indexed")
+        va = compile_va("(a|b)*x{abb}(a|b)*")
+        session = engine.tail(va, "ab" * 8)
+        assert session.reevaluate() == []
+        assert session._run._runs is None  # the letter walk
+        assert session.reevaluate("aaaab") == []
+        assert session._run._forward is None
+        (mapping,) = session.reevaluate("b")
+        assert dict(mapping.items())["x"] == Span(20, 23)
+        assert session._run._forward is not None
         fresh = session.reevaluate("ab")
-        assert type(session._run) is IndexedMatchGraph
-        assert session._run._runs is None  # the letter walk's branch
-        assert engine.stats.tail_reused_layers == 16
-        assert SpanRelation(first + fresh) == engine.evaluate(va, "abba" * 4 + "ab")
-        assert len(fresh) == 1
+        assert session._run._forward is not None
+        assert engine.stats.tail_reused_layers == 16 + 21 + 22
+        assert SpanRelation([mapping] + fresh) == engine.evaluate(va, session.document)
+        assert fresh == []
 
     @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):
@@ -168,8 +172,7 @@ def assert_backward_layers_unbuilt(run):
     assert run._alive is None
     assert run._quiet_ends is None
     assert all(rows is None for rows in run._edges)
-    if isinstance(run, VectorizedMatchGraph):
-        assert run._cnodes is None
+    assert run._cnodes is None
 
 
 class TestOutputSensitiveReevaluation:
@@ -244,7 +247,7 @@ class TestOutputSensitiveReevaluation:
         session = Engine(backend=backend).tail(compile_va("(a|b)*x{a}(a|b)*"))
         assert len(session.reevaluate("aba")) == 2
         # A fresh run's re-evaluation walks back over its forward layers
-        # alone (on text, a vectorized graph's co-reach nodes stay unbuilt).
+        # alone (on text, the co-reachability nodes stay unbuilt too).
         assert_backward_layers_unbuilt(session._run)
         assert session.reevaluate() == []
         assert session.reevaluate("") == []

@@ -8,13 +8,14 @@ measured.  This module gates two things:
   E14 runtime, E15 optimizer, E16 kernel, and E17 corpus-store benches
   must hold in the checked-in numbers (a PR that regresses perf and
   "fixes" CI by committing worse numbers fails here, visibly);
-* **the live code** — the backend-matrix workload is re-run in-process
+* **the live code** — the walk-matrix workload is re-run in-process
   (one 100k-letter document, reduced repeats — the tiny slice of the full
-  bench) and the measured vectorized-over-indexed speedups must stay
-  within ``PERF_BUDGET_TOLERANCE`` (default 30%) of the committed ones.
+  bench) and the measured speedups of the letter walk's interned-node
+  walk over the bench's per-letter mask walk must stay within
+  ``PERF_BUDGET_TOLERANCE`` (default 30%) of the committed ones.
 
 Speedup *ratios* are compared, never wall-clock times, so the gate is
-machine independent: a slow CI runner slows both backends alike.  Set
+machine independent: a slow CI runner slows both walks alike.  Set
 ``PERF_BUDGET_SKIP=1`` to bypass the module (emergency escape hatch for
 pathological environments); set ``PERF_BUDGET_TOLERANCE=0.5`` to widen
 the budget without editing code.
@@ -26,8 +27,6 @@ import pathlib
 import sys
 
 import pytest
-
-from repro.va.vectorized import numpy_available
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BASELINE_PATH = REPO_ROOT / "BENCH_kernel.json"
@@ -83,8 +82,8 @@ class TestCommittedBaseline:
             "kernel_run_sweep",
             "prefilter_selectivity",
             "batch_corpus",
-            "backend_matrix",
-            "backend_matrix_fresh",
+            "walk_matrix",
+            "walk_matrix_fresh",
             "enumeration_throughput",
         ):
             assert sections[name]["rows"], name
@@ -95,12 +94,13 @@ class TestCommittedBaseline:
         assert longest["full_speedup"] >= 2.0, longest
         assert longest["emptiness_speedup"] >= 2.0, longest
 
-    def test_backend_matrix_acceptance_bar_holds(self):
-        section = _baseline()["sections"]["backend_matrix"]
+    def test_walk_matrix_acceptance_bar_holds(self):
+        section = _baseline()["sections"]["walk_matrix"]
         assert section["doc_letters"] >= 100_000, section
-        low_run = section["vectorized_speedup_vs_indexed"]["low_run"]
-        # The tentpole bar: ≥5x over indexed on is_nonempty and first()
-        # for a low-run 100k-letter document with a >64-state query.
+        low_run = section["node_walk_speedup_vs_mask_walk"]["low_run"]
+        # The bar: the node walk ≥5x over the per-letter mask walk on
+        # is_nonempty and first() for a low-run 100k-letter document with
+        # a >64-state query.
         assert low_run["nonempty"] >= 5.0, low_run
         assert low_run["first"] >= 5.0, low_run
 
@@ -123,24 +123,23 @@ class TestCommittedBaseline:
             ), row
 
 
-@pytest.mark.skipif(not numpy_available(), reason="vectorized needs numpy")
 class TestLiveSpeedupBudget:
-    """Re-measure the backend matrix and compare ratios to the baseline."""
+    """Re-measure the walk matrix and compare ratios to the baseline."""
 
-    def test_vectorized_speedup_within_budget(self):
-        baseline = _baseline()["sections"]["backend_matrix"]
+    def test_node_walk_speedup_within_budget(self):
+        baseline = _baseline()["sections"]["walk_matrix"]
         bench = _bench_module()
         if bench.MATRIX_DOC_LETTERS != baseline["doc_letters"]:
             pytest.skip("bench workload size diverged from the baseline")
-        committed = baseline["vectorized_speedup_vs_indexed"]["low_run"]
-        measured = bench._matrix_speedups(bench._backend_matrix_sweep())
+        committed = baseline["node_walk_speedup_vs_mask_walk"]["low_run"]
+        measured = bench._matrix_speedups(bench._walk_matrix_sweep())
         assert "low_run" in measured, measured
         for metric in ("nonempty", "first"):
             floor = committed[metric] * (1.0 - TOLERANCE)
             assert measured["low_run"][metric] >= floor, (
                 f"{metric}: measured {measured['low_run'][metric]}x, "
                 f"committed {committed[metric]}x, budget floor {floor:.2f}x "
-                f"(tolerance {TOLERANCE:.0%}) — the vectorized backend "
+                f"(tolerance {TOLERANCE:.0%}) — the node walk "
                 "regressed (or the baseline needs regenerating: "
                 "PYTHONPATH=src python -m pytest "
                 "benchmarks/bench_e16_kernel_prefilter.py -o "

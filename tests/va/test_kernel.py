@@ -1,5 +1,6 @@
-"""The run-compressed transition kernel: power doubling, predecessor
-transformers, the walk router, document RLE/histogram caches, and the
+"""The transition kernel: power doubling and predecessor transformers
+(the run walk), interned frontier nodes and the graphs built on them (the
+letter walk), the walk router, document RLE/histogram caches, and the
 shared bit helpers."""
 
 import random
@@ -8,13 +9,22 @@ from unittest.mock import patch
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Document
+from repro.core import Document, SpanRelation
+from repro.regex import parse
 from repro.utils import apply_masks, iter_bits
-from repro.va import TransitionKernel, regex_to_va, trim
+from repro.va import (
+    IndexedMatchGraph,
+    IndexedVA,
+    TransitionKernel,
+    evaluate_naive,
+    regex_to_va,
+    trim,
+)
 from repro.va import kernel as kernel_module
 from repro.va.kernel import run_walk_runs, takes_run_walk
 from repro.workloads import random_sequential_formula
 
+from ..engine.test_quiet_skip import quiet_layers, skip_targets
 from ..properties.conftest import sequential_formulas
 
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -134,6 +144,170 @@ class TestTransitionKernel:
         assert kernel.run_hits == before
         kernel.advance(0, 1, 12)
         assert kernel.run_hits == before + 1
+
+
+def _small_indexed():
+    return trim(regex_to_va(parse("(a|b)*x{a+b}(a|b)*"))).indexed()
+
+
+def _wide_indexed():
+    """An automaton with more than 64 dense states, so every frontier
+    spans several machine words."""
+    indexed = trim(regex_to_va(parse("(a|b)*x{" + "ab" * 12 + "a+}(a|b)*"))).indexed()
+    assert indexed.n_states > 64
+    return indexed
+
+
+def _fold(indexed, text: str, mask: int) -> int:
+    """The frontier after ``text`` by per-letter ``step``s (``0`` at a
+    letter outside the alphabet)."""
+    kernel = TransitionKernel(indexed)
+    ids = indexed.alphabet.ids
+    for letter in text:
+        lid = ids.get(letter, -1)
+        mask = 0 if lid < 0 else kernel.step(lid, mask)
+    return mask
+
+
+class TestFrontierNodes:
+    """The letter walk's interned frontier nodes against per-letter
+    mask stepping."""
+
+    @given(sequential_formulas(), st.data())
+    @_SETTINGS
+    def test_extend_equals_step(self, formula, data):
+        indexed = trim(regex_to_va(formula)).indexed()
+        if not len(indexed.alphabet):
+            return
+        kernel = TransitionKernel(indexed)
+        lid = data.draw(st.integers(min_value=0, max_value=len(indexed.alphabet) - 1))
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << indexed.n_states) - 1))
+        node = kernel.extend(kernel.node(mask), lid)
+        assert node[kernel._mask_slot] == kernel.step(lid, mask)
+
+    @given(sequential_formulas(), st.data())
+    @_SETTINGS
+    def test_pred_extend_equals_pred_row(self, formula, data):
+        indexed = trim(regex_to_va(formula)).indexed()
+        if not len(indexed.alphabet):
+            return
+        kernel = TransitionKernel(indexed)
+        lid = data.draw(st.integers(min_value=0, max_value=len(indexed.alphabet) - 1))
+        mask = data.draw(st.integers(min_value=0, max_value=(1 << indexed.n_states) - 1))
+        node = kernel.pred_extend(kernel.pred_node(mask), lid)
+        assert node[kernel._mask_slot] == apply_masks(kernel.pred_row(lid), mask)
+
+    @given(sequential_formulas(), st.one_of(run_documents, st.text("abc", max_size=12)))
+    @_SETTINGS
+    def test_frontier_and_walk_equal_a_step_fold(self, formula, text):
+        indexed = trim(regex_to_va(formula)).indexed()
+        kernel = TransitionKernel(indexed)
+        mask = 1 << indexed.initial_id
+        ids = indexed.alphabet.encode(text)
+        assert kernel.frontier(ids, mask) == _fold(indexed, text, mask)
+        layers = []
+        last = kernel.walk(ids, mask, layers)
+        assert last == _fold(indexed, text, mask)
+        # One layer per letter up to the first unknown one.
+        known = ids.index(-1) if -1 in ids else len(ids)
+        assert layers == [_fold(indexed, text[: i + 1], mask) for i in range(known)]
+
+    def test_unknown_letters_stop_both_walks(self):
+        indexed = _small_indexed()
+        kernel = TransitionKernel(indexed)
+        mask = 1 << indexed.initial_id
+        texts = ("Z" * 40 + "a", "aZab", "abZ")
+        for text in texts:
+            assert kernel.frontier(indexed.alphabet.encode(text), mask) == 0
+        assert kernel.step_misses == 0  # rejected before the walk
+        for text in texts:
+            layers = []
+            assert kernel.walk(indexed.alphabet.encode(text), mask, layers) == 0
+            assert layers == [
+                _fold(indexed, text[: i + 1], mask) for i in range(text.index("Z"))
+            ]
+
+    def test_empty_ids_return_the_start_mask(self):
+        kernel = TransitionKernel(_small_indexed())
+        assert kernel.frontier((), 0b11) == 0b11
+        assert kernel.frontier((0, 1), 0) == 0
+
+    def test_step_misses_stop_growing_on_revisits(self):
+        indexed = _small_indexed()
+        kernel = TransitionKernel(indexed)
+        ids = indexed.alphabet.encode("ab" * 20)
+        mask = 1 << indexed.initial_id
+        kernel.frontier(ids, mask)
+        misses = kernel.step_misses
+        assert misses > 0
+        kernel.frontier(ids, mask)  # every frontier already interned
+        assert kernel.step_misses == misses
+
+    def test_wide_frontiers_equal_a_step_fold(self):
+        indexed = _wide_indexed()
+        kernel = TransitionKernel(indexed)
+        mask = 1 << indexed.initial_id
+        for text in ("ab" * 40, "a" * 100 + "b", "b" * 3, ""):
+            ids = indexed.alphabet.encode(text)
+            assert kernel.frontier(ids, mask) == _fold(indexed, text, mask)
+        # Every state with an a-successor precedes some state.
+        full = (1 << indexed.n_states) - 1
+        pred_all = kernel.pred_extend(kernel.pred_node(full), 0)[kernel._mask_slot]
+        expected = 0
+        for source, targets in enumerate(indexed.successor_masks[0]):
+            if targets:
+                expected |= 1 << source
+        assert pred_all == expected
+
+    def test_cache_bound_degrades_to_transient_nodes(self):
+        class TinyCache(TransitionKernel):
+            STEP_CACHE_LIMIT = 2
+
+        indexed = IndexedVA(trim(regex_to_va(parse("(a|b)*x{a+b}(a|b)*"))))
+        kernel = indexed._kernel = TinyCache(indexed)
+        text = "abab" * 8
+        mask = 1 << indexed.initial_id
+        assert kernel.frontier(indexed.alphabet.encode(text), mask) == _fold(
+            indexed, text, mask
+        )
+        # Graphs on the tiny kernel: the forward and co-reachability walks
+        # and the memoized first() on transient nodes.
+        for doc in (text, "ba" * 9 + "b", "bbbb"):
+            graph = IndexedMatchGraph(indexed, doc)
+            assert SpanRelation(graph.enumerate()) == evaluate_naive(indexed.va, doc)
+            expected = next(IndexedMatchGraph(indexed, doc).enumerate(), None)
+            assert IndexedMatchGraph(indexed, doc).first() == expected
+        assert kernel._cached_steps <= TinyCache.STEP_CACHE_LIMIT
+        assert len(kernel._nodes) + len(kernel._pred_nodes) <= 2
+
+
+class TestLetterWalkGraph:
+    @given(sequential_formulas(), st.text(alphabet="abc", max_size=8))
+    @_SETTINGS
+    def test_letter_walk_equals_the_run_walk_and_naive(self, formula, text):
+        va = trim(regex_to_va(formula))
+        indexed = va.indexed()
+        doc = Document(text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 1 << 20):
+            letters = IndexedMatchGraph(indexed, doc)
+            first = IndexedMatchGraph(indexed, doc).first()
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 0):
+            runs = IndexedMatchGraph(indexed, doc)
+        assert (letters._runs is None) == bool(text)
+        assert runs._runs is not None
+        mappings = list(letters.enumerate())
+        assert letters.is_empty == runs.is_empty
+        assert letters.forward == runs.forward
+        assert letters.alive == runs.alive
+        assert letters.states_alive() == runs.states_alive()
+        assert letters.width() == runs.width()
+        assert mappings == list(runs.enumerate())
+        assert first == runs.first() == (mappings[0] if mappings else None)
+        assert SpanRelation(mappings) == evaluate_naive(va, doc)
+        # The quiet states per layer and the skip targets they give.
+        layers = list(range(len(doc)))
+        assert quiet_layers(letters) == quiet_layers(runs)
+        assert skip_targets(letters, layers) == skip_targets(runs, layers)
 
 
 class TestRunWalkRouting:
