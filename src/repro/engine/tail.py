@@ -10,12 +10,13 @@ backend's Boolean forward pass from the previous run's checkpointed
 frontier (:meth:`~repro.va.indexed.IndexedMatchGraph.extended`) instead
 of rebuilding from position 0.  An extension keeps the walk of the run it
 extends, so the session keeps the walk its first run chose (the run walk
-or the letter walk, see :mod:`repro.va.indexed`) until :meth:`reset`.  On
-the run walk, until the document first matches, appends that merge into
-its tail run advance through the kernel's memoized transformer powers, so
-a long quiet stretch costs O(log extra) steps, not even O(k); after that,
-and always on the letter walk, the forward layers the walk below needs
-are extended instead.
+or the letter walk, see :mod:`repro.va.indexed`) until :meth:`reset`.
+Until the document first matches, an append only advances the
+checkpoint: on the run walk, appends that merge into its tail run
+advance through the kernel's memoized transformer powers, so a long
+quiet stretch costs O(log extra) steps, not even O(k), and on the letter
+walk each appended letter is one interned-node step; after that, the
+forward layers the walk below needs are extended instead.
 
 :meth:`TailSession.reevaluate` returns only the *new* mappings — those
 not produced by any earlier re-evaluation.  The run walks back from its
