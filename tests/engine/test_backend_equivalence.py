@@ -1,10 +1,9 @@
 """Backend interchangeability: every enumeration backend computes exactly
 the spanner of the naive run-semantics baseline, in the canonical order
 of the match-graph oracle (hypothesis), and so does every backend leg
-(the indexed backend pinned to each walk too) on >64-state multi-plane
-automata and on ``limit`` prefixes that end mid-fan."""
-
-from unittest.mock import patch
+(the indexed backend pinned to each walk, and the letter walk on bounded
+caches, too) on >64-state multi-plane automata and on ``limit``
+prefixes that end mid-fan."""
 
 import pytest
 from hypothesis import given, settings
@@ -21,10 +20,9 @@ from repro.va import (
     regex_to_va,
     trim,
 )
-from repro.va import kernel as kernel_module
 
 from ..properties.conftest import documents, sequential_formulas
-from .conftest import BACKEND_LEGS, PINNED_WALKS
+from .conftest import BACKEND_LEGS, leg_settings
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -63,17 +61,6 @@ class TestBackendsMatchNaive:
             assert other == evaluate_naive(va, doc + "a")
 
 
-def _leg_engine(leg: str) -> Engine:
-    """An engine for one of ``BACKEND_LEGS``; call it inside
-    :func:`_pinned`, which pins the walk of a pinned leg."""
-    return Engine(backend="indexed" if leg in PINNED_WALKS else leg)
-
-
-def _pinned(leg: str):
-    threshold = PINNED_WALKS.get(leg, kernel_module.RUN_WALK_THRESHOLD)
-    return patch.object(kernel_module, "RUN_WALK_THRESHOLD", threshold)
-
-
 def _multi_plane_va():
     """A sequential VA with more than 64 dense states (≥ 2 planes)."""
     va = trim(regex_to_va(parse("(a|b)*x{" + "ab" * 12 + "a+}(a|b)*")))
@@ -89,8 +76,8 @@ class TestBackendLegs:
     def test_multi_plane_documents(self, leg, doc):
         va = _multi_plane_va()
         oracle = list(enumerate_mappings(va, doc))
-        with _pinned(leg):
-            engine = _leg_engine(leg)
+        with leg_settings(leg) as name:
+            engine = Engine(backend=name)
             full = list(engine.enumerate(va, doc))
             assert full == oracle
             for limit in (1, 3):
@@ -106,9 +93,45 @@ class TestBackendLegs:
     def test_limit_is_a_prefix_even_mid_fan(self, formula, doc, limit, leg):
         va = trim(regex_to_va(formula))
         oracle = list(enumerate_mappings(va, doc))
-        with _pinned(leg):
-            got = list(_leg_engine(leg).enumerate(va, doc, limit=limit))
+        with leg_settings(leg) as name:
+            got = list(Engine(backend=name).enumerate(va, doc, limit=limit))
         assert got == oracle[:limit]
+
+    @given(sequential_formulas(), documents, st.sampled_from(BACKEND_LEGS))
+    @_SETTINGS
+    def test_first_is_the_enumeration_head(self, formula, doc, leg):
+        va = trim(regex_to_va(formula))
+        oracle = list(enumerate_mappings(va, doc))
+        with leg_settings(leg) as name:
+            engine = Engine(backend=name)
+            assert engine.first(va, doc) == (oracle[0] if oracle else None)
+            assert engine.is_nonempty(va, doc) == bool(oracle)
+
+    @pytest.mark.parametrize("leg", BACKEND_LEGS)
+    def test_empty_document_and_empty_result(self, leg):
+        va = trim(regex_to_va(parse("x{a+}")))
+        for doc in ("", "b", "aa"):
+            oracle = list(enumerate_mappings(va, doc))
+            with leg_settings(leg) as name:
+                engine = Engine(backend=name)
+                assert list(engine.enumerate(va, doc)) == oracle
+                assert engine.first(va, doc) == (oracle[0] if oracle else None)
+                assert engine.is_nonempty(va, doc) == bool(oracle)
+
+    @pytest.mark.parametrize("leg", BACKEND_LEGS)
+    def test_batch_parallel_and_streaming_agree(self, leg):
+        va = trim(regex_to_va(parse("x{[ab]+}c")))
+        docs = ["abcab", "", "ababc", "zzz", "c", "abab", "abc" * 30, "a" * 40 + "c"]
+        expected = [evaluate_naive(va, doc) for doc in docs]
+        with leg_settings(leg) as name:
+            engine = Engine(backend=name)
+            assert engine.evaluate_many(va, docs) == expected
+            assert engine.evaluate_many(va, docs, workers=2) == expected
+            assert engine.stats.parallel_shards == 2
+            streamed = [[] for _ in docs]
+            for index, mapping in engine.enumerate_stream(va, docs):
+                streamed[index].append(mapping)
+        assert [SpanRelation(mappings) for mappings in streamed] == expected
 
 
 class TestIndexedForm:

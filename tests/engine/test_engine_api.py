@@ -1,8 +1,16 @@
-"""The engine's batch/streaming APIs, statistics, and the Spanner batch
-protocol."""
+"""The engine's batch/streaming APIs, statistics, backend selection, the
+Spanner batch protocol, and evaluation without numpy."""
+
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import (
     Difference,
     Engine,
@@ -122,3 +130,60 @@ class TestBackendSelection:
     def test_ra_tree_without_instantiation_rejected(self):
         with pytest.raises(SpannerError):
             Engine().prepare(Leaf("a"))
+
+
+#: Prepended to a child interpreter's script: every later ``import numpy``
+#: raises ImportError, as on an install without the ``[fast]`` extra.
+_BLOCK_NUMPY = "import sys\nsys.modules['numpy'] = None\n"
+
+
+def _run_without_numpy(script: str, *args: str) -> "subprocess.CompletedProcess[str]":
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", _BLOCK_NUMPY + textwrap.dedent(script), *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestWithoutNumpy:
+    """numpy serves only the corpus index: both walks, every backend name
+    and the CLI run in an interpreter that cannot import it."""
+
+    def test_engine_walks_text_and_runs_without_numpy(self):
+        result = _run_without_numpy(
+            """
+            from repro import Engine, parse, regex_to_va, trim
+            from repro.engine import available_backends
+
+            assert available_backends() == ["indexed"], available_backends()
+            for name in ("indexed", "vectorized"):
+                va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))
+                engine = Engine(backend=name)
+                assert len(engine.evaluate(va, "ab" * 20)) == 20
+                assert engine.stats.frontier_cache_misses > 0  # the letter walk
+                assert len(engine.evaluate(va, "a" * 40 + "b" * 40)) == 1
+                assert engine.stats.kernel_run_hits > 0  # the run walk
+            assert sys.modules["numpy"] is None
+            """
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_cli_reports_frontier_misses_without_numpy(self):
+        result = _run_without_numpy(
+            "from repro.cli import main\nsys.exit(main(sys.argv[1:]))\n",
+            "extract",
+            "(a|b)*x{b}(a|b)*",
+            "--text",
+            "abababab",
+            "--backend",
+            "indexed",
+            "--stats",
+        )
+        assert result.returncode == 0, result.stderr
+        output = result.stdout + result.stderr
+        assert "4 mapping(s)" in output.splitlines()
+        assert re.search(r"^frontier misses +[1-9][0-9]*$", output, re.M), output

@@ -23,7 +23,6 @@ from repro.engine import (
     CancelToken,
     Engine,
     ExecutionGuard,
-    available_backends,
 )
 from repro.engine.guards import exception_for
 from repro.regex import parse
@@ -32,8 +31,6 @@ from repro.reductions.tovey import build_tovey_instance
 from repro.testing import FaultPlan, injected
 
 from .conftest import BACKEND_LEGS
-
-ALL_BACKENDS = available_backends()
 
 #: One document per walk of the indexed backend: text takes the letter
 #: walk, a document of long runs the run walk.
@@ -179,7 +176,7 @@ class TestBudgetEnforcement:
             assert engine.evaluate(va, "abab", budget=budget) == full
         assert engine.evaluate(va, "abab", guard=ExecutionGuard(deadline=60.0)) == full
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_edge_row_budget_trips_enumeration(self, backend):
         va, doc = tovey_workload(10)
         engine = Engine(backend=backend)

@@ -28,7 +28,7 @@ from repro.va import kernel as kernel_module
 from repro.va.kernel import takes_run_walk
 
 from ..properties.conftest import documents, sequential_formulas
-from .conftest import PINNED_WALKS
+from .conftest import BOUNDED_CACHES, PINNED_WALKS, leg_settings
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
@@ -244,6 +244,22 @@ class TestFrontierNodes:
         assert copy.indexed()._kernel is None
         assert engine.evaluate_many(va, docs, workers=2) == serial
         assert engine.stats.parallel_shards == 2
+
+    def test_bounded_leg_walks_transient_nodes(self):
+        # The engine legs' bounded caches really push the letter walk
+        # onto nodes it computes per use and never links.
+        (leg,) = BOUNDED_CACHES
+        va = _va("(a|b)*x{ab}(a|b)*")
+        text = "abba" * 10
+        with leg_settings(leg) as name:
+            engine = Engine(backend=name)
+            assert engine.first(va, text) == next(enumerate_mappings(va, text))
+            assert engine.evaluate(va, text) == evaluate_naive(va, text)
+        kernel = va.indexed().kernel()
+        assert kernel._cached_steps == BOUNDED_CACHES[leg]
+        assert len(kernel.first_memo) == BOUNDED_CACHES[leg]
+        assert kernel.step_misses > 4 * len(text)  # every walk recomputes
+        assert engine.stats.frontier_cache_misses == kernel.step_misses
 
     def test_interleaved_consumers_attribute_growth_exactly_once(self):
         # The kernel is shared and its counters cumulative, so the engine

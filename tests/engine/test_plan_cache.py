@@ -22,7 +22,6 @@ from repro.core import Mapping, NotSequentialError, SpanRelation, SpannerError
 from repro.core.spanner import RelationSpanner
 from repro.algebra import fpt_join, synchronized_difference
 from repro.algebra.planner import compile_static_atom, evaluate_ra
-from repro.engine import available_backends
 from repro.engine.plan import (
     BlackboxNode,
     DifferencePlanNode,
@@ -40,6 +39,8 @@ from repro.workloads.students import (
     alpha_uk_mail,
     generate_students,
 )
+
+from .conftest import BACKEND_LEGS
 
 
 def _static_query():
@@ -246,7 +247,7 @@ class TestPlanCacheBehaviour:
 
 
 class TestEngineMatchesPlanner:
-    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_mixed_tree_matches_one_shot_planner(self, backend):
         tree = Project(
             Difference(Join(Leaf("a"), Leaf("b")), Leaf("c")), frozenset({"x"})

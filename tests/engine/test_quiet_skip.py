@@ -36,19 +36,20 @@ from repro.va.automaton import VarOp
 from repro.workloads.packs import csv_records
 
 from ..properties.conftest import documents, sequential_formulas
-from .conftest import PINNED_WALKS
+from .conftest import BOUNDED_CACHES, PINNED_WALKS, leg_settings
 from .test_kernel_prefilter import run_documents
 
 _SETTINGS = settings(max_examples=50, deadline=None)
 
-#: The DFS legs: the indexed backend on each pinned walk.
-LEGS = list(PINNED_WALKS)
+#: The DFS legs: the indexed backend on each pinned walk, and the letter
+#: walk on bounded caches.
+LEGS = [*PINNED_WALKS, *BOUNDED_CACHES]
 
 
 @pytest.fixture(params=LEGS)
-def engine(request, monkeypatch):
-    monkeypatch.setattr(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[request.param])
-    return Engine(backend="indexed")
+def engine(request):
+    with leg_settings(request.param) as name:
+        yield Engine(backend=name)
 
 
 def _va(text: str):

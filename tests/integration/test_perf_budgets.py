@@ -12,7 +12,10 @@ measured.  This module gates two things:
   (one 100k-letter document, reduced repeats — the tiny slice of the full
   bench) and the measured speedups of the letter walk's interned-node
   walk over the bench's per-letter mask walk must stay within
-  ``PERF_BUDGET_TOLERANCE`` (default 30%) of the committed ones.
+  ``PERF_BUDGET_TOLERANCE`` (default 30%) of the committed ones;
+* **the walk the live gate divides by** — the bench's per-letter mask
+  walk must decide what the node walk decides, or the ratio compares
+  two different computations.
 
 Speedup *ratios* are compared, never wall-clock times, so the gate is
 machine independent: a slow CI runner slows both walks alike.  Set
@@ -24,9 +27,20 @@ the budget without editing code.
 import json
 import os
 import pathlib
+import random
 import sys
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import Document
+from repro.regex import parse
+from repro.va import IndexedMatchGraph, regex_to_va, trim
+from repro.va import kernel as kernel_module
+
+from ..properties.conftest import sequential_formulas
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 BASELINE_PATH = REPO_ROOT / "BENCH_kernel.json"
@@ -57,7 +71,7 @@ def _baseline() -> dict:
     return _committed("BENCH_kernel.json", "e16_kernel_prefilter")
 
 
-def _bench_module():
+def _import_bench():
     """The E16 bench module, imported from ``benchmarks/`` (its workload
     builders are the single source of truth for the gate's documents)."""
     bench_dir = str(REPO_ROOT / "benchmarks")
@@ -65,6 +79,12 @@ def _bench_module():
         sys.path.insert(0, bench_dir)
     import bench_e16_kernel_prefilter as bench
 
+    return bench
+
+
+def _bench_module():
+    """The E16 bench module at the baseline's workload size."""
+    bench = _import_bench()
     if bench.TINY:
         pytest.skip("BENCH_E16_TINY is set: workloads not baseline-sized")
     return bench
@@ -146,6 +166,58 @@ class TestLiveSpeedupBudget:
                 "python_files='bench_*.py' -o python_functions='bench_*' "
                 "--benchmark-disable)"
             )
+
+
+def _matrix_document(kind: str) -> Document:
+    """A small document for the walk matrix's >64-state query."""
+    rng = random.Random(16)
+    letters = [rng.choice("ab") for _ in range(300)]
+    planted = "ab" * 12 + "aa"
+    letters[150 : 150 + len(planted)] = planted
+    text = "".join(letters)
+    return Document(
+        {
+            "planted": text,
+            "unknown-letter": text[:100] + "c" + text[100:],
+            "too-short": "b" * 10 + "ab" * 5,
+            "run-heavy": "a" * 100 + "b" * 100 + planted,
+        }[kind]
+    )
+
+
+class TestMaskWalkReference:
+    """E16d's bars and the live gate divide by the bench's per-letter mask
+    walk, so it must decide emptiness and build the forward layers, the
+    live layers and ``first()`` exactly as the node walk does."""
+
+    @given(sequential_formulas(), st.text(alphabet="abc", max_size=10))
+    @settings(max_examples=60, deadline=None)
+    def test_mask_walk_agrees_with_the_node_walk(self, formula, text):
+        bench = _import_bench()
+        indexed = trim(regex_to_va(formula)).indexed()
+        doc = Document(text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 1 << 20):
+            node = IndexedMatchGraph(indexed, doc)
+            mask = bench._MaskWalkGraph(indexed, doc)
+            assert bench._mask_walk_nonempty(indexed, doc) == (not node.is_empty)
+            assert mask.first() == node.first()
+            assert mask.forward == node.forward
+            assert mask.alive == node.alive
+
+    @pytest.mark.parametrize(
+        "kind", ["planted", "unknown-letter", "too-short", "run-heavy"]
+    )
+    def test_mask_walk_agrees_on_the_matrix_query(self, kind):
+        bench = _import_bench()
+        indexed = trim(regex_to_va(parse(bench.MATRIX_FORMULA))).indexed()
+        assert indexed.n_states > 64
+        doc = _matrix_document(kind)
+        node = IndexedMatchGraph(indexed, doc)
+        mask = bench._MaskWalkGraph(indexed, doc)
+        nonempty = bench._mask_walk_nonempty(indexed, doc)
+        assert nonempty == (not node.is_empty) == (kind in ("planted", "run-heavy"))
+        assert mask.first() == node.first()
+        assert mask.alive == node.alive
 
 
 class TestCommittedRuntimeBaseline:

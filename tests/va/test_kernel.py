@@ -6,6 +6,7 @@ shared bit helpers."""
 import random
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.va import (
     IndexedVA,
     TransitionKernel,
     evaluate_naive,
+    indexed_nonempty,
     regex_to_va,
     trim,
 )
@@ -280,6 +282,36 @@ class TestFrontierNodes:
         assert kernel._cached_steps <= TinyCache.STEP_CACHE_LIMIT
         assert len(kernel._nodes) + len(kernel._pred_nodes) <= 2
 
+    def test_first_memo_stops_filling_at_its_bound(self):
+        class TinyMemo(TransitionKernel):
+            FIRST_CACHE_LIMIT = 3
+
+        indexed = IndexedVA(trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*"))))
+        kernel = indexed._kernel = TinyMemo(indexed)
+        for doc in ("ab" * 6, "ba" * 7, "aabb" * 3, "bbab"):
+            expected = next(IndexedMatchGraph(indexed, doc).enumerate(), None)
+            assert IndexedMatchGraph(indexed, doc).first() == expected
+        assert len(kernel.first_memo) == TinyMemo.FIRST_CACHE_LIMIT
+
+    def test_cache_bytes_gauge_stops_growing_at_the_bounds(self):
+        class SmallCaches(TransitionKernel):
+            STEP_CACHE_LIMIT = 8
+            FIRST_CACHE_LIMIT = 4
+
+        indexed = IndexedVA(trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*"))))
+        kernel = indexed._kernel = SmallCaches(indexed)
+        assert kernel.cache_bytes_estimate() == 0
+        gauges = []
+        for doc in ("abab", "ba" * 7, "aabb" * 3, "bbab" * 4, "ab" * 9 + "b"):
+            IndexedMatchGraph(indexed, doc).first()
+            gauges.append(kernel.cache_bytes_estimate())
+        assert 0 < gauges[0] and gauges == sorted(gauges)
+        # Both caches are full: the gauge is at its ceiling and stays there.
+        ceiling = 8 * 8 * (len(indexed.alphabet) + 2) + 96 * 4
+        assert gauges[-1] == ceiling
+        IndexedMatchGraph(indexed, "baab" * 5).first()
+        assert kernel.cache_bytes_estimate() == ceiling
+
 
 class TestLetterWalkGraph:
     @given(sequential_formulas(), st.text(alphabet="abc", max_size=8))
@@ -308,6 +340,78 @@ class TestLetterWalkGraph:
         layers = list(range(len(doc)))
         assert quiet_layers(letters) == quiet_layers(runs)
         assert skip_targets(letters, layers) == skip_targets(runs, layers)
+
+    @given(sequential_formulas(), st.text(alphabet="abc", max_size=8))
+    @_SETTINGS
+    def test_bounded_caches_change_no_answer(self, formula, text):
+        class TinyCaches(TransitionKernel):
+            STEP_CACHE_LIMIT = FIRST_CACHE_LIMIT = 2
+
+        va = trim(regex_to_va(formula))
+        bounded = IndexedVA(va)
+        bounded._kernel = TinyCaches(bounded)
+        doc = Document(text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 1 << 20):
+            reference = IndexedMatchGraph(va.indexed(), doc)
+            mappings = list(reference.enumerate())
+            # The second pass starts from what the first left cached.
+            for _ in range(2):
+                assert IndexedMatchGraph(bounded, doc).first() == reference.first()
+                graph = IndexedMatchGraph(bounded, doc)
+                assert graph.forward == reference.forward
+                assert graph.alive == reference.alive
+                assert list(graph.enumerate()) == mappings
+                assert indexed_nonempty(bounded, doc) == bool(mappings)
+        assert bounded._kernel._cached_steps <= 2
+        assert len(bounded._kernel.first_memo) <= 2
+
+    @given(
+        sequential_formulas(),
+        st.text(alphabet="abc", max_size=6),
+        st.one_of(run_documents, st.text(alphabet="abc", max_size=6)),
+        st.sampled_from(THRESHOLDS),
+        st.booleans(),
+    )
+    @_SETTINGS
+    def test_extension_equals_a_fresh_graph(self, formula, prefix, suffix, threshold, built):
+        indexed = trim(regex_to_va(formula)).indexed()
+        whole = Document(prefix + suffix)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", threshold):
+            graph = IndexedMatchGraph(indexed, Document(prefix))
+            if built:
+                graph.forward  # carried over into the extension
+            fresh = IndexedMatchGraph(indexed, whole)
+            # The extension keeps the prefix's walk, whatever the whole
+            # document's run profile.
+            assert graph.extended(whole).first() == fresh.first()
+            extended = graph.extended(whole)
+        assert (extended._runs is None) == (graph._runs is None)
+        assert extended.checkpoint() == fresh.checkpoint()
+        assert extended.final_mask == fresh.final_mask
+        assert extended.forward == fresh.forward
+        assert extended.alive == fresh.alive
+        assert list(extended.enumerate()) == list(fresh.enumerate())
+
+    @pytest.mark.parametrize(
+        "text", ["", "ab" * 13 + "aa", "ab" * 40, "a" * 120, "ab" * 13 + "ac"]
+    )
+    def test_wide_automaton_letter_walk_equals_the_run_walk(self, text):
+        indexed = _wide_indexed()
+        doc = Document(text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 1 << 20):
+            letters = IndexedMatchGraph(indexed, doc)
+            first = IndexedMatchGraph(indexed, doc).first()
+            nonempty = indexed_nonempty(indexed, doc)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", 0):
+            runs = IndexedMatchGraph(indexed, doc)
+            assert indexed_nonempty(indexed, doc) == nonempty
+        assert nonempty == (not runs.is_empty) == (not letters.is_empty)
+        assert letters.forward == runs.forward
+        assert letters.alive == runs.alive
+        assert letters.states_alive() == runs.states_alive()
+        assert letters.width() == runs.width()
+        assert first == runs.first()
+        assert list(letters.enumerate()) == list(runs.enumerate())
 
 
 class TestRunWalkRouting:
