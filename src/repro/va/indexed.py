@@ -44,17 +44,20 @@ one step, across letters, to the first layer where one of them stops
 being quiet.  Each state finds the end of a stretch once, for every
 later entry to reuse, so a no-capture stretch costs one stack frame per
 path.  A star over a union of letters such as ``(a|b)*`` compiles to one
-state per letter, quiet only inside a run of its own letter; the DFS
-crosses its stretches with a second skip, an index from each forced
-frame to the end of its stretch, which the first path through a stretch
-builds and every later path hops along.  :meth:`IndexedMatchGraph.first`
-is a greedy walk: on the letter walk it prunes against the
-co-reachability nodes and memoizes its choices in the kernel, across
-documents; otherwise it reads the live layers, with the quiet skip.  A
-tail session's re-evaluation instead walks back from the final layer
-over the forward masks alone (:meth:`IndexedMatchGraph.enumerate_since`),
-pruned at the previous run's length; :meth:`IndexedMatchGraph.extended`
-keeps the walk of the graph it extends.  Semantics are identical on
+state per letter, quiet only inside a run of its own letter, so the DFS
+leaves such a star after the last capture another way: :class:`IndexedVA`
+marks, once per automaton, the *done* states, from which no run performs
+an operation, and a frame whose profile is all done is a leaf with one
+mapping.  :meth:`IndexedMatchGraph.first` is a greedy walk: on the letter
+walk it prunes against the co-reachability nodes and memoizes its
+choices in the kernel, across documents; otherwise it reads the live
+layers, with the quiet skip.  A tail session's re-evaluation instead
+walks back from the final layer over the forward masks alone
+(:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
+run's length, and a branch that has chosen an operation ends at the
+first profile of *clean* states, which no run reaches through an
+operation; :meth:`IndexedMatchGraph.extended` keeps the walk of the
+graph it extends.  Semantics are identical on
 both walks — the equivalence tests in ``tests/engine`` force each walk
 and check them against each other and against the naive enumerator.
 
@@ -112,10 +115,14 @@ class IndexedVA:
             self-transitions on it all carry the empty operation set — the
             states the enumeration walks may skip with (see
             :meth:`IndexedMatchGraph.enumerate`).
-        star_mask: the union of :attr:`quiet_masks`, the *star states*:
-            those with a quiet self-loop on some letter, which is what a
-            star compiles to.  Only profiles of star states can start a
-            forced stretch of the enumeration DFS.
+        done_mask: the states from which no run performs an operation,
+            accepting operation sets included: a DFS frame whose profile
+            holds only these states ends in exactly one mapping, its
+            path's (see :meth:`IndexedMatchGraph.enumerate`).
+        clean_mask: the states that no run reaches through an operation:
+            a backward frame whose profile holds only these states walks
+            back to layer 0 without another operation (see
+            :meth:`IndexedMatchGraph.enumerate_since`).
         accept: ``accept[state_id]`` is the tuple of accepting opset ids,
             canonically ordered.
         accept_mask: bitmask of states with at least one accepting opset.
@@ -166,6 +173,11 @@ class IndexedVA:
         quiet_masks = [0] * n_letters
         accept: list[tuple[int, ...]] = [()] * self.n_states
         accept_mask = 0
+        # Per state, the union of its successors over every letter; the
+        # states that perform an operation (on a transition or when they
+        # accept), and the states an operation leads into.
+        successors = [0] * self.n_states
+        operating = entered = 0
         letter_id = self.alphabet.ids.__getitem__
         for state, sid in order.items():
             bit = 1 << sid
@@ -185,9 +197,13 @@ class IndexedVA:
                 loud = False
                 for oid, target_mask in entries:
                     mask |= target_mask
-                    if target_mask & bit and opsets[oid]:
-                        loud = True  # a self-loop that performs operations
+                    if opsets[oid]:
+                        operating |= bit
+                        entered |= target_mask
+                        if target_mask & bit:
+                            loud = True  # a self-loop that performs operations
                 successor_masks[lid][sid] = mask
+                successors[sid] |= mask
                 if mask & bit and not loud:
                     quiet_masks[lid] |= bit
             accept[sid] = tuple(
@@ -198,12 +214,18 @@ class IndexedVA:
             )
             if accept[sid]:
                 accept_mask |= 1 << sid
+                if any(opsets[oid] for oid in accept[sid]):
+                    operating |= bit
         self.tables = tables
         self.successor_masks = successor_masks
         self.quiet_masks = quiet_masks
-        self.star_mask = 0
-        for mask in quiet_masks:
-            self.star_mask |= mask
+        predecessors = [0] * self.n_states
+        for sid, mask in enumerate(successors):
+            for target in iter_bits(mask):
+                predecessors[target] |= 1 << sid
+        everything = (1 << self.n_states) - 1
+        self.done_mask = everything & ~_reachable(operating, predecessors)
+        self.clean_mask = everything & ~_reachable(entered, successors)
         self.accept = accept
         self.accept_mask = accept_mask
         self.accept_by_opset = [0] * len(self.opsets)
@@ -275,6 +297,20 @@ def _inverted(
     return [tuple(sources.items()) for sources in per_target]
 
 
+def _reachable(seed: int, edges: "list[int]") -> int:
+    """The states reachable from the states of ``seed`` along ``edges``
+    (``edges[state]`` is the mask of a state's neighbours), ``seed``
+    included; each state is expanded once."""
+    reached = pending = seed
+    while pending:
+        low = pending & -pending
+        pending ^= low
+        fresh = edges[low.bit_length() - 1] & ~reached
+        reached |= fresh
+        pending |= fresh
+    return reached
+
+
 def _canonical_ranks(opsets: "list[OpSet]") -> "tuple[list[int], int]":
     """Per-opset canonical enumeration ranks, and the id of the empty
     operation set (``-1`` when absent)."""
@@ -300,8 +336,10 @@ class LayeredIndexedVA:
     layer, under that layer's letter, so the layer stands in for the letter
     (:attr:`letter_ids` is ``range(n)``) and the tables stay O(nodes)
     instead of O(|Σ|·nodes).  Node ids are local to their layer, so no
-    state mask is wider than one layer.  No node has a self-loop, so none
-    is quiet or a star state, and the kernel's run walk never applies.
+    state mask is wider than one layer, and a mask that holds for every
+    layer, as :attr:`IndexedVA.done_mask` and :attr:`IndexedVA.clean_mask`
+    do, is ``0`` here.  No node has a self-loop, so none is quiet, and the
+    kernel's run walk never applies.
     Dead nodes are kept; the match graph's backward pass prunes them.
 
     Attributes:
@@ -353,7 +391,7 @@ class LayeredIndexedVA:
         self.successor_masks = successor_masks
         self.letter_ids = range(len(tables))
         self.quiet_masks = [0] * len(tables)
-        self.star_mask = 0
+        self.done_mask = self.clean_mask = 0
         self.opset_rank, self.empty_opset_id = _canonical_ranks(opsets)
         accept_mask = 0
         accept_by_opset = [0] * len(opsets)
@@ -1106,12 +1144,6 @@ class IndexedMatchGraph:
             ]
         return row
 
-    #: Entry cap of the forced-stretch index of one :meth:`enumerate`
-    #: call: one entry per forced ``(layer, profile)`` frame a stretch
-    #: passes.  Past it the index stops growing and later paths step
-    #: through the stretches they enter, with the same result.
-    FORCED_INDEX_LIMIT = 1 << 19
-
     def enumerate(self, limit: int | None = None) -> Iterator[Mapping]:
         """DFS enumeration with polynomial delay (Theorem 2.5), bitmask
         profiles and parent-pointer path reconstruction.
@@ -1119,25 +1151,22 @@ class IndexedMatchGraph:
         ``limit`` stops after that many mappings; the lazy edge rows mean a
         small limit touches only the layers along the walked paths.  A path
         goes on in place with its canonically first option and stacks the
-        others.  Two skips cross the layers where nothing can be captured:
+        others.  Two shortcuts cross the layers where nothing can be
+        captured:
 
         * A frame whose profile is all *quiet* (every state's only live
           option is its empty-opset self-loop, which is what a character
           class under a star, ``.*`` or ``[0-9]+``, compiles to) jumps in
           one frame, across letters, to the first layer where one of its
           states stops being quiet (:meth:`_quiet_end`).
-        * A *forced* frame (its profile holds only star states, see
-          :attr:`IndexedVA.star_mask`, and its one live option is the
-          empty operation set) starts a forced stretch, which the first
-          path to reach it walks and indexes (:meth:`_forced_end`); every
-          later path that enters the stretch hops to its end in one frame.
-          A star over a union of letters such as ``(a|b)*`` compiles to
-          one state per letter, so its profile changes with the letter
-          and only this skip crosses its stretches.  The index is a lazy
-          form of the jump pointers of Amarilli, Bourhis, Mengel and
-          Niewerth (ICDT 2019); it lives for one call, holds at most
-          :attr:`FORCED_INDEX_LIMIT` entries, and stays empty for automata
-          without star states, such as Theorem 4.8's per-document forms.
+        * A frame whose profile is all *done* (:attr:`IndexedVA.done_mask`:
+          no run from its states performs an operation) is a leaf: every
+          live path on from it ends in the one mapping of the path so far.
+          This is how the DFS leaves a star over a union of letters such
+          as ``(a|b)*`` after the last capture, which compiles to one
+          state per letter and so is quiet only inside a run of one
+          letter; it is the static, whole-suffix case of the jump pointers
+          of Amarilli, Bourhis, Mengel and Niewerth (ICDT 2019).
 
         A path node is ``((position, operation set), parent)`` and records
         only operating steps, so skips push the parent unchanged and a leaf
@@ -1147,8 +1176,9 @@ class IndexedMatchGraph:
             return
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
-        quiet, star = indexed.quiet_masks, indexed.star_mask
-        quiet_end, forced_end = self._quiet_end, self._forced_end
+        quiet, done = indexed.quiet_masks, indexed.done_mask
+        empty = indexed.empty_opset_id
+        quiet_end = self._quiet_end
         n = self._n
         final = self.final
         alive = self.alive
@@ -1156,7 +1186,6 @@ class IndexedMatchGraph:
         letter_ids = self.letter_ids
         edges = self._edges
         guard = self._guard
-        forced: dict[tuple[int, int], tuple[int, int]] = {}
         emitted = 0
         # Stack frames: (layer, profile mask, path node).
         stack: list[tuple[int, int, tuple | None]] = [
@@ -1167,19 +1196,26 @@ class IndexedMatchGraph:
             while True:
                 if guard is not None:
                     guard.tick()
-                if layer == n:
-                    options_set: set[int] = set()
-                    mask = profile
-                    while mask:
-                        low = mask & -mask
-                        options_set.update(final.get(low.bit_length() - 1, ()))
-                        mask ^= low
+                if layer == n or not profile & ~done:
+                    # A leaf: one mapping per operation set the profile
+                    # accepts with.  A done profile's live paths perform
+                    # nothing more and accept with the empty one alone.
+                    if profile & ~done:
+                        options_set: set[int] = set()
+                        mask = profile
+                        while mask:
+                            low = mask & -mask
+                            options_set.update(final.get(low.bit_length() - 1, ()))
+                            mask ^= low
+                        finals = sorted(options_set, key=rank.__getitem__)
+                    else:
+                        finals = [empty]
                     entries: list[tuple[int, OpSet]] = []
                     while node is not None:
                         entry, node = node
                         entries.append(entry)
                     entries.reverse()
-                    for oid in sorted(options_set, key=rank.__getitem__):
+                    for oid in finals:
                         final_ops = opsets[oid]
                         yield _mapping_from_entries(
                             entries + [(n + 1, final_ops)] if final_ops else entries
@@ -1189,23 +1225,17 @@ class IndexedMatchGraph:
                             return
                     break
                 lid = letter_ids[layer]
-                if not profile & ~star:
-                    # Scan only where a quiet stretch can outlast this
-                    # layer, that is where the next letter is quiet for the
-                    # profile too: a one-layer stretch is this frame's own
-                    # step.
-                    if (
-                        not profile & ~quiet[lid]
-                        and layer + 1 < n
-                        and not profile & ~quiet[letter_ids[layer + 1]]
-                    ):
-                        j = quiet_end(profile, layer)
-                        if j > layer:
-                            layer = j
-                            continue
-                    hop = forced.get((layer, profile))
-                    if hop is not None:
-                        layer, profile = hop
+                # Scan only where a quiet stretch can outlast this layer,
+                # that is where the next letter is quiet for the profile
+                # too: a one-layer stretch is this frame's own step.
+                if (
+                    not profile & ~quiet[lid]
+                    and layer + 1 < n
+                    and not profile & ~quiet[letter_ids[layer + 1]]
+                ):
+                    j = quiet_end(profile, layer)
+                    if j > layer:
+                        layer = j
                         continue
                 # Inlined edge_row: the per-layer row build is the hot loop.
                 cache = edges[layer]
@@ -1238,10 +1268,6 @@ class IndexedMatchGraph:
                     ops = opsets[oid]
                     if ops:
                         node = ((layer + 1, ops), node)
-                    elif not (profile | target_mask) & ~star:
-                        # Forced, into a frame that may be forced too.
-                        layer, profile = forced_end(layer, profile, target_mask, forced)
-                        continue
                 else:
                     ordered = sorted(options, key=rank.__getitem__)
                     # Stack the later options in reverse rank order, so the
@@ -1258,84 +1284,6 @@ class IndexedMatchGraph:
                         node = ((layer + 1, ops), node)
                 layer += 1
                 profile = target_mask
-
-    def _forced_end(
-        self,
-        layer: int,
-        profile: int,
-        target: int,
-        index: "dict[tuple[int, int], tuple[int, int]]",
-    ) -> tuple[int, int]:
-        """The end of the forced stretch that starts at the forced frame
-        ``(layer, profile)``, whose one live option leads to ``target``:
-        the first frame on from it that is not forced, as ``(layer,
-        profile)``, where a leaf counts as not forced.
-
-        Walks the stretch frame by frame, ticking the guard once per
-        frame, jumps its quiet stretches (:meth:`_quiet_end`), and stops
-        early where it joins a stretch ``index`` holds.  Then records the
-        end in ``index`` for every forced frame it passed, this one
-        included, unless the end is the next layer, where a hop would be
-        no shorter than the step."""
-        n = self._n
-        indexed = self.indexed
-        empty = indexed.empty_opset_id
-        quiet, star = indexed.quiet_masks, indexed.star_mask
-        tables = indexed.tables
-        letter_ids = self.letter_ids
-        alive = self.alive
-        guard = self._guard
-        walked = [(layer, profile)]
-        start = layer
-        layer += 1
-        profile = target
-        end = None
-        while layer < n:
-            if guard is not None:
-                guard.tick()
-            key = (layer, profile)
-            end = index.get(key)
-            if end is not None or profile & ~star:
-                break
-            lid = letter_ids[layer]
-            if (
-                not profile & ~quiet[lid]
-                and layer + 1 < n
-                and not profile & ~quiet[letter_ids[layer + 1]]
-            ):
-                j = self._quiet_end(profile, layer)
-                if j > layer:
-                    walked.append(key)
-                    layer = j
-                    continue
-            # Forced here when every live option of every state is the
-            # empty operation set; a later path hops this frame, so its
-            # edge rows are read from the tables and not kept.
-            row_table = tables[lid]
-            live = alive[layer + 1]
-            target = 0
-            mask = profile
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                for oid, target_mask in row_table[low.bit_length() - 1]:
-                    target_mask &= live
-                    if target_mask:
-                        if oid != empty:
-                            target = mask = 0
-                            break
-                        target |= target_mask
-            if not target:
-                break
-            walked.append(key)
-            layer += 1
-            profile = target
-        if end is None:
-            end = (layer, profile)
-        if end[0] > start + 1 and len(index) < self.FORCED_INDEX_LIMIT:
-            for key in walked:
-                index[key] = end
-        return end
 
     def first(self) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty —
@@ -1421,7 +1369,8 @@ class IndexedMatchGraph:
         node id)`` in the kernel's :attr:`~repro.va.kernel.TransitionKernel.first_memo`,
         shared across documents, so a long document costs one dictionary
         probe per position, with the edge inspection running only on
-        misses."""
+        misses.  A transient node, computed anew on every use, has id
+        ``-1``, under which no choice is stored."""
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
         empty_oid = indexed.empty_opset_id
@@ -1442,7 +1391,8 @@ class IndexedMatchGraph:
                 guard.tick()
             lid = letter_ids[layer]
             cnode = cnodes[layer + 1]
-            key = (profile, lid, cnode[id_slot])
+            cid = cnode[id_slot]
+            key = (profile, lid, cid)
             best = memo.get(key)
             if best is None:
                 live = cnode[mask_slot]
@@ -1461,7 +1411,7 @@ class IndexedMatchGraph:
                         elif oid == best_oid:
                             best_mask |= target_mask
                 best = (best_oid, best_mask)
-                if len(memo) < memo_limit:
+                if cid >= 0 and len(memo) < memo_limit:
                     memo[key] = best
             best_oid, best_mask = best
             if best_oid == empty_oid and best_mask == profile:
@@ -1505,9 +1455,13 @@ class IndexedMatchGraph:
         ``m = prefix_length`` are all empty (the final one included)
         completes, through a state at layer ``m`` that accepts with the
         operation set chosen there, to a mapping of the prefix; such
-        states are dropped at layer ``m``.  So a re-evaluation after an
-        append that completes no match walks only the appended layers, and
-        each new mapping costs one walk back to layer 0.
+        states are dropped at layer ``m``.  A branch that has chosen an
+        operation yields as soon as its profile is all *clean*
+        (:attr:`IndexedVA.clean_mask`): no run reaches those states
+        through an operation, so the walk back to layer 0 would add none.
+        So a re-evaluation after an append that completes no match walks
+        only the appended layers, and each new mapping costs a walk back
+        over its captured region, not to layer 0.
         """
         n = self._n
         if self.is_empty or prefix_length == n:
@@ -1516,6 +1470,7 @@ class IndexedMatchGraph:
         indexed = self.indexed
         opsets = indexed.opsets
         accept_by_opset = indexed.accept_by_opset
+        clean = indexed.clean_mask
         rows = indexed.predecessor_rows()
         forward = self.forward
         letter_ids = self.letter_ids
@@ -1538,7 +1493,7 @@ class IndexedMatchGraph:
                 if guard is not None:
                     guard.tick()
                 layer, profile, quiet, node = frame
-                if not layer:
+                if not layer or not (quiet or profile & ~clean):
                     entries: list[tuple[int, OpSet]] = []
                     while node is not None:
                         entry, node = node

@@ -91,7 +91,8 @@ class TransitionKernel:
     A node is a list: ``node[letter_id]`` is the successor node (``None``
     until computed), ``node[n_letters]`` the frontier's int mask, and
     ``node[n_letters + 1]`` a kernel-unique small id, the handle of the
-    ``first()`` memo.  Separate node families cover the successor and the
+    ``first()`` memo, or ``-1`` on a transient node, which the memo never
+    holds.  Separate node families cover the successor and the
     predecessor relation.
 
     Attributes:
@@ -227,17 +228,19 @@ class TransitionKernel:
 
     def _intern(self, registry: dict, mask: int) -> list:
         """The node of ``mask`` in ``registry`` (created on first use;
-        transient — computed but never registered — once the cache bound
-        is hit)."""
+        transient — computed but never registered, with id ``-1`` — once
+        the cache bound is hit)."""
         node = registry.get(mask)
         if node is None:
             node = [None] * self._n_letters
             node.append(mask)
-            node.append(self._next_id)
-            self._next_id += 1
             if self._cached_steps < self.STEP_CACHE_LIMIT:
+                node.append(self._next_id)
+                self._next_id += 1
                 registry[mask] = node
                 self._cached_steps += 1
+            else:
+                node.append(-1)
         return node
 
     def _link(self, node: list, letter_id: int, nxt: list) -> list:

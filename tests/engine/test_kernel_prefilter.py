@@ -257,7 +257,9 @@ class TestFrontierNodes:
             assert engine.evaluate(va, text) == evaluate_naive(va, text)
         kernel = va.indexed().kernel()
         assert kernel._cached_steps == BOUNDED_CACHES[leg]
-        assert len(kernel.first_memo) == BOUNDED_CACHES[leg]
+        # The forward walk filled the cache, so every co-reachability node
+        # is transient, and first() stores no choice under one.
+        assert not kernel.first_memo
         assert kernel.step_misses > 4 * len(text)  # every walk recomputes
         assert engine.stats.frontier_cache_misses == kernel.step_misses
 

@@ -1,14 +1,18 @@
-"""The quiet-stretch and forced-stretch skips of the enumeration walks.
+"""The shortcuts of the enumeration walks across layers that capture
+nothing.
 
 A state is *quiet* at a layer when its only live option there is its
 empty-opset self-loop; a DFS frame (or a ``first()`` step) whose profile
 is all quiet jumps to the first later layer where one of its states stops
-being quiet.  A DFS frame is *forced* when its profile holds only star
-states and its one live option is the empty operation set; the first
-path through a forced stretch indexes its end, and later paths hop there.
-These tests pin both skips' targets against per-layer definitions, their
-exactness on named shapes on both pinned walks, and the output-linear
-cost they buy on CSV exports and on stars over unions of letters.
+being quiet.  A state is *done* when no run from it performs an
+operation, and *clean* when no run reaches it through one: a DFS frame
+whose profile is all done is a leaf with one mapping, and a tail walk's
+branch that has chosen an operation yields at the first profile that is
+all clean.  These tests pin the quiet skip's targets against per-layer
+definitions, both masks against reachability over the automaton's
+tables, exactness on named shapes on both pinned walks, and the
+output-linear cost the shortcuts buy on CSV exports and on stars over
+unions of letters.
 """
 
 from unittest.mock import patch
@@ -93,45 +97,20 @@ def skip_targets(graph, layers: "list[int]") -> "dict[tuple[int, int], int]":
     }
 
 
-def forced_target(graph, layer: int, profile: int) -> int:
-    """The definition: the frame is forced when its profile holds only
-    star states and its one live option is the empty operation set; the
-    option's target, or 0 when the frame is not forced."""
-    indexed = graph.indexed
-    if profile & ~indexed.star_mask:
-        return 0
-    options: dict[int, int] = {}
-    for sid in iter_bits(profile):
-        for oid, target in graph.edge_row(layer, sid):
-            options[oid] = options.get(oid, 0) | target
-    if list(options) != [indexed.empty_opset_id]:
-        return 0
-    return options[indexed.empty_opset_id]
-
-
-def reference_forced_end(graph, layer: int, profile: int) -> "tuple[int, int]":
-    """The first frame from ``(layer, profile)`` on that is not forced, or
-    the leaf, by stepping frame by frame."""
-    n = len(graph.document)
-    while layer < n:
-        target = forced_target(graph, layer, profile)
-        if not target:
-            break
-        layer, profile = layer + 1, target
-    return layer, profile
-
-
-def hop_targets(graph, frames) -> "tuple[dict, dict]":
-    """``_forced_end`` of every forced frame of ``frames``, queried in that
-    order against one index, so later queries join indexed stretches; and
-    the index they leave."""
-    index: dict = {}
-    ends = {}
-    for layer, profile in frames:
-        target = forced_target(graph, layer, profile)
-        if target:
-            ends[layer, profile] = graph._forced_end(layer, profile, target, index)
-    return ends, index
+def reachable(indexed, sid: int) -> int:
+    """The states reachable from ``sid``, itself included, by a depth-first
+    search over the macro transitions of ``indexed.tables``."""
+    seen = {sid}
+    pending = [sid]
+    while pending:
+        source = pending.pop()
+        for table in indexed.tables:
+            for _, target_mask in table[source]:
+                for target in iter_bits(target_mask):
+                    if target not in seen:
+                        seen.add(target)
+                        pending.append(target)
+    return sum(1 << state for state in seen)
 
 
 class CountingGuard(ExecutionGuard):
@@ -197,66 +176,38 @@ CASES = {
 }
 
 
-class TestHopTargets:
-    @given(
-        sequential_formulas(),
-        st.booleans(),
-        st.one_of(run_documents, documents),
-        st.sampled_from(sorted(PINNED_WALKS)),
-    )
+class TestStaticMasks:
+    @given(sequential_formulas(), st.booleans())
     @_SETTINGS
-    def test_every_hop_lands_where_stepping_lands(self, formula, wrap, text, walk):
+    def test_masks_match_reachability_over_the_tables(self, formula, wrap):
         if wrap:
             # A union star on both sides: the shape of E16's matrix query.
             skip = star(union(sym("a"), sym("b"), sym("c")))
             formula = concat(skip, formula, skip)
         indexed = trim(regex_to_va(formula)).indexed()
-        doc = Document(text)
-        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
-            forward, backward = IndexedMatchGraph(indexed, doc), IndexedMatchGraph(indexed, doc)
-        n = len(doc)
-        alive = forward.alive
-        # Every single live state, and every whole live layer.
-        frames = [
-            (layer, profile)
-            for layer in range(n)
-            for profile in [*(1 << sid for sid in iter_bits(alive[layer])), alive[layer]]
-            if profile
-        ]
-        for graph, order in ((forward, frames), (backward, frames[::-1])):
-            ends, index = hop_targets(graph, order)
-            for frame, end in [*ends.items(), *index.items()]:
-                assert end == reference_forced_end(forward, *frame), frame
-                assert end[0] > frame[0]
-
-    def test_union_star_stretch_is_walked_once_then_joined(self):
-        # Alternating letters: no state is quiet at two layers in a row,
-        # so only the forced-stretch index crosses the trailing union star.
-        formula, text = CASES["union-star"][0], "ab" * 8
-        guard = CountingGuard()
-        graph = IndexedMatchGraph(_va(formula).indexed(), text, guard=guard)
-        n = len(text)
-        # x captures the first `a` and closes as the next letter is read,
-        # into the trailing (a|b)* state of that letter, which is forced
-        # through to the leaf.
-        layer = 2
-        (profile,) = [
-            1 << sid
-            for sid in iter_bits(graph.alive[layer])
-            if reference_forced_end(graph, layer, 1 << sid)[0] == n
-        ]
-        target = forced_target(graph, layer, profile)
-        index: dict = {}
-        guard.ticks = 0
-        end = graph._forced_end(layer, profile, target, index)
-        assert end == reference_forced_end(graph, layer, profile)
-        assert guard.ticks == n - layer - 1  # one per frame after this one
-        assert len(index) == n - layer and index[layer, profile] == end
-        # A query one frame into the stretch joins it at its next frame.
-        later = (layer + 1, target)
-        guard.ticks = 0
-        assert graph._forced_end(*later, forced_target(graph, *later), index) == end
-        assert guard.ticks == 1
+        opsets = indexed.opsets
+        operating = {
+            sid
+            for sid in range(indexed.n_states)
+            if any(opsets[oid] for oid in indexed.accept[sid])
+            or any(opsets[oid] for table in indexed.tables for oid, _ in table[sid])
+        }
+        entered = {
+            target
+            for table in indexed.tables
+            for row in table
+            for oid, target_mask in row
+            if opsets[oid]
+            for target in iter_bits(target_mask)
+        }
+        reached_through_ops = 0
+        for sid in entered:
+            reached_through_ops |= reachable(indexed, sid)
+        for sid in range(indexed.n_states):
+            done = not any(state in operating for state in iter_bits(reachable(indexed, sid)))
+            clean = not reached_through_ops >> sid & 1
+            assert bool(indexed.done_mask >> sid & 1) == done, sid
+            assert bool(indexed.clean_mask >> sid & 1) == clean, sid
 
 
 class TestExactness:
@@ -306,9 +257,10 @@ class TestExactness:
                 mappings = list(graph.enumerate())
                 assert mappings == list(enumerate_mappings(va, text * copies))
                 per_mapping.append(guard.ticks / len(mappings))
-            # A mapping's path hops the stretch after its `a` (the union
-            # star's forced stretch, the class star's quiet one) in one
-            # frame, where stepping would cross it one frame per layer.
+            # A mapping's path ends where its profile leaves the capture
+            # for the trailing star, whose states are all done, where
+            # stepping would cross the rest of the document one frame per
+            # layer.
             assert per_mapping[1] <= 1.5 * per_mapping[0], (name, per_mapping)
 
     def test_loud_self_loop_is_never_quiet(self):
@@ -357,4 +309,27 @@ class TestOutputLinearCost:
             count = sum(1 for _ in graph.enumerate())
             assert count > k // 2
             per_mapping.append(guard.ticks / count)
+        assert max(per_mapping) <= 1.1 * min(per_mapping), per_mapping
+
+    @pytest.mark.parametrize(
+        "formula", [csv_records.record_formula(), csv_records.field_formula()],
+        ids=["record", "field"],
+    )
+    def test_tail_walk_ticks_per_mapping_stay_flat_as_the_export_doubles(self, formula):
+        # Guard ticks of the tail session's backward walk, one per frame,
+        # after the forward layers it reads.  A branch that has captured
+        # stops where its profile is all clean, before the record it
+        # captured in; walking on to layer 0 cost about n/2 per mapping.
+        indexed = trim(regex_to_va(formula)).indexed()
+        per_mapping = []
+        for k in (50, 100, 200, 400):
+            text = csv_records.generate_csv(k, seed=7, noise_rate=0.05)
+            guard = CountingGuard()
+            graph = IndexedMatchGraph(indexed, text, guard=guard)
+            graph.forward
+            guard.ticks = 0
+            mappings = list(graph.enumerate_since(-1))
+            per_mapping.append(guard.ticks / len(mappings))
+            assert len(mappings) > k // 2
+            assert sorted(mappings, key=repr) == sorted(graph.enumerate(), key=repr)
         assert max(per_mapping) <= 1.1 * min(per_mapping), per_mapping

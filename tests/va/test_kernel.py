@@ -282,6 +282,23 @@ class TestFrontierNodes:
         assert kernel._cached_steps <= TinyCache.STEP_CACHE_LIMIT
         assert len(kernel._nodes) + len(kernel._pred_nodes) <= 2
 
+    def test_first_memo_holds_no_transient_node(self):
+        # A transient node gets a fresh id on every use, so a choice stored
+        # under it is never read again: repeated first() calls on one text
+        # must leave the memo and the cache gauge as the first left them.
+        class TinyCache(TransitionKernel):
+            STEP_CACHE_LIMIT = 2
+
+        indexed = IndexedVA(trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*"))))
+        kernel = indexed._kernel = TinyCache(indexed)
+        text = "abba" * 50
+        expected = next(IndexedMatchGraph(indexed, text).enumerate())
+        footprints = []
+        for _ in range(3):
+            assert IndexedMatchGraph(indexed, text).first() == expected
+            footprints.append((len(kernel.first_memo), kernel.cache_bytes_estimate()))
+        assert footprints == [footprints[0]] * 3, footprints
+
     def test_first_memo_stops_filling_at_its_bound(self):
         class TinyMemo(TransitionKernel):
             FIRST_CACHE_LIMIT = 3
@@ -294,8 +311,10 @@ class TestFrontierNodes:
         assert len(kernel.first_memo) == TinyMemo.FIRST_CACHE_LIMIT
 
     def test_cache_bytes_gauge_stops_growing_at_the_bounds(self):
+        # The step cache leaves room for co-reachability nodes past the
+        # forward walk's: first() memoizes only under registered ones.
         class SmallCaches(TransitionKernel):
-            STEP_CACHE_LIMIT = 8
+            STEP_CACHE_LIMIT = 32
             FIRST_CACHE_LIMIT = 4
 
         indexed = IndexedVA(trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*"))))
@@ -307,7 +326,7 @@ class TestFrontierNodes:
             gauges.append(kernel.cache_bytes_estimate())
         assert 0 < gauges[0] and gauges == sorted(gauges)
         # Both caches are full: the gauge is at its ceiling and stays there.
-        ceiling = 8 * 8 * (len(indexed.alphabet) + 2) + 96 * 4
+        ceiling = 32 * 8 * (len(indexed.alphabet) + 2) + 96 * 4
         assert gauges[-1] == ceiling
         IndexedMatchGraph(indexed, "baab" * 5).first()
         assert kernel.cache_bytes_estimate() == ceiling
