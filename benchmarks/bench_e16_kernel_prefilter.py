@@ -7,7 +7,7 @@ The evaluation kernel's per-document cost should be sublinear in practice:
 * **run-compressed kernel** — documents with long single-letter runs
   take the run walk: they advance through memoized ``(letter, 2^k)``
   transformer powers (plus fixpoint absorption), and the enumeration DFS
-  skips forced empty-opset stretches, so both emptiness and full
+  skips quiet empty-opset stretches, so both emptiness and full
   enumeration scale with the number of *runs*, not letters.  The
   acceptance bar: ≥2x full-enumeration speedup over the letter walk
   (forced by raising the shared run-walk threshold) on run-heavy

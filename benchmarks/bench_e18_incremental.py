@@ -22,9 +22,10 @@ Two regimes:
   appends on a ≥50k-letter document (in practice it is orders of
   magnitude — the rebuild re-walks every layer).
 * **dense** — ``error_rate=0.2``: an incremental re-evaluation walks
-  back from the final layer once per new mapping and stops at the
-  checkpoint for the mappings already emitted, while a rebuild enumerates
-  every mapping of the document again; reported, not asserted.
+  back from the final layer over each new mapping's captured region and
+  stops at the checkpoint for the mappings already emitted, while a
+  rebuild enumerates every mapping of the document again; reported, not
+  asserted.
 
 Results are written to ``BENCH_incremental.json`` at the repository root
 (CI uploads it; ``tests/integration/test_perf_budgets.py`` gates the

@@ -40,17 +40,19 @@ section):
   copies the text, the run tuple and every cached encoding, and the
   extension copies the run tuple and the carried forward layers.  The
   committed E18 baseline (``BENCH_incremental.json``) puts a quiet
-  append at 0.445 ms on a 10k-letter document and 2.396 ms at 50k.
+  append at 0.137 ms on a 10k-letter document and 0.441 ms at 50k.
 * **Prefilter-rejected states** are cheaper still: while the accumulated
   document cannot possibly match (a must-occur letter absent), the
   session answers from the O(1) histogram check without touching the
   backend at all, and extends from the last checkpoint once the
   prefilter admits.
-* **Matching re-evaluations** pay one walk back to layer 0 per new
-  mapping, O(document) each, plus sorting the new mappings into canonical
-  order; mappings emitted earlier are not walked again.  The first
-  matching evaluation after a rebuild also expands the forward layers
-  once; later extensions carry them over.
+* **Matching re-evaluations** pay, per new mapping, a walk back over its
+  captured region, plus sorting the new mappings into canonical order: a
+  branch that has chosen an operation stops at the first layer where its
+  states are all clean (:attr:`~repro.va.indexed.IndexedVA.clean_mask`),
+  rather than walking on to layer 0.  Mappings emitted earlier are not
+  walked again.  The first matching evaluation after a rebuild also
+  expands the forward layers once; later extensions carry them over.
 * **Rebuilds** — the first re-evaluation, the first after :meth:`reset`,
   and every one for which the query prepares a new automaton (ad-hoc
   plans prepare one per document, unless the plan hands back the

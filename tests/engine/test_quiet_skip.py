@@ -319,7 +319,8 @@ class TestOutputLinearCost:
         # Guard ticks of the tail session's backward walk, one per frame,
         # after the forward layers it reads.  A branch that has captured
         # stops where its profile is all clean, before the record it
-        # captured in; walking on to layer 0 cost about n/2 per mapping.
+        # captured in; a walk on to layer 0 would grow with the export
+        # (about n/2 per mapping).
         indexed = trim(regex_to_va(formula)).indexed()
         per_mapping = []
         for k in (50, 100, 200, 400):

@@ -283,9 +283,9 @@ class TestFrontierNodes:
         assert len(kernel._nodes) + len(kernel._pred_nodes) <= 2
 
     def test_first_memo_holds_no_transient_node(self):
-        # A transient node gets a fresh id on every use, so a choice stored
-        # under it is never read again: repeated first() calls on one text
-        # must leave the memo and the cache gauge as the first left them.
+        # A transient node is computed anew on every use, so a choice stored
+        # under it could never be read again: repeated first() calls on one
+        # text must leave the memo and the cache gauge as the first left them.
         class TinyCache(TransitionKernel):
             STEP_CACHE_LIMIT = 2
 
