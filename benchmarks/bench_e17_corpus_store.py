@@ -7,8 +7,9 @@ prefilter can reject it.  A :class:`~repro.corpus.CorpusStore` pays that
 cost once, at ingest, and answers each query from the posting-list index in
 time proportional to the *candidates* instead:
 
-* **ingest** — one-time cost of hashing, artifact derivation (histogram +
-  run-length encoding), and posting-list construction, plus the dedup-hit
+* **ingest** — one-time cost of hashing, artifact derivation (histogram,
+  run count, and a run-length encoding for the documents that take the
+  run walk only), and posting-list construction, plus the dedup-hit
   fast path on re-ingest;
 * **index vs walk** — the acceptance section: a needle-in-a-haystack
   corpus (short matching documents in a sea of long non-matching ones)

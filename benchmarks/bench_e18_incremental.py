@@ -27,14 +27,21 @@ Two regimes:
   rebuild enumerates every mapping of the document again; reported, not
   asserted.
 
+Each cell runs both ways in ``PASSES`` passes, each on a fresh engine,
+and reports the median pass.  Every timed loop runs with the garbage
+collector paused, as ``timeit`` (and E16) does, so a collection triggered
+by earlier allocations cannot land in one pass's timing.
+
 Results are written to ``BENCH_incremental.json`` at the repository root
 (CI uploads it; ``tests/integration/test_perf_budgets.py`` gates the
 committed copy).  Set ``BENCH_E18_TINY=1`` for a seconds-scale smoke
 version with the timing assertions relaxed.
 """
 
+import gc
 import os
 import time
+from statistics import median
 
 from repro.engine import Engine
 from repro.utils import format_table
@@ -51,6 +58,8 @@ APPEND_LETTERS = 100
 APPENDS = 3 if TINY else 20
 QUIET_DOC_LETTERS = (2_000,) if TINY else (10_000, 50_000)
 DENSE_DOC_LETTERS = 1_000 if TINY else 5_000
+#: Timed passes per cell; the median is reported.
+PASSES = 3
 
 _JSON: dict = {
     "experiment": "e18_incremental",
@@ -77,9 +86,62 @@ def _log_of_length(letters: int, error_rate: float, seed: int) -> str:
     return text[:letters]
 
 
+def _paused(func):
+    """``func()`` with the garbage collector paused, as ``timeit`` does."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return func()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _incremental_pass(va, base: str, chunks: list[str]):
+    """One timed pass of the appends on a fresh engine's session: ``(ms
+    per append, mappings the appends emitted, the session, the engine's
+    stats)``."""
+    engine = Engine()
+    session = engine.tail(va, base)
+    session.reevaluate()  # establish the checkpointed run (setup, untimed)
+
+    def appends():
+        matches = 0
+        start = time.perf_counter()
+        for chunk in chunks:
+            matches += len(session.reevaluate(chunk))
+        return time.perf_counter() - start, matches
+
+    seconds, matches = _paused(appends)
+    return seconds * 1e3 / APPENDS, matches, session, engine.stats
+
+
+def _rebuild_pass(va, base: str, chunks: list[str]):
+    """One timed pass of full re-evaluations after each append, plan cache
+    warm: ``(ms per append, the last relation)``."""
+    engine = Engine()
+    engine.evaluate(va, base)  # warm the plan cache (untimed)
+    documents = []
+    accumulated = base
+    for chunk in chunks:
+        accumulated += chunk
+        documents.append(accumulated)
+
+    def rebuilds():
+        relation = None
+        start = time.perf_counter()
+        for document in documents:
+            relation = engine.evaluate(va, document)
+        return time.perf_counter() - start, relation
+
+    seconds, relation = _paused(rebuilds)
+    return seconds * 1e3 / APPENDS, relation
+
+
 def _measure(base_letters: int, error_rate: float, seed: int) -> dict:
     """Time APPENDS × APPEND_LETTERS-letter appends, incremental vs
-    rebuild, on a ``base_letters``-letter document."""
+    rebuild, on a ``base_letters``-letter document: the median of
+    ``PASSES`` passes each way."""
     va = trim(regex_to_va(error_timestamp_formula()))
     total = base_letters + APPENDS * APPEND_LETTERS
     text = _log_of_length(total, error_rate, seed)
@@ -90,40 +152,27 @@ def _measure(base_letters: int, error_rate: float, seed: int) -> dict:
         for i in range(APPENDS)
     ]
 
-    engine = Engine()
-    session = engine.tail(va, base)
-    session.reevaluate()  # establish the checkpointed run (setup, untimed)
-    incremental_matches = 0
-    start = time.perf_counter()
-    for chunk in chunks:
-        incremental_matches += len(session.reevaluate(chunk))
-    incremental_ms = (time.perf_counter() - start) * 1e3 / APPENDS
+    incremental = [_incremental_pass(va, base, chunks) for _ in range(PASSES)]
+    rebuild = [_rebuild_pass(va, base, chunks) for _ in range(PASSES)]
+    incremental_ms = median(run[0] for run in incremental)
+    rebuild_ms = median(ms for ms, _relation in rebuild)
+    _ms, matches, session, stats = incremental[0]
+    _ms, final_relation = rebuild[0]
 
-    rebuild_engine = Engine()
-    rebuild_engine.evaluate(va, base)  # warm the plan cache (untimed)
-    accumulated = base
-    rebuild_ms_total = 0.0
-    final_relation = None
-    for chunk in chunks:
-        accumulated += chunk
-        start = time.perf_counter()
-        final_relation = rebuild_engine.evaluate(va, accumulated)
-        rebuild_ms_total += time.perf_counter() - start
-    rebuild_ms = rebuild_ms_total * 1e3 / APPENDS
-
-    # Correctness alongside the timing: the session's lifetime emissions
-    # cover the full document's matches, which equal the golden oracle.
-    assert accumulated == text
+    # Correctness alongside the timing: every pass emits the same
+    # mappings, and the session's lifetime emissions cover the full
+    # document's matches, which equal the golden oracle.
+    assert {run[1] for run in incremental} == {matches}
+    assert session.document.text == text
     assert len(final_relation) == len(golden_error_timestamps(text))
     assert session.total_matches >= len(final_relation)
 
-    stats = engine.stats
     return {
         "doc_letters": base_letters,
         "append_letters": APPEND_LETTERS,
         "appends": APPENDS,
         "error_rate": error_rate,
-        "matches": incremental_matches,
+        "matches": matches,
         "incremental_ms": round(incremental_ms, 4),
         "rebuild_ms": round(rebuild_ms, 4),
         "speedup": round(rebuild_ms / incremental_ms, 1),

@@ -94,12 +94,21 @@ def _run_triples(matches, offset: int) -> tuple[tuple[str, int, int], ...]:
 class Document:
     """An input document: an immutable string with span-based access."""
 
-    __slots__ = ("_text", "_encodings", "_runs", "_runs_over", "_letter_counts")
+    __slots__ = (
+        "_text",
+        "_encodings",
+        "_runs",
+        "_run_count",
+        "_runs_over",
+        "_letter_counts",
+    )
 
     def __init__(self, text: str):
         self._text = text
         self._encodings: dict[tuple[str, ...], tuple[int, ...]] | None = None
         self._runs: tuple[tuple[str, int, int], ...] | None = None
+        # The exact run count, when known without the runs themselves.
+        self._run_count: int | None = None
         # The largest limit known to be exceeded by the run count (-1: none).
         self._runs_over = -1
         self._letter_counts: "Mapping[str, int] | None" = None
@@ -110,21 +119,25 @@ class Document:
         text: str,
         runs: "tuple[tuple[str, int, int], ...] | None" = None,
         letter_counts: "Mapping[str, int] | None" = None,
+        run_count: "int | None" = None,
     ) -> "Document":
         """A document with its derived artifacts pre-seeded.
 
         The hydration entry point of :class:`~repro.corpus.CorpusStore`:
-        a store that already persisted the run-length encoding and the
-        letter histogram hands them straight to the document, so
-        :meth:`runs` and :meth:`letter_counts` never walk the text again.
-        Callers are trusted to pass artifacts consistent with ``text`` —
-        the store's ``verify()`` path cross-checks them.
+        the store persists every document's letter histogram and exact
+        run count, and the run-length encoding of the documents that take
+        the run walk, and hands them straight to the document, so
+        :meth:`letter_counts`, :meth:`run_count` and the walk router
+        (:meth:`runs_within`) never walk the text again.  Callers are
+        trusted to pass artifacts consistent with ``text`` — the store's
+        ``verify()`` path cross-checks them.
         """
         doc = cls(text)
         if runs is not None:
             doc._runs = tuple(runs)
         if letter_counts is not None:
             doc._letter_counts = MappingProxyType(dict(letter_counts))
+        doc._run_count = run_count
         return doc
 
     @property
@@ -193,25 +206,45 @@ class Document:
         (:mod:`repro.va.kernel`) advances each run in ``O(log length)``
         mask applications instead of ``O(length)`` per-letter steps; only
         the documents that take that walk need the runs at all, and
-        :meth:`runs_within` builds them for those alone.
+        :meth:`runs_within` builds them for those alone.  A corpus store
+        persists them for those documents only, and hydrates them through
+        :meth:`from_cached`.
         """
         return self.runs_within(len(self._text))
+
+    def run_count(self) -> int:
+        """The number of maximal runs, exactly, without building them.
+
+        ``len(runs)`` when the runs are cached, else one regex scan in C
+        that collects a letter per run and builds no triples; cached
+        either way, seeded by :meth:`from_cached` and extended by
+        :meth:`append`.  The corpus store persists it for every document,
+        so a hydrated document routes with no scan.
+        """
+        if self._runs is not None:
+            return len(self._runs)
+        count = self._run_count
+        if count is None:
+            count = self._run_count = len(_RUN.findall(self._text))
+        return count
 
     def runs_within(self, limit: int) -> "tuple[tuple[str, int, int], ...] | None":
         """:meth:`runs` if this document has at most ``limit`` maximal
         runs, else ``None``.
 
-        The scan stops at the ``limit + 1``-th run, so text (mean run
-        length near 1) costs ``O(limit)`` and builds no triples.  Both
-        outcomes are cached: the runs themselves, or the largest limit
-        known to be exceeded.  The walk router
-        (:func:`repro.va.kernel.run_walk_runs`) decides each document's
-        walk through here.
+        A known run count (:meth:`run_count`) answers the ``None`` case
+        with no scan.  Otherwise the scan stops at the ``limit + 1``-th
+        run, so text (mean run length near 1) costs ``O(limit)`` and
+        builds no triples.  Both outcomes are cached: the runs
+        themselves, or the largest limit known to be exceeded.  The walk
+        router (:func:`repro.va.kernel.run_walk_runs`) decides each
+        document's walk through here.
         """
         cached = self._runs
         if cached is not None:
             return cached if len(cached) <= limit else None
-        if limit <= self._runs_over:
+        count = self._run_count
+        if limit <= self._runs_over or (count is not None and count > limit):
             return None
         matches = list(islice(_RUN.finditer(self._text), limit + 1))
         if len(matches) > limit:
@@ -245,16 +278,18 @@ class Document:
 
         The incremental entry point of the tailing runtime: the letter
         histogram, every cached per-alphabet encoding and, if this
-        document has them cached, the runs of the result are derived from
-        this document's caches in O(len(suffix)) interpreter steps — the
-        suffix's first run merges into the last one when the letters
-        agree — so repeatedly tailing a growing document never re-walks
-        the prefix in Python.  A document without cached runs passes none
-        on, so a tail session on text never builds them.  The text, the
-        run tuple and every cached encoding are still copied, in C, so
-        each append also costs O(document) copying.  ``self`` is
-        untouched (documents stay immutable); an empty suffix returns a
-        document sharing the caches outright.
+        document has them cached, the runs or else the run count of the
+        result are derived from this document's caches in O(len(suffix))
+        interpreter steps — the suffix's first run merges into the last
+        one when the letters agree — so repeatedly tailing a growing
+        document never re-walks the prefix in Python.  A document that
+        knows neither passes neither on, so a tail session on text never
+        counts its runs.  The text, a cached run tuple and every cached
+        encoding are still copied, in C, so each append also costs
+        O(document) copying; a store-hydrated text document caches only
+        its histogram and run count, so it copies the text alone.
+        ``self`` is untouched (documents stay immutable); an empty suffix
+        returns a document sharing the caches outright.
         """
         if isinstance(suffix, Document):
             suffix = suffix._text
@@ -264,6 +299,7 @@ class Document:
             doc._text = self._text
             doc._encodings = dict(self._encodings) if self._encodings else None
             doc._runs = self._runs
+            doc._run_count = self._run_count
             doc._letter_counts = self.letter_counts()
             return doc
         doc._text = self._text + suffix
@@ -277,6 +313,12 @@ class Document:
             else:
                 runs = runs + tail
         doc._runs = runs
+        doc._run_count = None
+        if runs is None and self._run_count is not None:
+            # The suffix's first run merges into ours when the letters agree.
+            doc._run_count = self._run_count + len(_RUN.findall(suffix)) - (
+                self._text[-1:] == suffix[0]
+            )
         # Histogram: add the suffix's counts on top of ours.
         counts = dict(self.letter_counts())
         for letter, count in Counter(suffix).items():

@@ -9,10 +9,13 @@ single sqlite file that persists
 
 * the document text plus its SHA-256 **content hash** (duplicate ingests
   dedup to the existing id),
-* the derived artifacts — letter histogram (JSON) and run-length encoding
-  (a letter-per-run string plus a packed uint32 length array) — so
-  hydrated documents never re-run :meth:`Document.runs` /
-  :meth:`Document.letter_counts`,
+* the derived artifacts — the letter histogram (JSON), the exact number
+  of maximal letter runs, and, only for a document that takes the run
+  walk (:func:`~repro.va.kernel.takes_run_walk` when the row was
+  written), its run-length encoding (a letter-per-run string plus a
+  packed uint32 length array; empty for text) — so hydrated documents
+  never re-run :meth:`Document.letter_counts`, route to their walk with
+  no scan, and a run-walk document never re-runs :meth:`Document.runs`,
 * per-letter **posting lists** — sorted uint32 document-id arrays with
   parallel occurrence counts, stored as little-endian blobs and viewed as
   numpy arrays when numpy is installed (:mod:`repro.corpus.index`).
@@ -27,11 +30,17 @@ store handle, so a warm re-query reuses their seeded artifact caches (and
 per-alphabet encodings) outright.
 
 Maintenance: :meth:`add` / :meth:`add_many` / :meth:`remove` /
-:meth:`update` keep the posting lists incrementally consistent inside one
-sqlite transaction per call; :meth:`rebuild` recomputes every artifact and
-posting list from the raw texts (``verify=True`` first reports any
-divergence between the stored artifacts and the recomputation — the
-content-hash check doubles as corruption detection).
+:meth:`update` / :meth:`append` keep the posting lists incrementally
+consistent inside one sqlite transaction per call; :meth:`rebuild`
+recomputes every artifact and posting list from the raw texts
+(``verify=True`` first reports any divergence between the stored
+artifacts and the recomputation — the content-hash check doubles as
+corruption detection).  Only run-walk documents build, pack or unpack
+run triples on any of these paths, so appending a few lines to a stored
+log costs O(appended) interpreter steps plus rewriting its row.  A store
+written by schema version 1, which kept an encoding for every document,
+migrates in place on its first writable open; a read-only open of one
+raises :class:`CorpusError`.
 
 The store is pure stdlib (``sqlite3`` + ``array``); numpy only
 accelerates the set operations.  One writer at a time per store file is
@@ -62,6 +71,7 @@ from typing import Iterable, Iterator
 from ..core.document import Document
 from ..core.errors import SpannerError, StoreBusy, StoreCorrupt
 from ..testing import faults
+from ..va.kernel import takes_run_walk
 from .index import (
     IndexPlan,
     id_array,
@@ -70,8 +80,11 @@ from .index import (
     unpack_ids,
 )
 
-#: Bump on any incompatible change to the sqlite layout.
-SCHEMA_VERSION = 1
+#: Bump on any incompatible change to the sqlite layout.  Version 2 added
+#: the ``runs`` column and keeps a run-length encoding only for documents
+#: that take the run walk; a version-1 store migrates on its first
+#: writable open (:meth:`CorpusStore._migrate_from_v1`).
+SCHEMA_VERSION = 2
 
 #: Chunk size for ``WHERE doc_id IN (...)`` fetches (sqlite's default
 #: variable limit is 999).
@@ -109,6 +122,7 @@ CREATE TABLE IF NOT EXISTS documents (
     hash         TEXT NOT NULL UNIQUE,
     length       INTEGER NOT NULL,
     text         TEXT NOT NULL,
+    runs         INTEGER NOT NULL,
     runs_letters TEXT NOT NULL,
     runs_lengths BLOB NOT NULL,
     histogram    TEXT NOT NULL
@@ -159,17 +173,28 @@ def content_hash(text: str) -> str:
     return sha256(text.encode("utf-8")).hexdigest()
 
 
-def _artifacts(text: str) -> tuple[tuple, dict, str, bytes, str]:
-    """``(runs, histogram, runs_letters, runs_lengths_blob, histogram_json)``
+def _run_artifacts(doc: Document) -> tuple[int, str, bytes]:
+    """``(runs, runs_letters, runs_lengths_blob)``: the exact run count,
+    and the run-length encoding (a letter per run plus packed lengths) if
+    the document takes the run walk (:func:`~repro.va.kernel.takes_run_walk`),
+    else empty.  Only a run-walk document builds its runs."""
+    count = doc.run_count()
+    if not takes_run_walk(len(doc), count):
+        return count, "", b""
+    runs = doc.runs()
+    letters = "".join(letter for letter, _start, _length in runs)
+    lengths = pack_ids(id_array(length for _letter, _start, length in runs))
+    return count, letters, lengths
+
+
+def _artifacts(text: str) -> tuple[dict, int, str, bytes, str]:
+    """``(histogram, runs, runs_letters, runs_lengths_blob, histogram_json)``
     recomputed from scratch — the single source of truth for ingest,
     update, rebuild, and verify."""
     doc = Document(text)
-    runs = doc.runs()
     histogram = dict(doc.letter_counts())
-    letters = "".join(letter for letter, _start, _length in runs)
-    lengths = pack_ids(id_array(length for _letter, _start, length in runs))
     blob = json.dumps(histogram, sort_keys=True, ensure_ascii=False)
-    return runs, histogram, letters, lengths, blob
+    return (histogram, *_run_artifacts(doc), blob)
 
 
 def _runs_from_stored(letters: str, lengths_blob: bytes) -> tuple:
@@ -361,10 +386,49 @@ class CorpusStore:
                     "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
                     (str(SCHEMA_VERSION),),
                 )
+        elif int(row[0]) == 1:
+            if self.read_only:
+                raise CorpusError(
+                    f"store {self.path} has schema version 1, this build "
+                    f"reads {SCHEMA_VERSION}: open it writable once to "
+                    f"migrate it in place"
+                )
+            self._migrate_from_v1()
         elif int(row[0]) != SCHEMA_VERSION:
             raise CorpusError(
                 f"store {self.path} has schema version {row[0]}, "
                 f"this build reads {SCHEMA_VERSION}"
+            )
+
+    def _migrate_from_v1(self) -> None:
+        """Migrate a version-1 store in place, in one transaction: add the
+        ``runs`` column, filled from the stored run-length encodings (one
+        letter per run), and blank the encoding of every document that
+        does not take the run walk (:func:`~repro.va.kernel.takes_run_walk`).
+        The write lock is taken first, so a writer that lost the race to
+        migrate finds version 2 and does nothing."""
+        self._conn.create_function(
+            "takes_run_walk", 2, takes_run_walk, deterministic=True
+        )
+        with self._conn:
+            self._execute("BEGIN IMMEDIATE")
+            (version,) = self._execute(
+                "SELECT value FROM meta WHERE key = 'schema_version'"
+            ).fetchone()
+            if int(version) != 1:
+                return
+            self._execute(
+                "ALTER TABLE documents "
+                "ADD COLUMN runs INTEGER NOT NULL DEFAULT 0"
+            )
+            self._execute("UPDATE documents SET runs = length(runs_letters)")
+            self._execute(
+                "UPDATE documents SET runs_letters = '', runs_lengths = X'' "
+                "WHERE NOT takes_run_walk(length, runs)"
+            )
+            self._execute(
+                "UPDATE meta SET value = ? WHERE key = 'schema_version'",
+                (str(SCHEMA_VERSION),),
             )
 
     # -- lifecycle ----------------------------------------------------------
@@ -441,12 +505,12 @@ class CorpusStore:
         if row is not None:
             self.dedup_hits += 1
             return row[0]
-        _runs, histogram, letters, lengths, blob = _artifacts(text)
+        histogram, runs, letters, lengths, blob = _artifacts(text)
         cursor = self._execute(
             "INSERT INTO documents "
-            "(hash, length, text, runs_letters, runs_lengths, histogram) "
-            "VALUES (?, ?, ?, ?, ?, ?)",
-            (digest, len(text), text, letters, lengths, blob),
+            "(hash, length, text, runs, runs_letters, runs_lengths, histogram) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
+            (digest, len(text), text, runs, letters, lengths, blob),
         )
         doc_id = cursor.lastrowid
         for letter, count in histogram.items():
@@ -494,7 +558,7 @@ class CorpusStore:
         digest = content_hash(text)
         if digest == row[0]:
             return
-        _runs, histogram, letters, lengths, blob = _artifacts(text)
+        histogram, runs, letters, lengths, blob = _artifacts(text)
 
         def work() -> None:
             fresh = self._execute(
@@ -514,9 +578,9 @@ class CorpusStore:
             touched = set()
             self._execute(
                 "UPDATE documents SET hash = ?, length = ?, text = ?, "
-                "runs_letters = ?, runs_lengths = ?, histogram = ? "
+                "runs = ?, runs_letters = ?, runs_lengths = ?, histogram = ? "
                 "WHERE doc_id = ?",
-                (digest, len(text), text, letters, lengths, blob, doc_id),
+                (digest, len(text), text, runs, letters, lengths, blob, doc_id),
             )
             for letter in old_histogram.keys() - histogram.keys():
                 self._posting_for_write(letter).discard(doc_id)
@@ -534,11 +598,15 @@ class CorpusStore:
         """Grow a stored document by ``text`` (same id), incrementally.
 
         The tailing counterpart of :meth:`update`: the new artifacts come
-        from :meth:`Document.append` — the run-length encoding and
-        histogram *extend* in O(len(text)) instead of re-walking the
-        document — and only the letters whose counts changed touch their
-        posting lists (an append never removes a document from a posting,
-        so there is nothing to scrub).  Returns the appended
+        from :meth:`Document.append` — the histogram and the run count
+        (or, on a run-walk document, the runs) *extend* in O(len(text))
+        instead of re-walking the document — and only the letters whose
+        counts changed touch their posting lists (an append never removes
+        a document from a posting, so there is nothing to scrub).  A text
+        document's row holds no run-length encoding, so the append costs
+        O(len(text)) interpreter steps plus rewriting a row the size of
+        the text; only an append that makes the document take the run
+        walk builds its runs.  Returns the appended
         :class:`~repro.core.document.Document`, which also replaces the
         cached hydration so a tail session keeps evaluating the same
         warm object.
@@ -556,11 +624,7 @@ class CorpusStore:
         digest = content_hash(new_doc.text)
         old_histogram = doc.letter_counts()
         histogram = dict(new_doc.letter_counts())
-        runs = new_doc.runs()
-        letters = "".join(letter for letter, _start, _length in runs)
-        lengths = pack_ids(
-            id_array(length for _letter, _start, length in runs)
-        )
+        runs, letters, lengths = _run_artifacts(new_doc)
         blob = json.dumps(histogram, sort_keys=True, ensure_ascii=False)
 
         def work() -> None:
@@ -575,12 +639,13 @@ class CorpusStore:
             touched = set()
             self._execute(
                 "UPDATE documents SET hash = ?, length = ?, text = ?, "
-                "runs_letters = ?, runs_lengths = ?, histogram = ? "
+                "runs = ?, runs_letters = ?, runs_lengths = ?, histogram = ? "
                 "WHERE doc_id = ?",
                 (
                     digest,
                     len(new_doc),
                     new_doc.text,
+                    runs,
                     letters,
                     lengths,
                     blob,
@@ -622,12 +687,12 @@ class CorpusStore:
             for doc_id, text in rows:
                 documents += 1
                 digest = content_hash(text)
-                _runs, histogram, letters, lengths, blob = _artifacts(text)
+                histogram, runs, letters, lengths, blob = _artifacts(text)
                 self._execute(
-                    "UPDATE documents SET hash = ?, length = ?, "
+                    "UPDATE documents SET hash = ?, length = ?, runs = ?, "
                     "runs_letters = ?, runs_lengths = ?, histogram = ? "
                     "WHERE doc_id = ?",
-                    (digest, len(text), letters, lengths, blob, doc_id),
+                    (digest, len(text), runs, letters, lengths, blob, doc_id),
                 )
                 for letter, count in histogram.items():
                     posting = postings.get(letter)
@@ -658,23 +723,27 @@ class CorpusStore:
 
         Returns a list of human-readable issue descriptions: content-hash
         mismatches, stale artifacts, and posting lists that diverge from
-        the document histograms.  An empty list means the store is
-        internally consistent.
+        the document histograms.  A run-length encoding is stale when it
+        differs from the recomputation, which keeps one only where the
+        document takes the run walk under the current rule.  An empty
+        list means the store is internally consistent.
         """
         issues: list[str] = []
         expected: dict[str, dict[int, int]] = {}
         rows = self._execute(
-            "SELECT doc_id, hash, length, text, runs_letters, runs_lengths, "
-            "histogram FROM documents ORDER BY doc_id"
+            "SELECT doc_id, hash, length, text, runs, runs_letters, "
+            "runs_lengths, histogram FROM documents ORDER BY doc_id"
         ).fetchall()
-        for doc_id, digest, length, text, letters, lengths, blob in rows:
-            _runs, histogram, fresh_letters, fresh_lengths, fresh_blob = (
+        for doc_id, digest, length, text, runs, letters, lengths, blob in rows:
+            histogram, fresh_runs, fresh_letters, fresh_lengths, fresh_blob = (
                 _artifacts(text)
             )
             if digest != content_hash(text):
                 issues.append(f"doc {doc_id}: stored hash does not match text")
             if length != len(text):
                 issues.append(f"doc {doc_id}: stored length {length} != {len(text)}")
+            if runs != fresh_runs:
+                issues.append(f"doc {doc_id}: stored run count {runs} != {fresh_runs}")
             if letters != fresh_letters or bytes(lengths) != fresh_lengths:
                 issues.append(f"doc {doc_id}: stale run-length encoding")
             if blob != fresh_blob:
@@ -833,26 +902,30 @@ class CorpusStore:
     # -- document access ------------------------------------------------------
 
     def document(self, doc_id: int) -> Document:
-        """The hydrated document: text plus pre-seeded ``runs()`` /
-        ``letter_counts()`` caches, LRU-cached per open handle so warm
-        re-queries reuse one object (and its per-alphabet encodings)."""
+        """The hydrated document: text plus pre-seeded ``letter_counts()``
+        and ``run_count()`` caches, and ``runs()`` where the row holds a
+        run-length encoding (a document that took the run walk when it was
+        written), LRU-cached per open handle so warm re-queries reuse one
+        object (and its per-alphabet encodings)."""
         cached = self._doc_cache.get(doc_id)
         if cached is not None:
             self._doc_cache.move_to_end(doc_id)
             self.hydrations += 1
             return cached
         row = self._execute(
-            "SELECT text, runs_letters, runs_lengths, histogram "
+            "SELECT text, runs, runs_letters, runs_lengths, histogram "
             "FROM documents WHERE doc_id = ?",
             (doc_id,),
         ).fetchone()
         if row is None:
             raise CorpusError(f"no document with id {doc_id}")
-        text, letters, lengths, histogram = row
+        text, count, letters, lengths, histogram = row
+        # A stored encoding holds one letter per run; a text row holds none.
         doc = Document.from_cached(
             text,
-            runs=_runs_from_stored(letters, lengths),
+            runs=_runs_from_stored(letters, lengths) if len(letters) == count else None,
             letter_counts=json.loads(histogram),
+            run_count=count,
         )
         self.hydrations += 1
         if self._doc_cache_size > 0:

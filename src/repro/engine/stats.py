@@ -41,9 +41,11 @@ class EngineStats:
         index_candidates: candidate documents produced by those index
             plans — everything else was pruned without touching a row.
         hydrations: documents fetched from a corpus store with their
-            cached artifacts (run-length encoding, letter histogram)
-            pre-seeded — each hydration skips a ``Document.runs()`` /
-            ``letter_counts()`` recomputation.
+            cached artifacts pre-seeded — the letter histogram and the
+            exact run count, plus the run-length encoding of a document
+            that takes the run walk — so each hydration skips a
+            ``letter_counts()`` recomputation and routes to its walk with
+            no scan of the text.
         kernel_run_hits: letter runs advanced by the run-compressed
             transition kernel (fixpoint absorption or power doubling)
             instead of per-letter stepping.

@@ -1,9 +1,23 @@
 """Documents: 1-based, span-addressed strings (§2.1)."""
 
+from unittest.mock import patch
+
 import pytest
 
+import repro.core.document as document_module
 from repro.core import Alphabet, Document, Span, SpanError, as_document
 from repro.core.document import _ENCODING_CACHE_LIMIT
+
+#: Prefix/suffix pairs whose join merges runs, or not, the empty text
+#: on either side included.
+APPEND_PAIRS = [
+    ("", "abc"),
+    ("abc", ""),
+    ("aab", "bba"),
+    ("ab", "cd"),
+    ("aaa", "aaa"),
+    ("a", "a"),
+]
 
 
 class TestBasics:
@@ -170,13 +184,7 @@ class TestCachedArtifacts:
         assert doc.runs() == (("a", 0, 2), ("b", 2, 1))
 
     def test_append_artifacts_match_fresh_document(self):
-        for prefix, suffix in [
-            ("", "abc"),
-            ("abc", ""),
-            ("aab", "bba"),
-            ("ab", "cd"),
-            ("aaa", "aaa"),
-        ]:
+        for prefix, suffix in APPEND_PAIRS:
             grown = Document(prefix).append(suffix)
             fresh = Document(prefix + suffix)
             assert grown.text == fresh.text
@@ -209,6 +217,33 @@ class TestCachedArtifacts:
         assert doc.text == fresh.text
         assert doc.runs() == fresh.runs()
         assert dict(doc.letter_counts()) == dict(fresh.letter_counts())
+
+    def test_run_count_counts_the_runs_with_or_without_them(self):
+        for text in ("", "a", "aabcc", "abab", "a\n\nb"):
+            runs = Document(text).runs()
+            assert Document(text).run_count() == len(runs)
+            doc = Document.from_cached(text, runs=runs)
+            with patch.object(document_module, "_RUN", None):
+                assert doc.run_count() == len(runs)
+
+    def test_from_cached_run_count_answers_the_router_without_a_scan(self):
+        doc = Document.from_cached("abab", run_count=4)
+        with patch.object(document_module, "_RUN", None):
+            assert doc.run_count() == 4
+            assert doc.runs_within(3) is None
+        assert doc.runs_within(4) == Document("abab").runs()
+
+    def test_append_extends_a_known_run_count_without_building_runs(self):
+        for prefix, suffix in APPEND_PAIRS:
+            doc = Document.from_cached(prefix, run_count=Document(prefix).run_count())
+            with patch.object(document_module, "_run_triples", None):
+                grown = doc.append(suffix)
+            assert grown.run_count() == len(Document(prefix + suffix).runs())
+
+    def test_append_counts_nothing_the_prefix_does_not_know(self):
+        with patch.object(document_module, "_RUN", None):
+            grown = Document("abc").append("cd").append("ee")
+        assert grown.run_count() == 5  # a, b, cc, d, ee
 
     def test_documents_pickle_by_text(self):
         import pickle

@@ -99,9 +99,10 @@ class TestWarmStore:
         serves both from the persisted artifacts."""
         path = tmp_path / "store.sqlite"
         va = _va()
-        expected = Engine().evaluate_many(va, DOCS)
+        expected = Engine().evaluate_many(va, [*DOCS, "abcc"])
         with CorpusStore(path) as store:
             store.add_many(DOCS)  # artifacts computed once, here
+            store.append(store.add("ab"), "cc")  # and extended once, here
 
         def boom(*_args, **_kwargs):
             raise AssertionError("artifact recomputation on the store path")

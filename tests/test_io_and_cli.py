@@ -290,7 +290,7 @@ class TestCorpusCli:
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["documents"] == 6
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
 
     def test_query_with_explain(self, store_path, capsys):
         assert main(

@@ -52,18 +52,23 @@ THRESHOLDS = (kernel_module.RUN_WALK_THRESHOLD, 0, 1 << 20)
 @st.composite
 def routed_documents(draw):
     """A document of mixed runs as the engine meets one: fresh, hydrated
-    with seeded runs, or grown by a chain of appends whose prefixes were
-    scanned under some run limit (or not) on the way, so their caches
-    carry over."""
+    with seeded runs or with its run count alone, or grown by a chain of
+    appends from a fresh or counted start whose prefixes were scanned
+    under some run limit (or not) on the way, so their caches carry
+    over."""
     text = draw(mixed_run_texts)
-    kind = draw(st.sampled_from(("fresh", "cached", "appended")))
+    kind = draw(st.sampled_from(("fresh", "cached", "counted", "appended")))
     if kind == "fresh":
         return Document(text)
     if kind == "cached":
         return Document.from_cached(text, runs=Document(text).runs())
+    if kind == "counted":
+        return Document.from_cached(text, run_count=len(Document(text).runs()))
     cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)))
     pieces = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
     doc = Document(pieces[0])
+    if draw(st.booleans()):
+        doc = Document.from_cached(pieces[0], run_count=doc.run_count())
     for piece in pieces[1:]:
         if draw(st.booleans()):
             doc.runs_within(draw(st.integers(0, len(doc) + 1)))
