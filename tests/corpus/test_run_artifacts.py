@@ -105,7 +105,7 @@ class TestRunArtifacts:
             assert store.document(doc_id).runs() == ()
 
     def test_append_to_a_hydrated_log_builds_no_run_triples(self, tmp_path):
-        log = server_logs.generate_log(200, seed=5)
+        log = server_logs.generate_log(145, seed=5)
         assert len(log) > 8000
         path = tmp_path / "store.sqlite"
         with CorpusStore(path) as store:
