@@ -94,14 +94,7 @@ def _run_triples(matches, offset: int) -> tuple[tuple[str, int, int], ...]:
 class Document:
     """An input document: an immutable string with span-based access."""
 
-    __slots__ = (
-        "_text",
-        "_encodings",
-        "_runs",
-        "_run_count",
-        "_runs_over",
-        "_letter_counts",
-    )
+    __slots__ = ("_text", "_encodings", "_runs", "_run_count", "_runs_over", "_letter_counts")
 
     def __init__(self, text: str):
         self._text = text
@@ -304,6 +297,7 @@ class Document:
             return doc
         doc._text = self._text + suffix
         runs = self._runs
+        count = self._run_count
         if runs is not None:
             tail = _run_triples(_RUN.finditer(suffix), len(self._text))
             if runs and runs[-1][0] == tail[0][0]:
@@ -312,13 +306,12 @@ class Document:
                 runs = runs[:-1] + (merged,) + tail[1:]
             else:
                 runs = runs + tail
-        doc._runs = runs
-        doc._run_count = None
-        if runs is None and self._run_count is not None:
+            count = None
+        elif count is not None:
             # The suffix's first run merges into ours when the letters agree.
-            doc._run_count = self._run_count + len(_RUN.findall(suffix)) - (
-                self._text[-1:] == suffix[0]
-            )
+            count += len(_RUN.findall(suffix)) - (self._text[-1:] == suffix[0])
+        doc._runs = runs
+        doc._run_count = count
         # Histogram: add the suffix's counts on top of ours.
         counts = dict(self.letter_counts())
         for letter, count in Counter(suffix).items():
