@@ -15,7 +15,11 @@ edges materialise only along the paths the DFS walks.  This bench measures
 * **parallel corpus evaluation** — ``Engine.evaluate_many(workers=N)``
   sharding a document batch across processes, which must scale near
   linearly when the hardware has the cores (the assertion is skipped on
-  starved runners; the measured numbers are recorded either way).
+  starved runners; the measured numbers are recorded either way).  Each
+  worker count is timed ``REPEATS`` times, the counts taking turns, each
+  run on a fresh engine and fresh ``Document`` copies with the garbage
+  collector paused (as ``timeit``, E16 and E18 do); the median run is
+  reported.
 
 Results are written both as human-readable tables (the ``report`` fixture)
 and machine-readably to ``BENCH_runtime.json`` at the repository root (the
@@ -24,8 +28,10 @@ to run a seconds-scale smoke version that still exercises every code path
 and the full JSON schema, with the timing assertions relaxed.
 """
 
+import gc
 import os
 import time
+from statistics import median
 
 from repro.core import Document
 from repro.engine import Engine
@@ -240,31 +246,56 @@ def bench_e14_match_density(benchmark, report):
 # -- parallel corpus evaluation ---------------------------------------------
 
 
-def _parallel_sweep():
-    va = _compiled()
-    docs = [
-        _sparse_document(PARALLEL_LENGTH, PARALLEL_DENSITY, seed=i)
-        for i in range(PARALLEL_DOCS)
-    ]
-    rows = []
-    baseline_ms = None
-    baseline = None
-    for workers in WORKER_SWEEP:
-        engine = Engine()
+def _timed_batch(va, texts, workers):
+    """One ``evaluate_many`` over fresh ``Document`` copies of ``texts`` on
+    a fresh engine, timed with the collector paused: ``(ms, relations,
+    stats)``.  Fresh documents keep one run from reading the letter
+    encodings an earlier run cached, which the worker shards never see."""
+    engine = Engine()
+    docs = [Document(text) for text in texts]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
         start = time.perf_counter()
         relations = engine.evaluate_many(va, docs, workers=workers)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        if baseline is None:
-            baseline, baseline_ms = relations, wall_ms
-        else:
-            assert relations == baseline  # sharding must not change results
+        elapsed = time.perf_counter() - start
+    finally:
+        if collecting:
+            gc.enable()
+    return elapsed * 1e3, relations, engine.stats
+
+
+def _parallel_sweep():
+    va = _compiled()
+    texts = [
+        _sparse_document(PARALLEL_LENGTH, PARALLEL_DENSITY, seed=i).text
+        for i in range(PARALLEL_DOCS)
+    ]
+    walls = {workers: [] for workers in WORKER_SWEEP}
+    stats = {}
+    baseline = None
+    # The worker counts take turns within each repeat, so a slow phase of
+    # the host falls on every count alike.
+    for _ in range(REPEATS):
+        for workers in WORKER_SWEEP:
+            wall_ms, relations, stats[workers] = _timed_batch(va, texts, workers)
+            walls[workers].append(wall_ms)
+            if baseline is None:
+                baseline = relations
+            else:
+                assert relations == baseline  # sharding must not change results
+    baseline_ms = median(walls[WORKER_SWEEP[0]])
+    rows = []
+    for workers in WORKER_SWEEP:
+        wall_ms = median(walls[workers])
         rows.append(
             {
                 "workers": workers,
                 "wall_ms": round(wall_ms, 1),
+                "wall_ms_runs": [round(ms, 1) for ms in walls[workers]],
                 "speedup": round(baseline_ms / wall_ms, 2),
-                "parallel_shards": engine.stats.parallel_shards,
-                "documents": engine.stats.documents,
+                "parallel_shards": stats[workers].parallel_shards,
+                "documents": stats[workers].documents,
             }
         )
     return rows
@@ -281,13 +312,16 @@ def bench_e14_parallel_scaling(benchmark, report):
         ],
         title=f"E14c parallel corpus evaluation ({PARALLEL_DOCS} docs x "
         f"{PARALLEL_LENGTH} letters, {cpus} CPU(s) available): "
-        "evaluate_many(workers=N) shards across processes",
+        "evaluate_many(workers=N) shards across processes; median of "
+        f"{REPEATS} alternating run(s) per count, fresh documents, "
+        "collector paused",
     )
     report("E14c_parallel_scaling", table)
     _JSON["sections"]["parallel_scaling"] = {
         "n_docs": PARALLEL_DOCS,
         "doc_length": PARALLEL_LENGTH,
         "density": PARALLEL_DENSITY,
+        "repeats": REPEATS,
         "rows": rows,
     }
     _flush_json()

@@ -527,7 +527,7 @@ def _calls_per_sample(func) -> int:
 def _matrix_sweep(fresh: bool):
     """The walk-matrix cells, each call on the workload's own warm
     document, or (``fresh``) on a new ``Document`` of its text."""
-    from repro.engine import get_backend
+    from repro.engine import PreparedIndexedVA
     from repro.regex import parse
 
     from bench_common import compile_formula
@@ -535,7 +535,7 @@ def _matrix_sweep(fresh: bool):
     va = compile_formula(parse(MATRIX_FORMULA))
     indexed = va.indexed()
     assert indexed.n_states > 64  # wider than one machine word
-    prepared = get_backend("indexed").prepare(va)
+    prepared = PreparedIndexedVA(va)
     sides = {
         "mask_walk": {
             "nonempty_ms": lambda doc: _mask_walk_nonempty(indexed, doc),

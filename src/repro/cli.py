@@ -35,11 +35,10 @@ Subcommands:
 * ``classify`` — report the formula's syntactic classes (§2.2/§3.2/§4.2);
 * ``dot``      — compile to a vset-automaton and emit Graphviz DOT.
 
-``extract`` and ``batch`` run through :class:`repro.engine.Engine`;
-``--backend`` names the enumeration backend (``indexed``, the only one,
-which takes the run walk or the letter walk per document), ``--limit K`` stops after K
-mappings per document (short-circuiting graph construction on the lazy
-indexed backend), ``--no-optimize`` disables the logical-plan optimizer, ``--no-prefilter``
+``extract`` and ``batch`` run through :class:`repro.engine.Engine`, which
+takes the run walk or the letter walk per document; ``--limit K`` stops
+after K mappings per document (short-circuiting the lazy graph
+construction), ``--no-optimize`` disables the logical-plan optimizer, ``--no-prefilter``
 disables the VA-derived document prefilter (by default provably
 non-matching documents are rejected in O(1) from their letter histogram),
 ``batch --workers N`` shards the surviving corpus across N worker
@@ -60,7 +59,7 @@ from .algebra.ra_tree import Difference, Instantiation, Join, Leaf, Project, Uni
 from .core.document import Document
 from .core.errors import SpannerError
 from .core.relation import SpanRelation
-from .engine import BACKENDS, DEFAULT_BACKEND, Engine
+from .engine import Engine
 from .io.dot import va_to_dot
 from .io.serialize import dumps_relation
 from .regex.parser import parse
@@ -114,7 +113,6 @@ def _note_truncation(guard) -> None:
 def _cmd_extract(args: argparse.Namespace) -> int:
     document = _read_document(args)
     engine = Engine(
-        backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
     )
@@ -142,7 +140,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         lines = sys.stdin.read().splitlines()
     engine = Engine(
-        backend=args.backend,
         document_cache_size=args.cache_documents,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
@@ -220,7 +217,6 @@ def _cmd_corpus_stats(args: argparse.Namespace) -> int:
 
 def _cmd_corpus_query(args: argparse.Namespace) -> int:
     engine = Engine(
-        backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
     )
@@ -319,7 +315,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
     import time as _time
 
     engine = Engine(
-        backend=args.backend,
         optimize=not args.no_optimize,
         prefilter=not args.no_prefilter,
     )
@@ -477,13 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         p.add_argument(
-            "--backend",
-            choices=sorted(BACKENDS),
-            default=DEFAULT_BACKEND,
-            help="enumeration backend (default: %(default)s, which "
-            "chooses its run or letter walk per document)",
-        )
-        p.add_argument(
             "--stats", action="store_true", help="print engine statistics to stderr"
         )
         p.add_argument(
@@ -492,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="K",
             help="stop after K mappings per document (short-circuits the "
-            "lazy backend's graph construction)",
+            "lazy graph construction)",
         )
         p.add_argument(
             "--no-optimize",

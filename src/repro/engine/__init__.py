@@ -1,4 +1,4 @@
-"""The staged execution engine: plan caching, the enumeration backend,
+"""The staged execution engine: plan caching, the prepared automaton,
 batch evaluation.
 
 Layering: ``core`` → ``regex``/``va`` → ``algebra`` → **engine**.  The
@@ -14,10 +14,10 @@ across documents:
 * :mod:`repro.engine.plan` — lowering to the static-prefix /
   ad-hoc-suffix split of every RA query (the paper's Sections 3–5
   compilation modes), with plan-level CSE;
-* :mod:`repro.engine.backends` — the enumeration backend (``indexed``,
-  which picks the run walk or the letter walk per document); the
-  frozenset :class:`~repro.va.matchgraph.MatchGraph` walk and the naive
-  enumerator stay in :mod:`repro.va` as reference oracles, not backends;
+* :mod:`repro.engine.backends` — :class:`PreparedIndexedVA`, the one
+  enumeration path, which picks the run walk or the letter walk per
+  document; the frozenset :class:`~repro.va.matchgraph.MatchGraph` walk
+  and the naive enumerator stay in :mod:`repro.va` as reference oracles;
 * :mod:`repro.engine.guards` — execution guards: wall-clock deadlines,
   cooperative cancellation (:class:`CancelToken`), and resource budgets
   (:class:`Budget`) enforced cooperatively along every evaluation path;
@@ -25,15 +25,7 @@ across documents:
   statistics.
 """
 
-from .backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    EnumerationBackend,
-    IndexedBackend,
-    PreparedVA,
-    available_backends,
-    get_backend,
-)
+from .backends import PreparedIndexedVA
 from .core import Engine, ExecutionContext
 from .guards import Budget, CancelToken, ExecutionGuard
 from .optimizer import (
@@ -55,28 +47,22 @@ from .stats import EngineStats
 from .tail import TailSession
 
 __all__ = [
-    "BACKENDS",
     "Budget",
     "CancelToken",
     "CompiledPlan",
-    "DEFAULT_BACKEND",
     "DEFAULT_RULES",
     "Engine",
     "EngineStats",
-    "EnumerationBackend",
     "ExecutionContext",
     "ExecutionGuard",
-    "IndexedBackend",
     "OptimizerReport",
     "PlanNode",
-    "PreparedVA",
+    "PreparedIndexedVA",
     "RewriteRule",
     "StaticNode",
     "SyncDifferencePlanNode",
     "TailSession",
-    "available_backends",
     "build_plan",
-    "get_backend",
     "lower_logical",
     "optimize",
     "plan_from_logical",

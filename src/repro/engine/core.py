@@ -6,10 +6,9 @@ An :class:`Engine` owns:
   a ``(tree, instantiation)`` pair, or a bare sequential VA) is compiled
   once into a :class:`~repro.engine.plan.CompiledPlan` whose static prefix
   is shared across all documents;
-* an **enumeration backend** (``indexed``, see
-  :mod:`repro.engine.backends`) preparing each compiled VA for fast
-  repeated evaluation, which chooses the run walk or the letter walk per
-  document;
+* the **prepared automata** (:mod:`repro.engine.backends`): each compiled
+  VA in its indexed form for fast repeated evaluation, which chooses the
+  run walk or the letter walk per document;
 * **batch/streaming APIs** — :meth:`Engine.evaluate_many`,
   :meth:`Engine.is_nonempty_many` and :meth:`Engine.enumerate_stream`
   amortise all document-independent work over a document stream, and
@@ -23,7 +22,7 @@ repeated and batched evaluation cheap.
 
 Usage::
 
-    engine = Engine(backend="indexed")
+    engine = Engine()
     relations = engine.evaluate_many(query, ["doc one", "doc two", "doc one"])
     print(engine.stats.summary())
 """
@@ -44,7 +43,7 @@ from ..corpus.store import CorpusSelection, CorpusStore
 from ..va.automaton import VA
 from ..va.prefilter import VAPrefilter
 from ..va.properties import is_sequential
-from .backends import BACKENDS, EnumerationBackend, PreparedVA, get_backend
+from .backends import PreparedIndexedVA
 from .guards import Budget, CancelToken, ExecutionGuard
 from .plan import CompiledPlan, StaticNode, as_va, plan_from_logical, resolve_logical
 from .stats import EngineStats
@@ -67,7 +66,6 @@ class ExecutionContext:
 
     __slots__ = (
         "plan",
-        "backend",
         "stats",
         "_static_prepared",
         "_reused",
@@ -80,21 +78,19 @@ class ExecutionContext:
     def __init__(
         self,
         plan: CompiledPlan,
-        backend: EnumerationBackend,
         stats: EngineStats,
         document_cache_size: int = 0,
         prefilter: bool = True,
     ):
         self.plan = plan
-        self.backend = backend
         self.stats = stats
-        self._static_prepared: PreparedVA | None = None
+        self._static_prepared: PreparedIndexedVA | None = None
         # The last ad-hoc VA prepared, with its prepared form: a plan node
         # hands back the same VA object for every document where its answer
         # is document independent (a synchronized difference's early
         # answers), so that VA is prepared once.
-        self._reused: "tuple[VA, PreparedVA] | None" = None
-        self._doc_cache: OrderedDict[str, PreparedVA] = OrderedDict()
+        self._reused: "tuple[VA, PreparedIndexedVA] | None" = None
+        self._doc_cache: OrderedDict[str, PreparedIndexedVA] = OrderedDict()
         self._doc_cache_size = document_cache_size
         self._prefilter_enabled = prefilter
         self._prefilter: "VAPrefilter | bool | None" = None
@@ -117,14 +113,14 @@ class ExecutionContext:
             self._prefilter = cached
         return cached or None
 
-    def prepared_for(self, doc: Document) -> PreparedVA:
+    def prepared_for(self, doc: Document) -> PreparedIndexedVA:
         """The prepared automaton evaluating the query on ``doc``."""
         stats = self.stats
         if self.plan.is_fully_static:
             if self._static_prepared is None:
                 stats.document_misses += 1
                 start = time.perf_counter()
-                self._static_prepared = self.backend.prepare(self.plan.root.va)
+                self._static_prepared = PreparedIndexedVA(self.plan.root.va)
                 stats.compile_seconds += time.perf_counter() - start
                 stats.static_reuses += 1
             else:
@@ -143,7 +139,7 @@ class ExecutionContext:
         if reused is not None and reused[0] is compiled:
             prepared = reused[1]
         else:
-            prepared = self.backend.prepare(compiled)
+            prepared = PreparedIndexedVA(compiled)
             if isinstance(compiled, VA):
                 self._reused = (compiled, prepared)
         stats.compile_seconds += time.perf_counter() - start
@@ -153,30 +149,32 @@ class ExecutionContext:
                 self._doc_cache.popitem(last=False)
         return prepared
 
-    def _counted(self, prepared: PreparedVA, call, *args):
-        """``call(*args)``, one synchronous call into the backend, with the
-        growth of ``prepared``'s kernel counters during it added to
+    def _counted(self, prepared: PreparedIndexedVA, call, *args):
+        """``call(*args)``, one synchronous call into the prepared
+        automaton, with the growth of its kernel counters
+        (:meth:`PreparedIndexedVA.counters`) during it added to
         :attr:`stats`.
 
         The kernels behind a prepared form are cached on the automaton
-        and shared by every engine and backend that evaluates it, so
-        their counters are cumulative across all of them; growth inside
-        one synchronous call, during which no other evaluation in the
-        thread can touch the kernels, is this engine's own.  So every
-        call into the backend goes through here: construction, each
-        ``next()`` of an enumeration, ``first()``, ``is_nonempty()``, and
-        a tail extension and its walk."""
-        hits, misses = prepared.kernel_hits(), prepared.frontier_misses()
+        and shared by every engine that evaluates it, so their counters
+        are cumulative across all of them; growth inside one synchronous
+        call, during which no other evaluation in the thread can touch
+        the kernels, is this engine's own.  So every call into the
+        prepared form goes through here: construction, each ``next()`` of
+        an enumeration, ``first()``, ``is_nonempty()``, and a tail
+        extension and its walk."""
+        hits, misses = prepared.counters()
         try:
             return call(*args)
         finally:
             stats = self.stats
-            stats.kernel_run_hits += prepared.kernel_hits() - hits
-            stats.frontier_cache_misses += prepared.frontier_misses() - misses
+            now_hits, now_misses = prepared.counters()
+            stats.kernel_run_hits += now_hits - hits
+            stats.frontier_cache_misses += now_misses - misses
 
     def compile(self, doc: Document) -> VA:
-        """The (possibly ad-hoc) VA for one document, bypassing the
-        backend (a dense per-document form gives its VA view)."""
+        """The (possibly ad-hoc) VA for one document, without preparing it
+        (a dense per-document form gives its VA view)."""
         return as_va(self.plan.va_for(doc, self.stats))
 
     def _absorb_trip(self, exc: ExecutionInterrupted, guard) -> bool:
@@ -200,10 +198,10 @@ class ExecutionContext:
     ) -> Iterator[Mapping]:
         """Enumerate the query on one document, recording statistics.
 
-        ``limit`` stops after that many mappings; with the lazy (indexed)
-        backend a small limit short-circuits graph construction too, so the
-        first answers arrive after one Boolean pass rather than the full
-        edge build.
+        ``limit`` stops after that many mappings; the run is lazy, so a
+        small limit short-circuits graph construction too, and the first
+        answers arrive after one Boolean pass rather than the full edge
+        build.
 
         A ``guard`` bounds the evaluation: construction and the DFS check
         it cooperatively, and each emitted mapping is charged against the
@@ -260,7 +258,7 @@ class ExecutionContext:
                 start = time.perf_counter()
         finally:
             # Recorded on the way out (even on early abandonment) so the
-            # lazy backend does not pay the gauge before the first yield.
+            # lazy run does not pay the gauge before the first yield.
             try:
                 stats.states_explored += self._counted(prepared, run.states_alive)
             except ExecutionInterrupted:
@@ -321,7 +319,7 @@ class ExecutionContext:
         document: Document | str,
         guard: "ExecutionGuard | None" = None,
     ) -> bool:
-        """Decide emptiness with the backend's Boolean pass — no
+        """Decide emptiness with the Boolean forward pass — no
         enumeration edges are built.  The prefilter answers outright for
         documents it can reject, skipping even the Boolean pass.  A guard
         trip always raises here (a Boolean answer has no usable prefix)."""
@@ -353,8 +351,10 @@ class Engine:
     """The staged execution engine (see module docstring).
 
     Args:
-        backend: an :class:`EnumerationBackend` name or instance
-            (default ``indexed``).
+        backend: ``None`` or ``"indexed"``, the one enumeration backend
+            (:mod:`repro.engine.backends`); ``"vectorized"``, the retired
+            backend whose letter walk it took over, is still accepted.
+            Any other value raises :class:`SpannerError`.
         plan_cache_size: maximum number of distinct queries whose plans
             stay cached (LRU).
         document_cache_size: per-query LRU of prepared ad-hoc automata,
@@ -369,21 +369,22 @@ class Engine:
             non-matching documents in O(1), before any graph is built
             (default).  ``False`` is the escape hatch: every document
             runs the full Boolean pass.
-
-    Both backends enumerate on the same DFS
-    (:meth:`~repro.va.indexed.IndexedMatchGraph.enumerate`); they differ
-    in the Boolean passes behind it and in ``first()``.
     """
 
     def __init__(
         self,
-        backend: "str | EnumerationBackend | None" = None,
+        backend: "str | None" = None,
         plan_cache_size: int = 128,
         document_cache_size: int = 0,
         optimize: bool = True,
         prefilter: bool = True,
     ):
-        self.backend = get_backend(backend)
+        # The repository benchmark's csv-extract engine still passes
+        # "vectorized"; the name goes once that benchmark drops it.
+        if backend not in (None, "indexed", "vectorized"):
+            raise SpannerError(
+                f"unknown enumeration backend {backend!r}; available: ['indexed']"
+            )
         self.stats = EngineStats()
         self.optimize = optimize
         self.prefilter = prefilter
@@ -459,7 +460,7 @@ class Engine:
         self._trim_static_cache()
         self.stats.compile_seconds += time.perf_counter() - start
         context = ExecutionContext(
-            plan, self.backend, self.stats, self._document_cache_size,
+            plan, self.stats, self._document_cache_size,
             prefilter=self.prefilter,
         )
         self._store(fp_key, context)
@@ -477,7 +478,7 @@ class Engine:
         self.stats.plan_misses += 1
         plan = CompiledPlan(StaticNode(va), None, None, PlannerConfig())
         context = ExecutionContext(
-            plan, self.backend, self.stats, self._document_cache_size,
+            plan, self.stats, self._document_cache_size,
             prefilter=self.prefilter,
         )
         self._store(key, context)
@@ -582,7 +583,7 @@ class Engine:
         """Enumerate a query on one document (polynomial delay).
 
         ``limit`` caps the number of mappings; small limits short-circuit
-        graph construction on the lazy (indexed) backend.  ``deadline`` /
+        the lazy graph construction.  ``deadline`` /
         ``budget`` / ``cancel`` bound the evaluation through an
         :class:`ExecutionGuard` (or pass a prebuilt ``guard`` to share one
         across calls); ``on_budget="partial"`` ends the iteration at the
@@ -651,7 +652,7 @@ class Engine:
         cancel: "CancelToken | None" = None,
         guard: "ExecutionGuard | None" = None,
     ) -> bool:
-        """Decide ``⟦q⟧(d) ≠ ∅`` via the backend's Boolean bitmask pass —
+        """Decide ``⟦q⟧(d) ≠ ∅`` via the Boolean bitmask pass —
         no enumeration edges are built.  Guard trips always raise here."""
         g = self._make_guard(deadline, budget, on_budget, cancel, guard)
         return self.prepare(query).is_nonempty(document, guard=g)
@@ -662,9 +663,8 @@ class Engine:
 
         The session shares this engine's compiled plan and prepared
         automaton for ``query``; each ``reevaluate(appended_text)``
-        resumes the forward pass from the previous run's checkpoint (on
-        backends that support extension) and returns only the mappings
-        that are new since the last call."""
+        resumes the forward pass from the previous run's checkpoint and
+        returns only the mappings that are new since the last call."""
         from .tail import TailSession
 
         return TailSession(self.prepare(query), document)
@@ -711,10 +711,9 @@ class Engine:
             workers: shard the *surviving* documents across this many
                 worker processes (round-robin); per-shard statistics are
                 merged back into :attr:`stats`.  Falls back to in-process
-                evaluation when the query cannot be shipped to workers
-                (e.g. black-box spanners that do not pickle) or the batch
-                is tiny; fallback reasons are recorded in
-                ``stats.parallel_fallbacks``.
+                evaluation when fewer than two documents survive, or when
+                the query does not pickle (e.g. a black-box spanner over a
+                lambda), which is recorded in ``stats.parallel_fallbacks``.
             deadline / budget / cancel / guard: one
                 :class:`ExecutionGuard` shared across the *whole batch*
                 (budgets are cumulative over all documents; the deadline
@@ -726,43 +725,17 @@ class Engine:
                 all flagged ``truncated``.
         """
         g = self._make_guard(deadline, budget, on_budget, cancel, guard)
-        selection = _as_corpus_selection(documents)
-        if selection is not None:
-            return self._evaluate_corpus(query, selection, limit, workers, g)
-        docs = [as_document(doc) for doc in documents]
-        # Compile in the parent only when the corpus-level prefilter may
-        # need the plan; a prefilter-off parallel batch leaves compilation
-        # entirely to the workers.
-        context: "ExecutionContext | None" = None
-        prefilter = None
-        if self.prefilter:
-            context = self.prepare(query)
-            prefilter = context.prefilter()
-        if prefilter is None:
-            kept = range(len(docs))
-            survivors = docs
-        else:
-            kept = [i for i, doc in enumerate(docs) if prefilter.admits(doc)]
-            survivors = [docs[i] for i in kept]
-            rejected = len(docs) - len(survivors)
-            self.stats.documents += rejected
-            self.stats.prefilter_rejects += rejected
+        context = self.prepare(query)
+        keys, survivors = self._survivors(context, documents, "documents")
+        docs = list(survivors.values())
         relations: "list[SpanRelation] | None" = None
-        if workers is not None and workers > 1 and len(survivors) > 1:
-            relations = self._evaluate_parallel(
-                query, survivors, limit, workers, g
-            )
+        if workers is not None and workers > 1 and len(docs) > 1:
+            relations = self._evaluate_parallel(query, docs, limit, workers, g)
         if relations is None:
-            if context is None:
-                context = self.prepare(query)
-            relations = self._materialise_batch(context, survivors, limit, g)
-        if len(survivors) == len(docs):
-            return relations
+            relations = self._materialise_batch(context, docs, limit, g)
+        by_key = dict(zip(survivors, relations))
         empty = SpanRelation(())
-        out = [empty] * len(docs)
-        for index, relation in zip(kept, relations):
-            out[index] = relation
-        return out
+        return [by_key.get(key, empty) for key in keys]
 
     def _materialise_batch(
         self,
@@ -794,11 +767,6 @@ class Engine:
             raise
         return relations
 
-    def _note_fallback(self, category: str) -> None:
-        """Record why a parallel batch fell back to sequential."""
-        fallbacks = self.stats.parallel_fallbacks
-        fallbacks[category] = fallbacks.get(category, 0) + 1
-
     def _evaluate_parallel(
         self,
         query,
@@ -822,22 +790,14 @@ class Engine:
         from .guards import exception_for
         from .parallel import evaluate_sharded, parallel_payload, probe_parallelise
 
-        backend_name = self.backend.name
-        if type(self.backend) is not BACKENDS.get(backend_name):
-            # Custom backend instance: workers cannot rebuild it by name.
-            self._note_fallback("custom_backend")
-            return None
-        try:
-            payload = parallel_payload(query)
-        except TypeError:
-            self._note_fallback("query_shape")
-            return None
-        probe_failure = probe_parallelise(payload, backend_name)
-        if probe_failure is not None:
-            self._note_fallback(probe_failure)
+        payload = parallel_payload(query)
+        failure = probe_parallelise(payload)
+        if failure is not None:
+            fallbacks = self.stats.parallel_fallbacks
+            fallbacks[failure] = fallbacks.get(failure, 0) + 1
             return None
         relations, shard_stats, tripped, retries = evaluate_sharded(
-            payload, backend_name, docs, limit, workers,
+            payload, docs, limit, workers,
             document_cache_size=self._document_cache_size,
             optimize=self.optimize,
             prefilter=self.prefilter,
@@ -870,18 +830,58 @@ class Engine:
                 raise exc
         return relations
 
-    # -- corpus-store (index-driven) paths ----------------------------------
+    # -- survivors of the prefilter and the index plan ------------------------
+
+    def _survivors(
+        self,
+        context: ExecutionContext,
+        documents: "Iterable[Document | str] | CorpusStore | CorpusSelection",
+        counter: str,
+    ) -> "tuple[Iterable, dict]":
+        """The batch's keys, one per input document (its position in an
+        iterable, its doc id in a store or selection), and the documents
+        left to evaluate under those keys, each distinct key once.
+
+        An iterable is checked against the prefilter document by document.
+        A store runs the index plan, so pruned documents are never
+        fetched, and hydrates each surviving id once.  Each rejected
+        document is charged to ``prefilter_rejects`` and to ``counter``
+        (``"documents"`` or ``"nonempty_checks"``)."""
+        selection = _as_corpus_selection(documents)
+        if selection is None:
+            docs = [as_document(doc) for doc in documents]
+            prefilter = context.prefilter()
+            survivors = {
+                index: doc
+                for index, doc in enumerate(docs)
+                if prefilter is None or prefilter.admits(doc)
+            }
+            self._charge_rejects(counter, len(docs) - len(survivors))
+            return range(len(docs)), survivors
+        store = selection.store
+        retries_base = store.retries
+        try:
+            ids, kept = self._corpus_survivors(context, selection, counter)
+            survivors = {
+                doc_id: self._hydrate(store, doc_id)
+                for doc_id in dict.fromkeys(ids)
+                if kept is None or doc_id in kept
+            }
+        finally:
+            self.stats.store_retries += store.retries - retries_base
+        return ids, survivors
 
     def _corpus_survivors(
-        self, context: ExecutionContext, selection: CorpusSelection
+        self, context: ExecutionContext, selection: CorpusSelection, counter: str
     ) -> "tuple[list[int], set[int] | None]":
         """The selection's ids plus the set surviving the index plan.
 
         A ``None`` survivor set means the index could not prune (prefilter
         disabled, ad-hoc plan, non-sequential automaton): every id must be
-        hydrated and evaluated.  Pruned documents are charged to the
-        ``prefilter_rejects`` counter — they were rejected by exactly the
-        prefilter's conditions, just from the index instead of a walk.
+        hydrated and evaluated.  Pruned documents are charged to
+        ``prefilter_rejects`` and to ``counter`` — they were rejected by
+        exactly the prefilter's conditions, just from the index instead of
+        a walk.
         """
         ids = list(selection.doc_ids)
         prefilter = context.prefilter()
@@ -892,49 +892,19 @@ class Engine:
         stats.index_hits += 1
         stats.index_candidates += len(plan.doc_ids)
         kept_set = set(kept)
-        rejected = sum(1 for doc_id in ids if doc_id not in kept_set)
-        stats.documents += rejected
-        stats.prefilter_rejects += rejected
+        self._charge_rejects(
+            counter, sum(1 for doc_id in ids if doc_id not in kept_set)
+        )
         return ids, kept_set
+
+    def _charge_rejects(self, counter: str, rejected: int) -> None:
+        stats = self.stats
+        stats.prefilter_rejects += rejected
+        setattr(stats, counter, getattr(stats, counter) + rejected)
 
     def _hydrate(self, store: CorpusStore, doc_id: int) -> Document:
         self.stats.hydrations += 1
         return store.document(doc_id)
-
-    def _evaluate_corpus(
-        self,
-        query,
-        selection: CorpusSelection,
-        limit: int | None,
-        workers: int | None,
-        guard: "ExecutionGuard | None" = None,
-    ) -> list[SpanRelation]:
-        """The index-driven form of :meth:`evaluate_many`."""
-        context = self.prepare(query)
-        store = selection.store
-        retries_base = store.retries
-        try:
-            ids, survivor_set = self._corpus_survivors(context, selection)
-            surviving_ids = [
-                doc_id
-                for doc_id in dict.fromkeys(ids)  # hydrate duplicates once
-                if survivor_set is None or doc_id in survivor_set
-            ]
-            survivors = [
-                self._hydrate(store, doc_id) for doc_id in surviving_ids
-            ]
-        finally:
-            self.stats.store_retries += store.retries - retries_base
-        relations: "list[SpanRelation] | None" = None
-        if workers is not None and workers > 1 and len(survivors) > 1:
-            relations = self._evaluate_parallel(
-                query, survivors, limit, workers, guard
-            )
-        if relations is None:
-            relations = self._materialise_batch(context, survivors, limit, guard)
-        by_id = dict(zip(surviving_ids, relations))
-        empty = SpanRelation(())
-        return [by_id.get(doc_id, empty) for doc_id in ids]
 
     # -- batch emptiness ------------------------------------------------------
 
@@ -960,39 +930,11 @@ class Engine:
         """
         g = self._make_guard(deadline, budget, "raise", cancel, guard)
         context = self.prepare(query)
-        selection = _as_corpus_selection(documents)
-        if selection is None:
-            return [
-                context.is_nonempty(as_document(doc), guard=g)
-                for doc in documents
-            ]
-        store = selection.store
-        retries_base = store.retries
-        try:
-            ids, survivor_set = self._corpus_survivors(context, selection)
-            if survivor_set is not None:
-                # Index-pruned documents count as (answered) emptiness
-                # checks.
-                rejected = sum(
-                    1 for doc_id in ids if doc_id not in survivor_set
-                )
-                self.stats.nonempty_checks += rejected
-                self.stats.documents -= rejected  # charged above
-            answers: dict[int, bool] = {}
-            out = []
-            for doc_id in ids:
-                if survivor_set is not None and doc_id not in survivor_set:
-                    out.append(False)
-                    continue
-                answer = answers.get(doc_id)
-                if answer is None:
-                    answer = answers[doc_id] = context.is_nonempty(
-                        self._hydrate(store, doc_id), guard=g
-                    )
-                out.append(answer)
-        finally:
-            self.stats.store_retries += store.retries - retries_base
-        return out
+        keys, survivors = self._survivors(context, documents, "nonempty_checks")
+        answers = {
+            key: context.is_nonempty(doc, guard=g) for key, doc in survivors.items()
+        }
+        return [answers.get(key, False) for key in keys]
 
     def enumerate_stream(
         self,
@@ -1031,7 +973,9 @@ class Engine:
             store = selection.store
             retries_base = store.retries
             try:
-                ids, survivor_set = self._corpus_survivors(context, selection)
+                ids, survivor_set = self._corpus_survivors(
+                    context, selection, "documents"
+                )
                 for doc_id in ids:
                     if survivor_set is not None and doc_id not in survivor_set:
                         continue
@@ -1050,7 +994,4 @@ class Engine:
                 return
 
     def __repr__(self) -> str:
-        return (
-            f"Engine(backend={self.backend.name!r}, "
-            f"plans={len(self._contexts)})"
-        )
+        return f"Engine(plans={len(self._contexts)})"

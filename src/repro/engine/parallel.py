@@ -2,12 +2,12 @@
 
 ``Engine.evaluate_many(query, docs, workers=N)`` splits the document batch
 round-robin into ``N`` shards, evaluates each shard in its own worker
-process (each worker builds a private :class:`Engine` with the same backend
-and compiles the query once — the per-shard analogue of the parent's plan
-cache), and reassembles results in input order.  Each worker returns its
-:class:`~repro.engine.stats.EngineStats`, which the parent merges so batch
-counters stay meaningful; the merged times are summed CPU seconds across
-processes, not wall time.
+process (each worker builds a private :class:`Engine` configured like the
+parent's and compiles the query once — the per-shard analogue of the
+parent's plan cache), and reassembles results in input order.  Each
+worker returns its :class:`~repro.engine.stats.EngineStats`, which the
+parent merges so batch counters stay meaningful; the merged times are
+summed CPU seconds across processes, not wall time.
 
 The corpus-store path (``evaluate_many`` over a
 :class:`~repro.corpus.CorpusStore`) threads through here too: the parent
@@ -16,12 +16,12 @@ survivors are sharded — workers receive raw texts and re-derive their
 evaluation-local artifacts, so index pruning is never paid per shard.
 
 Work ships to workers by pickling, so the parallel path requires a
-picklable query.  :func:`parallel_payload` reduces the supported query
-shapes to plain data (an :class:`RAQuery` is sent as its
-``(tree, instantiation, config)`` triple — never its engine) and
-:func:`probe_parallelise` probes pickling up front; callers fall back to
-the sequential path when the probe fails (e.g. black-box spanners closing
-over lambdas), so ``workers=N`` is always safe to pass.
+picklable query.  :func:`parallel_payload` reduces a query to plain data
+(an :class:`RAQuery` is sent as its ``(tree, instantiation, config)``
+triple — never its engine) and :func:`probe_parallelise` probes pickling
+up front; callers fall back to the sequential path when the probe fails
+(e.g. black-box spanners closing over lambdas), so ``workers=N`` is always
+safe to pass.
 
 Robustness: shards inherit the caller's remaining deadline and budget
 spec and run their guard in partial mode, reporting the trip reason back
@@ -47,24 +47,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 def parallel_payload(query: object) -> object:
-    """A picklable, engine-free description of ``query``.
-
-    Raises ``TypeError`` for unsupported query shapes (callers fall back to
-    sequential evaluation).
-    """
-    from ..algebra.planner import RAQuery
+    """An engine-free description of ``query``, a :class:`VA` or an
+    :class:`RAQuery` (the batch calls prepare the query first, and those
+    are the shapes that prepare without an instantiation)."""
     from ..va.automaton import VA
 
     if isinstance(query, VA):
         return ("va", query)
-    if isinstance(query, RAQuery):
-        return ("ra", query.tree, query.instantiation, query.config)
-    raise TypeError(
-        f"cannot shard a {type(query).__name__} across processes"
-    )
+    return ("ra", query.tree, query.instantiation, query.config)
 
 
-def probe_parallelise(payload: object, backend_name: str) -> "str | None":
+def probe_parallelise(payload: object) -> "str | None":
     """Probe whether the payload survives pickling (workers get a copy).
 
     Returns ``None`` when sharding is viable, otherwise a short reason
@@ -74,15 +67,10 @@ def probe_parallelise(payload: object, backend_name: str) -> "str | None":
     (a broken ``__reduce__``, say) is a real bug and propagates.
     """
     try:
-        pickle.dumps((payload, backend_name))
+        pickle.dumps(payload)
         return None
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         return f"pickle: {type(exc).__name__}"
-
-
-def can_parallelise(payload: object, backend_name: str) -> bool:
-    """Whether the payload survives pickling (workers receive a copy)."""
-    return probe_parallelise(payload, backend_name) is None
 
 
 def _rebuild_query(payload):
@@ -96,7 +84,6 @@ def _rebuild_query(payload):
 
 def _run_shard(
     payload,
-    backend_name: str,
     texts: list[str],
     limit: int | None,
     document_cache_size: int,
@@ -122,7 +109,6 @@ def _run_shard(
     if crashable:
         faults.shard_crash("parallel.shard")
     engine = Engine(
-        backend=backend_name,
         document_cache_size=document_cache_size,
         optimize=optimize,
         prefilter=prefilter,
@@ -140,7 +126,6 @@ def _run_shard(
 
 def evaluate_sharded(
     payload,
-    backend_name: str,
     documents: Sequence[Document],
     limit: int | None,
     workers: int,
@@ -178,7 +163,7 @@ def evaluate_sharded(
         try:
             for texts in shards:
                 futures.append(pool.submit(
-                    _run_shard, payload, backend_name, texts, limit,
+                    _run_shard, payload, texts, limit,
                     document_cache_size, optimize, prefilter, deadline, budget,
                 ))
         except BrokenProcessPool:
@@ -191,7 +176,7 @@ def evaluate_sharded(
     lost = [offset for offset, result in enumerate(results) if result is None]
     for offset in lost:
         results[offset] = _run_shard(
-            payload, backend_name, shards[offset], limit,
+            payload, shards[offset], limit,
             document_cache_size, optimize, prefilter, deadline, budget,
             crashable=False,
         )

@@ -89,10 +89,9 @@ class EngineStats:
         store_retries: corpus-store sqlite calls that hit a transient
             locked/busy error and succeeded on a bounded-backoff retry.
         parallel_fallbacks: reasons ``evaluate_many(workers=N)`` fell back
-            to sequential evaluation (category → count): ``custom_backend``
-            (a hand-built backend instance the workers cannot recreate),
-            ``query_shape`` (black-box atoms the shards cannot rebuild),
-            or ``pickle: …`` (the payload probe failed to serialise).
+            to sequential evaluation (reason → count); the one reason is
+            ``pickle: …``, the query failed to serialise (e.g. a black-box
+            spanner over a lambda), named by the error pickle raised.
         compile_seconds: wall time spent compiling and preparing automata.
         enumerate_seconds: wall time spent inside enumeration.
         states_explored: total live match-graph states across all runs.

@@ -73,7 +73,7 @@ from ..core.mapping import Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..va.indexed import IndexedMatchGraph
-    from .backends import PreparedVA
+    from .backends import PreparedIndexedVA
     from .core import ExecutionContext
 
 
@@ -126,7 +126,7 @@ class TailSession:
     def __init__(self, context: "ExecutionContext", document: Document | str = ""):
         self._context = context
         self.document = as_document(document)
-        self._prepared: "PreparedVA | None" = None
+        self._prepared: "PreparedIndexedVA | None" = None
         self._run: "IndexedMatchGraph | None" = None
         self._run_n = 0
         self._seen: set[Mapping] = set()

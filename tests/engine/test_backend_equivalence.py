@@ -1,6 +1,7 @@
-"""Backend interchangeability: every enumeration backend computes exactly
-the spanner of the naive run-semantics baseline, in the canonical order
-of the match-graph oracle (hypothesis), and so does every backend leg
+"""The enumeration path against the oracles: the prepared automaton
+computes exactly the spanner of the naive run-semantics baseline, in the
+canonical order of the match-graph oracle (hypothesis), and so does every
+backend leg
 (the indexed backend pinned to each walk, and the letter walk on bounded
 caches, too) on >64-state multi-plane automata and on ``limit``
 prefixes that end mid-fan."""
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NotSequentialError, SpanRelation
-from repro.engine import Engine, available_backends, get_backend
+from repro.engine import Engine, PreparedIndexedVA
 from repro.regex import parse
 from repro.va import (
     VA,
@@ -26,8 +27,6 @@ from .conftest import BACKEND_LEGS, leg_settings
 
 _SETTINGS = settings(max_examples=40, deadline=None)
 
-ALL_BACKENDS = available_backends()
-
 
 class TestBackendsMatchNaive:
     @given(sequential_formulas(), documents)
@@ -35,30 +34,26 @@ class TestBackendsMatchNaive:
     def test_every_backend_matches_naive(self, formula, doc):
         va = trim(regex_to_va(formula))
         expected = evaluate_naive(va, doc)
-        for name in ALL_BACKENDS:
-            prepared = get_backend(name).prepare(va)
-            assert SpanRelation(prepared.enumerate(doc)) == expected, name
+        run = PreparedIndexedVA(va).run(doc)
+        assert SpanRelation(run.enumerate()) == expected
 
     @given(sequential_formulas(), documents)
     @_SETTINGS
     def test_backends_agree_on_enumeration_order(self, formula, doc):
         va = trim(regex_to_va(formula))
         oracle = list(enumerate_mappings(va, doc))
-        for name in ALL_BACKENDS:
-            order = list(get_backend(name).prepare(va).enumerate(doc))
-            assert order == oracle, name
+        assert list(PreparedIndexedVA(va).run(doc).enumerate()) == oracle
 
     @given(sequential_formulas(max_vars=2), documents)
     @_SETTINGS
     def test_prepared_form_is_reusable_across_documents(self, formula, doc):
         va = trim(regex_to_va(formula))
-        for name in ALL_BACKENDS:
-            prepared = get_backend(name).prepare(va)
-            first = SpanRelation(prepared.enumerate(doc))
-            again = SpanRelation(prepared.enumerate(doc))
-            other = SpanRelation(prepared.enumerate(doc + "a"))
-            assert first == again
-            assert other == evaluate_naive(va, doc + "a")
+        prepared = PreparedIndexedVA(va)
+        first = SpanRelation(prepared.run(doc).enumerate())
+        again = SpanRelation(prepared.run(doc).enumerate())
+        other = SpanRelation(prepared.run(doc + "a").enumerate())
+        assert first == again
+        assert other == evaluate_naive(va, doc + "a")
 
 
 def _multi_plane_va():
@@ -158,15 +153,14 @@ class TestIndexedForm:
 
 
 class TestSequentialityGuard:
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_non_sequential_input_rejected(self, name):
+    def test_non_sequential_input_rejected(self):
         from repro.va import VarOp, open_op
 
         # Opens x twice: not sequential.
         x_open = open_op("x")
         va = VA(0, {2}, [(0, x_open, 1), (1, x_open, 2)])
         with pytest.raises(NotSequentialError):
-            get_backend(name).prepare(va)
+            PreparedIndexedVA(va)
 
 
 def regex_to_va_text(text: str) -> VA:

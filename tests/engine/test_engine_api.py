@@ -21,7 +21,7 @@ from repro import (
     parse,
 )
 from repro.core import SpannerError
-from repro.engine import EngineStats, IndexedBackend, available_backends, get_backend
+from repro.engine import EngineStats
 
 
 def _query(engine=None):
@@ -100,8 +100,6 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(SpannerError):
             Engine(backend="nonexistent")
-        with pytest.raises(SpannerError):
-            get_backend("nonexistent")
 
     @pytest.mark.parametrize("name", ["indexed-plain", "matchgraph"])
     def test_retired_backends_are_rejected(self, name):
@@ -109,19 +107,17 @@ class TestBackendSelection:
         # frozenset match graph is a test oracle.
         with pytest.raises(SpannerError):
             Engine(backend=name)
-        assert name not in available_backends()
 
-    def test_available_backends(self):
-        assert available_backends() == ["indexed"]
-        # The retired backend's name resolves to the one that took over
-        # its letter walk, and is listed nowhere.
-        assert isinstance(get_backend("vectorized"), IndexedBackend)
-        assert isinstance(Engine(backend="vectorized").backend, IndexedBackend)
-
-    def test_backend_instance_passthrough(self):
-        backend = get_backend("indexed")
-        assert get_backend(backend) is backend
-        assert Engine(backend=backend).backend is backend
+    def test_backend_names(self):
+        # The one backend by default or by name, and the retired name of
+        # the backend whose letter walk it took over; nothing else, and
+        # no backend object, is accepted.
+        va = compile_spanner("(a|b)*x{ab}(a|b)*").va
+        for name in (None, "indexed", "vectorized"):
+            assert len(Engine(backend=name).evaluate(va, "abab")) == 2, name
+        for other in ("", "Indexed", "indexed ", object(), Engine()):
+            with pytest.raises(SpannerError):
+                Engine(backend=other)
 
     def test_engine_rejects_unsupported_query_type(self):
         with pytest.raises(TypeError):
@@ -157,9 +153,7 @@ class TestWithoutNumpy:
         result = _run_without_numpy(
             """
             from repro import Engine, parse, regex_to_va, trim
-            from repro.engine import available_backends
 
-            assert available_backends() == ["indexed"], available_backends()
             for name in ("indexed", "vectorized"):
                 va = trim(regex_to_va(parse("(a|b)*x{ab}(a|b)*")))
                 engine = Engine(backend=name)
@@ -179,8 +173,6 @@ class TestWithoutNumpy:
             "(a|b)*x{b}(a|b)*",
             "--text",
             "abababab",
-            "--backend",
-            "indexed",
             "--stats",
         )
         assert result.returncode == 0, result.stderr

@@ -11,11 +11,13 @@ import time
 
 import pytest
 
-from repro import regex_to_va, trim
+from repro import Instantiation, Leaf, RAQuery, regex_to_va, trim
 from repro.core import (
     BudgetExceeded,
     DeadlineExceeded,
     ExecutionCancelled,
+    Mapping,
+    RelationSpanner,
     SpannerError,
 )
 from repro.engine import (
@@ -365,14 +367,18 @@ class TestParallelGuards:
         assert any(r.truncated for r in relations)
 
     def test_pickle_fallback_reason_is_recorded(self):
-        va = _va("x{a}")
+        # A black-box atom over a lambda cannot be shipped to a worker, so
+        # the batch is answered in-process and says why.
+        blackbox = RelationSpanner(
+            lambda doc: [Mapping({"x": doc.full_span()})], {"x"}
+        )
+        query = RAQuery(Leaf("a"), Instantiation(spanners={"a": blackbox}))
         engine = Engine()
-
-        class Unpicklable(type(engine.backend)):
-            pass
-
-        engine.backend = Unpicklable()
-        relations = engine.evaluate_many(va, ["a", "a"], workers=2)
+        relations = engine.evaluate_many(query, ["a", "ab"], workers=2)
         assert [len(r) for r in relations] == [1, 1]
-        assert "custom_backend" in engine.stats.parallel_fallbacks
+        assert engine.stats.parallel_shards == 0
+        # The error pickle raises for a local lambda varies by version.
+        (reason,) = engine.stats.parallel_fallbacks
+        assert reason.startswith("pickle: ")
+        assert engine.stats.parallel_fallbacks[reason] == 1
         assert "serial fallbacks" in engine.stats.summary()

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Document, SpanRelation
-from repro.engine import Engine, EngineStats, available_backends, get_backend
+from repro.engine import Engine, EngineStats, PreparedIndexedVA
 from repro.va import (
     IndexedMatchGraph,
     enumerate_mappings,
@@ -31,8 +31,6 @@ from ..properties.conftest import documents, sequential_formulas
 from .conftest import BOUNDED_CACHES, PINNED_WALKS, leg_settings
 
 _SETTINGS = settings(max_examples=50, deadline=None)
-
-ALL_BACKENDS = available_backends()
 
 #: Documents biased toward long single-letter runs — the regime the
 #: run-compressed kernel and the DFS quiet-stretch skip target.  Includes
@@ -72,14 +70,13 @@ class TestKernelEquivalence:
         va = trim(regex_to_va(formula))
         expected = SpanRelation(enumerate_naive(va, doc))
         oracle = list(enumerate_mappings(va, doc))
-        for name in ALL_BACKENDS:
-            engine = Engine(backend=name)
-            order = list(engine.enumerate(va, doc))
-            # Same relation as the naive baseline, in the canonical
-            # enumeration order of the match-graph oracle.
-            assert SpanRelation(order) == expected, name
-            assert order == oracle, name
-            assert engine.is_nonempty(va, doc) == bool(len(expected)), name
+        engine = Engine()
+        order = list(engine.enumerate(va, doc))
+        # Same relation as the naive baseline, in the canonical
+        # enumeration order of the match-graph oracle.
+        assert SpanRelation(order) == expected
+        assert order == oracle
+        assert engine.is_nonempty(va, doc) == bool(len(expected))
 
     @given(sequential_formulas(), st.one_of(run_documents, documents), st.data())
     @_SETTINGS
@@ -138,28 +135,23 @@ class TestKernelEquivalence:
         assert text.evaluate(va, "ab" * 25 + "cc" + "ba" * 25)
         assert text.stats.kernel_run_hits == 0
 
-    @pytest.mark.parametrize("quiet_backend", ALL_BACKENDS)
-    @pytest.mark.parametrize("busy_backend", ALL_BACKENDS)
-    def test_run_hits_stay_with_the_engine_that_advanced_the_runs(
-        self, busy_backend, quiet_backend
-    ):
+    def test_run_hits_stay_with_the_engine_that_advanced_the_runs(self):
         # Every engine on the automaton shares its kernel: one engine's
         # run walk must not show up in another engine's statistics.
         va = _va("a*x{b}a*")
-        quiet, busy = Engine(backend=quiet_backend), Engine(backend=busy_backend)
+        quiet, busy = Engine(), Engine()
         assert len(quiet.evaluate(va, "ab")) == 1  # the letter walk
         assert len(busy.evaluate(va, "a" * 64 + "b" + "a" * 64)) == 1
         assert len(quiet.evaluate(va, "ab")) == 1
         assert quiet.stats.kernel_run_hits == 0
         assert busy.stats.kernel_run_hits == 2  # the two long a-runs
 
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_text_takes_the_letter_walk_without_building_runs(self, backend):
+    def test_text_takes_the_letter_walk_without_building_runs(self):
         # Routing stops scanning once the document has too many runs for
         # the run walk, so a text document never gets its run-length
         # encoding built.
         va = _va("(a|b)*x{ab}(a|b)*")
-        engine = Engine(backend=backend)
+        engine = Engine()
         doc = Document("ba" * 40)
         assert len(engine.evaluate(va, doc)) == 39
         assert engine.is_nonempty(va, doc)
@@ -192,7 +184,7 @@ class TestFrontierNodes:
     @_SETTINGS
     def test_run_walk_documents_step_no_nodes(self, formula, text):
         va = trim(regex_to_va(formula))
-        prepared = get_backend("indexed").prepare(va)
+        prepared = PreparedIndexedVA(va)
         kernel = va.indexed().kernel()
         # The reference counts a copy's runs, so the backend routes a
         # document with nothing cached.
@@ -209,7 +201,7 @@ class TestFrontierNodes:
 
     def test_first_on_text_never_builds_the_live_layers(self):
         va = _va("(a|b)*x{(a|b)+}(a|b)*")
-        prepared = get_backend("indexed").prepare(va)
+        prepared = PreparedIndexedVA(va)
         for doc, letter_walk in (("ab" * 50, True), ("a" * 50 + "b" * 50, False)):
             run = prepared.run(doc)
             assert run.first() == next(prepared.run(doc).enumerate())
@@ -224,10 +216,11 @@ class TestFrontierNodes:
     def test_unknown_letters_are_found_without_the_histogram(self, name):
         # The letter walk finds a letter outside the automaton's alphabet
         # in the letter ids it reads, so deciding emptiness builds no
-        # letter histogram ("vectorized" is the retired backend's alias).
+        # letter histogram ("vectorized" is the retired backend's name;
+        # the prefilter, which reads the histogram, is off).
         va = _va("(a|b)*x{ab}(a|b)*")
         doc = Document("ab" * 20 + "z" + "ab" * 20)
-        assert not get_backend(name).prepare(va).is_nonempty(doc)
+        assert not Engine(backend=name, prefilter=False).is_nonempty(va, doc)
         assert doc._runs is None  # the letter walk
         assert doc._letter_counts is None
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Document
-from repro.engine import Engine
+from repro.engine import Engine, PreparedIndexedVA
 from repro.engine.guards import ExecutionGuard
 from repro.regex import parse
 from repro.regex.builder import chars, concat, star, sym, union
@@ -247,7 +247,7 @@ class TestExactness:
         union_va, class_va = _va(union_formula), _va(class_formula)
         assert (union_va.indexed().n_states, class_va.indexed().n_states) == (22, 14)
         for name, va in (("union", union_va), ("class", class_va)):
-            prepared = engine.backend.prepare(va)
+            prepared = PreparedIndexedVA(va)
             per_mapping = []
             for copies in (1, 8):
                 guard = CountingGuard()

@@ -6,7 +6,7 @@ from unittest.mock import patch
 from hypothesis import given, settings
 
 from repro.core import RelationSpanner, SpanRelation
-from repro.engine import Engine, available_backends, get_backend
+from repro.engine import Engine, PreparedIndexedVA
 from repro.va import (
     IndexedMatchGraph,
     boolean_nonempty,
@@ -22,8 +22,6 @@ from repro.va import kernel as kernel_module
 from ..properties.conftest import documents, sequential_formulas
 
 _SETTINGS = settings(max_examples=40, deadline=None)
-
-ALL_BACKENDS = available_backends()
 
 
 class TestLazyVsEagerGraphs:
@@ -72,11 +70,10 @@ class TestLimitSemantics:
         self, formula, doc
     ):
         va = trim(regex_to_va(formula))
-        for name in ALL_BACKENDS:
-            engine = Engine(backend=name)
-            full = list(engine.enumerate(va, doc))
-            for k in (0, 1, 2, 5):
-                assert list(engine.enumerate(va, doc, limit=k)) == full[:k], name
+        engine = Engine()
+        full = list(engine.enumerate(va, doc))
+        for k in (0, 1, 2, 5):
+            assert list(engine.enumerate(va, doc, limit=k)) == full[:k]
 
     @given(sequential_formulas(), documents)
     @_SETTINGS
@@ -107,9 +104,8 @@ class TestBooleanEmptiness:
         assert is_nonempty(va, doc) == expected
         assert indexed_nonempty(va.indexed(), doc) == expected
         assert boolean_nonempty(FactorizedVA(va), doc) == expected
-        for name in ALL_BACKENDS:
-            assert get_backend(name).prepare(va).is_nonempty(doc) == expected, name
-            assert Engine(backend=name).is_nonempty(va, doc) == expected, name
+        assert PreparedIndexedVA(va).is_nonempty(doc) == expected
+        assert Engine().is_nonempty(va, doc) == expected
 
     def test_engine_nonempty_counts_checks_not_mappings(self):
         va = trim(regex_to_va_text("(a|b)*x{(a|b)+}(a|b)*"))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import Document, Span, SpanRelation
 from repro.core.errors import SpannerError
-from repro.engine import Engine, TailSession, get_backend
+from repro.engine import Engine, PreparedIndexedVA, TailSession
 from repro.regex import parse
 from repro.va import regex_to_va, trim
 
@@ -192,7 +192,7 @@ class TestOutputSensitiveReevaluation:
 
     @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_quiet_append_walks_only_the_appended_layers(self, backend):
-        prepared = get_backend(backend).prepare(compile_va("(a|b)*x{ab}(a|b)*"))
+        prepared = PreparedIndexedVA(compile_va("(a|b)*x{ab}(a|b)*"))
         doc = Document("ab" + "b" * 60)
         prior = prepared.run(doc)
         prior.forward  # expand once; extensions carry the layers over

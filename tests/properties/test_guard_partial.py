@@ -1,19 +1,16 @@
 """Degradation soundness (hypothesis): a partial result under
 ``on_budget="partial"`` is exactly the unguarded enumeration's prefix —
-never a different subset, never reordered, never an extra mapping —
-on every backend."""
+never a different subset, never reordered, never an extra mapping."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Engine, available_backends
+from repro.engine import Engine
 from repro.va import regex_to_va, trim
 
 from .conftest import documents, sequential_formulas
 
 _SETTINGS = settings(max_examples=25, deadline=None)
-
-ALL_BACKENDS = available_backends()
 
 
 class TestPartialPrefix:
@@ -21,14 +18,11 @@ class TestPartialPrefix:
         sequential_formulas(max_vars=2),
         documents,
         st.integers(min_value=1, max_value=6),
-        st.sampled_from(ALL_BACKENDS),
     )
     @_SETTINGS
-    def test_partial_is_prefix_of_unguarded_enumeration(
-        self, formula, doc, k, backend
-    ):
+    def test_partial_is_prefix_of_unguarded_enumeration(self, formula, doc, k):
         va = trim(regex_to_va(formula))
-        engine = Engine(backend=backend)
+        engine = Engine()
         unguarded = list(engine.enumerate(va, doc))
         partial = list(
             engine.enumerate(
@@ -41,14 +35,13 @@ class TestPartialPrefix:
         sequential_formulas(max_vars=2),
         documents,
         st.integers(min_value=1, max_value=6),
-        st.sampled_from(ALL_BACKENDS),
     )
     @_SETTINGS
     def test_truncation_flag_tracks_whether_anything_was_cut(
-        self, formula, doc, k, backend
+        self, formula, doc, k
     ):
         va = trim(regex_to_va(formula))
-        engine = Engine(backend=backend)
+        engine = Engine()
         total = len(engine.evaluate(va, doc))
         relation = engine.evaluate(
             va, doc, budget={"mappings": k}, on_budget="partial"

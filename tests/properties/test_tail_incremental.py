@@ -6,14 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Document, SpanRelation
-from repro.engine import Engine, available_backends, get_backend
+from repro.engine import Engine, PreparedIndexedVA
 from repro.va import enumerate_mappings, evaluate_va, regex_to_va, trim
 
 from .conftest import sequential_formulas
 
 _SETTINGS = settings(max_examples=30, deadline=None)
-
-ALL_BACKENDS = available_backends()
 
 #: Append chunks over the property alphabet — empty chunks included, so
 #: no-growth re-evaluations and multi-append gaps are exercised too.
@@ -40,23 +38,20 @@ class TestTailMatchesFullEvaluation:
         # enumeration of the accumulated document minus everything
         # emitted since the last reset.
         va = trim(regex_to_va(formula))
-        sessions = {name: Engine(backend=name).tail(va) for name in ALL_BACKENDS}
+        session = Engine().tail(va)
         text = ""
         seen = set()
         for action, chunk in steps + [("reevaluate", "")]:
             if action == "reset":
                 text, seen = chunk, set()
-                for session in sessions.values():
-                    session.reset(chunk)
+                session.reset(chunk)
                 continue
             text += chunk
             if action == "append":
-                for session in sessions.values():
-                    session.append(chunk)
+                session.append(chunk)
                 continue
             expected = [m for m in enumerate_mappings(va, text) if m not in seen]
-            for name, session in sessions.items():
-                assert session.reevaluate(chunk) == expected, (name, text)
+            assert session.reevaluate(chunk) == expected, text
             seen.update(expected)
 
     @given(
@@ -76,16 +71,15 @@ class TestTailMatchesFullEvaluation:
         doc = Document(prefix).append(suffix)
         full = evaluate_va(va, doc)
         new = set(full) - set(evaluate_va(va, prefix))
-        for name in ALL_BACKENDS:
-            prepared = get_backend(name).prepare(va)
-            prior = prepared.run(prefix)
-            if expand and hasattr(prior, "forward"):
-                prior.forward
-            run = prepared.run_extended(prior, doc)
-            got = list(run.enumerate_since(len(prefix)))
-            assert len(got) == len(set(got)), name
-            assert new <= set(got) <= set(full), name
-            assert SpanRelation(run.enumerate_since(-1)) == full, name
+        prepared = PreparedIndexedVA(va)
+        prior = prepared.run(prefix)
+        if expand:
+            prior.forward
+        run = prepared.run_extended(prior, doc)
+        got = list(run.enumerate_since(len(prefix)))
+        assert len(got) == len(set(got))
+        assert new <= set(got) <= set(full)
+        assert SpanRelation(run.enumerate_since(-1)) == full
 
     @given(sequential_formulas(max_vars=2), chunks)
     @_SETTINGS
@@ -107,6 +101,5 @@ class TestTailMatchesFullEvaluation:
     @_SETTINGS
     def test_single_shot_session_equals_plain_evaluation(self, formula, doc):
         va = trim(regex_to_va(formula))
-        for name in ALL_BACKENDS:
-            session = Engine(backend=name).tail(va, doc)
-            assert SpanRelation(session.reevaluate()) == evaluate_va(va, doc), name
+        session = Engine().tail(va, doc)
+        assert SpanRelation(session.reevaluate()) == evaluate_va(va, doc)

@@ -1,6 +1,6 @@
 """The CSV-records workload pack: golden oracles ≡ spanner output."""
 
-from repro.engine import Engine, available_backends
+from repro.engine import Engine
 from repro.va import regex_to_va, trim
 from repro.workloads import TEXT_ALPHABET, packs
 from repro.workloads.packs import (
@@ -89,27 +89,25 @@ class TestEngineEquivalence:
         text = generate_csv(40, seed=6, noise_rate=0.2)
         want = golden_records(text)
         assert want  # the seed produces well-formed records
-        for backend in available_backends():
-            mappings = Engine(backend=backend).evaluate(va, text)
-            got = sorted(
-                (min(span.begin for _var, span in m.items()), _extract(m, text))
-                for m in mappings
-            )
-            assert [fields for _pos, fields in got] == want, backend
+        mappings = Engine().evaluate(va, text)
+        got = sorted(
+            (min(span.begin for _var, span in m.items()), _extract(m, text))
+            for m in mappings
+        )
+        assert [fields for _pos, fields in got] == want
 
     def test_field_formula_matches_golden_on_every_backend(self):
         va = trim(regex_to_va(field_formula()))
         text = generate_csv(25, seed=8, noise_rate=0.3)
         want = golden_interior_fields(text)
         assert want
-        for backend in available_backends():
-            mappings = Engine(backend=backend).evaluate(va, text)
-            got = sorted(
-                (span.begin, text[span.begin - 1 : span.end - 1])
-                for m in mappings
-                for _var, span in m.items()
-            )
-            assert [field for _pos, field in got] == want, backend
+        mappings = Engine().evaluate(va, text)
+        got = sorted(
+            (span.begin, text[span.begin - 1 : span.end - 1])
+            for m in mappings
+            for _var, span in m.items()
+        )
+        assert [field for _pos, field in got] == want
 
     def test_all_noise_still_yields_no_records(self):
         va = trim(regex_to_va(record_formula()))

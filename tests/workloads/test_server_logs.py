@@ -1,6 +1,6 @@
 """The server-logs workload pack: golden oracles ≡ spanner output."""
 
-from repro.engine import Engine, available_backends
+from repro.engine import Engine
 from repro.va import regex_to_va, trim
 from repro.workloads import TEXT_ALPHABET, log_line_formula, packs
 from repro.workloads.packs import (
@@ -68,14 +68,13 @@ class TestErrorTimestamps:
         text = generate_log(80, seed=5, error_rate=0.25)
         want = golden_error_timestamps(text)
         assert want  # the seed produces at least one ERROR line
-        for backend in available_backends():
-            mappings = Engine(backend=backend).evaluate(va, text)
-            got = sorted(
-                (span.begin, text[span.begin - 1 : span.end - 1])
-                for m in mappings
-                for _var, span in m.items()
-            )
-            assert [ts for _pos, ts in got] == want, backend
+        mappings = Engine().evaluate(va, text)
+        got = sorted(
+            (span.begin, text[span.begin - 1 : span.end - 1])
+            for m in mappings
+            for _var, span in m.items()
+        )
+        assert [ts for _pos, ts in got] == want
 
     def test_quiet_stream_has_no_matches(self):
         va = trim(regex_to_va(error_timestamp_formula()))
