@@ -134,8 +134,13 @@ class TestSelections:
         expected = Engine().evaluate_many(
             va, [store.text(i) for i in chosen]
         )
-        got = Engine().evaluate_many(va, store.select(chosen))
+        engine = Engine()
+        got = engine.evaluate_many(va, store.select(chosen))
         assert got == expected
+        # "cc" is hydrated and evaluated once, and "zebra" is pruned.
+        assert engine.stats.hydrations == 2
+        assert engine.stats.documents == 3
+        assert engine.stats.prefilter_rejects == 1
 
     def test_selection_restricts_the_index_plan(self, store):
         prefilter = _va().prefilter()
@@ -160,36 +165,10 @@ class TestNonemptyMany:
     def test_duplicate_ids_answered_once(self, store):
         engine = Engine()
         ids = store.doc_ids()
-        selection = store.select([ids[0], ids[0], ids[2]])
+        # "abc" listed twice around "aabb", which the index prunes.
+        selection = store.select([ids[0], ids[1], ids[0]])
         answers = engine.is_nonempty_many(_va(), selection)
-        assert answers[0] == answers[1]
-
-
-class TestDuplicateIds:
-    """A selection that lists a surviving id twice hydrates and evaluates
-    that document once, and answers it at both positions."""
-
-    def test_evaluate_many(self, store):
-        va = _va()
-        ids = store.doc_ids()
-        chosen = [ids[0], ids[1], ids[0]]  # "abc" survives, "aabb" is pruned
-        engine = Engine()
-        got = engine.evaluate_many(va, store.select(chosen))
-        assert got == Engine().evaluate_many(va, [store.text(i) for i in chosen])
-        assert got[0] and not got[1]
-        assert engine.stats.hydrations == 1
-        assert engine.stats.documents == 2  # one evaluated, one pruned
-        assert engine.stats.prefilter_rejects == 1
-
-    def test_is_nonempty_many(self, store):
-        ids = store.doc_ids()
-        chosen = [ids[0], ids[1], ids[0]]
-        engine = Engine()
-        assert engine.is_nonempty_many(_va(), store.select(chosen)) == [
-            True,
-            False,
-            True,
-        ]
+        assert answers == [True, False, True]
         assert engine.stats.hydrations == 1
         assert engine.stats.nonempty_checks == 2  # one decided, one pruned
         assert engine.stats.prefilter_rejects == 1
