@@ -40,7 +40,7 @@ class PreparedIndexedVA:
     (cached on the automaton via :meth:`VA.indexed`) whose kernel is
     shared by every document's walk, or a per-document
     :class:`LayeredIndexedVA` as it is, which runs on its own document
-    only and builds its VA view only if :attr:`va` is read."""
+    only."""
 
     __slots__ = ("indexed",)
 
@@ -49,10 +49,6 @@ class PreparedIndexedVA:
         if not (va.is_sequential() if layered else is_sequential(va)):
             raise NotSequentialError("enumeration requires a sequential VA")
         self.indexed = va if layered else va.indexed()
-
-    @property
-    def va(self) -> VA:
-        return self.indexed.va
 
     def run(self, document: Document | str, guard=None) -> IndexedMatchGraph:
         """Build the per-document run (graph construction).  ``guard`` is
