@@ -134,9 +134,20 @@ class TestSelections:
         expected = Engine().evaluate_many(
             va, [store.text(i) for i in chosen]
         )
+        got = Engine().evaluate_many(va, store.select(chosen))
+        assert got == expected
+
+    def test_duplicate_ids_hydrate_and_evaluate_once(self, store):
+        va = _va()
+        ids = store.doc_ids()
+        chosen = [ids[2], ids[0], ids[2], ids[5]]
         engine = Engine()
         got = engine.evaluate_many(va, store.select(chosen))
-        assert got == expected
+        # One answer per listed id, in order: "cc", "abc", "cc", "zebra".
+        assert got == [
+            Engine().evaluate(va, store.text(doc_id)) for doc_id in chosen
+        ]
+        assert got[0] == got[2] and len(got[0]) == 1 and len(got[3]) == 0
         # "cc" is hydrated and evaluated once, and "zebra" is pruned.
         assert engine.stats.hydrations == 2
         assert engine.stats.documents == 3
@@ -163,6 +174,13 @@ class TestNonemptyMany:
         assert engine.stats.documents == 0  # no full evaluations happened
 
     def test_duplicate_ids_answered_once(self, store):
+        engine = Engine()
+        ids = store.doc_ids()
+        selection = store.select([ids[0], ids[0], ids[2]])
+        answers = engine.is_nonempty_many(_va(), selection)
+        assert answers[0] == answers[1]
+
+    def test_duplicate_ids_hydrate_and_check_once(self, store):
         engine = Engine()
         ids = store.doc_ids()
         # "abc" listed twice around "aabb", which the index prunes.
