@@ -20,7 +20,10 @@ time proportional to the *candidates* instead:
   byte-identical relations;
 * **maintenance** — incremental add/update/remove vs the full
   ``rebuild()``, so the cost of keeping the index consistent stays
-  visible.
+  visible, and a tailed log: successive 4-line appends to one 50-line
+  server log stored beside the corpus, each pass timed with the garbage
+  collector paused and the median pass reported, plus the sqlite
+  statements of one steady append (reported, not asserted).
 
 Results are written to ``BENCH_corpus.json`` at the repository root (CI
 uploads it; ``tests/integration/test_perf_budgets.py`` gates the committed
@@ -28,15 +31,18 @@ copy).  Set ``BENCH_E17_TINY=1`` for a seconds-scale smoke version with the
 timing assertions relaxed.
 """
 
+import gc
 import os
 import random
 import tempfile
 import time
 from pathlib import Path
+from statistics import median
 
 from repro.corpus import CorpusStore
 from repro.engine import Engine
 from repro.utils import format_table
+from repro.workloads.packs import server_logs
 
 TINY = bool(os.environ.get("BENCH_E17_TINY"))
 
@@ -51,6 +57,13 @@ SELECTIVITIES = (0.1, 1.0) if TINY else (0.01, 0.1, 0.5)
 REPEATS = 1 if TINY else 3
 
 MAINT_BATCH = 5 if TINY else 100
+
+#: The tailed log: ``LOG_APPENDS`` appends of ``APPEND_LINES`` lines each
+#: to a ``LOG_LINES``-line log, in ``APPEND_PASSES`` timed passes.
+LOG_LINES = 50
+APPEND_LINES = 4
+LOG_APPENDS = 5 if TINY else 100
+APPEND_PASSES = 3
 
 _JSON: dict = {
     "experiment": "e17_corpus_store",
@@ -263,6 +276,53 @@ def bench_e17_index_vs_walk(benchmark, report):
 # -- incremental maintenance vs rebuild --------------------------------------
 
 
+def _paused(func):
+    """``func()`` with the garbage collector paused, as ``timeit`` does."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return func()
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _log_appends(store: CorpusStore) -> tuple[list[float], int]:
+    """Tail a server log stored beside the corpus: ``(ms per append of
+    each pass, sqlite statements of one steady append)``.  Each pass
+    stores the log afresh, times its ``LOG_APPENDS`` appends (the first
+    included) and removes it again."""
+    lines = server_logs.generate_lines(
+        LOG_LINES + APPEND_LINES * (LOG_APPENDS + 1), seed=41
+    )
+    log = "".join(line + "\n" for line in lines[:LOG_LINES])
+    chunks = [
+        "".join(line + "\n" for line in lines[start : start + APPEND_LINES])
+        for start in range(LOG_LINES, len(lines), APPEND_LINES)
+    ]
+    passes = []
+    statements: list[str] = []
+    for _ in range(APPEND_PASSES):
+        doc_id = store.add(log)
+
+        def appends():
+            start = time.perf_counter()
+            for chunk in chunks[:-1]:
+                store.append(doc_id, chunk)
+            return time.perf_counter() - start
+
+        passes.append(_paused(appends) * 1e3 / LOG_APPENDS)
+        statements.clear()
+        store._conn.set_trace_callback(statements.append)
+        try:
+            store.append(doc_id, chunks[-1])
+        finally:
+            store._conn.set_trace_callback(None)
+        assert store.text(doc_id) == log + "".join(chunks)
+        store.remove(doc_id)
+    return passes, len(statements)
+
+
 def _maintenance_sweep():
     texts = _corpus(0.1, seed=23)
     extra = _corpus(0.1, seed=29)[:MAINT_BATCH]
@@ -280,6 +340,7 @@ def _maintenance_sweep():
             remove_ms, _ = _best_of(
                 1, lambda: [store.remove(doc_id) for doc_id in added]
             )
+            append_passes, append_statements = _log_appends(store)
             rebuild_ms, summary = _best_of(1, lambda: store.rebuild(verify=True))
             assert summary["issues"] == [], summary
             assert len(store) == len(texts)
@@ -290,6 +351,10 @@ def _maintenance_sweep():
         "update_ms": round(update_ms, 2),
         "remove_ms": round(remove_ms, 2),
         "rebuild_verify_ms": round(rebuild_ms, 2),
+        "log_appends": LOG_APPENDS,
+        "append_ms": round(median(append_passes), 3),
+        "append_ms_passes": [round(ms, 3) for ms in append_passes],
+        "steady_append_statements": append_statements,
     }
 
 
@@ -299,7 +364,9 @@ def bench_e17_maintenance(benchmark, report):
         list(row.keys()),
         [list(row.values())],
         title=f"E17c incremental maintenance ({MAINT_BATCH}-doc batches) vs "
-        "full rebuild --verify",
+        f"full rebuild --verify; {APPEND_LINES}-line appends to a "
+        f"{LOG_LINES}-line log (ms per append, median of {APPEND_PASSES} "
+        "passes)",
     )
     report("E17c_corpus_maintenance", table)
     _JSON["sections"]["maintenance"] = row

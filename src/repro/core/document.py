@@ -347,6 +347,17 @@ class Document:
                 cache.pop(next(iter(cache)))
         return ids
 
+    def encoded_from(self, alphabet: Alphabet, start: int) -> tuple[int, ...]:
+        """The letter ids of ``text[start:]`` under ``alphabet``: a slice
+        of the cached encoding when this document holds one (as
+        :meth:`append` leaves it), else an encoding of that suffix alone,
+        cached nowhere."""
+        cache = self._encodings
+        ids = cache.get(alphabet.signature) if cache else None
+        if ids is not None:
+            return ids[start:]
+        return alphabet.encode(self._text[start:])
+
 
 def as_document(value: "Document | str") -> Document:
     """Coerce a ``str`` or :class:`Document` into a :class:`Document`.

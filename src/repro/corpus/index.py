@@ -2,17 +2,20 @@
 
 A :class:`~repro.corpus.store.CorpusStore` keeps, per letter, a *posting
 list* — the sorted array of ids of every document containing that letter,
-with a parallel array of per-document occurrence counts.  This module
-compiles the necessary document conditions a
-:class:`~repro.va.prefilter.VAPrefilter` derives from a compiled automaton
-(alphabet closure, length window, must-occur letter bounds) into sorted-set
-operations over those arrays:
+with a parallel array of per-document occurrence counts.  A count is
+never below the document's true count: it is exact, or the open-ended
+:data:`~repro.corpus.store.OPEN_COUNT` (the count array's maximum) that a
+stored document's append leaves.  This module compiles the necessary
+document conditions a :class:`~repro.va.prefilter.VAPrefilter` derives
+from a compiled automaton (alphabet closure, length window, must-occur
+letter bounds) into sorted-set operations over those arrays:
 
 * **must-occur bounds** — each required letter contributes its posting
-  list, filtered down to documents with at least the required count; the
-  lists intersect smallest-first, so the candidate set never grows beyond
-  the rarest required letter's posting list (sublinear in the corpus when
-  any required letter is rare);
+  list, filtered down to documents with at least the required count (an
+  open count passes every bound); the lists intersect smallest-first, so
+  the candidate set never grows beyond the rarest required letter's
+  posting list (sublinear in the corpus when any required letter is
+  rare);
 * **length window** — with no required letter to seed from, a range scan
   of the store's indexed ``length`` column seeds the candidates instead;
 * **alphabet closure** — a full-scan seed subtracts the posting list of
@@ -23,12 +26,12 @@ operations over those arrays:
   (already small) candidate set finishes the job more cheaply.
 
 Every operation only ever *removes* documents that fail a necessary
-condition, so the resulting candidate set is a **superset** of the
-documents with a nonempty result — the index never drops a match (pinned
-by a hypothesis property in ``tests/corpus/test_store.py``).  Candidates
-may still be empty-resulted; the residual profile check plus the ordinary
-evaluation of survivors make the final answers byte-identical to the
-list-walk path.
+condition, and an over-stated count only keeps more, so the resulting
+candidate set is a **superset** of the documents with a nonempty result —
+the index never drops a match (pinned by a hypothesis property in
+``tests/corpus/test_store.py``).  Candidates may still be empty-resulted;
+the residual profile check plus the ordinary evaluation of survivors make
+the final answers byte-identical to the list-walk path.
 
 Id arrays are plain :class:`array.array` unsigned 32-bit arrays (the
 persisted posting-blob format), with transparent numpy fast paths for the

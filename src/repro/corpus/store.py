@@ -19,6 +19,10 @@ single sqlite file that persists
 * per-letter **posting lists** — sorted uint32 document-id arrays with
   parallel occurrence counts, stored as little-endian blobs and viewed as
   numpy arrays when numpy is installed (:mod:`repro.corpus.index`).
+  Counts are exact after ingest and :meth:`~CorpusStore.rebuild`, and
+  :meth:`~CorpusStore.update` writes exact counts for the letters whose
+  count it changes; an :meth:`~CorpusStore.append` leaves open-ended
+  counts (:data:`OPEN_COUNT`).
 
 Queries then run *against the index*: the engine compiles its
 :class:`~repro.va.prefilter.VAPrefilter` into posting-list intersections
@@ -37,10 +41,22 @@ recomputes every artifact and posting list from the raw texts
 artifacts and the recomputation — the content-hash check doubles as
 corruption detection).  Only run-walk documents build, pack or unpack
 run triples on any of these paths, so appending a few lines to a stored
-log costs O(appended) interpreter steps plus rewriting its row.  A store
-written by schema version 1, which kept an encoding for every document,
-migrates in place on its first writable open; a read-only open of one
-raises :class:`CorpusError`.
+log costs O(appended) interpreter steps plus rewriting its row.
+
+A document's first append gives each letter of the grown document the
+open-ended count :data:`OPEN_COUNT`; after that an append writes a
+posting only for a letter new to the document.  An over-stated count is
+sound, an under-stated one would not be: the planner keeps ids whose
+count reaches a bound and only ever removes ids,
+:meth:`CorpusStore.survivors` re-checks every candidate against its
+exact stored histogram, and an append only raises counts.  The sentinel
+is the count array's maximum, so the layout is unchanged; a release
+before open counts reports an appended store's open counts as divergent
+in ``verify()``, and its ``rebuild()`` writes them back as exact counts.
+
+A store written by schema version 1, which kept an encoding for every
+document, migrates in place on its first writable open; a read-only
+open of one raises :class:`CorpusError`.
 
 The store is pure stdlib (``sqlite3`` + ``array``); numpy only
 accelerates the set operations.  One writer at a time per store file is
@@ -85,6 +101,12 @@ from .index import (
 #: that take the run walk; a version-1 store migrates on its first
 #: writable open (:meth:`CorpusStore._migrate_from_v1`).
 SCHEMA_VERSION = 2
+
+#: The open-ended posting count, the maximum of the uint32 count array:
+#: the document holds the letter at least once, how often is not kept.
+#: :meth:`CorpusStore.append` writes it; ingest, update and rebuild write
+#: exact counts.
+OPEN_COUNT = 2**32 - 1
 
 #: Chunk size for ``WHERE doc_id IN (...)`` fetches (sqlite's default
 #: variable limit is 999).
@@ -166,6 +188,12 @@ class _Posting:
             del self.ids[position]
             del self.counts[position]
             self.dirty = True
+
+    def count(self, doc_id: int) -> "int | None":
+        position = bisect_left(self.ids, doc_id)
+        if position < len(self.ids) and self.ids[position] == doc_id:
+            return self.counts[position]
+        return None
 
 
 def content_hash(text: str) -> str:
@@ -600,12 +628,16 @@ class CorpusStore:
         The tailing counterpart of :meth:`update`: the new artifacts come
         from :meth:`Document.append` — the histogram and the run count
         (or, on a run-walk document, the runs) *extend* in O(len(text))
-        instead of re-walking the document — and only the letters whose
-        counts changed touch their posting lists (an append never removes
-        a document from a posting, so there is nothing to scrub).  A text
-        document's row holds no run-length encoding, so the append costs
-        O(len(text)) interpreter steps plus rewriting a row the size of
-        the text; only an append that makes the document take the run
+        instead of re-walking the document.  Posting counts become
+        open-ended (:data:`OPEN_COUNT`): the document's first append, or
+        its first since :meth:`update` wrote exact counts, opens every
+        letter of the grown document, and a later append writes a posting
+        only for a letter new to the document (an append never removes a
+        document from a posting, so there is nothing to scrub).  A steady
+        append is then the dedup check, the row update and the commit.  A
+        text document's row holds no run-length encoding, so the append
+        costs O(len(text)) interpreter steps plus rewriting a row the size
+        of the text; only an append that makes the document take the run
         walk builds its runs.  Returns the appended
         :class:`~repro.core.document.Document`, which also replaces the
         cached hydration so a tail session keeps evaluating the same
@@ -622,7 +654,7 @@ class CorpusStore:
             return doc
         new_doc = doc.append(text)
         digest = content_hash(new_doc.text)
-        old_histogram = doc.letter_counts()
+        raised = set(text)
         histogram = dict(new_doc.letter_counts())
         runs, letters, lengths = _run_artifacts(new_doc)
         blob = json.dumps(histogram, sort_keys=True, ensure_ascii=False)
@@ -636,7 +668,6 @@ class CorpusStore:
                     f"appending to document {doc_id} would duplicate "
                     f"document {clash[0]} (identical content)"
                 )
-            touched = set()
             self._execute(
                 "UPDATE documents SET hash = ?, length = ?, text = ?, "
                 "runs = ?, runs_letters = ?, runs_lengths = ?, histogram = ? "
@@ -652,11 +683,19 @@ class CorpusStore:
                     doc_id,
                 ),
             )
-            for letter, count in histogram.items():
-                if old_histogram.get(letter) != count:
-                    self._posting_for_write(letter).add(doc_id, count)
-                    touched.add(letter)
-            self._flush_postings(touched)
+            # Every letter the suffix raises must end open.  If one is not,
+            # open every letter of the grown document that is not: all of
+            # them on a first append, only the letters new to the document
+            # once it has been appended to.
+            if any(self._count(letter, doc_id) != OPEN_COUNT for letter in raised):
+                touched = [
+                    letter
+                    for letter in histogram
+                    if self._count(letter, doc_id) != OPEN_COUNT
+                ]
+                for letter in touched:
+                    self._posting_for_write(letter).add(doc_id, OPEN_COUNT)
+                self._flush_postings(touched)
 
         self._transact(work)
         if self._doc_cache_size > 0:
@@ -723,10 +762,13 @@ class CorpusStore:
 
         Returns a list of human-readable issue descriptions: content-hash
         mismatches, stale artifacts, and posting lists that diverge from
-        the document histograms.  A run-length encoding is stale when it
-        differs from the recomputation, which keeps one only where the
-        document takes the run walk under the current rule.  An empty
-        list means the store is internally consistent.
+        the document histograms.  A posting list agrees when it holds
+        exactly the documents whose recomputed histogram holds its
+        letter, each with the exact count or :data:`OPEN_COUNT`.  A
+        run-length encoding is stale when it differs from the
+        recomputation, which keeps one only where the document takes the
+        run walk under the current rule.  An empty list means the store is
+        internally consistent.
         """
         issues: list[str] = []
         expected: dict[str, dict[int, int]] = {}
@@ -760,7 +802,12 @@ class CorpusStore:
             if list(ids) != sorted(ids):
                 issues.append(f"posting {letter!r}: ids not sorted")
         for letter in expected.keys() | stored.keys():
-            if expected.get(letter, {}) != stored.get(letter, {}):
+            want = expected.get(letter, {})
+            got = stored.get(letter, {})
+            if want.keys() != got.keys() or any(
+                got[doc_id] not in (count, OPEN_COUNT)
+                for doc_id, count in want.items()
+            ):
                 issues.append(
                     f"posting {letter!r}: diverges from document histograms"
                 )
@@ -788,6 +835,11 @@ class CorpusStore:
                     unpack_ids(row[0]), unpack_ids(row[1])
                 )
         return posting
+
+    def _count(self, letter: str, doc_id: int) -> "int | None":
+        """``doc_id``'s count in ``letter``'s posting, ``None`` if absent."""
+        posting = self._load_posting(letter)
+        return None if posting is None else posting.count(doc_id)
 
     def _flush_postings(self, letters: Iterable[str]) -> None:
         """Persist dirty postings (caller holds the transaction)."""
@@ -823,7 +875,9 @@ class CorpusStore:
 
     def posting(self, letter: str) -> "tuple | None":
         """``(ids, counts)`` sorted parallel arrays, or ``None`` when no
-        stored document contains ``letter``."""
+        stored document contains ``letter``.  A count is exact, or
+        :data:`OPEN_COUNT` where an append left it: never below the
+        document's true count."""
         posting = self._load_posting(letter)
         if posting is None:
             return None

@@ -856,8 +856,10 @@ class IndexedMatchGraph:
         else:
             # The letter walk: step the overhang's letters from the
             # checkpoint, filling their layers if the prefix's are built.
+            # Document.append extended the cached encoding, if the
+            # document held one: slice it rather than encode again.
             graph._runs = None
-            overhang = indexed.alphabet.encode(doc.text[old_n:])
+            overhang = doc.encoded_from(indexed.alphabet, old_n)
             if self._forward is not None:
                 forward = list(self._forward)
                 mask = kernel.walk(overhang, mask, forward, guard)

@@ -138,6 +138,21 @@ class TestDocumentEncodingCache:
         assert a.encoded(alphabet) == b.encoded(alphabet)
         assert a.encoded(alphabet) is not b.encoded(alphabet)
 
+    def test_encoded_from_slices_a_held_encoding(self):
+        alphabet = Alphabet.of("ab")
+        held = Document("ab")
+        held.encoded(alphabet)
+        grown = held.append("bza")
+        with patch.object(Alphabet, "encode", side_effect=AssertionError):
+            assert grown.encoded_from(alphabet, 2) == (1, -1, 0)
+
+    def test_encoded_from_encodes_the_suffix_alone_otherwise(self):
+        alphabet = Alphabet.of("ab")
+        doc = Document("abbza")
+        assert doc.encoded_from(alphabet, 2) == (1, -1, 0)
+        assert doc.encoded_from(alphabet, 5) == ()
+        assert doc._encodings is None  # cached nowhere
+
 
 class TestCachedArtifacts:
     def test_letter_counts_is_read_only(self):

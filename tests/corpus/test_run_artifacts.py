@@ -153,13 +153,30 @@ write_steps = st.lists(
         st.tuples(st.just("add"), st.just(0), mixed_texts),
         st.tuples(st.just("append"), st.integers(0, 7), mixed_texts),
         st.tuples(st.just("update"), st.integers(0, 7), mixed_texts),
+        st.tuples(st.just("remove"), st.integers(0, 7), st.just("")),
     ),
     min_size=1,
     max_size=5,
 )
 
+#: Its prefilter requires ``c ≥ 2``, so the planner filters the ``c``
+#: posting by count and reads the open counts appends leave.
+COUNTED_PREFILTER = trim(regex_to_va(parse("(a|b|c)*x{cc}(a|b|c)*"))).prefilter()
+
+
+def _assert_survivors_like_the_list_walk(store: CorpusStore, texts) -> None:
+    _plan, kept = store.survivors(COUNTED_PREFILTER)
+    assert kept == [
+        doc_id
+        for doc_id in sorted(texts)
+        if COUNTED_PREFILTER.admits(Document(texts[doc_id]))
+    ]
+
 
 class TestWriteSequences:
+    def test_the_counted_prefilter_bounds_a_count(self):
+        assert ("c", 2) in COUNTED_PREFILTER.required
+
     @given(mixed_texts, write_steps)
     @settings(max_examples=40, deadline=None)
     def test_every_write_keeps_the_rule_and_the_answers(self, first, steps):
@@ -169,26 +186,31 @@ class TestWriteSequences:
                 texts = {store.add(first): first}
                 for kind, pick, text in steps:
                     ids = sorted(texts)
-                    doc_id = ids[pick % len(ids)]
-                    new = {
-                        "add": text,
-                        "append": texts[doc_id] + text,
-                        "update": text,
-                    }[kind]
-                    clash = next(
-                        (i for i, t in texts.items() if t == new), None
-                    )
+                    if not ids:
+                        kind = "add"  # every other step needs a document
                     if kind == "add":
                         texts[store.add(text)] = text
-                    elif clash is not None and clash != doc_id:
-                        with pytest.raises(CorpusError, match="duplicate"):
-                            getattr(store, kind)(doc_id, text)
+                    elif kind == "remove":
+                        doc_id = ids[pick % len(ids)]
+                        store.remove(doc_id)
+                        del texts[doc_id]
                     else:
-                        getattr(store, kind)(doc_id, text)
-                        texts[doc_id] = new
+                        doc_id = ids[pick % len(ids)]
+                        new = texts[doc_id] + text if kind == "append" else text
+                        clash = next(
+                            (i for i, t in texts.items() if t == new), None
+                        )
+                        if clash is not None and clash != doc_id:
+                            with pytest.raises(CorpusError, match="duplicate"):
+                                getattr(store, kind)(doc_id, text)
+                        else:
+                            getattr(store, kind)(doc_id, text)
+                            texts[doc_id] = new
+                    assert store.doc_ids() == sorted(texts)
                     assert {i: store.text(i) for i in texts} == texts
                     assert store.verify() == []
                     _assert_rle_rule(store)
+                    _assert_survivors_like_the_list_walk(store, texts)
                     _assert_answers_like_the_list_walk(path, texts)
 
 

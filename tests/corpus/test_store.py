@@ -21,6 +21,7 @@ from repro.corpus.index import (
     subtract_sorted,
     unpack_ids,
 )
+from repro.corpus.store import OPEN_COUNT
 from repro.regex import parse
 from repro.va import evaluate_naive, regex_to_va, trim
 
@@ -224,6 +225,24 @@ class TestMaintenance:
         assert content_hash("abc") != content_hash("abd")
 
 
+def _postings(store: CorpusStore) -> dict[str, tuple[list, list]]:
+    return {
+        letter: tuple(list(array) for array in store.posting(letter))
+        for letter in sorted(store.letters())
+    }
+
+
+def _traced(store: CorpusStore, call) -> list[str]:
+    """The sqlite statements ``call()`` runs on ``store``'s connection."""
+    statements: list[str] = []
+    store._conn.set_trace_callback(statements.append)
+    try:
+        call()
+    finally:
+        store._conn.set_trace_callback(None)
+    return statements
+
+
 class TestIncrementalAppend:
     def test_append_matches_fresh_ingest(self, tmp_path):
         with _store(tmp_path, ["abc", "zz"]) as store:
@@ -233,11 +252,46 @@ class TestIncrementalAppend:
             assert store.verify() == []
             with _store(tmp_path / "other", ["abccba", "zz"]) as oracle:
                 assert store.letters() == oracle.letters()
-                for letter in sorted(oracle.letters()):
-                    assert (
-                        list(store.posting(letter)[1])
-                        == list(oracle.posting(letter)[1])
-                    ), letter
+                # The same ids; the appended document's counts are open,
+                # the other document's exact.
+                got = _postings(store)
+                for letter, (ids, counts) in _postings(oracle).items():
+                    assert got[letter][0] == ids, letter
+                    assert got[letter][1] == [
+                        OPEN_COUNT if doc_id == 1 else count
+                        for doc_id, count in zip(ids, counts)
+                    ], letter
+                store.rebuild()
+                assert _postings(store) == _postings(oracle)
+
+    def test_steady_append_writes_only_its_row(self, tmp_path):
+        with _store(tmp_path, ["abc", "zz"]) as store:
+            first = _traced(store, lambda: store.append(1, "cab"))
+            assert sum("INTO postings" in sql for sql in first) == 3
+            # Letters the document already holds: the dedup check and the
+            # row update, no posting.
+            steady = _traced(store, lambda: store.append(1, "bca"))
+            assert [sql.split()[0] for sql in steady] == [
+                "SELECT", "BEGIN", "UPDATE", "COMMIT"
+            ]
+            # Two letters new to the document: two postings, whatever
+            # other documents hold them.
+            new = _traced(store, lambda: store.append(1, "zqab"))
+            assert sum("INTO postings" in sql for sql in new) == 2
+            assert store.verify() == []
+            postings = _postings(store)
+            assert postings["q"] == ([1], [OPEN_COUNT])
+            assert postings["z"] == ([1, 2], [OPEN_COUNT, 2])
+
+    def test_append_after_update_reopens_exact_counts(self, tmp_path):
+        with _store(tmp_path, ["aab", "zz"]) as store:
+            store.append(1, "b")
+            store.update(1, "abc")
+            assert list(store.posting("a")[1]) == [1]
+            store.append(1, "a")
+            for letter in "abc":
+                assert list(store.posting(letter)[1]) == [OPEN_COUNT], letter
+            assert store.verify() == []
 
     def test_append_empty_text_is_a_noop(self, tmp_path):
         with _store(tmp_path, ["abc"]) as store:
@@ -296,7 +350,11 @@ class TestReadOnlyHandles:
                 assert reader.text(1) == "abcdef"
                 ids, counts = reader.posting("d")
                 assert list(ids) == [1]
-                assert list(counts) == [1]
+                assert list(counts) == [OPEN_COUNT]
+                writer.rebuild()
+                reader.refresh()
+                with _store(tmp_path / "other", ["abcdef"]) as oracle:
+                    assert _postings(reader) == _postings(oracle)
 
 
 class TestPlanner:

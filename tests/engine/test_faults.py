@@ -2,11 +2,14 @@
 sqlite contention retries, store-corruption classification, and worker
 shard crashes reaped by the parallel path."""
 
+import sqlite3
+
 import pytest
 
 from repro import regex_to_va, trim
 from repro.core import SpannerError, StoreBusy, StoreCorrupt
 from repro.corpus import CorpusError, CorpusStore
+from repro.corpus.store import OPEN_COUNT
 from repro.engine import Engine
 from repro.regex import parse
 from repro.testing import (
@@ -113,6 +116,38 @@ class TestStoreRetries:
                 ids = store.add_many(["abc", "abd"])
                 assert len(ids) == 2
                 assert store.retries >= 2
+
+    def test_capped_busy_faults_are_absorbed_by_an_append(self, tmp_path):
+        with CorpusStore(tmp_path / "corpus.sqlite") as store:
+            doc_id = store.add("abc")
+            with injected(
+                FaultPlan(seed=0, sqlite_error_rate=1.0, max_faults_per_site=2)
+            ):
+                grown = store.append(doc_id, "cab")
+            assert grown.text == "abccab"
+            assert store.retries >= 2
+            assert store.verify() == []
+            assert list(store.posting("a")[1]) == [OPEN_COUNT]
+
+    def test_retried_append_reloads_the_postings_it_opened(self, tmp_path):
+        # The first attempt opens the counts in memory, then fails before
+        # they are written: the retry must find them exact again.
+        with CorpusStore(tmp_path / "corpus.sqlite") as store:
+            doc_id = store.add("abc")
+            flush = store._flush_postings
+            failures = []
+
+            def flaky_flush(letters):
+                if not failures:
+                    failures.append(letters)
+                    raise sqlite3.OperationalError("database is locked")
+                flush(letters)
+
+            store._flush_postings = flaky_flush
+            store.append(doc_id, "cab")
+            assert failures and store.retries == 1
+            assert store.verify() == []
+            assert list(store.posting("a")[1]) == [OPEN_COUNT]
 
     def test_uncapped_busy_exhausts_into_store_busy(self, tmp_path):
         with CorpusStore(tmp_path / "corpus.sqlite") as store:

@@ -1,9 +1,11 @@
 """The tail session: incremental re-evaluation of a growing document
 reuses the layered match graph instead of rebuilding it."""
 
+from unittest.mock import patch
+
 import pytest
 
-from repro.core import Document, Span, SpanRelation
+from repro.core import Alphabet, Document, Span, SpanRelation
 from repro.core.errors import SpannerError
 from repro.engine import Engine, PreparedIndexedVA, TailSession
 from repro.regex import parse
@@ -139,6 +141,31 @@ class TestLayerReuse:
         assert engine.stats.tail_reused_layers == 16 + 21 + 22
         assert SpanRelation([mapping] + fresh) == engine.evaluate(va, session.document)
         assert fresh == []
+
+    def test_letter_walk_encodes_each_append_once(self):
+        # Document.append extends the session document's cached encoding,
+        # and the resumed run slices it: one encode per append, before
+        # the first match and after it.
+        engine = Engine(backend="indexed")
+        va = compile_va("(a|b)*x{abb}(a|b)*")
+        session = engine.tail(va, "ab" * 8)
+        assert session.reevaluate() == []
+        assert session._run._runs is None  # the letter walk
+        encode = Alphabet.encode
+        encoded = []
+
+        def counting(alphabet, text):
+            encoded.append(text)
+            return encode(alphabet, text)
+
+        chunks = ("aab", "aa", "bb", "ab")
+        with patch.object(Alphabet, "encode", counting):
+            fresh = [session.reevaluate(chunk) for chunk in chunks]
+        assert encoded == list(chunks)
+        assert [len(batch) for batch in fresh] == [0, 0, 1, 0]
+        assert SpanRelation(m for batch in fresh for m in batch) == engine.evaluate(
+            va, session.document
+        )
 
     @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
     def test_prefilter_reject_keeps_checkpoint_across_gaps(self, backend):
