@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pathlib
 import random
@@ -28,6 +29,17 @@ def git_sha() -> str:
         return out.stdout.strip() or "unknown"
     except Exception:
         return "unknown"
+
+
+def paused(func):
+    """``func()`` with the garbage collector paused, as ``timeit`` does."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return func()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def write_json_report(name: str, payload: dict, at_root: bool = False) -> pathlib.Path:

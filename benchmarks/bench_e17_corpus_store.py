@@ -31,7 +31,6 @@ copy).  Set ``BENCH_E17_TINY=1`` for a seconds-scale smoke version with the
 timing assertions relaxed.
 """
 
-import gc
 import os
 import random
 import tempfile
@@ -43,6 +42,8 @@ from repro.corpus import CorpusStore
 from repro.engine import Engine
 from repro.utils import format_table
 from repro.workloads.packs import server_logs
+
+from bench_common import paused
 
 TINY = bool(os.environ.get("BENCH_E17_TINY"))
 
@@ -276,17 +277,6 @@ def bench_e17_index_vs_walk(benchmark, report):
 # -- incremental maintenance vs rebuild --------------------------------------
 
 
-def _paused(func):
-    """``func()`` with the garbage collector paused, as ``timeit`` does."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return func()
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def _log_appends(store: CorpusStore) -> tuple[list[float], int]:
     """Tail a server log stored beside the corpus: ``(ms per append of
     each pass, sqlite statements of one steady append)``.  Each pass
@@ -311,7 +301,7 @@ def _log_appends(store: CorpusStore) -> tuple[list[float], int]:
                 store.append(doc_id, chunk)
             return time.perf_counter() - start
 
-        passes.append(_paused(appends) * 1e3 / LOG_APPENDS)
+        passes.append(paused(appends) * 1e3 / LOG_APPENDS)
         statements.clear()
         store._conn.set_trace_callback(statements.append)
         try:

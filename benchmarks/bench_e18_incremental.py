@@ -38,7 +38,6 @@ committed copy).  Set ``BENCH_E18_TINY=1`` for a seconds-scale smoke
 version with the timing assertions relaxed.
 """
 
-import gc
 import os
 import time
 from statistics import median
@@ -51,6 +50,8 @@ from repro.workloads.packs import (
     generate_log,
     golden_error_timestamps,
 )
+
+from bench_common import paused
 
 TINY = bool(os.environ.get("BENCH_E18_TINY"))
 
@@ -86,17 +87,6 @@ def _log_of_length(letters: int, error_rate: float, seed: int) -> str:
     return text[:letters]
 
 
-def _paused(func):
-    """``func()`` with the garbage collector paused, as ``timeit`` does."""
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return func()
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def _incremental_pass(va, base: str, chunks: list[str]):
     """One timed pass of the appends on a fresh engine's session: ``(ms
     per append, mappings the appends emitted, the session, the engine's
@@ -112,7 +102,7 @@ def _incremental_pass(va, base: str, chunks: list[str]):
             matches += len(session.reevaluate(chunk))
         return time.perf_counter() - start, matches
 
-    seconds, matches = _paused(appends)
+    seconds, matches = paused(appends)
     return seconds * 1e3 / APPENDS, matches, session, engine.stats
 
 
@@ -134,7 +124,7 @@ def _rebuild_pass(va, base: str, chunks: list[str]):
             relation = engine.evaluate(va, document)
         return time.perf_counter() - start, relation
 
-    seconds, relation = _paused(rebuilds)
+    seconds, relation = paused(rebuilds)
     return seconds * 1e3 / APPENDS, relation
 
 

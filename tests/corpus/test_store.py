@@ -266,11 +266,12 @@ class TestIncrementalAppend:
 
     def test_steady_append_writes_only_its_row(self, tmp_path):
         with _store(tmp_path, ["abc", "zz"]) as store:
-            first = _traced(store, lambda: store.append(1, "cab"))
+            # The first append opens every letter, c included.
+            first = _traced(store, lambda: store.append(1, "ab"))
             assert sum("INTO postings" in sql for sql in first) == 3
             # Letters the document already holds: the dedup check and the
             # row update, no posting.
-            steady = _traced(store, lambda: store.append(1, "bca"))
+            steady = _traced(store, lambda: store.append(1, "ca"))
             assert [sql.split()[0] for sql in steady] == [
                 "SELECT", "BEGIN", "UPDATE", "COMMIT"
             ]
@@ -282,6 +283,24 @@ class TestIncrementalAppend:
             postings = _postings(store)
             assert postings["q"] == ([1], [OPEN_COUNT])
             assert postings["z"] == ([1, 2], [OPEN_COUNT, 2])
+
+    def test_verify_holds_open_counts_to_the_histogram(self, tmp_path):
+        with _store(tmp_path, ["abc", "zz"]) as store:
+            store.append(1, "cab")
+            assert store.verify() == []
+            # An open count for a letter the document lacks, and an
+            # over-count that is not open, still diverge.
+            store._posting_for_write("z").add(1, OPEN_COUNT)
+            store._posting_for_write("a").add(1, 5)
+            with store._conn:
+                store._flush_postings(["z", "a"])
+            issues = store.verify()
+            assert sorted(issues) == [
+                "posting 'a': diverges from document histograms",
+                "posting 'z': diverges from document histograms",
+            ]
+            store.rebuild()
+            assert store.verify() == []
 
     def test_append_after_update_reopens_exact_counts(self, tmp_path):
         with _store(tmp_path, ["aab", "zz"]) as store:
