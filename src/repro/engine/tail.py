@@ -40,7 +40,7 @@ section):
   copies the text, the run tuple and every cached encoding, and the
   extension copies the run tuple and the carried forward layers.  The
   committed E18 baseline (``BENCH_incremental.json``) puts a quiet
-  append at 0.098 ms on a 10k-letter document and 0.414 ms at 50k.
+  append at 0.102 ms on a 10k-letter document and 0.352 ms at 50k.
 * **Prefilter-rejected states** are cheaper still: while the accumulated
   document cannot possibly match (a must-occur letter absent), the
   session answers from the O(1) histogram check without touching the
