@@ -7,8 +7,9 @@ The evaluation kernel's per-document cost should be sublinear in practice:
 * **run-compressed kernel** — documents with long single-letter runs
   take the run walk: they advance through memoized ``(letter, 2^k)``
   transformer powers (plus fixpoint absorption), and the enumeration DFS
-  skips quiet empty-opset stretches, so both emptiness and full
-  enumeration scale with the number of *runs*, not letters.  The
+  jumps a forced stretch across a run's stable live layers in one step,
+  so both emptiness and full enumeration scale with the number of
+  *runs*, not letters.  The
   acceptance bar: ≥2x full-enumeration speedup over the letter walk
   (forced by raising the shared run-walk threshold) on run-heavy
   documents.
@@ -33,7 +34,8 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   ``Document`` per call, which pays the routing scan and the encoding
   as the engine does on a document it has not seen.
 * **enumeration throughput** (E16e) — *full enumeration* (mappings/sec)
-  across a run-length × match-density grid, plus the DFS frames per
+  across a run-length × match-density grid, each cell the median of
+  :data:`ENUM_REPEATS` runs on fresh documents, plus the DFS frames per
   mapping, each on every cell's document and on its first quarter.  The
   acceptance bar is a count: on the low-run 100k-letter cells, whose
   query stars a union of letters, frames per mapping on the whole
@@ -56,6 +58,7 @@ import gc
 import math
 import os
 import random
+import statistics
 import time
 from unittest.mock import patch
 
@@ -438,7 +441,7 @@ class _MaskWalkGraph(IndexedMatchGraph):
     interned frontier nodes, for ``first()``: forward layers by one mask
     application per letter, live layers by testing each forward state's
     successors against the next live layer, and the library's greedy
-    ``first()`` over those live layers, with its quiet-stretch skip.  A
+    ``first()`` over those live layers, with its jump.  A
     document of long runs takes the run walk, as it did then."""
 
     __slots__ = ()
@@ -685,7 +688,9 @@ ENUM_RUN_LENGTHS = (1, 1_000)
 #: Per-gap needle probabilities (match density; one needle is always
 #: planted mid-document so every cell enumerates at least one mapping).
 ENUM_NEEDLE_RATES = (0.02, 0.08)
-ENUM_REPEATS = 1  # full enumeration is the cost being measured
+#: Runs per cell, each on a fresh document with the collector paused;
+#: the median is reported.
+ENUM_REPEATS = 3
 
 
 def _enum_document(run_length: int, needle_rate: float, seed: int) -> Document:
@@ -713,8 +718,9 @@ def _enum_document(run_length: int, needle_rate: float, seed: int) -> Document:
 
 
 class _FrameCounter(ExecutionGuard):
-    """A guard with no limits that counts its ticks: the enumeration DFS
-    ticks once per frame."""
+    """A guard with no limits that counts its ticks and checks: the
+    enumeration DFS ticks once per frame, and a jump checks once per 4096
+    layers it crosses."""
 
     def __init__(self):
         super().__init__()
@@ -723,10 +729,14 @@ class _FrameCounter(ExecutionGuard):
     def tick(self):
         self.ticks += 1
 
+    def check(self):
+        self.ticks += 1
+
 
 def _frames_per_mapping(indexed, doc: Document) -> "float | None":
-    """DFS frames per mapping of a full enumeration (``None`` without a
-    mapping), counted after the backward pass, which ticks too."""
+    """DFS frames and jump chunks per mapping of a full enumeration
+    (``None`` without a mapping), counted after the backward pass, which
+    ticks and checks too."""
     counter = _FrameCounter()
     graph = IndexedMatchGraph(indexed, doc, guard=counter)
     graph.alive
@@ -736,19 +746,25 @@ def _frames_per_mapping(indexed, doc: Document) -> "float | None":
 
 
 def _enumeration_cell(indexed, doc: Document) -> dict:
-    """Full enumeration of one document, on a fresh copy so it pays the
-    letter encoding a document caches, as the engine does on a new
-    document, and its DFS frames per mapping."""
-    indexed_ms, mappings = _best_of(
-        ENUM_REPEATS,
-        lambda: sum(
+    """Full enumeration of one document, the median of
+    :data:`ENUM_REPEATS` runs, each on a fresh copy so it pays the letter
+    encoding a document caches, as the engine does on a new document, and
+    with the collector paused; and its DFS frames per mapping."""
+    from bench_common import paused
+
+    def run():
+        start = time.perf_counter()
+        mappings = sum(
             1 for _ in IndexedMatchGraph(indexed, Document(doc.text)).enumerate()
-        ),
-    )
+        )
+        return (time.perf_counter() - start) * 1e3, mappings
+
+    runs = [paused(run) for _ in range(ENUM_REPEATS)]
     return {
         "letters": len(doc),
-        "mappings": mappings,
-        "indexed_ms": round(indexed_ms, 3),
+        "mappings": runs[0][1],
+        "indexed_ms": round(statistics.median(ms for ms, _ in runs), 3),
+        "indexed_ms_runs": [round(ms, 3) for ms, _ in runs],
         "frames_per_mapping": _frames_per_mapping(indexed, doc),
     }
 
@@ -776,6 +792,7 @@ def _enumeration_sweep():
                     "doc_letters": full["letters"],
                     "mappings": full["mappings"],
                     "indexed_ms": full["indexed_ms"],
+                    "indexed_ms_runs": full["indexed_ms_runs"],
                     "indexed_maps_per_s": round(
                         full["mappings"] / (full["indexed_ms"] / 1e3), 1
                     ),

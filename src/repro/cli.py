@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra.planner import RAQuery
@@ -716,6 +717,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader closed the pipe early (`... | head -1`): stop quietly,
+        # with stdout pointed at devnull so the interpreter's final flush
+        # does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (SpannerError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

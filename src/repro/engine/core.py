@@ -257,14 +257,8 @@ class ExecutionContext:
                     break
                 start = time.perf_counter()
         finally:
-            # Recorded on the way out (even on early abandonment) so the
-            # lazy run does not pay the gauge before the first yield.
-            try:
-                stats.states_explored += self._counted(prepared, run.states_alive)
-            except ExecutionInterrupted:
-                # A tripped guard re-trips on the gauge's lazy backward
-                # pass; the gauge is best-effort on the way out.
-                pass
+            # The DFS counts as it steps, so the gauge builds nothing.
+            stats.states_explored += run.states_explored
             if guard is not None:
                 guard.drain_into(stats)
 
@@ -282,8 +276,9 @@ class ExecutionContext:
         prunes against interned co-reachability nodes and memoizes its
         choices across documents, so the backward ``alive`` layers are
         never built; on the run walk and on Theorem 4.8's per-document
-        forms it reads them, so they are built here.  A deliberate fast
-        path either way: it skips the ``states_explored`` gauge.
+        forms it reads them, so they are built here.  Either way it jumps
+        every forced stretch, as the DFS does, and as a deliberate fast
+        path it skips the ``states_explored`` gauge.
         """
         doc = as_document(document)
         stats = self.stats

@@ -116,8 +116,10 @@ class Budget:
 
     Attributes:
         mappings: maximum mappings emitted to the caller.
-        states: maximum live match-graph states materialised (summed over
-            every graph whose backward pass runs under the guard).
+        states: maximum states over the profiles of the enumeration DFS's
+            frames, one count per frame (as
+            :attr:`~repro.engine.stats.EngineStats.states_explored`),
+            summed over every enumeration under the guard.
         edge_rows: maximum enumeration edge rows materialised (one per
             live ``(layer, state)`` pair the DFS expands).
         cache_bytes: ceiling on the (estimated) bytes held by the
@@ -317,7 +319,7 @@ class ExecutionGuard:
             self._budget_trip("mappings", budget.mappings)
 
     def charge_states(self, count: int) -> None:
-        """Charge materialised live match-graph states."""
+        """Charge the states of one enumeration DFS frame's profile."""
         self.spent_states += count
         budget = self.budget
         if (

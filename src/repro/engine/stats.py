@@ -94,7 +94,12 @@ class EngineStats:
             spanner over a lambda), named by the error pickle raised.
         compile_seconds: wall time spent compiling and preparing automata.
         enumerate_seconds: wall time spent inside enumeration.
-        states_explored: total live match-graph states across all runs.
+        states_explored: the states of the profile of every enumeration
+            DFS frame, one count per frame, summed over runs: a gauge of
+            the DFS's work that builds nothing of its own.  The layers a
+            jump crosses between frames count nothing, and ``first()``
+            counts nothing.  A guard's ``states`` budget is charged the
+            same counts.
     """
 
     documents: int = 0

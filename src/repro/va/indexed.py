@@ -36,22 +36,24 @@ for the documents that take the run walk:
   layer is one ``&`` of the two.
 
 The per-(layer, state) enumeration edge rows materialise on demand on
-both walks.  The enumeration DFS additionally *skips* quiet stretches: a
-state is quiet at a layer when its only live option there is its
-empty-opset self-loop, which is what a character class under a star
-(``.*``, ``[0-9]*``) compiles to, and a profile of quiet states jumps in
-one step, across letters, to the first layer where one of them stops
-being quiet.  Each state finds the end of a stretch once, for every
-later entry to reuse, so a no-capture stretch costs one stack frame per
-path.  A star over a union of letters such as ``(a|b)*`` compiles to one
-state per letter, quiet only inside a run of its own letter, so the DFS
-leaves such a star after the last capture another way: :class:`IndexedVA`
-marks, once per automaton, the *done* states, from which no run performs
-an operation, and a frame whose profile is all done is a leaf with one
-mapping.  :meth:`IndexedMatchGraph.first` is a greedy walk: on the letter
-walk it prunes against the co-reachability nodes and memoizes its
-choices in the kernel, across documents; otherwise it reads the live
-layers, with the quiet skip.  A tail session's re-evaluation instead
+both walks, at the layers the enumeration DFS steps.  Between them the
+DFS *jumps*: where no state of its profile has a live option that
+performs operations, the path is forced, so a profile moves in one step
+to the first layer where the image of its states under the transitions
+that perform no operation holds a state with a live operating option,
+or to the last layer (Amarilli, Bourhis, Mengel and Niewerth's jump to
+the next capture layer, ICDT 2019).  On the letter walk the image steps
+a third family of the kernel's interned nodes and each layer is one
+memoized mask test against the co-reachability nodes, so the DFS builds
+neither the forward nor the live layers; on the run walk a profile that
+is a fixpoint of a run's image crosses the run's stable live layers in
+one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
+states, from which no run performs an operation: a frame whose profile
+is all done is a leaf with one mapping, without a jump to the end.
+:meth:`IndexedMatchGraph.first` is a greedy walk: on the letter walk it
+prunes against the co-reachability nodes and memoizes its choices in the
+kernel, across documents; otherwise it reads the live layers, with the
+jump.  A tail session's re-evaluation instead
 walks back from the final layer over the forward masks alone
 (:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
 run's length, and a branch that has chosen an operation ends at the
@@ -72,8 +74,10 @@ and it has no kernel.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from itertools import count
+from operator import itemgetter
 from typing import Iterator
 
 from ..core.document import Alphabet, Document, as_document
@@ -110,15 +114,11 @@ class IndexedVA:
             union of the target bitmasks of ``tables[letter_id][state_id]``
             — the Boolean (operation-blind) transition relation the lazy
             match graph's forward/backward passes run on.
-        quiet_masks: ``quiet_masks[letter_id]`` is the bitmask of states
-            that have a self-transition on the letter and whose
-            self-transitions on it all carry the empty operation set — the
-            states the enumeration walks may skip with (see
-            :meth:`IndexedMatchGraph.enumerate`).
         done_mask: the states from which no run performs an operation,
             accepting operation sets included: a DFS frame whose profile
             holds only these states ends in exactly one mapping, its
-            path's (see :meth:`IndexedMatchGraph.enumerate`).
+            path's, where a jump would cross the rest of the document
+            (see :meth:`IndexedMatchGraph.enumerate`).
         clean_mask: the states that no run reaches through an operation:
             a backward frame whose profile holds only these states walks
             back to layer 0 without another operation (see
@@ -170,7 +170,6 @@ class IndexedVA:
         successor_masks: list[list[int]] = [
             [0] * self.n_states for _ in range(n_letters)
         ]
-        quiet_masks = [0] * n_letters
         accept: list[tuple[int, ...]] = [()] * self.n_states
         accept_mask = 0
         # Per state, the union of its successors over every letter; the
@@ -180,7 +179,6 @@ class IndexedVA:
         operating = entered = 0
         letter_id = self.alphabet.ids.__getitem__
         for state, sid in order.items():
-            bit = 1 << sid
             grouped: dict[int, dict[int, int]] = {}
             for ops, mid in factorized.closure(state):
                 for label, target in tva.transitions_from(mid):
@@ -194,18 +192,13 @@ class IndexedVA:
                 )
                 tables[lid][sid] = entries
                 mask = 0
-                loud = False
                 for oid, target_mask in entries:
                     mask |= target_mask
                     if opsets[oid]:
-                        operating |= bit
+                        operating |= 1 << sid
                         entered |= target_mask
-                        if target_mask & bit:
-                            loud = True  # a self-loop that performs operations
                 successor_masks[lid][sid] = mask
                 successors[sid] |= mask
-                if mask & bit and not loud:
-                    quiet_masks[lid] |= bit
             accept[sid] = tuple(
                 sorted(
                     (intern(ops) for ops in factorized.accepting_opsets(state)),
@@ -215,10 +208,9 @@ class IndexedVA:
             if accept[sid]:
                 accept_mask |= 1 << sid
                 if any(opsets[oid] for oid in accept[sid]):
-                    operating |= bit
+                    operating |= 1 << sid
         self.tables = tables
         self.successor_masks = successor_masks
-        self.quiet_masks = quiet_masks
         predecessors = [0] * self.n_states
         for sid, mask in enumerate(successors):
             for target in iter_bits(mask):
@@ -338,8 +330,8 @@ class LayeredIndexedVA:
     instead of O(|Σ|·nodes).  Node ids are local to their layer, so no
     state mask is wider than one layer, and a mask that holds for every
     layer, as :attr:`IndexedVA.done_mask` and :attr:`IndexedVA.clean_mask`
-    do, is ``0`` here.  No node has a self-loop, so none is quiet, and the
-    kernel's run walk never applies.
+    do, is ``0`` here, and the enumeration's jump tests one layer at a
+    time (the kernel and its run walk never apply).
     Dead nodes are kept; the match graph's backward pass prunes them.
 
     Attributes:
@@ -390,7 +382,6 @@ class LayeredIndexedVA:
                 successor_masks.append(masks)
         self.successor_masks = successor_masks
         self.letter_ids = range(len(tables))
-        self.quiet_masks = [0] * len(tables)
         self.done_mask = self.clean_mask = 0
         self.opset_rank, self.empty_opset_id = _canonical_ranks(opsets)
         accept_mask = 0
@@ -674,8 +665,10 @@ class IndexedMatchGraph:
     (O(runs) overhead, not O(positions)), the letter walk's construction
     checks it once per ~4k letters and its per-layer walks once up front
     and then tick it per letter, the enumeration DFS ticks it per stack
-    frame, and every materialised edge row is charged against the
-    ``edge_rows`` budget.  A guarded letter-walk construction checks the
+    frame and checks it once per 4096 layers a jump crosses, every frame
+    charges its profile's states against the ``states`` budget, and every
+    materialised edge row is charged against the ``edge_rows`` budget.
+    A guarded letter-walk construction checks the
     shared kernel's cache footprint
     (:meth:`~repro.va.kernel.TransitionKernel.cache_bytes_estimate`)
     against the ``cache_bytes`` budget once, after its forward pass.  With
@@ -695,9 +688,9 @@ class IndexedMatchGraph:
         "_frontier",
         "_alive",
         "_cnodes",
-        "_quiet_ends",
         "_edges",
         "_guard",
+        "states_explored",
     )
 
     def __init__(self, indexed: IndexedVA, document: Document | str, guard=None):
@@ -709,7 +702,9 @@ class IndexedMatchGraph:
         self._forward: list[int] | None = None
         self._alive: list[int] | None = None
         self._cnodes: list[list] | None = None
-        self._quiet_ends: list[list[int] | None] | None = None
+        #: The states of the profiles of the last enumeration's DFS
+        #: frames, one count per frame (see :meth:`enumerate`).
+        self.states_explored = 0
         self._runs: tuple[tuple[int, int, int], ...] | None = None
         mask = 1 << indexed.initial_id
         if indexed.layers is not None:
@@ -787,8 +782,8 @@ class IndexedMatchGraph:
         the tail run advances through the kernel's memoized transformer
         powers in O(log extra).  The carried layers and the run tuple are
         copied, in C, so an extension also costs O(document) copying.  The
-        backward pruning, co-reachability nodes, quiet-stretch memo, and
-        enumeration edge rows are *not* carried over — they are pruned
+        backward pruning, co-reachability nodes and enumeration edge rows
+        are *not* carried over — they are pruned
         against the final layer's acceptance, which every append changes
         — and rebuild lazily over the new document on demand.
 
@@ -820,7 +815,7 @@ class IndexedMatchGraph:
         graph._forward = None
         graph._alive = None
         graph._cnodes = None
-        graph._quiet_ends = None
+        graph.states_explored = 0
         kernel = graph._kernel = self._kernel
         mask = self._frontier
         if self._runs is not None:
@@ -925,21 +920,12 @@ class IndexedMatchGraph:
             else:
                 alive = self._alive_by_layers()
             self._alive = alive
-            guard = self._guard
-            if (
-                guard is not None
-                and guard.budget is not None
-                and guard.budget.states is not None
-            ):
-                guard.charge_states(sum(mask.bit_count() for mask in alive))
         return alive
 
     def _alive_by_runs(self) -> list[int]:
         n = self._n
         forward = self.forward
         kernel = self._kernel
-        indexed = self.indexed
-        succ, quiet = indexed.successor_masks, indexed.quiet_masks
         alive = [0] * (n + 1)
         # `live` chains M[i] = pred(M[i+1]) ∩ forward[i], which equals the
         # reachable ∩ co-reachable pruning exactly (a live state's path
@@ -955,29 +941,21 @@ class IndexedMatchGraph:
             if not live:
                 break  # nothing co-reachable earlier either
             pred = kernel.pred_row(lid)
-            row = succ[lid]
-            end = start + length
-            i = end - 1
+            i = start + length - 1
             while i >= start:
                 nxt = apply_masks(pred, live) & forward[i]
                 alive[i] = nxt
-                begin = i
                 if nxt == live and forward[i] == forward[i + 1]:
                     # Stable: M[j] = pred(M[j+1]) ∩ forward[j] keeps
                     # producing the same mask while the forward chain
                     # stays equal — fill the stretch.
-                    j = i - 1
                     fwd_i = forward[i]
-                    while j >= start and forward[j] == fwd_i:
-                        alive[j] = nxt
-                        j -= 1
-                    begin = j + 1
-                # Every layer of begin..i reads this letter into `live`,
-                # so the same states are quiet at all of them.
-                candidates = nxt & quiet[lid]
-                if candidates:
-                    self._record_quiet(row, live, candidates, begin, i + 1)
-                i = begin - 1
+                    i -= 1
+                    while i >= start and forward[i] == fwd_i:
+                        alive[i] = nxt
+                        i -= 1
+                else:
+                    i -= 1
                 live = nxt
         return alive
 
@@ -1044,83 +1022,113 @@ class IndexedMatchGraph:
             self._cnodes = cnodes
         return cnodes
 
-    def _quiet_memo(self, sid: int) -> list[int]:
-        """State ``sid``'s quiet-stretch memo: once known, ``stops[i]`` is
-        the first layer after ``i`` at which the state is not quiet (or the
-        last layer); ``0`` while unknown, and where the state is not quiet
-        at ``i``.  Allocated on first use."""
-        ends = self._quiet_ends
-        if ends is None:
-            ends = self._quiet_ends = [None] * self.indexed.n_states
-        stops = ends[sid]
-        if stops is None:
-            stops = ends[sid] = [0] * self._n
-        return stops
+    def _jumper(self):
+        """The jump, as a function of ``(profile, layer)`` bound to this
+        graph's walk: from a live profile at a layer, to the first layer
+        where the image of its states under the transitions that perform
+        no operation holds a state with a live operating option, or to the
+        last layer, with the live part of the image there.  On the way
+        every live option is the empty operation set, so the path is forced
+        and performs nothing.  The guard is checked once per 4096 steps,
+        as :meth:`~repro.va.kernel.TransitionKernel.frontier`'s guarded
+        twin does.
 
-    def _record_quiet(self, row, live, candidates, begin, end) -> None:
-        """Record, in the run walk's backward pass, the quiet states of
-        layers ``begin..end-1``: each reads the letter of ``row`` into the
-        live mask ``live``, so a state of ``candidates`` (live there, with
-        a quiet self-loop on the letter) whose only successor in ``live``
-        is itself is quiet at all of them, until its stretch from ``end``
-        on ends.  The pass records the later layers first, so every end is
-        exact and the enumeration walks test only the layer they enter
-        at."""
-        for sid in iter_bits(candidates):
-            bit = 1 << sid
-            if row[sid] & live == bit:
-                stops = self._quiet_memo(sid)
-                reach = stops[end] if end < self._n else 0
-                stops[begin:end] = [reach or end] * (end - begin)
+        On the letter walk the image steps the kernel's nodes over the
+        transitions that perform no operation
+        (:meth:`~repro.va.kernel.TransitionKernel.empty_extend`), and each
+        layer is one test against the operating mask of its letter, which
+        the next co-reachability node memoizes
+        (:meth:`~repro.va.kernel.TransitionKernel.operating`).  The image
+        stays unpruned on the way: a state of it that is not co-reachable
+        has no co-reachable successor, so it never meets an operating mask.
 
-    def _quiet_end(self, profile: int, layer: int) -> int:
-        """The first layer from ``layer`` on at which some state of
-        ``profile`` is not quiet, or the last layer: a profile whose
-        states are all quiet at ``layer`` jumps there.
-
-        A state is *quiet* at layer ``i`` when its only live option there
-        is its empty-opset self-loop: it is in the letter's
-        :attr:`IndexedVA.quiet_masks` and its only successor in
-        ``alive[i + 1]`` is itself.  A state scans forward to the end of
-        its stretch, ticking the guard once per layer, and records the end
-        on every layer it passed (:meth:`_quiet_memo`), so every later
-        entry into the stretch reuses it and a state tests each layer at
-        most once."""
+        Every other walk (the run walk, a :class:`LayeredIndexedVA`, a
+        graph without a kernel) scans the profile's macro transitions once
+        per layer against the live layers.  On the run walk a profile that
+        is a fixpoint of its image, inside a run where the forward and live
+        layers are stable, crosses the run's stable live layers in one
+        step: the live layers follow ``M[j] = pred(M[j+1]) ∩ F`` there, so
+        a fixpoint of that recurrence holds at every layer up to its last
+        occurrence in the run, and each of those layers repeats the same
+        test and the same image."""
         n = self._n
         ids = self.letter_ids
-        alive = self.alive
-        indexed = self.indexed
-        succ, quiet = indexed.successor_masks, indexed.quiet_masks
         guard = self._guard
-        target = n
-        for sid in iter_bits(profile):
-            stops = self._quiet_memo(sid)
-            end = stops[layer]
-            if not end:
-                bit = 1 << sid
-                scanned = layer
-                while scanned < n:
-                    if guard is not None:
-                        guard.tick()
-                    end = stops[scanned]
-                    if end:
-                        break  # joined a stretch found before
-                    lid = ids[scanned]
-                    if not quiet[lid] & bit or succ[lid][sid] & alive[scanned + 1] != bit:
-                        end = scanned
-                        break
-                    scanned += 1
-                else:
-                    end = n
-                stops[layer:scanned] = [end] * (scanned - layer)
-            if end < target:
-                target = end
-                if end == layer:
-                    break  # not quiet here: no jump
-        return target
+        chunk = n if guard is None else 4096
+        if self._runs is None and self._kernel is not None:
+            kernel = self._kernel
+            mask_slot, op_slot = kernel._mask_slot, kernel._op_slot
+            operating = kernel.operating
+            empty_node, empty_extend = kernel.empty_node, kernel.empty_extend
+            cnodes = self._coreach_nodes()
+
+            def jump(profile: int, layer: int) -> "tuple[int, int]":
+                node = empty_node(profile)
+                while True:
+                    stop = min(n, layer + chunk)
+                    while layer < stop:
+                        lid = ids[layer]
+                        cnode = cnodes[layer + 1]
+                        op = cnode[op_slot + lid]
+                        if op is None:
+                            op = operating(lid, cnode)
+                        if node[mask_slot] & op:
+                            return layer, node[mask_slot] & cnodes[layer][mask_slot]
+                        nxt = node[lid]
+                        node = nxt if nxt is not None else empty_extend(node, lid)
+                        layer += 1
+                    if layer == n:
+                        return n, node[mask_slot] & self.final_mask
+                    guard.check()
+
+            return jump
+        alive, forward = self.alive, self.forward
+        tables = self.indexed.tables
+        empty = self.indexed.empty_opset_id
+        runs = self._runs
+
+        def jump(profile: int, layer: int) -> "tuple[int, int]":
+            while True:
+                stop = min(n, layer + chunk)
+                while layer < stop:
+                    live = alive[layer + 1]
+                    lid = ids[layer]
+                    image = 0
+                    mask = profile
+                    while mask:
+                        low = mask & -mask
+                        mask ^= low
+                        for oid, target_mask in tables[lid][low.bit_length() - 1]:
+                            if target_mask & live:
+                                if oid != empty:
+                                    return layer, profile
+                                image |= target_mask
+                    image &= live
+                    if (
+                        image == profile
+                        and runs is not None
+                        and layer + 1 < n
+                        and ids[layer + 1] == lid
+                        and alive[layer + 2] == live
+                        and forward[layer + 2] == forward[layer + 1]
+                    ):
+                        _, start, length = runs[bisect_right(runs, layer, key=itemgetter(1)) - 1]
+                        layer = start + length
+                        while alive[layer] != live:
+                            layer -= 1
+                        continue
+                    profile = image
+                    layer += 1
+                if layer >= n:
+                    return layer, profile
+                guard.check()
+
+        return jump
 
     def states_alive(self) -> int:
-        """Total live states across all layers (graph-size gauge)."""
+        """Total live states across all layers: a graph-size gauge, which
+        builds the live layers (the engine reports the DFS's own count,
+        :attr:`states_explored`)."""
         return sum(mask.bit_count() for mask in self.alive)
 
     def width(self) -> int:
@@ -1156,38 +1164,45 @@ class IndexedMatchGraph:
         others.  Two shortcuts cross the layers where nothing can be
         captured:
 
-        * A frame whose profile is all *quiet* (every state's only live
-          option is its empty-opset self-loop, which is what a character
-          class under a star, ``.*`` or ``[0-9]+``, compiles to) jumps in
-          one frame, across letters, to the first layer where one of its
-          states stops being quiet (:meth:`_quiet_end`).
+        * A frame whose only option is the empty operation set is forced,
+          and so is the rest of the path up to the first layer where the
+          image of its profile under the transitions that perform no
+          operation holds a state with a live operating option: the path
+          jumps there in one step (:meth:`_jumper`), or to the last layer.
+          On the letter walk it steps the kernel's nodes and tests the
+          co-reachability nodes, against which the DFS also prunes its
+          edge rows: a forward-reachable state's targets meet them exactly
+          where they meet the live layers, so neither the forward nor the
+          live layers are built.
         * A frame whose profile is all *done* (:attr:`IndexedVA.done_mask`:
           no run from its states performs an operation) is a leaf: every
-          live path on from it ends in the one mapping of the path so far.
-          This is how the DFS leaves a star over a union of letters such
-          as ``(a|b)*`` after the last capture, which compiles to one
-          state per letter and so is quiet only inside a run of one
-          letter; it is the static, whole-suffix case of the jump pointers
-          of Amarilli, Bourhis, Mengel and Niewerth (ICDT 2019).
+          live path on from it ends in the one mapping of the path so far,
+          where a jump would cross the rest of the document.
 
         A path node is ``((position, operation set), parent)`` and records
-        only operating steps, so skips push the parent unchanged and a leaf
-        rebuilds its mapping in O(captures), not O(layers).
+        only operating steps, so a jump pushes the parent unchanged and a
+        leaf rebuilds its mapping in O(captures), not O(layers).  Every
+        frame counts its profile's states into :attr:`states_explored` and
+        charges them against a guard's ``states`` budget.
         """
         if self.is_empty or (limit is not None and limit <= 0):
             return
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
-        quiet, done = indexed.quiet_masks, indexed.done_mask
+        done = indexed.done_mask
         empty = indexed.empty_opset_id
-        quiet_end = self._quiet_end
+        jump = self._jumper()
         n = self._n
         final = self.final
-        alive = self.alive
         tables = indexed.tables
         letter_ids = self.letter_ids
         edges = self._edges
         guard = self._guard
+        if self._runs is None and self._kernel is not None:
+            lives, mask_slot = self._coreach_nodes(), self._kernel._mask_slot
+        else:
+            lives, mask_slot = self.alive, None
+        explored = 0
         emitted = 0
         # Stack frames: (layer, profile mask, path node).
         stack: list[tuple[int, int, tuple | None]] = [
@@ -1196,8 +1211,11 @@ class IndexedMatchGraph:
         while stack:
             layer, profile, node = stack.pop()
             while True:
+                states = profile.bit_count()
+                explored += states
                 if guard is not None:
                     guard.tick()
+                    guard.charge_states(states)
                 if layer == n or not profile & ~done:
                     # A leaf: one mapping per operation set the profile
                     # accepts with.  A done profile's live paths perform
@@ -1217,6 +1235,7 @@ class IndexedMatchGraph:
                         entry, node = node
                         entries.append(entry)
                     entries.reverse()
+                    self.states_explored = explored
                     for oid in finals:
                         final_ops = opsets[oid]
                         yield _mapping_from_entries(
@@ -1226,25 +1245,14 @@ class IndexedMatchGraph:
                         if limit is not None and emitted >= limit:
                             return
                     break
-                lid = letter_ids[layer]
-                # Scan only where a quiet stretch can outlast this layer,
-                # that is where the next letter is quiet for the profile
-                # too: a one-layer stretch is this frame's own step.
-                if (
-                    not profile & ~quiet[lid]
-                    and layer + 1 < n
-                    and not profile & ~quiet[letter_ids[layer + 1]]
-                ):
-                    j = quiet_end(profile, layer)
-                    if j > layer:
-                        layer = j
-                        continue
                 # Inlined edge_row: the per-layer row build is the hot loop.
                 cache = edges[layer]
                 if cache is None:
                     cache = edges[layer] = {}
-                row_table = tables[lid]
-                live = alive[layer + 1]
+                row_table = tables[letter_ids[layer]]
+                live = lives[layer + 1]
+                if mask_slot is not None:
+                    live = live[mask_slot]
                 options: dict[int, int] = {}
                 mask = profile
                 while mask:
@@ -1265,27 +1273,31 @@ class IndexedMatchGraph:
                         options[oid] = target_mask if prev is None else prev | target_mask
                 if len(options) == 1:
                     # Single choice (the common layer in sparse documents):
-                    # skip the canonical sort.
-                    oid, target_mask = options.popitem()
+                    # skip the canonical sort, and jump a forced stretch.
+                    oid, profile = options.popitem()
                     ops = opsets[oid]
                     if ops:
                         node = ((layer + 1, ops), node)
-                else:
-                    ordered = sorted(options, key=rank.__getitem__)
-                    # Stack the later options in reverse rank order, so the
-                    # DFS pops them canonically.
-                    for oid in ordered[:0:-1]:
-                        ops = opsets[oid]
-                        stack.append(
-                            (layer + 1, options[oid], ((layer + 1, ops), node) if ops else node)
-                        )
-                    oid = ordered[0]
-                    target_mask = options[oid]
+                    elif profile & ~done:
+                        layer, profile = jump(profile, layer + 1)
+                        continue
+                    layer += 1
+                    continue
+                ordered = sorted(options, key=rank.__getitem__)
+                # Stack the later options in reverse rank order, so the
+                # DFS pops them canonically.
+                for oid in ordered[:0:-1]:
                     ops = opsets[oid]
-                    if ops:
-                        node = ((layer + 1, ops), node)
+                    stack.append(
+                        (layer + 1, options[oid], ((layer + 1, ops), node) if ops else node)
+                    )
+                oid = ordered[0]
+                profile = options[oid]
+                ops = opsets[oid]
+                if ops:
+                    node = ((layer + 1, ops), node)
                 layer += 1
-                profile = target_mask
+        self.states_explored = explored
 
     def first(self) -> Mapping | None:
         """The first mapping in canonical order, or ``None`` if empty —
@@ -1293,143 +1305,35 @@ class IndexedMatchGraph:
 
         A dedicated greedy walk: the DFS's first leaf is reached by taking
         the canonically-minimal operation set at every layer, so no stack,
-        no generator frames, and no alternatives are ever pushed.  On the
-        letter walk it prunes against the co-reachability nodes and
-        memoizes each choice in the kernel (:meth:`_first_by_nodes`).  On
-        the run walk and on a :class:`LayeredIndexedVA` it reads the live
-        layers and the edges along the path, and the same skip as
-        :meth:`enumerate` jumps a profile whose states are all quiet to the
-        first layer where one of them stops being quiet.
+        no generator frames, and no alternatives are ever pushed.
+        :meth:`enumerate`'s jump carries the path across every stretch
+        where it is forced, and its done leaf ends it; :meth:`_choice`
+        picks the option at each layer where the jump stops.
         """
         if self.is_empty:
             return None
-        if self._runs is None and self._kernel is not None:
-            return self._first_by_nodes()
         indexed = self.indexed
         opsets, rank = indexed.opsets, indexed.opset_rank
-        quiet = indexed.quiet_masks
-        quiet_end = self._quiet_end
-        edge_row = self.edge_row
-        letter_ids = self.letter_ids
+        done = indexed.done_mask
+        jump, choice = self._jumper(), self._choice
         n = self._n
         guard = self._guard
         entries: list[tuple[int, OpSet]] = []
         profile = 1 << indexed.initial_id
         layer = 0
-        while layer < n:
+        while True:
             if guard is not None:
                 guard.tick()
-            if (
-                not profile & ~quiet[letter_ids[layer]]
-                and layer + 1 < n
-                and not profile & ~quiet[letter_ids[layer + 1]]
-            ):
-                j = quiet_end(profile, layer)
-                if j > layer:
-                    layer = j
-                    continue
-            best_oid = -1
-            best_rank = -1
-            best_mask = 0
-            mask = profile
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                sid = low.bit_length() - 1
-                for oid, target_mask in edge_row(layer, sid):
-                    if best_rank < 0 or rank[oid] < best_rank:
-                        best_rank, best_oid, best_mask = rank[oid], oid, target_mask
-                    elif oid == best_oid:
-                        best_mask |= target_mask
-            ops = opsets[best_oid]
+            if not profile & ~done:
+                return _mapping_from_entries(entries)
+            layer, profile = jump(profile, layer)
+            if layer == n:
+                break
+            oid, profile = choice(profile, layer)
+            ops = opsets[oid]
             if ops:
                 entries.append((layer + 1, ops))
-            profile = best_mask
             layer += 1
-        final = self.final
-        best_final = -1
-        mask = profile
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            for oid in final.get(low.bit_length() - 1, ()):
-                if best_final < 0 or rank[oid] < rank[best_final]:
-                    best_final = oid
-        final_ops = opsets[best_final]
-        if final_ops:
-            entries.append((n + 1, final_ops))
-        return _mapping_from_entries(entries)
-
-    def _first_by_nodes(self) -> Mapping:
-        """:meth:`first` on a non-empty letter-walk graph, with its own
-        skip: a step whose choice is the empty operation set on a fixpoint
-        profile repeats through the rest of its letter run while the
-        co-reach node stays the same.  A candidate target of a live
-        profile is always forward-reachable, so ``target ∩ coreach`` is
-        exactly ``target ∩ alive`` and the live layers are never built.
-        The per-layer choice is memoized on ``(profile, letter, co-reach
-        node id)`` in the kernel's :attr:`~repro.va.kernel.TransitionKernel.first_memo`,
-        shared across documents, so a long document costs one dictionary
-        probe per position, with the edge inspection running only on
-        misses.  A transient node, computed anew on every use, has id
-        ``-1``, under which no choice is stored."""
-        indexed = self.indexed
-        opsets, rank = indexed.opsets, indexed.opset_rank
-        empty_oid = indexed.empty_opset_id
-        tables = indexed.tables
-        kernel = self._kernel
-        mask_slot, id_slot = kernel._mask_slot, kernel._id_slot
-        memo = kernel.first_memo
-        memo_limit = kernel.FIRST_CACHE_LIMIT
-        letter_ids = self.letter_ids
-        cnodes = self._coreach_nodes()
-        n = self._n
-        guard = self._guard
-        entries: list[tuple[int, OpSet]] = []
-        profile = 1 << indexed.initial_id
-        layer = 0
-        while layer < n:
-            if guard is not None:
-                guard.tick()
-            lid = letter_ids[layer]
-            cnode = cnodes[layer + 1]
-            cid = cnode[id_slot]
-            key = (profile, lid, cid)
-            best = memo.get(key)
-            if best is None:
-                live = cnode[mask_slot]
-                row_table = tables[lid]
-                best_oid = -1
-                best_rank = -1
-                best_mask = 0
-                for sid in iter_bits(profile):
-                    for oid, target_mask in row_table[sid]:
-                        target_mask &= live
-                        if not target_mask:
-                            continue
-                        if best_rank < 0 or rank[oid] < best_rank:
-                            best_rank, best_oid = rank[oid], oid
-                            best_mask = target_mask
-                        elif oid == best_oid:
-                            best_mask |= target_mask
-                best = (best_oid, best_mask)
-                if cid >= 0 and len(memo) < memo_limit:
-                    memo[key] = best
-            best_oid, best_mask = best
-            if best_oid == empty_oid and best_mask == profile:
-                # Forced-equivalent empty steps on a fixpoint profile:
-                # scan the stretch once (same letter, same co-reach node
-                # at the successor layer) and jump it.
-                j = layer + 1
-                while j < n and letter_ids[j] == lid and cnodes[j + 1] is cnode:
-                    j += 1
-                layer = j
-            else:
-                ops = opsets[best_oid]
-                if ops:
-                    entries.append((layer + 1, ops))
-                profile = best_mask
-                layer += 1
         final = self.final
         best_final = -1
         for sid in iter_bits(profile):
@@ -1440,6 +1344,49 @@ class IndexedMatchGraph:
         if final_ops:
             entries.append((n + 1, final_ops))
         return _mapping_from_entries(entries)
+
+    def _choice(self, profile: int, layer: int) -> "tuple[int, int]":
+        """:meth:`first`'s choice at ``layer``: the canonically first live
+        option of ``profile``, as ``(opset id, target mask)``.
+
+        On the letter walk the macro transitions are pruned against the
+        co-reachability node: a candidate target of a live profile is
+        always forward-reachable, so ``target ∩ coreach`` is exactly
+        ``target ∩ alive`` and the live layers are never built.  The choice
+        is memoized on ``(profile, letter, co-reach node id)`` in the
+        kernel's :attr:`~repro.va.kernel.TransitionKernel.first_memo`,
+        shared across documents; a transient node, computed anew on every
+        use, has id ``-1``, under which no choice is stored.  Otherwise the
+        options are the edge rows."""
+        kernel = self._kernel
+        key = None
+        if self._runs is None and kernel is not None:
+            lid = self.letter_ids[layer]
+            cnode = self._coreach_nodes()[layer + 1]
+            key = (profile, lid, cnode[kernel._id_slot])
+            best = kernel.first_memo.get(key)
+            if best is not None:
+                return best
+            live, row_table = cnode[kernel._mask_slot], self.indexed.tables[lid]
+            options = [
+                (oid, target_mask & live)
+                for sid in iter_bits(profile)
+                for oid, target_mask in row_table[sid]
+                if target_mask & live
+            ]
+        else:
+            options = [
+                option for sid in iter_bits(profile) for option in self.edge_row(layer, sid)
+            ]
+        best_oid = min((oid for oid, _ in options), key=self.indexed.opset_rank.__getitem__)
+        best_mask = 0
+        for oid, target_mask in options:
+            if oid == best_oid:
+                best_mask |= target_mask
+        best = (best_oid, best_mask)
+        if key is not None and key[2] >= 0 and len(kernel.first_memo) < kernel.FIRST_CACHE_LIMIT:
+            kernel.first_memo[key] = best
+        return best
 
     def enumerate_since(self, prefix_length: int) -> Iterator[Mapping]:
         """Every mapping of this document that is not a mapping of its

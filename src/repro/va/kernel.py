@@ -28,12 +28,16 @@ one of two walks:
   second node family over the predecessor transformers the same way
   (:meth:`pred_extend`), and :meth:`IndexedMatchGraph.first
   <repro.va.indexed.IndexedMatchGraph.first>` memoizes its greedy
-  per-layer choice in :attr:`first_memo`.  Real workloads revisit a
-  handful of distinct frontiers; an automaton whose subset construction
-  outgrows :attr:`STEP_CACHE_LIMIT` keeps computing its misses on
-  transient nodes.
+  per-layer choice in :attr:`first_memo`.  The enumeration DFS's jump
+  across forced layers steps a third family over the transitions that
+  perform no operation (:meth:`empty_extend`) and tests each layer
+  against the states with a live operating option
+  (:meth:`operating`).  Real workloads revisit a handful of distinct
+  frontiers; an automaton whose subset construction outgrows
+  :attr:`STEP_CACHE_LIMIT` keeps computing its misses on transient
+  nodes.
 
-Powers, nodes and the memo are document independent and shared by every
+Powers, nodes and the memos are document independent and shared by every
 document and engine that evaluates the automaton.  The kernel counts
 :attr:`run_hits` and :attr:`step_misses`, which the engine samples into
 ``EngineStats.kernel_run_hits`` and ``EngineStats.frontier_cache_misses``.
@@ -92,8 +96,11 @@ class TransitionKernel:
     until computed), ``node[n_letters]`` the frontier's int mask, and
     ``node[n_letters + 1]`` a kernel-unique small id, the handle of the
     ``first()`` memo, or ``-1`` on a transient node, which the memo never
-    holds.  Separate node families cover the successor and the
-    predecessor relation.
+    holds.  Separate node families cover the successor relation, the
+    predecessor relation, and the successor relation restricted to
+    transitions that perform no operation.  A predecessor node holds
+    :meth:`operating`'s mask of each letter in ``node[n_letters + 2 +
+    letter_id]``.
 
     Attributes:
         successor_masks: the per-letter base transformers (one application
@@ -103,15 +110,16 @@ class TransitionKernel:
             length ≥ 2 served by fixpoint absorption or power doubling
             instead of per-letter stepping).
         step_misses: cumulative count of node transitions actually
-            computed (cache misses of the letter walk, both families).
+            computed (cache misses of the letter walk, every family).
         first_memo: the letter walk's greedy ``first()`` choices, keyed on
             ``(profile, letter id, co-reachability node id)``.
     """
 
-    #: Total interned nodes + filled successor slots across both node
-    #: families.  Real workloads reach a few dozen; the bound only
-    #: matters for adversarial subset-construction blowups, which simply
-    #: stop caching (transient nodes, computed per use, never linked).
+    #: Total interned nodes, filled successor slots and operating masks
+    #: across the node families.  Real workloads reach a few dozen; the
+    #: bound only matters for adversarial subset-construction blowups,
+    #: which simply stop caching (transient nodes, computed per use, never
+    #: linked).
     STEP_CACHE_LIMIT = 1 << 16
 
     #: Entries in the cross-document greedy-walk memo of ``first()``.
@@ -120,14 +128,19 @@ class TransitionKernel:
     __slots__ = (
         "successor_masks",
         "n_states",
+        "_tables",
+        "_empty_oid",
         "_powers",
         "_preds",
+        "_empty_rows",
         "run_hits",
         "_n_letters",
         "_mask_slot",
         "_id_slot",
+        "_op_slot",
         "_nodes",
         "_pred_nodes",
+        "_empty_nodes",
         "_next_id",
         "_cached_steps",
         "first_memo",
@@ -137,16 +150,21 @@ class TransitionKernel:
     def __init__(self, indexed: "IndexedVA"):
         self.successor_masks = indexed.successor_masks
         self.n_states = indexed.n_states
+        self._tables = indexed.tables
+        self._empty_oid = indexed.empty_opset_id
         # _powers[letter_id][k] is the transformer of 2^k applications of
         # the letter; built on demand, memoized per (letter, 2^k).
         self._powers: dict[int, list[list[int]]] = {}
         self._preds: dict[int, list[int]] = {}
+        self._empty_rows: dict[int, list[int]] = {}
         self.run_hits = 0
         n_letters = self._n_letters = len(indexed.successor_masks)
         self._mask_slot = n_letters
         self._id_slot = n_letters + 1
+        self._op_slot = n_letters + 2
         self._nodes: dict[int, list] = {}
         self._pred_nodes: dict[int, list] = {}
+        self._empty_nodes: dict[int, list] = {}
         self._next_id = 0
         self._cached_steps = 0
         self.first_memo: dict = {}
@@ -226,10 +244,11 @@ class TransitionKernel:
 
     # -- the letter walk: interned frontier nodes --------------------------
 
-    def _intern(self, registry: dict, mask: int) -> list:
-        """The node of ``mask`` in ``registry`` (created on first use;
-        transient — computed but never registered, with id ``-1`` — once
-        the cache bound is hit)."""
+    def _intern(self, registry: dict, mask: int, slots: int = 0) -> list:
+        """The node of ``mask`` in ``registry`` (created on first use, with
+        ``slots`` more ``None`` slots after its id; transient — computed
+        but never registered, with id ``-1`` — once the cache bound is
+        hit)."""
         node = registry.get(mask)
         if node is None:
             node = [None] * self._n_letters
@@ -241,6 +260,7 @@ class TransitionKernel:
                 self._cached_steps += 1
             else:
                 node.append(-1)
+            node.extend([None] * slots)
         return node
 
     def _link(self, node: list, letter_id: int, nxt: list) -> list:
@@ -257,8 +277,14 @@ class TransitionKernel:
         return self._intern(self._nodes, mask)
 
     def pred_node(self, mask: int) -> list:
-        """The predecessor-family node of a co-reachability mask."""
-        return self._intern(self._pred_nodes, mask)
+        """The predecessor-family node of a co-reachability mask, with a
+        slot per letter for :meth:`operating`."""
+        return self._intern(self._pred_nodes, mask, self._n_letters)
+
+    def empty_node(self, mask: int) -> list:
+        """The node of a state mask in the family of transitions that
+        perform no operation."""
+        return self._intern(self._empty_nodes, mask)
 
     def extend(self, node: list, letter_id: int) -> list:
         """The forward cache-miss path: the node of the states reached
@@ -273,6 +299,41 @@ class TransitionKernel:
             apply_masks(self.pred_row(letter_id), node[self._mask_slot])
         )
         return self._link(node, letter_id, nxt)
+
+    def empty_extend(self, node: list, letter_id: int) -> list:
+        """The jump's cache-miss path: the node of the states ``node``'s
+        reach by reading ``letter_id`` with the empty operation set,
+        linked into its slot."""
+        row = self._empty_rows.get(letter_id)
+        if row is None:
+            empty = self._empty_oid
+            row = self._empty_rows[letter_id] = [
+                sum(target_mask for oid, target_mask in entries if oid == empty)
+                for entries in self._tables[letter_id]
+            ]
+        nxt = self.empty_node(apply_masks(row, node[self._mask_slot]))
+        return self._link(node, letter_id, nxt)
+
+    def operating(self, letter_id: int, cnode: list) -> int:
+        """The states with a transition on ``letter_id`` that performs
+        operations into the co-reachability node ``cnode``'s mask: at a
+        layer that reads the letter, before the layer of ``cnode``, the
+        forward-reachable ones are the states with a live operating
+        option.  Memoized in the node's slot for the letter, on an
+        interned node and within :attr:`STEP_CACHE_LIMIT`, as a successor
+        slot is."""
+        live = cnode[self._mask_slot]
+        empty = self._empty_oid
+        mask = 0
+        for sid, entries in enumerate(self._tables[letter_id]):
+            for oid, target_mask in entries:
+                if oid != empty and target_mask & live:
+                    mask |= 1 << sid
+                    break
+        if cnode[self._id_slot] >= 0 and self._cached_steps < self.STEP_CACHE_LIMIT:
+            cnode[self._op_slot + letter_id] = mask
+            self._cached_steps += 1
+        return mask
 
     def frontier(self, ids: "Sequence[int]", mask: int, guard=None) -> int:
         """The frontier after the letter ids ``ids``, started at ``mask``:
@@ -324,7 +385,8 @@ class TransitionKernel:
 
     def cache_bytes_estimate(self) -> int:
         """A rough gauge of the letter walk's cross-document cache
-        footprint (interned nodes, the ``first()`` memo) — what a guard's
+        footprint (interned nodes, operating masks, the ``first()`` memo)
+        — what a guard's
         ``cache_bytes`` budget is checked against, once per guarded
         letter-walk graph construction.  Deliberately coarse: per-entry
         constants stand in for deep ``sys.getsizeof`` walks, so the gauge

@@ -20,8 +20,11 @@ from repro import (
     compile_spanner,
     parse,
 )
-from repro.core import SpannerError
-from repro.engine import EngineStats
+from repro.core import BudgetExceeded, SpannerError
+from repro.engine import EngineStats, PreparedIndexedVA
+from repro.va import regex_to_va, trim
+
+from .conftest import BACKEND_LEGS
 
 
 def _query(engine=None):
@@ -88,6 +91,26 @@ class TestStatistics:
         assert delta.documents == stats.documents
         # The snapshot is independent of later activity.
         assert before.documents == 0
+
+    @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
+    def test_states_explored_counts_the_profile_of_each_dfs_frame(self, backend):
+        # `[ab]*x{a}[ab]*` on "bab" takes four DFS frames of one state each:
+        # the initial state at layer 0, whose one option (the prefix star
+        # reading b) is forced, so the path jumps to layer 1, where x
+        # opens; the capture, which closes reading the b at layer 2; and
+        # the trailing star's state at the last layer, a leaf.
+        va = trim(regex_to_va(parse("[ab]*x{a}[ab]*")))
+        engine = Engine(backend=backend)
+        assert len(engine.evaluate(va, "bab", budget="states=4")) == 1
+        assert engine.stats.states_explored == 4
+        with pytest.raises(BudgetExceeded, match="states"):
+            engine.evaluate(va, "bab", budget="states=3")
+        graph = PreparedIndexedVA(va).run("bab")
+        assert len(list(graph.enumerate())) == 1
+        assert graph.states_explored == 4
+        if graph._runs is None:
+            # The letter walk prunes against co-reachability nodes alone.
+            assert graph._forward is None and graph._alive is None
 
     def test_summary_and_dict_round_trip(self):
         stats = EngineStats(documents=3, mappings=7, plan_hits=1)

@@ -1,18 +1,20 @@
 """The shortcuts of the enumeration walks across layers that capture
 nothing.
 
-A state is *quiet* at a layer when its only live option there is its
-empty-opset self-loop; a DFS frame (or a ``first()`` step) whose profile
-is all quiet jumps to the first later layer where one of its states stops
-being quiet.  A state is *done* when no run from it performs an
-operation, and *clean* when no run reaches it through one: a DFS frame
-whose profile is all done is a leaf with one mapping, and a tail walk's
-branch that has chosen an operation yields at the first profile that is
-all clean.  These tests pin the quiet skip's targets against per-layer
-definitions, both masks against reachability over the automaton's
-tables, exactness on named shapes on both pinned walks, and the
-output-linear cost the shortcuts buy on CSV exports and on stars over
-unions of letters.
+A DFS frame (or a ``first()`` step) whose profile has no live option that
+performs operations is forced, and so is the path on to the first layer
+where the image of its states under the transitions that perform no
+operation holds a state with a live operating option: the walk *jumps*
+there, or to the last layer.  A state is *done* when no run from it
+performs an operation, and *clean* when no run reaches it through one: a
+DFS frame whose profile is all done is a leaf with one mapping, and a
+tail walk's branch that has chosen an operation yields at the first
+profile that is all clean.  These tests pin the jump's targets against
+their per-layer definition on both pinned walks and on Theorem 4.8's
+per-document forms, the guard inside a long jump, both masks against
+reachability over the automaton's tables, exactness on named shapes on
+both pinned walks, and the output-linear cost the shortcuts buy on CSV
+exports and on stars over unions of letters.
 """
 
 from unittest.mock import patch
@@ -21,7 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Document
+from repro.algebra.sync_difference import PreparedSyncDifference
+from repro.core import DeadlineExceeded, Document
 from repro.engine import Engine, PreparedIndexedVA
 from repro.engine.guards import ExecutionGuard
 from repro.regex import parse
@@ -37,6 +40,7 @@ from repro.va import (
 )
 from repro.va import kernel as kernel_module
 from repro.va.automaton import VarOp
+from repro.va.indexed import LayeredIndexedVA
 from repro.workloads.packs import csv_records
 
 from ..properties.conftest import documents, sequential_formulas
@@ -49,6 +53,13 @@ _SETTINGS = settings(max_examples=50, deadline=None)
 #: walk on bounded caches.
 LEGS = [*PINNED_WALKS, *BOUNDED_CACHES]
 
+#: The skip stars a formula is wrapped in: a class star compiles to one
+#: state, a star over a union of letters to one state per letter.
+WRAPS = {
+    "class-star": star(chars("abc")),
+    "union-star": star(union(sym("a"), sym("b"), sym("c"))),
+}
+
 
 @pytest.fixture(params=LEGS)
 def engine(request):
@@ -60,41 +71,43 @@ def _va(text: str):
     return trim(regex_to_va(parse(text)))
 
 
-def is_quiet(graph, sid: int, layer: int) -> bool:
-    """The definition: the state's only live option at the layer is the
-    empty operation set back into itself."""
-    empty = graph.indexed.empty_opset_id
-    return graph.edge_row(layer, sid) == [(empty, 1 << sid)]
-
-
-def reference_end(graph, profile: int, layer: int) -> int:
-    """The first layer after ``layer`` where some state of ``profile``
-    is not quiet, or the last layer, by stepping layer by layer."""
-    end = layer + 1
+def reference_jump(graph, profile: int, layer: int) -> "tuple[int, int]":
+    """The jump by its definition, stepped layer by layer over the edge
+    rows: the first layer from ``layer`` on at which a state of the
+    profile's image under the empty operation set has a live operating
+    option, or the last layer, and the image there."""
+    opsets = graph.indexed.opsets
     n = len(graph.document)
-    while end < n and all(is_quiet(graph, sid, end) for sid in iter_bits(profile)):
-        end += 1
-    return end
+    while layer < n:
+        options = [
+            option for sid in iter_bits(profile) for option in graph.edge_row(layer, sid)
+        ]
+        if any(opsets[oid] for oid, _ in options):
+            break
+        profile = 0
+        for _, target_mask in options:
+            profile |= target_mask
+        layer += 1
+    return layer, profile
 
 
-def quiet_layers(graph) -> "list[int]":
-    """Per layer, the mask of live states that are quiet there."""
-    alive = graph.alive
+def live_profiles(graph) -> "list[tuple[int, int]]":
+    """``(layer, profile)`` for every layer before the last: each live
+    state alone, and all of them."""
     return [
-        sum(1 << sid for sid in iter_bits(alive[layer]) if is_quiet(graph, sid, layer))
-        for layer in range(len(graph.document))
+        (layer, profile)
+        for layer, mask in enumerate(graph.alive[: len(graph.document)])
+        if mask
+        for profile in (*(1 << sid for sid in iter_bits(mask)), mask)
     ]
 
 
-def skip_targets(graph, layers: "list[int]") -> "dict[tuple[int, int], int]":
-    """``_quiet_end`` of every quiet state at every layer, queried in the
-    order ``layers`` gives, so later queries land on memoized stretches."""
-    quiet = quiet_layers(graph)
-    return {
-        (layer, sid): graph._quiet_end(1 << sid, layer)
-        for layer in layers
-        for sid in iter_bits(quiet[layer])
-    }
+def jump_targets(graph, reference=None) -> "dict[tuple[int, int], tuple[int, int]]":
+    """``graph``'s jump from every live profile of ``reference`` (``graph``
+    itself by default)."""
+    profiles = live_profiles(reference or graph)
+    jump = graph._jumper() if profiles else None  # an empty graph has none
+    return {(layer, profile): jump(profile, layer) for layer, profile in profiles}
 
 
 def reachable(indexed, sid: int) -> int:
@@ -124,38 +137,77 @@ class CountingGuard(ExecutionGuard):
         self.ticks += 1
 
 
-class TestSkipTargets:
+class StridelessGuard(ExecutionGuard):
+    """A guard whose frame ticks never read the clock: only its full
+    checks do."""
+
+    TICK_STRIDE = 1 << 30
+
+
+class TestJumpTargets:
     @given(
         sequential_formulas(),
-        st.booleans(),
+        st.sampled_from([None, *WRAPS]),
         st.one_of(run_documents, documents),
         st.sampled_from(sorted(PINNED_WALKS)),
     )
     @_SETTINGS
-    def test_quiet_end_matches_the_definition(self, formula, wrap, text, walk):
+    def test_jump_matches_the_definition(self, formula, wrap, text, walk):
         if wrap:
-            # A class star on both sides: the shape text queries take.
-            skip = star(chars("abc"))
-            formula = concat(skip, formula, skip)
+            formula = concat(WRAPS[wrap], formula, WRAPS[wrap])
         indexed = trim(regex_to_va(formula)).indexed()
         doc = Document(text)
         with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
-            forward, backward = IndexedMatchGraph(indexed, doc), IndexedMatchGraph(indexed, doc)
-        n = len(doc)
-        quiet = quiet_layers(forward)
+            jumper, reference = IndexedMatchGraph(indexed, doc), IndexedMatchGraph(indexed, doc)
         expected = {
-            (layer, sid): reference_end(forward, 1 << sid, layer)
-            for layer in range(n)
-            for sid in iter_bits(quiet[layer])
+            (layer, profile): reference_jump(reference, profile, layer)
+            for layer, profile in live_profiles(reference)
         }
-        assert skip_targets(forward, list(range(n))) == expected
-        assert skip_targets(backward, list(range(n - 1, -1, -1))) == expected
-        for layer in range(n):
-            if quiet[layer]:
-                # A profile jumps to the earliest end among its states.
-                assert forward._quiet_end(quiet[layer], layer) == min(
-                    expected[layer, sid] for sid in iter_bits(quiet[layer])
-                )
+        # The jumping graph builds no live layer of its own first.
+        assert jump_targets(jumper, reference) == expected
+
+    @given(st.sampled_from(sorted(WRAPS)), st.text(alphabet="abc", max_size=12))
+    @_SETTINGS
+    def test_layered_jump_matches_the_definition(self, wrap, text):
+        # Theorem 4.8's per-document product: its tables are per layer,
+        # and it has no kernel and no done states.
+        skip = WRAPS[wrap]
+        minuend = concat(skip, parse("x{[ab]+}"), skip)
+        subtrahend = concat(skip, parse("x{a}"), skip)
+        prepared = PreparedSyncDifference(trim(regex_to_va(minuend)), trim(regex_to_va(subtrahend)))
+        form = prepared.compile_layered(text)
+        if not isinstance(form, LayeredIndexedVA):
+            return  # the subtrahend extracts nothing: no product
+        jumper, reference = IndexedMatchGraph(form, text), IndexedMatchGraph(form, text)
+        expected = {
+            (layer, profile): reference_jump(reference, profile, layer)
+            for layer, profile in live_profiles(reference)
+        }
+        assert jump_targets(jumper, reference) == expected
+
+    @pytest.mark.parametrize("leg", sorted(PINNED_WALKS))
+    @pytest.mark.parametrize("on_budget", ["raise", "partial"])
+    def test_deadline_trips_inside_one_forced_stretch(self, leg, on_budget):
+        # Two mappings, each with a forced stretch of 100k letters between
+        # its first capture and its last; on the pinned run walk the runs
+        # are single letters, so no stretch is crossed in one step.
+        va = _va("(x{a}|y{a})[ab]*z{b}")
+        text = "a" + "ba" * 50_000 + "b"
+        now = [0.0]
+        guard = StridelessGuard(deadline=60.0, on_budget=on_budget, clock=lambda: now[0])
+        with leg_settings(leg) as name:
+            unguarded = list(Engine(backend=name).enumerate(va, text))
+            mappings = Engine(backend=name).enumerate(va, text, guard=guard)
+            prefix = [next(mappings)]
+            now[0] = 120.0  # past the deadline
+            if on_budget == "raise":
+                with pytest.raises(DeadlineExceeded) as trip:
+                    next(mappings)
+                assert any(entry.name == "jump" for entry in trip.traceback)
+            else:
+                prefix.extend(mappings)
+        assert guard.tripped == "deadline"
+        assert len(unguarded) == 2 and prefix == unguarded[:1]
 
 
 #: Named shapes, each checked against the oracle in canonical order.
@@ -221,24 +273,28 @@ class TestExactness:
         assert order == expected
         assert engine.first(va, text) == expected[0]
 
-    def test_two_state_profile_stops_at_the_first_break(self):
+    @pytest.mark.parametrize("walk", sorted(PINNED_WALKS))
+    def test_two_state_profile_stops_at_the_first_break(self, walk):
         formula, text = CASES["two-state-profile"]
-        graph = IndexedMatchGraph(_va(formula).indexed(), text)
-        profile = graph.alive[2]  # the [bc]* and [bd]* states
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+            graph = IndexedMatchGraph(_va(formula).indexed(), text)
+        profile = graph.alive[2]  # the [bc]* and the [bd]* states
         assert profile.bit_count() == 2
-        ends = sorted(graph._quiet_end(1 << sid, 2) for sid in iter_bits(profile))
-        assert ends == [text.index("d"), text.index("e")]
-        assert graph._quiet_end(profile, 2) == text.index("d")
+        jump = graph._jumper()
+        ends = sorted(jump(1 << sid, 2) for sid in iter_bits(profile))
+        assert [layer for layer, _ in ends] == [text.index("d"), text.index("e")]
+        assert jump(profile, 2) == (text.index("d"), profile)
 
-    def test_quiet_stretch_to_the_last_layer(self):
+    @pytest.mark.parametrize("walk", sorted(PINNED_WALKS))
+    def test_quiet_stretch_to_the_last_layer(self, walk):
         formula, text = CASES["quiet-to-the-end"]
-        graph = IndexedMatchGraph(_va(formula).indexed(), text)
+        with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+            graph = IndexedMatchGraph(_va(formula).indexed(), text)
         # x closes as the letter after its `a` is read, into the trailing
-        # class star's state.
+        # class star's state, which no operation follows.
         layer = text.rindex("a") + 2
         (sid,) = iter_bits(graph.alive[layer])
-        assert is_quiet(graph, sid, layer)
-        assert graph._quiet_end(1 << sid, layer) == len(text)
+        assert graph._jumper()(1 << sid, layer) == (len(text), 1 << sid)
 
     def test_union_star_and_class_star_ticks_per_mapping_stay_flat(self, engine):
         union_formula, text = CASES["union-star"]
@@ -266,7 +322,8 @@ class TestExactness:
     def test_loud_self_loop_is_never_quiet(self):
         # A self-loop that performs operations repeats them when pumped,
         # so no sequential automaton has one; build one by hand.  State 0
-        # loops on `a` both with no operation and through x⊢.
+        # loops on `a` both with no operation and through x⊢, so every
+        # layer offers it a live operating option and the jump stays put.
         open_x, close_x = VarOp("x", True), VarOp("x", False)
         va = VA(
             initial=0,
@@ -276,7 +333,11 @@ class TestExactness:
         indexed = IndexedVA(va)
         letter = indexed.alphabet.ids["a"]
         assert indexed.successor_masks[letter][indexed.initial_id] & 1
-        assert not indexed.quiet_masks[letter] & 1
+        for walk in sorted(PINNED_WALKS):
+            with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+                graph = IndexedMatchGraph(indexed, "aaaa")
+            jump = graph._jumper()
+            assert [jump(1, layer) for layer in range(4)] == [(layer, 1) for layer in range(4)]
 
     def test_automaton_without_an_empty_opset(self, engine):
         # An accepting state accepts with the empty operation set, so only
@@ -284,7 +345,6 @@ class TestExactness:
         va = trim(VA(initial=0, accepting=[], transitions=[(0, "a", 0)]))
         indexed = va.indexed()
         assert indexed.empty_opset_id == -1
-        assert not any(indexed.quiet_masks)
         assert list(engine.enumerate(va, "aa")) == list(enumerate_mappings(va, "aa")) == []
         assert engine.first(va, "aa") is None
 

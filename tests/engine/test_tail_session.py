@@ -197,7 +197,6 @@ class _RecordingLayers(list):
 
 def assert_backward_layers_unbuilt(run):
     assert run._alive is None
-    assert run._quiet_ends is None
     assert all(rows is None for rows in run._edges)
     assert run._cnodes is None
 

@@ -1,9 +1,14 @@
 """Interchange (JSON / DOT) and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import Mapping, Span, SpanRelation, SpannerError
 from repro.cli import main
 from repro.io import (
@@ -110,6 +115,24 @@ class TestCli:
     def test_syntax_error_reported(self, capsys):
         assert main(["extract", "x{a", "--text", "a"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_closed_pipe_ends_quietly(self):
+        # A reader that stops after one line (`extract ... | head -1`)
+        # closes the pipe while the CLI still writes: it exits 0 and prints
+        # nothing to stderr.  The output outgrows the pipe's buffer.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "extract", "(a|b)*x{a}(a|b)*", "--text", "ab" * 20_000],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert process.stdout.readline()
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=120) == 0
+        assert stderr == b""
 
     def test_show_content(self, capsys):
         assert main(

@@ -26,7 +26,7 @@ from repro.va import kernel as kernel_module
 from repro.va.kernel import run_walk_runs, takes_run_walk
 from repro.workloads import random_sequential_formula
 
-from ..engine.test_quiet_skip import quiet_layers, skip_targets
+from ..engine.test_quiet_skip import jump_targets
 from ..properties.conftest import sequential_formulas
 
 _SETTINGS = settings(max_examples=60, deadline=None)
@@ -360,10 +360,8 @@ class TestLetterWalkGraph:
         assert mappings == list(runs.enumerate())
         assert first == runs.first() == (mappings[0] if mappings else None)
         assert SpanRelation(mappings) == evaluate_naive(va, doc)
-        # The quiet states per layer and the skip targets they give.
-        layers = list(range(len(doc)))
-        assert quiet_layers(letters) == quiet_layers(runs)
-        assert skip_targets(letters, layers) == skip_targets(runs, layers)
+        # The enumeration's jump from every live profile.
+        assert jump_targets(letters) == jump_targets(runs)
 
     @given(sequential_formulas(), st.text(alphabet="abc", max_size=8))
     @_SETTINGS
