@@ -1164,12 +1164,13 @@ class IndexedMatchGraph:
         others.  Two shortcuts cross the layers where nothing can be
         captured:
 
-        * A frame whose only option is the empty operation set is forced,
-          and so is the rest of the path up to the first layer where the
-          image of its profile under the transitions that perform no
-          operation holds a state with a live operating option: the path
-          jumps there in one step (:meth:`_jumper`), or to the last layer.
-          On the letter walk it steps the kernel's nodes and tests the
+        * A frame with a single option takes it, and the path jumps on
+          (:meth:`_jumper`) to the first layer where the image of its
+          profile under the transitions that perform no operation holds a
+          state with a live operating option, or to the last layer: the
+          layers in between offer only the empty operation set, so the
+          path is forced and its mapping does not change.  On the letter
+          walk the jump steps the kernel's nodes and tests the
           co-reachability nodes, against which the DFS also prunes its
           edge rows: a forward-reachable state's targets meet them exactly
           where they meet the live layers, so neither the forward nor the
@@ -1278,10 +1279,10 @@ class IndexedMatchGraph:
                     ops = opsets[oid]
                     if ops:
                         node = ((layer + 1, ops), node)
-                    elif profile & ~done:
+                    if profile & ~done:
                         layer, profile = jump(profile, layer + 1)
-                        continue
-                    layer += 1
+                    else:
+                        layer += 1
                     continue
                 ordered = sorted(options, key=rank.__getitem__)
                 # Stack the later options in reverse rank order, so the
