@@ -948,14 +948,12 @@ class IndexedMatchGraph:
                 if nxt == live and forward[i] == forward[i + 1]:
                     # Stable: M[j] = pred(M[j+1]) ∩ forward[j] keeps
                     # producing the same mask while the forward chain
-                    # stays equal — fill the stretch.
-                    fwd_i = forward[i]
-                    i -= 1
-                    while i >= start and forward[i] == fwd_i:
-                        alive[i] = nxt
-                        i -= 1
-                else:
-                    i -= 1
+                    # stays equal, which it does back to the fixpoint's
+                    # first layer in the run — fill the stretch.
+                    begin = forward.index(forward[i], start, i + 1)
+                    alive[begin:i] = [nxt] * (i - begin)
+                    i = begin
+                i -= 1
                 live = nxt
         return alive
 
