@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from itertools import islice, repeat
+from itertools import islice
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -68,7 +68,8 @@ class Alphabet:
 
     def encode(self, text: str) -> tuple[int, ...]:
         """``text`` as a tuple of letter ids (``-1`` for unknown letters)."""
-        return tuple(map(self.ids.get, text, repeat(-1)))
+        get = self.ids.get
+        return tuple(get(ch, -1) for ch in text)
 
     def __repr__(self) -> str:
         preview = "".join(self.signature[:16])
