@@ -50,10 +50,10 @@ is a fixpoint of a run's image crosses the run's stable live layers in
 one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
 states, from which no run performs an operation: a frame whose profile
 is all done is a leaf with one mapping, without a jump to the end.
-:meth:`IndexedMatchGraph.first` is a greedy walk: on the letter walk it
-prunes against the co-reachability nodes and memoizes its choices in the
-kernel, across documents; otherwise it reads the live layers, with the
-jump.  A tail session's re-evaluation instead
+:meth:`IndexedMatchGraph.first` is a greedy walk with the same jump: on
+the letter walk it prunes against the co-reachability nodes and memoizes
+its choices in the kernel, across documents; otherwise it reads the live
+layers.  A tail session's re-evaluation instead
 walks back from the final layer over the forward masks alone
 (:meth:`IndexedMatchGraph.enumerate_since`), pruned at the previous
 run's length, and a branch that has chosen an operation ends at the
@@ -1398,8 +1398,9 @@ class IndexedMatchGraph:
         predecessor rows (:meth:`IndexedVA.predecessor_rows`), each step
         intersected with the forward layer, which :meth:`extended` carries
         over.  Every forward-reachable state leads back to the initial one,
-        so no branch dead-ends, and no ``alive`` pass, quiet-stretch memo
-        or edge row is built.  A branch whose operation sets above layer
+        so no branch dead-ends, and no ``alive`` pass, co-reachability node
+        or edge row is built: the walk does not jump, since its own
+        shortcut ends a branch at its first all-clean profile.  A branch whose operation sets above layer
         ``m = prefix_length`` are all empty (the final one included)
         completes, through a state at layer ``m`` that accepts with the
         operation set chosen there, to a mapping of the prefix; such

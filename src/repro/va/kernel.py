@@ -386,11 +386,10 @@ class TransitionKernel:
     def cache_bytes_estimate(self) -> int:
         """A rough gauge of the letter walk's cross-document cache
         footprint (interned nodes, operating masks, the ``first()`` memo)
-        — what a guard's
-        ``cache_bytes`` budget is checked against, once per guarded
-        letter-walk graph construction.  Deliberately coarse: per-entry
-        constants stand in for deep ``sys.getsizeof`` walks, so the gauge
-        is cheap enough to consult per document."""
+        — what a guard's ``cache_bytes`` budget is checked against, once
+        per guarded letter-walk graph construction.  Deliberately coarse:
+        per-entry constants stand in for deep ``sys.getsizeof`` walks, so
+        the gauge is cheap enough to consult per document."""
         slots = self._n_letters + 2
         return self._cached_steps * 8 * slots + 96 * len(self.first_memo)
 
