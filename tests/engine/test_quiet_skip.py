@@ -163,7 +163,8 @@ class TestJumpTargets:
             (layer, profile): reference_jump(reference, profile, layer)
             for layer, profile in live_profiles(reference)
         }
-        # The jumping graph builds no live layer of its own first.
+        # A graph of its own, so the jump reads no edge row the
+        # reference built.
         assert jump_targets(jumper, reference) == expected
 
     @given(st.sampled_from(sorted(WRAPS)), st.text(alphabet="abc", max_size=12))
