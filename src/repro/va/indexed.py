@@ -1400,14 +1400,15 @@ class IndexedMatchGraph:
         over.  Every forward-reachable state leads back to the initial one,
         so no branch dead-ends, and no ``alive`` pass, co-reachability node
         or edge row is built: the walk does not jump, since its own
-        shortcut ends a branch at its first all-clean profile.  A branch whose operation sets above layer
-        ``m = prefix_length`` are all empty (the final one included)
-        completes, through a state at layer ``m`` that accepts with the
-        operation set chosen there, to a mapping of the prefix; such
-        states are dropped at layer ``m``.  A branch that has chosen an
-        operation yields as soon as its profile is all *clean*
-        (:attr:`IndexedVA.clean_mask`): no run reaches those states
-        through an operation, so the walk back to layer 0 would add none.
+        shortcut ends a branch at its first all-clean profile.  A branch
+        whose operation sets above layer ``m = prefix_length`` are all
+        empty (the final one included) completes, through a state at
+        layer ``m`` that accepts with the operation set chosen there, to a
+        mapping of the prefix; such states are dropped at layer ``m``.  A
+        branch that has chosen an operation yields as soon as its profile
+        is all *clean* (:attr:`IndexedVA.clean_mask`): no run reaches
+        those states through an operation, so the walk back to layer 0
+        would add none.
         So a re-evaluation after an append that completes no match walks
         only the appended layers, and each new mapping costs a walk back
         over its captured region, not to layer 0.

@@ -122,8 +122,9 @@ class TestCli:
         # nothing to stderr.  The output outgrows the pipe's buffer.
         src = str(Path(repro.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        text = "ab" * 20_000
         process = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "extract", "(a|b)*x{a}(a|b)*", "--text", "ab" * 20_000],
+            [sys.executable, "-m", "repro.cli", "extract", "(a|b)*x{a}(a|b)*", "--text", text],
             env={**os.environ, "PYTHONPATH": path},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
