@@ -43,8 +43,8 @@ to the first layer where the image of its states under the transitions
 that perform no operation holds a state with a live operating option,
 or to the last layer (Amarilli, Bourhis, Mengel and Niewerth's jump to
 the next capture layer, ICDT 2019).  On the letter walk the image steps
-a third family of the kernel's interned nodes and each layer is one
-memoized mask test against the co-reachability nodes, so the DFS builds
+the kernel's interned successor nodes and each layer is one memoized
+mask test against the co-reachability nodes, so the DFS builds
 neither the forward nor the live layers; on the run walk a profile that
 is a fixpoint of a run's image crosses the run's stable live layers in
 one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
@@ -1031,14 +1031,17 @@ class IndexedMatchGraph:
         as :meth:`~repro.va.kernel.TransitionKernel.frontier`'s guarded
         twin does.
 
-        On the letter walk the image steps the kernel's nodes over the
-        transitions that perform no operation
-        (:meth:`~repro.va.kernel.TransitionKernel.empty_extend`), and each
-        layer is one test against the operating mask of its letter, which
-        the next co-reachability node memoizes
-        (:meth:`~repro.va.kernel.TransitionKernel.operating`).  The image
-        stays unpruned on the way: a state of it that is not co-reachable
-        has no co-reachable successor, so it never meets an operating mask.
+        On the letter walk the image steps the kernel's interned successor
+        nodes, the forward walk's own, and each layer is one test against
+        the operating mask of its letter, which the next co-reachability
+        node memoizes (:meth:`~repro.va.kernel.TransitionKernel.operating`).
+        The image is neither pruned on the way nor restricted to the
+        transitions that perform no operation: a state with a transition
+        into the next layer's co-reachable states is itself co-reachable,
+        so where no state of the profile has a live operating option,
+        every state that an operating transition, or a state that is not
+        co-reachable, adds is not co-reachable either.  Such states never
+        meet an operating mask, and the stop prunes them.
 
         Every other walk (the run walk, a :class:`LayeredIndexedVA`, a
         graph without a kernel) scans the profile's macro transitions once
@@ -1056,12 +1059,11 @@ class IndexedMatchGraph:
         if self._runs is None and self._kernel is not None:
             kernel = self._kernel
             mask_slot, op_slot = kernel._mask_slot, kernel._op_slot
-            operating = kernel.operating
-            empty_node, empty_extend = kernel.empty_node, kernel.empty_extend
+            operating, extend = kernel.operating, kernel.extend
             cnodes = self._coreach_nodes()
 
             def jump(profile: int, layer: int) -> "tuple[int, int]":
-                node = empty_node(profile)
+                node = kernel.node(profile)
                 while True:
                     stop = min(n, layer + chunk)
                     while layer < stop:
@@ -1073,7 +1075,7 @@ class IndexedMatchGraph:
                         if node[mask_slot] & op:
                             return layer, node[mask_slot] & cnodes[layer][mask_slot]
                         nxt = node[lid]
-                        node = nxt if nxt is not None else empty_extend(node, lid)
+                        node = nxt if nxt is not None else extend(node, lid)
                         layer += 1
                     if layer == n:
                         return n, node[mask_slot] & self.final_mask
