@@ -93,21 +93,32 @@ class TestStatistics:
         assert before.documents == 0
 
     @pytest.mark.parametrize("backend", BACKEND_LEGS, indirect=True)
-    def test_states_explored_counts_the_profile_of_each_dfs_frame(self, backend):
-        # `[ab]*x{a}[ab]*` on "bab" takes four DFS frames of one state each:
-        # the initial state at layer 0, whose one option (the prefix star
-        # reading b) is forced, so the path jumps to layer 1, where x
-        # opens; the capture, which closes reading the b at layer 2; and
-        # the trailing star's state at the last layer, a leaf.
-        va = trim(regex_to_va(parse("[ab]*x{a}[ab]*")))
+    @pytest.mark.parametrize(
+        "formula, text, states",
+        [
+            # Four frames of one state each: the initial state at layer 0,
+            # whose one option (the prefix star reading b) is forced, so
+            # the path jumps to layer 1, where x opens; the capture, which
+            # closes reading the b at layer 2; and the trailing star's
+            # state at the last layer, a leaf.
+            ("[ab]*x{a}[ab]*", "bab", 4),
+            # Seven frames, one of them on the two states x's close leads
+            # into, the [bc]* and the [bd]* state.
+            ("x{a}([bc]*y{d}[a-e]*|[bd]*z{e}[a-e]*)", "abde", 8),
+        ],
+    )
+    def test_states_explored_counts_the_profile_of_each_dfs_frame(
+        self, backend, formula, text, states
+    ):
+        va = trim(regex_to_va(parse(formula)))
         engine = Engine(backend=backend)
-        assert len(engine.evaluate(va, "bab", budget="states=4")) == 1
-        assert engine.stats.states_explored == 4
+        assert engine.evaluate(va, text, budget=f"states={states}")
+        assert engine.stats.states_explored == states
         with pytest.raises(BudgetExceeded, match="states"):
-            engine.evaluate(va, "bab", budget="states=3")
-        graph = PreparedIndexedVA(va).run("bab")
-        assert len(list(graph.enumerate())) == 1
-        assert graph.states_explored == 4
+            engine.evaluate(va, text, budget=f"states={states - 1}")
+        graph = PreparedIndexedVA(va).run(text)
+        assert list(graph.enumerate()) == list(engine.enumerate(va, text))
+        assert graph.states_explored == states
         if graph._runs is None:
             # The letter walk prunes against co-reachability nodes alone.
             assert graph._forward is None and graph._alive is None

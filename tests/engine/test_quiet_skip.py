@@ -20,7 +20,7 @@ exports and on stars over unions of letters.
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algebra.sync_difference import PreparedSyncDifference
@@ -151,6 +151,11 @@ class TestJumpTargets:
         st.one_of(run_documents, documents),
         st.sampled_from(sorted(PINNED_WALKS)),
     )
+    # The live layers alternate inside the run, so a fixpoint profile
+    # may cross only stable ones.
+    @example(parse("a*x{a(aa)*}"), None, "a" * 9, "indexed-run-walk")
+    # The image holds states that are not co-reachable where it stops.
+    @example(parse("[ab]*(x{b}|b)|b"), None, "bbbb", "indexed-letter-walk")
     @_SETTINGS
     def test_jump_matches_the_definition(self, formula, wrap, text, walk):
         if wrap:
