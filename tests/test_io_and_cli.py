@@ -123,16 +123,16 @@ class TestCli:
         src = str(Path(repro.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         text = "ab" * 20_000
-        process = subprocess.Popen(
+        with subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "extract", "(a|b)*x{a}(a|b)*", "--text", text],
             env={**os.environ, "PYTHONPATH": path},
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-        )
-        assert process.stdout.readline()
-        process.stdout.close()
-        stderr = process.stderr.read()
-        assert process.wait(timeout=120) == 0
+        ) as process:
+            assert process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read()
+            assert process.wait(timeout=120) == 0
         assert stderr == b""
 
     def test_show_content(self, capsys):
