@@ -9,10 +9,9 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   transformer powers (plus fixpoint absorption), and the enumeration DFS
   jumps a forced stretch across a run's stable live layers in one step,
   so both emptiness and full enumeration scale with the number of
-  *runs*, not letters.  The
-  acceptance bar: ≥2x full-enumeration speedup over the letter walk
-  (forced by raising the shared run-walk threshold) on run-heavy
-  documents.
+  *runs*, not letters.  The acceptance bar: ≥2x full-enumeration
+  speedup over the letter walk (forced by raising the shared run-walk
+  threshold) on run-heavy documents.
 * **prefilter** — corpora where most documents provably cannot match are
   rejected in O(1) from the cached letter histogram, before any graph or
   encoding exists.  The acceptance bar: ≥5x emptiness/first-match
