@@ -21,8 +21,8 @@ across documents:
 * :mod:`repro.engine.guards` — execution guards: wall-clock deadlines,
   cooperative cancellation (:class:`CancelToken`), and resource budgets
   (:class:`Budget`) enforced cooperatively along every evaluation path;
-* :class:`EngineStats` — cache, optimizer, compile-time and graph-size
-  statistics.
+* :class:`EngineStats` — cache, optimizer, compile-time and
+  enumeration-work statistics.
 """
 
 from .backends import PreparedIndexedVA

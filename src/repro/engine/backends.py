@@ -4,8 +4,8 @@
 document-independent indexed form once, then builds a per-document *run*
 (:meth:`PreparedIndexedVA.run`): an
 :class:`~repro.va.indexed.IndexedMatchGraph` exposing the Theorem-2.5
-enumeration plus the match-graph size gauges the engine's statistics
-report.
+enumeration, whose DFS counts the states the engine's statistics
+report (``states_explored``).
 
 The indexed form relabels states to dense integers with precomputed
 per-letter/per-opset transition tables and bitmask state sets
