@@ -43,8 +43,8 @@ to the first layer where the image of its states under the transitions
 that perform no operation holds a state with a live operating option,
 or to the last layer (Amarilli, Bourhis, Mengel and Niewerth's jump to
 the next capture layer, ICDT 2019).  On the letter walk the image steps
-the kernel's interned successor nodes and each layer is one memoized
-mask test against the co-reachability nodes, so the DFS builds
+a third family of the kernel's interned nodes and each layer is one
+memoized mask test against the co-reachability nodes, so the DFS builds
 neither the forward nor the live layers; on the run walk a profile that
 is a fixpoint of a run's image crosses the run's stable live layers in
 one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
@@ -1031,17 +1031,15 @@ class IndexedMatchGraph:
         as :meth:`~repro.va.kernel.TransitionKernel.frontier`'s guarded
         twin does.
 
-        On the letter walk the image steps the kernel's interned successor
-        nodes, the forward walk's own, and each layer is one test against
-        the operating mask of its letter, which the next co-reachability
-        node memoizes (:meth:`~repro.va.kernel.TransitionKernel.operating`).
-        The image is neither pruned on the way nor restricted to the
-        transitions that perform no operation: a state with a transition
-        into the next layer's co-reachable states is itself co-reachable,
-        so where no state of the profile has a live operating option,
-        every state that an operating transition, or a state that is not
-        co-reachable, adds is not co-reachable either.  Such states never
-        meet an operating mask, and the stop prunes them.
+        On the letter walk the image steps the kernel's interned nodes
+        over the transitions that perform no operation
+        (:meth:`~repro.va.kernel.TransitionKernel.empty_extend`), and each
+        layer is one test against the operating mask of its letter, which
+        the next co-reachability node memoizes
+        (:meth:`~repro.va.kernel.TransitionKernel.operating`).  The image
+        stays unpruned on the way: a state of it that is not co-reachable
+        has no co-reachable successor, so it never meets an operating mask,
+        and the stop prunes it.
 
         Every other walk (the run walk, a :class:`LayeredIndexedVA`, a
         graph without a kernel) scans the profile's macro transitions once
@@ -1051,7 +1049,15 @@ class IndexedMatchGraph:
         step: the live layers follow ``M[j] = pred(M[j+1]) ∩ F`` there, so
         a fixpoint of that recurrence holds at every layer up to its last
         occurrence in the run, and each of those layers repeats the same
-        test and the same image."""
+        test and the same image.
+
+        While the image *holds* at the profile (on the letter walk, stays
+        its own node), as across a class star, a walk from any of those
+        layers is the same walk, so each profile keeps the last stretch it
+        held: a jump that starts inside it returns at once, and one that
+        walks into it while holding joins it.  Paths that enter one stretch
+        at many layers, as after a capture followed by a class star and a
+        later operation, so cross it once in all."""
         n = self._n
         ids = self.letter_ids
         guard = self._guard
@@ -1059,13 +1065,32 @@ class IndexedMatchGraph:
         if self._runs is None and self._kernel is not None:
             kernel = self._kernel
             mask_slot, op_slot = kernel._mask_slot, kernel._op_slot
-            operating, extend = kernel.operating, kernel.extend
+            operating, empty_extend = kernel.operating, kernel.empty_extend
             cnodes = self._coreach_nodes()
 
-            def jump(profile: int, layer: int) -> "tuple[int, int]":
-                node = kernel.node(profile)
+            def walk(profile: int, layer: int, lo: int, hi: int) -> "tuple":
+                node = start = kernel.empty_node(profile)
+                until = -1  # the last layer the image held at, once known
                 while True:
                     stop = min(n, layer + chunk)
+                    if until < 0:
+                        while layer < stop:
+                            if lo <= layer < hi:
+                                return None, layer
+                            lid = ids[layer]
+                            cnode = cnodes[layer + 1]
+                            op = cnode[op_slot + lid]
+                            if op is None:
+                                op = operating(lid, cnode)
+                            if profile & op:
+                                return (layer, profile & cnodes[layer][mask_slot]), layer
+                            nxt = start[lid]
+                            if nxt is None:
+                                nxt = empty_extend(start, lid)
+                            layer += 1
+                            if nxt is not start:
+                                node, until = nxt, layer - 1
+                                break
                     while layer < stop:
                         lid = ids[layer]
                         cnode = cnodes[layer + 1]
@@ -1073,55 +1098,73 @@ class IndexedMatchGraph:
                         if op is None:
                             op = operating(lid, cnode)
                         if node[mask_slot] & op:
-                            return layer, node[mask_slot] & cnodes[layer][mask_slot]
+                            return (layer, node[mask_slot] & cnodes[layer][mask_slot]), until
                         nxt = node[lid]
-                        node = nxt if nxt is not None else extend(node, lid)
+                        node = nxt if nxt is not None else empty_extend(node, lid)
                         layer += 1
                     if layer == n:
-                        return n, node[mask_slot] & self.final_mask
+                        result = n, node[mask_slot] & self.final_mask
+                        return result, n - 1 if until < 0 else until
                     guard.check()
 
-            return jump
-        alive, forward = self.alive, self.forward
-        tables = self.indexed.tables
-        empty = self.indexed.empty_opset_id
-        runs = self._runs
+        else:
+            alive, forward = self.alive, self.forward
+            tables = self.indexed.tables
+            empty = self.indexed.empty_opset_id
+            runs = self._runs
+
+            def walk(profile: int, layer: int, lo: int, hi: int) -> "tuple":
+                entry, until = profile, -1
+                while True:
+                    stop = min(n, layer + chunk)
+                    while layer < stop:
+                        if until < 0 and lo <= layer < hi:
+                            return None, layer
+                        live = alive[layer + 1]
+                        lid = ids[layer]
+                        image = 0
+                        mask = profile
+                        while mask:
+                            low = mask & -mask
+                            mask ^= low
+                            for oid, target_mask in tables[lid][low.bit_length() - 1]:
+                                if target_mask & live:
+                                    if oid != empty:
+                                        return (layer, profile), layer if until < 0 else until
+                                    image |= target_mask
+                        image &= live
+                        if (
+                            image == profile
+                            and runs is not None
+                            and layer + 1 < n
+                            and ids[layer + 1] == lid
+                            and alive[layer + 2] == live
+                            and forward[layer + 2] == forward[layer + 1]
+                        ):
+                            _, start, length = runs[bisect_right(runs, layer, key=itemgetter(1)) - 1]
+                            layer = start + length
+                            while alive[layer] != live:
+                                layer -= 1
+                            continue
+                        if until < 0 and image != entry:
+                            until = layer
+                        profile = image
+                        layer += 1
+                    if layer >= n:
+                        return (layer, profile), n - 1 if until < 0 else until
+                    guard.check()
+
+        # Per profile: (its last held stretch's first layer, the layer past
+        # its last, the jump's result from any of them).
+        held: dict[int, tuple] = {}
 
         def jump(profile: int, layer: int) -> "tuple[int, int]":
-            while True:
-                stop = min(n, layer + chunk)
-                while layer < stop:
-                    live = alive[layer + 1]
-                    lid = ids[layer]
-                    image = 0
-                    mask = profile
-                    while mask:
-                        low = mask & -mask
-                        mask ^= low
-                        for oid, target_mask in tables[lid][low.bit_length() - 1]:
-                            if target_mask & live:
-                                if oid != empty:
-                                    return layer, profile
-                                image |= target_mask
-                    image &= live
-                    if (
-                        image == profile
-                        and runs is not None
-                        and layer + 1 < n
-                        and ids[layer + 1] == lid
-                        and alive[layer + 2] == live
-                        and forward[layer + 2] == forward[layer + 1]
-                    ):
-                        _, start, length = runs[bisect_right(runs, layer, key=itemgetter(1)) - 1]
-                        layer = start + length
-                        while alive[layer] != live:
-                            layer -= 1
-                        continue
-                    profile = image
-                    layer += 1
-                if layer >= n:
-                    return layer, profile
-                guard.check()
+            lo, hi, found = held.get(profile, (-1, -1, None))
+            result, until = walk(profile, layer, lo, hi)
+            if result is None:  # started or walked into the last stretch
+                result, until, layer = found, hi - 1, min(layer, lo)
+            held[profile] = layer, until + 1, result
+            return result
 
         return jump
 

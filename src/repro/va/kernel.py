@@ -29,9 +29,10 @@ one of two walks:
   (:meth:`pred_extend`), and :meth:`IndexedMatchGraph.first
   <repro.va.indexed.IndexedMatchGraph.first>` memoizes its greedy
   per-layer choice in :attr:`first_memo`.  The enumeration DFS's jump
-  across forced layers steps the successor nodes too and tests each
-  layer against the states with a live operating option
-  (:meth:`operating`), which the predecessor nodes memoize.  Real
+  across forced layers steps a third family over the transitions that
+  perform no operation (:meth:`empty_extend`) and tests each layer
+  against the states with a live operating option (:meth:`operating`),
+  which the predecessor nodes memoize.  Real
   workloads revisit a handful of distinct frontiers; an automaton whose
   subset construction outgrows :attr:`STEP_CACHE_LIMIT` keeps computing
   its misses on transient nodes.
@@ -95,9 +96,11 @@ class TransitionKernel:
     until computed), ``node[n_letters]`` the frontier's int mask, and
     ``node[n_letters + 1]`` a kernel-unique small id, the handle of the
     ``first()`` memo, or ``-1`` on a transient node, which the memo never
-    holds.  Separate node families cover the successor and the
-    predecessor relation.  A predecessor node holds :meth:`operating`'s
-    mask of each letter in ``node[n_letters + 2 + letter_id]``.
+    holds.  Separate node families cover the successor relation, the
+    predecessor relation, and the successor relation restricted to the
+    transitions that perform no operation.  A predecessor node holds
+    :meth:`operating`'s mask of each letter in ``node[n_letters + 2 +
+    letter_id]``.
 
     Attributes:
         successor_masks: the per-letter base transformers (one application
@@ -107,13 +110,13 @@ class TransitionKernel:
             length ≥ 2 served by fixpoint absorption or power doubling
             instead of per-letter stepping).
         step_misses: cumulative count of node transitions actually
-            computed (cache misses of the letter walk, both families).
+            computed (cache misses of the letter walk, every family).
         first_memo: the letter walk's greedy ``first()`` choices, keyed on
             ``(profile, letter id, co-reachability node id)``.
     """
 
     #: Total interned nodes, filled successor slots and operating masks
-    #: across both node families.  Real workloads reach a few dozen; the
+    #: across the node families.  Real workloads reach a few dozen; the
     #: bound only matters for adversarial subset-construction blowups,
     #: which simply stop caching (transient nodes, computed per use, never
     #: linked).
@@ -129,6 +132,7 @@ class TransitionKernel:
         "_empty_oid",
         "_powers",
         "_preds",
+        "_empty_rows",
         "run_hits",
         "_n_letters",
         "_mask_slot",
@@ -136,6 +140,7 @@ class TransitionKernel:
         "_op_slot",
         "_nodes",
         "_pred_nodes",
+        "_empty_nodes",
         "_next_id",
         "_cached_steps",
         "first_memo",
@@ -151,6 +156,7 @@ class TransitionKernel:
         # the letter; built on demand, memoized per (letter, 2^k).
         self._powers: dict[int, list[list[int]]] = {}
         self._preds: dict[int, list[int]] = {}
+        self._empty_rows: dict[int, list[int]] = {}
         self.run_hits = 0
         n_letters = self._n_letters = len(indexed.successor_masks)
         self._mask_slot = n_letters
@@ -158,6 +164,7 @@ class TransitionKernel:
         self._op_slot = n_letters + 2
         self._nodes: dict[int, list] = {}
         self._pred_nodes: dict[int, list] = {}
+        self._empty_nodes: dict[int, list] = {}
         self._next_id = 0
         self._cached_steps = 0
         self.first_memo: dict = {}
@@ -274,6 +281,11 @@ class TransitionKernel:
         slot per letter for :meth:`operating`."""
         return self._intern(self._pred_nodes, mask, self._n_letters)
 
+    def empty_node(self, mask: int) -> list:
+        """The node of a state mask in the family of the transitions that
+        perform no operation."""
+        return self._intern(self._empty_nodes, mask)
+
     def extend(self, node: list, letter_id: int) -> list:
         """The forward cache-miss path: the node of the states reached
         from ``node``'s by one ``letter_id``, linked into its slot."""
@@ -286,6 +298,20 @@ class TransitionKernel:
         nxt = self.pred_node(
             apply_masks(self.pred_row(letter_id), node[self._mask_slot])
         )
+        return self._link(node, letter_id, nxt)
+
+    def empty_extend(self, node: list, letter_id: int) -> list:
+        """The jump's cache-miss path: the node of the states ``node``'s
+        reach by reading ``letter_id`` with the empty operation set,
+        linked into its slot."""
+        row = self._empty_rows.get(letter_id)
+        if row is None:
+            empty = self._empty_oid
+            row = self._empty_rows[letter_id] = [
+                sum(target_mask for oid, target_mask in entries if oid == empty)
+                for entries in self._tables[letter_id]
+            ]
+        nxt = self.empty_node(apply_masks(row, node[self._mask_slot]))
         return self._link(node, letter_id, nxt)
 
     def operating(self, letter_id: int, cnode: list) -> int:

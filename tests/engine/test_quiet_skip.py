@@ -144,6 +144,16 @@ class StridelessGuard(ExecutionGuard):
     TICK_STRIDE = 1 << 30
 
 
+class ReadCounter(tuple):
+    """Letter ids that count the reads by index."""
+
+    count = 0
+
+    def __getitem__(self, index):
+        self.count += 1
+        return super().__getitem__(index)
+
+
 class TestJumpTargets:
     @given(
         sequential_formulas(),
@@ -191,13 +201,35 @@ class TestJumpTargets:
         }
         assert jump_targets(jumper, reference) == expected
 
+    @pytest.mark.parametrize("walk", sorted(PINNED_WALKS))
+    def test_a_stretch_many_paths_enter_is_crossed_once(self, walk):
+        # Each x path jumps from its capture across one [ab]* stretch to the
+        # y at the end, entering it at a layer of its own.  A jump that
+        # starts in, or walks into, the stretch an earlier path held takes
+        # that path's stop, so the letters the DFS and its jumps read per
+        # mapping stay flat as the text grows; crossing the stretch anew on
+        # every path reads about n/2 per mapping.
+        indexed = _va("[ab]*x{a}[ab]*y{b}").indexed()
+        per_mapping = []
+        for copies in (25, 100):
+            text = ("a" * 5 + "b" * 5) * copies
+            with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+                graph = IndexedMatchGraph(indexed, text)
+            graph.alive  # the passes, which read the letters too
+            graph._letter_ids = reads = ReadCounter(graph.letter_ids)
+            mappings = list(graph.enumerate())
+            assert len(mappings) == 5 * copies
+            per_mapping.append(reads.count / len(mappings))
+        assert per_mapping[1] <= 1.2 * per_mapping[0], per_mapping
+
     @pytest.mark.parametrize("leg", sorted(PINNED_WALKS))
     @pytest.mark.parametrize("on_budget", ["raise", "partial"])
     def test_deadline_trips_inside_one_forced_stretch(self, leg, on_budget):
-        # Two mappings, each with a forced stretch of 100k letters between
-        # its first capture and its last; on the pinned run walk the runs
-        # are single letters, so no stretch is crossed in one step.
-        va = _va("(x{a}|y{a})[ab]*z{b}")
+        # Two mappings, each with a forced stretch of 100k letters of its
+        # own between its first capture and its last; on the pinned run
+        # walk the runs are single letters, so no stretch is crossed in
+        # one step.
+        va = _va("x{a}[ab]*z{b}|y{a}[ab]*w{b}")
         text = "a" + "ba" * 50_000 + "b"
         now = [0.0]
         guard = StridelessGuard(deadline=60.0, on_budget=on_budget, clock=lambda: now[0])
