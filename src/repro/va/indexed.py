@@ -48,8 +48,9 @@ memoized mask test against the co-reachability nodes, so the DFS builds
 neither the forward nor the live layers; on the run walk a profile that
 is a fixpoint of a run's image crosses the run's stable live layers in
 one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
-states, from which no run performs an operation: a frame whose profile
-is all done is a leaf with one mapping, without a jump to the end.
+states, from which no run performs an operation: a jump also stops where
+the live part of the image turns all done, and a frame whose profile is
+all done is a leaf with one mapping, without a jump to the end.
 :meth:`IndexedMatchGraph.first` is a greedy walk with the same jump: on
 the letter walk it prunes against the co-reachability nodes and memoizes
 its choices in the kernel, across documents; otherwise it reads the live
@@ -115,10 +116,11 @@ class IndexedVA:
             — the Boolean (operation-blind) transition relation the lazy
             match graph's forward/backward passes run on.
         done_mask: the states from which no run performs an operation,
-            accepting operation sets included: a DFS frame whose profile
-            holds only these states ends in exactly one mapping, its
-            path's, where a jump would cross the rest of the document
-            (see :meth:`IndexedMatchGraph.enumerate`).
+            accepting operation sets included: a jump stops where its live
+            image holds only these states, and a DFS frame whose profile
+            does ends in exactly one mapping, its path's, where a jump on
+            would cross the rest of the document (see
+            :meth:`IndexedMatchGraph.enumerate`).
         clean_mask: the states that no run reaches through an operation:
             a backward frame whose profile holds only these states walks
             back to layer 0 without another operation (see
@@ -1023,13 +1025,16 @@ class IndexedMatchGraph:
     def _jumper(self):
         """The jump, as a function of ``(profile, layer)`` bound to this
         graph's walk: from a live profile at a layer, to the first layer
-        where the image of its states under the transitions that perform
-        no operation holds a state with a live operating option, or to the
-        last layer, with the live part of the image there.  On the way
-        every live option is the empty operation set, so the path is forced
-        and performs nothing.  The guard is checked once per 4096 steps,
-        as :meth:`~repro.va.kernel.TransitionKernel.frontier`'s guarded
-        twin does.
+        where the live part of the image of its states under the
+        transitions that perform no operation is all done
+        (:attr:`IndexedVA.done_mask`) or holds a state with a live
+        operating option, or to the last layer, with that live part there.
+        On the way every live option is the empty operation set, so the
+        path is forced and performs nothing, and past an all-done image it
+        performs nothing either: the DFS ends it there with a leaf.  The
+        guard is checked once per 4096 steps, as
+        :meth:`~repro.va.kernel.TransitionKernel.frontier`'s guarded twin
+        does.
 
         On the letter walk the image steps the kernel's interned nodes
         over the transitions that perform no operation
@@ -1039,11 +1044,13 @@ class IndexedMatchGraph:
         (:meth:`~repro.va.kernel.TransitionKernel.operating`).  The image
         stays unpruned on the way: a state of it that is not co-reachable
         has no co-reachable successor, so it never meets an operating mask,
-        and the stop prunes it.
+        and the stop prunes it.  The done test prunes it too, so it runs
+        where the image's node or the co-reachability node changes.
 
         Every other walk (the run walk, a :class:`LayeredIndexedVA`, a
         graph without a kernel) scans the profile's macro transitions once
-        per layer against the live layers.  On the run walk a profile that
+        per layer against the live layers, and tests the live image for
+        done states where it changes.  On the run walk a profile that
         is a fixpoint of its image, inside a run where the forward and live
         layers are stable, crosses the run's stable live layers in one
         step: the live layers follow ``M[j] = pred(M[j+1]) ∩ F`` there, so
@@ -1062,6 +1069,7 @@ class IndexedMatchGraph:
         ids = self.letter_ids
         guard = self._guard
         chunk = n if guard is None else 4096
+        not_done = ~self.indexed.done_mask
         if self._runs is None and self._kernel is not None:
             kernel = self._kernel
             mask_slot, op_slot = kernel._mask_slot, kernel._op_slot
@@ -1069,42 +1077,36 @@ class IndexedMatchGraph:
             cnodes = self._coreach_nodes()
 
             def walk(profile: int, layer: int, lo: int, hi: int) -> "tuple":
-                node = start = kernel.empty_node(profile)
+                node, last = kernel.empty_node(profile), None
                 until = -1  # the last layer the image held at, once known
                 while True:
                     stop = min(n, layer + chunk)
-                    if until < 0:
-                        while layer < stop:
-                            if lo <= layer < hi:
-                                return None, layer
-                            lid = ids[layer]
-                            cnode = cnodes[layer + 1]
-                            op = cnode[op_slot + lid]
-                            if op is None:
-                                op = operating(lid, cnode)
-                            if profile & op:
-                                return (layer, profile & cnodes[layer][mask_slot]), layer
-                            nxt = start[lid]
-                            if nxt is None:
-                                nxt = empty_extend(start, lid)
-                            layer += 1
-                            if nxt is not start:
-                                node, until = nxt, layer - 1
-                                break
                     while layer < stop:
+                        if until < 0 and lo <= layer < hi:
+                            return None, layer
                         lid = ids[layer]
                         cnode = cnodes[layer + 1]
                         op = cnode[op_slot + lid]
                         if op is None:
                             op = operating(lid, cnode)
-                        if node[mask_slot] & op:
-                            return (layer, node[mask_slot] & cnodes[layer][mask_slot]), until
+                        if profile & op:
+                            result = layer, profile & cnodes[layer][mask_slot]
+                            return result, layer if until < 0 else until
                         nxt = node[lid]
-                        node = nxt if nxt is not None else empty_extend(node, lid)
+                        if nxt is None:
+                            nxt = empty_extend(node, lid)
                         layer += 1
+                        if nxt is not node:
+                            if until < 0:
+                                until = layer - 1
+                            node, profile, last = nxt, nxt[mask_slot], None
+                        if cnode is not last:  # a new image or co-reachability node
+                            last = cnode
+                            if not profile & cnode[mask_slot] & not_done:
+                                result = layer, profile & cnode[mask_slot]
+                                return result, layer if until < 0 else until
                     if layer == n:
-                        result = n, node[mask_slot] & self.final_mask
-                        return result, n - 1 if until < 0 else until
+                        return (n, profile & self.final_mask), n - 1 if until < 0 else until
                     guard.check()
 
         else:
@@ -1114,7 +1116,7 @@ class IndexedMatchGraph:
             runs = self._runs
 
             def walk(profile: int, layer: int, lo: int, hi: int) -> "tuple":
-                entry, until = profile, -1
+                until = -1
                 while True:
                     stop = min(n, layer + chunk)
                     while layer < stop:
@@ -1133,23 +1135,25 @@ class IndexedMatchGraph:
                                         return (layer, profile), layer if until < 0 else until
                                     image |= target_mask
                         image &= live
-                        if (
-                            image == profile
-                            and runs is not None
-                            and layer + 1 < n
-                            and ids[layer + 1] == lid
-                            and alive[layer + 2] == live
-                            and forward[layer + 2] == forward[layer + 1]
+                        layer += 1
+                        if image != profile:
+                            if until < 0:
+                                until = layer - 1
+                            if not image & not_done:
+                                return (layer, image), until
+                            profile = image
+                        elif (
+                            runs is not None
+                            and layer < n
+                            and ids[layer] == lid
+                            and alive[layer + 1] == live
+                            and forward[layer + 1] == forward[layer]
                         ):
-                            _, start, length = runs[bisect_right(runs, layer, key=itemgetter(1)) - 1]
+                            run = bisect_right(runs, layer - 1, key=itemgetter(1)) - 1
+                            _, start, length = runs[run]
                             layer = start + length
                             while alive[layer] != live:
                                 layer -= 1
-                            continue
-                        if until < 0 and image != entry:
-                            until = layer
-                        profile = image
-                        layer += 1
                     if layer >= n:
                         return (layer, profile), n - 1 if until < 0 else until
                     guard.check()
@@ -1159,6 +1163,8 @@ class IndexedMatchGraph:
         held: dict[int, tuple] = {}
 
         def jump(profile: int, layer: int) -> "tuple[int, int]":
+            if not profile & not_done:
+                return layer, profile
             lo, hi, found = held.get(profile, (-1, -1, None))
             result, until = walk(profile, layer, lo, hi)
             if result is None:  # started or walked into the last stretch
@@ -1210,18 +1216,18 @@ class IndexedMatchGraph:
         * A frame with a single option takes it, and the path jumps on
           (:meth:`_jumper`) to the first layer where the image of its
           profile under the transitions that perform no operation holds a
-          state with a live operating option, or to the last layer: the
-          layers in between offer only the empty operation set, so the
-          path is forced and its mapping does not change.  On the letter
-          walk the jump steps the kernel's nodes and tests the
-          co-reachability nodes, against which the DFS also prunes its
-          edge rows: a forward-reachable state's targets meet them exactly
-          where they meet the live layers, so neither the forward nor the
-          live layers are built.
+          state with a live operating option or is all done, or to the
+          last layer: the layers in between offer only the empty
+          operation set, so the path is forced and its mapping does not
+          change.  On the letter walk the jump steps the kernel's nodes
+          and tests the co-reachability nodes, against which the DFS also
+          prunes its edge rows: a forward-reachable state's targets meet
+          them exactly where they meet the live layers, so neither the
+          forward nor the live layers are built.
         * A frame whose profile is all *done* (:attr:`IndexedVA.done_mask`:
           no run from its states performs an operation) is a leaf: every
           live path on from it ends in the one mapping of the path so far,
-          where a jump would cross the rest of the document.
+          where a jump on would cross the rest of the document.
 
         A path node is ``((position, operation set), parent)`` and records
         only operating steps, so a jump pushes the parent unchanged and a
@@ -1322,10 +1328,7 @@ class IndexedMatchGraph:
                     ops = opsets[oid]
                     if ops:
                         node = ((layer + 1, ops), node)
-                    if profile & ~done:
-                        layer, profile = jump(profile, layer + 1)
-                    else:
-                        layer += 1
+                    layer, profile = jump(profile, layer + 1)
                     continue
                 ordered = sorted(options, key=rank.__getitem__)
                 # Stack the later options in reverse rank order, so the
@@ -1351,8 +1354,9 @@ class IndexedMatchGraph:
         the canonically-minimal operation set at every layer, so no stack,
         no generator frames, and no alternatives are ever pushed.
         :meth:`enumerate`'s jump carries the path across every stretch
-        where it is forced, and its done leaf ends it; :meth:`_choice`
-        picks the option at each layer where the jump stops.
+        where it is forced, and the path ends at the last layer or where
+        its profile is all done; :meth:`_choice` picks the option at each
+        other layer where the jump stops.
         """
         if self.is_empty:
             return None
@@ -1368,25 +1372,24 @@ class IndexedMatchGraph:
         while True:
             if guard is not None:
                 guard.tick()
-            if not profile & ~done:
-                return _mapping_from_entries(entries)
             layer, profile = jump(profile, layer)
-            if layer == n:
+            if layer == n or not profile & ~done:
                 break
             oid, profile = choice(profile, layer)
             ops = opsets[oid]
             if ops:
                 entries.append((layer + 1, ops))
             layer += 1
-        final = self.final
-        best_final = -1
-        for sid in iter_bits(profile):
-            for oid in final.get(sid, ()):
-                if best_final < 0 or rank[oid] < rank[best_final]:
-                    best_final = oid
-        final_ops = opsets[best_final]
-        if final_ops:
-            entries.append((n + 1, final_ops))
+        if layer == n:
+            final = self.final
+            best_final = -1
+            for sid in iter_bits(profile):
+                for oid in final.get(sid, ()):
+                    if best_final < 0 or rank[oid] < rank[best_final]:
+                        best_final = oid
+            final_ops = opsets[best_final]
+            if final_ops:
+                entries.append((n + 1, final_ops))
         return _mapping_from_entries(entries)
 
     def _choice(self, profile: int, layer: int) -> "tuple[int, int]":

@@ -73,12 +73,12 @@ def _va(text: str):
 
 def reference_jump(graph, profile: int, layer: int) -> "tuple[int, int]":
     """The jump by its definition, stepped layer by layer over the edge
-    rows: the first layer from ``layer`` on at which a state of the
-    profile's image under the empty operation set has a live operating
-    option, or the last layer, and the image there."""
-    opsets = graph.indexed.opsets
+    rows: the first layer from ``layer`` on at which the profile's image
+    under the empty operation set is all done or holds a state with a live
+    operating option, or the last layer, and the image there."""
+    opsets, done = graph.indexed.opsets, graph.indexed.done_mask
     n = len(graph.document)
-    while layer < n:
+    while layer < n and profile & ~done:
         options = [
             option for sid in iter_bits(profile) for option in graph.edge_row(layer, sid)
         ]
@@ -166,6 +166,10 @@ class TestJumpTargets:
     @example(parse("a*x{a(aa)*}"), None, "a" * 9, "indexed-run-walk")
     # The image holds states that are not co-reachable where it stops.
     @example(parse("[ab]*(x{b}|b)|b"), None, "bbbb", "indexed-letter-walk")
+    # After x and the b, the state is not done, as its `c` branch captures
+    # y, but its image on the next letter is the done trailing star.
+    @example(parse("x{a}b([c]y{a})?"), "class-star", "abababab", "indexed-letter-walk")
+    @example(parse("x{a}b([c]y{a})?"), "union-star", "abababab", "indexed-run-walk")
     @_SETTINGS
     def test_jump_matches_the_definition(self, formula, wrap, text, walk):
         if wrap:
@@ -325,13 +329,15 @@ class TestExactness:
 
     @pytest.mark.parametrize("walk", sorted(PINNED_WALKS))
     def test_quiet_stretch_to_the_last_layer(self, walk):
-        formula, text = CASES["quiet-to-the-end"]
+        text = CASES["quiet-to-the-end"][1]
         with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
-            graph = IndexedMatchGraph(_va(formula).indexed(), text)
+            graph = IndexedMatchGraph(_va("[ab]*x{a}[ab]*([c]y{a})?").indexed(), text)
         # x closes as the letter after its `a` is read, into the trailing
-        # class star's state, which no operation follows.
+        # class star's state.  Its `c` branch captures y, so it is not
+        # done, but no `c` follows: the path is forced to the last layer.
         layer = text.rindex("a") + 2
         (sid,) = iter_bits(graph.alive[layer])
+        assert not graph.indexed.done_mask >> sid & 1
         assert graph._jumper()(1 << sid, layer) == (len(text), 1 << sid)
 
     def test_union_star_and_class_star_ticks_per_mapping_stay_flat(self, engine):
@@ -388,6 +394,27 @@ class TestExactness:
 
 
 class TestOutputLinearCost:
+    @pytest.mark.parametrize("walk", sorted(PINNED_WALKS))
+    @pytest.mark.parametrize(
+        "formula", ["[ab]*x{a}b([c]y{a})?[ab]*", "(a|b)*x{a}b([c]y{a})?(a|b)*"],
+        ids=["class-star", "union-star"],
+    )
+    def test_letter_reads_per_mapping_stay_flat_where_the_image_turns_done(self, walk, formula):
+        # After each x and its b, the state is not done, as its `c` branch
+        # captures y, but its image on the next letter is the trailing
+        # star, all done: the path ends there.  A jump on to the last layer
+        # reads about n/2 letters per mapping.
+        indexed = _va(formula).indexed()
+        per_mapping = []
+        for copies in (250, 1000):
+            with patch.object(kernel_module, "RUN_WALK_THRESHOLD", PINNED_WALKS[walk]):
+                graph = IndexedMatchGraph(indexed, "ab" * copies)
+            graph.alive  # the passes, which read the letters too
+            graph._letter_ids = reads = ReadCounter(graph.letter_ids)
+            assert sum(1 for _ in graph.enumerate()) == copies
+            per_mapping.append(reads.count / copies)
+        assert per_mapping[1] <= 1.2 * per_mapping[0], per_mapping
+
     @pytest.mark.parametrize(
         "formula", [csv_records.record_formula(), csv_records.field_formula()],
         ids=["record", "field"],
