@@ -1232,8 +1232,9 @@ class IndexedMatchGraph:
         A path node is ``((position, operation set), parent)`` and records
         only operating steps, so a jump pushes the parent unchanged and a
         leaf rebuilds its mapping in O(captures), not O(layers).  Every
-        frame counts its profile's states into :attr:`states_explored` and
-        charges them against a guard's ``states`` budget.
+        frame counts its profile's states into :attr:`states_explored`,
+        before it charges them against a guard's ``states`` budget, so a
+        trip leaves the two equal.
         """
         if self.is_empty or (limit is not None and limit <= 0):
             return
@@ -1264,6 +1265,7 @@ class IndexedMatchGraph:
                 states = profile.bit_count()
                 explored += states
                 if guard is not None:
+                    self.states_explored = explored  # before a trip
                     guard.tick()
                     guard.charge_states(states)
                 if layer == n or not profile & ~done:

@@ -22,6 +22,7 @@ from repro import (
 )
 from repro.core import BudgetExceeded, SpannerError
 from repro.engine import EngineStats, PreparedIndexedVA
+from repro.engine.guards import ExecutionGuard
 from repro.va import regex_to_va, trim
 
 from .conftest import BACKEND_LEGS
@@ -116,6 +117,17 @@ class TestStatistics:
         assert engine.stats.states_explored == states
         with pytest.raises(BudgetExceeded, match="states"):
             engine.evaluate(va, text, budget=f"states={states - 1}")
+        # A trip mid-DFS, raised or absorbed: the gauge holds every state
+        # the budget was charged, the tripping frame's included.
+        for on_budget in ("raise", "partial"):
+            engine = Engine(backend=backend)
+            guard = ExecutionGuard(budget=f"states={states - 2}", on_budget=on_budget)
+            try:
+                engine.evaluate(va, text, guard=guard)
+            except BudgetExceeded:
+                assert on_budget == "raise"
+            assert guard.tripped == "budget:states"
+            assert engine.stats.states_explored == guard.spent_states == states - 1
         graph = PreparedIndexedVA(va).run(text)
         assert list(graph.enumerate()) == list(engine.enumerate(va, text))
         assert graph.states_explored == states
