@@ -716,7 +716,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        # Flush here, so a reader that closed early meets the handler
+        # below, not the interpreter's final flush.
+        sys.stdout.flush()
+        return status
     except BrokenPipeError:
         # The reader closed the pipe early (`... | head -1`): stop quietly,
         # with stdout pointed at devnull so the interpreter's final flush

@@ -27,6 +27,15 @@ def m(**kwargs) -> Mapping:
     return Mapping({k: Span(*v) for k, v in kwargs.items()})
 
 
+def _cli_process(args: "list[str]", **kwargs) -> subprocess.Popen:
+    """``python -m repro.cli`` with ``args``, on this checkout's sources,
+    with stdout block-buffered into a pipe, as in a shell pipeline."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.Popen([sys.executable, "-m", "repro.cli", *args], env=env, **kwargs)
+
+
 def sample_va():
     return trim(regex_to_va(parse("x{a*}b|c")))
 
@@ -120,12 +129,9 @@ class TestCli:
         # A reader that stops after one line (`extract ... | head -1`)
         # closes the pipe while the CLI still writes: it exits 0 and prints
         # nothing to stderr.  The output outgrows the pipe's buffer.
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         text = "ab" * 20_000
-        with subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "extract", "(a|b)*x{a}(a|b)*", "--text", text],
-            env={**os.environ, "PYTHONPATH": path},
+        with _cli_process(
+            ["extract", "(a|b)*x{a}(a|b)*", "--text", text],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         ) as process:
@@ -133,6 +139,24 @@ class TestCli:
             process.stdout.close()
             stderr = process.stderr.read()
             assert process.wait(timeout=120) == 0
+        assert stderr == b""
+
+    def test_pipe_closed_before_any_output_ends_quietly(self):
+        # The reader is gone before the CLI writes (`extract ... | true`),
+        # and the output is small enough to wait in stdout's buffer for
+        # the last flush: it exits 0 and prints nothing to stderr.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            with _cli_process(
+                ["extract", "x{a+}b", "--text", "aab"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            ) as process:
+                stderr = process.stderr.read()
+                assert process.wait(timeout=120) == 0
+        finally:
+            os.close(write_end)
         assert stderr == b""
 
     def test_show_content(self, capsys):
