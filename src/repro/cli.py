@@ -722,10 +722,13 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
         return status
     except BrokenPipeError:
-        # The reader closed the pipe early (`... | head -1`): stop quietly,
-        # with stdout pointed at devnull so the interpreter's final flush
+        # The reader closed the pipe early (`... | head -1`, or `2>&1 |
+        # grep -q` on the stats): stop quietly, with stdout and stderr
+        # pointed at devnull so the interpreter's final flush of either
         # does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         return 0
     except (SpannerError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)

@@ -155,6 +155,14 @@ class TestCli:
             ) as process:
                 stderr = process.stderr.read()
                 assert process.wait(timeout=120) == 0
+            # With the stats on stderr into the same pipe (`--stats 2>&1
+            # | grep -q ...`), stderr breaks first: it exits 0 too.
+            with _cli_process(
+                ["extract", "x{a+}b", "--text", "aab", "--stats"],
+                stdout=write_end,
+                stderr=write_end,
+            ) as process:
+                assert process.wait(timeout=120) == 0
         finally:
             os.close(write_end)
         assert stderr == b""
