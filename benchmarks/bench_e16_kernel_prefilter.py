@@ -39,7 +39,11 @@ The evaluation kernel's per-document cost should be sublinear in practice:
   acceptance bar is a count: on the low-run 100k-letter cells, whose
   query stars a union of letters, frames per mapping on the whole
   document are at most 1.5x those on its first quarter (a walk that
-  steps one frame per layer grows about 4x).
+  steps one frame per layer grows about 4x).  One more low-run cell,
+  under the same bar, runs :data:`HELD_FORMULA`, whose paths enter one
+  class-star stretch at many layers: a jump that crossed the stretch
+  anew on every path would add about one guard check per 4096 layers,
+  about n/2 layers per mapping.
 
 Every timed call runs with the garbage collector paused, as ``timeit``
 does, so a collection triggered by earlier allocations cannot land in one
@@ -690,6 +694,9 @@ ENUM_NEEDLE_RATES = (0.02, 0.08)
 #: Runs per cell, each on a fresh document with the collector paused;
 #: the median is reported.
 ENUM_REPEATS = 3
+#: The held-stretch cell's query: every x path crosses the [ab]* stretch
+#: from its capture to the y at the end of the document.
+HELD_FORMULA = "[ab]*x{a}[ab]*y{b}"
 
 
 def _enum_document(run_length: int, needle_rate: float, seed: int) -> Document:
@@ -768,40 +775,56 @@ def _enumeration_cell(indexed, doc: Document) -> dict:
     }
 
 
+def _held_document(seed: int) -> Document:
+    """``ENUM_DOC_LETTERS`` random a/b letters, with a ``b`` closing the
+    document and its first quarter, so both end a match of
+    :data:`HELD_FORMULA`."""
+    rng = random.Random(seed)
+    letters = [rng.choice("ab") for _ in range(ENUM_DOC_LETTERS)]
+    letters[ENUM_DOC_LETTERS // 4 - 1] = letters[-1] = "b"
+    return Document("".join(letters))
+
+
 def _enumeration_sweep():
     from repro.regex import parse
 
     from bench_common import compile_formula
 
-    indexed = compile_formula(parse(MATRIX_FORMULA)).indexed()
+    cells = [
+        (
+            MATRIX_FORMULA,
+            run_length,
+            rate,
+            _enum_document(run_length, rate, seed=run_length * 1000 + int(rate * 100)),
+        )
+        for run_length in ENUM_RUN_LENGTHS
+        for rate in ENUM_NEEDLE_RATES
+    ]
+    cells.append((HELD_FORMULA, 1, None, _held_document(seed=1)))
     rows = []
-    for run_length in ENUM_RUN_LENGTHS:
-        for rate in ENUM_NEEDLE_RATES:
-            doc = _enum_document(
-                run_length, rate, seed=run_length * 1000 + int(rate * 100)
-            )
-            full = _enumeration_cell(indexed, doc)
-            assert full["mappings"] > 0, (run_length, rate)
-            quarter = _enumeration_cell(indexed, Document(doc.text[: len(doc) // 4]))
-            rows.append(
-                {
-                    "workload": "low_run" if run_length <= 1 else "run_heavy",
-                    "run_length": run_length,
-                    "needle_rate": rate,
-                    "doc_letters": full["letters"],
-                    "mappings": full["mappings"],
-                    "indexed_ms": full["indexed_ms"],
-                    "indexed_ms_runs": full["indexed_ms_runs"],
-                    "indexed_maps_per_s": round(
-                        full["mappings"] / (full["indexed_ms"] / 1e3), 1
-                    ),
-                    "frames_per_mapping": full["frames_per_mapping"],
-                    "quarter_letters": quarter["letters"],
-                    "quarter_mappings": quarter["mappings"],
-                    "quarter_indexed_ms": quarter["indexed_ms"],
-                    "quarter_frames_per_mapping": quarter["frames_per_mapping"],
-                }
-            )
+    for formula, run_length, rate, doc in cells:
+        indexed = compile_formula(parse(formula)).indexed()
+        full = _enumeration_cell(indexed, doc)
+        assert full["mappings"] > 0, (formula, run_length, rate)
+        quarter = _enumeration_cell(indexed, Document(doc.text[: len(doc) // 4]))
+        rows.append(
+            {
+                "formula": formula,
+                "workload": "low_run" if run_length <= 1 else "run_heavy",
+                "run_length": run_length,
+                "needle_rate": rate,
+                "doc_letters": full["letters"],
+                "mappings": full["mappings"],
+                "indexed_ms": full["indexed_ms"],
+                "indexed_ms_runs": full["indexed_ms_runs"],
+                "indexed_maps_per_s": round(full["mappings"] / (full["indexed_ms"] / 1e3), 1),
+                "frames_per_mapping": full["frames_per_mapping"],
+                "quarter_letters": quarter["letters"],
+                "quarter_mappings": quarter["mappings"],
+                "quarter_indexed_ms": quarter["indexed_ms"],
+                "quarter_frames_per_mapping": quarter["frames_per_mapping"],
+            }
+        )
     return rows
 
 
@@ -809,6 +832,7 @@ def bench_e16_enumeration_throughput(benchmark, report):
     rows = benchmark.pedantic(_enumeration_sweep, rounds=1, iterations=1)
     table = format_table(
         [
+            "query",
             "workload",
             "needle_rate",
             "mappings",
@@ -820,8 +844,9 @@ def bench_e16_enumeration_throughput(benchmark, report):
         ],
         [
             [
+                "matrix" if r["formula"] == MATRIX_FORMULA else r["formula"],
                 r["workload"],
-                r["needle_rate"],
+                "-" if r["needle_rate"] is None else r["needle_rate"],
                 r["mappings"],
                 r["indexed_ms"],
                 r["frames_per_mapping"],
@@ -834,13 +859,14 @@ def bench_e16_enumeration_throughput(benchmark, report):
             for r in rows
         ],
         title="E16e full-enumeration throughput on the >64-state matrix "
-        f"query ({ENUM_DOC_LETTERS} letters and the first quarter): "
-        "full enumeration and DFS frames per mapping, "
+        f"query and the held-stretch query ({ENUM_DOC_LETTERS} letters and "
+        "the first quarter): full enumeration and DFS frames per mapping, "
         "run-length x match-density",
     )
     report("E16e_enumeration_throughput", table)
     _JSON["sections"]["enumeration_throughput"] = {
         "formula": MATRIX_FORMULA,
+        "held_formula": HELD_FORMULA,
         "doc_letters": ENUM_DOC_LETTERS,
         "repeats": ENUM_REPEATS,
         "run_lengths": list(ENUM_RUN_LENGTHS),
