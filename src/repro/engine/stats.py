@@ -99,7 +99,7 @@ class EngineStats:
             the DFS's work that builds nothing of its own.  The layers a
             jump crosses between frames count nothing, and ``first()``
             counts nothing.  A guard's ``states`` budget is charged the
-            same counts.
+            same counts, so after a trip the two still agree.
     """
 
     documents: int = 0

@@ -170,6 +170,11 @@ class TestJumpTargets:
     # y, but its image on the next letter is the done trailing star.
     @example(parse("x{a}b([c]y{a})?"), "class-star", "abababab", "indexed-letter-walk")
     @example(parse("x{a}b([c]y{a})?"), "union-star", "abababab", "indexed-run-walk")
+    # The image's node holds across the last `a` of the `aa`, where its
+    # state that is not done stops being co-reachable.
+    @example(
+        parse("x{a}b([ab]*(a|[c]y{a}))?[ab]*"), None, "abbababaabbbbbb", "indexed-letter-walk"
+    )
     @_SETTINGS
     def test_jump_matches_the_definition(self, formula, wrap, text, walk):
         if wrap:
