@@ -1039,13 +1039,15 @@ class IndexedMatchGraph:
         On the letter walk the image steps the kernel's interned nodes
         over the transitions that perform no operation
         (:meth:`~repro.va.kernel.TransitionKernel.empty_extend`), and each
-        layer is one test against the operating mask of its letter, which
-        the next co-reachability node memoizes
-        (:meth:`~repro.va.kernel.TransitionKernel.operating`).  The image
-        stays unpruned on the way: a state of it that is not co-reachable
-        has no co-reachable successor, so it never meets an operating mask,
-        and the stop prunes it.  The done test prunes it too, so it runs
-        where the image's node or the co-reachability node changes.
+        layer is two tests against masks of its letter that the next
+        co-reachability node memoizes
+        (:meth:`~repro.va.kernel.TransitionKernel.operating`): the states
+        with a live operating option, and the states with a transition
+        that performs no operation into a live state that is not done; an
+        image without the second turns all done at the next layer.  The
+        image stays unpruned on the way: a state of it that is not
+        co-reachable has no co-reachable successor, so it meets neither
+        mask, and the stop prunes it.
 
         Every other walk (the run walk, a :class:`LayeredIndexedVA`, a
         graph without a kernel) scans the profile's macro transitions once
@@ -1077,7 +1079,7 @@ class IndexedMatchGraph:
             cnodes = self._coreach_nodes()
 
             def walk(profile: int, layer: int, lo: int, hi: int) -> "tuple":
-                node, last = kernel.empty_node(profile), None
+                node = kernel.empty_node(profile)
                 until = -1  # the last layer the image held at, once known
                 while True:
                     stop = min(n, layer + chunk)
@@ -1086,12 +1088,14 @@ class IndexedMatchGraph:
                             return None, layer
                         lid = ids[layer]
                         cnode = cnodes[layer + 1]
-                        op = cnode[op_slot + lid]
-                        if op is None:
-                            op = operating(lid, cnode)
+                        masks = cnode[op_slot + lid]
+                        if masks is None:
+                            masks = operating(lid, cnode)
+                        op, keep = masks
                         if profile & op:
                             result = layer, profile & cnodes[layer][mask_slot]
                             return result, layer if until < 0 else until
+                        done = not profile & keep
                         nxt = node[lid]
                         if nxt is None:
                             nxt = empty_extend(node, lid)
@@ -1099,12 +1103,10 @@ class IndexedMatchGraph:
                         if nxt is not node:
                             if until < 0:
                                 until = layer - 1
-                            node, profile, last = nxt, nxt[mask_slot], None
-                        if cnode is not last:  # a new image or co-reachability node
-                            last = cnode
-                            if not profile & cnode[mask_slot] & not_done:
-                                result = layer, profile & cnode[mask_slot]
-                                return result, layer if until < 0 else until
+                            node, profile = nxt, nxt[mask_slot]
+                        if done:
+                            result = layer, profile & cnode[mask_slot]
+                            return result, layer if until < 0 else until
                     if layer == n:
                         return (n, profile & self.final_mask), n - 1 if until < 0 else until
                     guard.check()

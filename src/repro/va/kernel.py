@@ -99,8 +99,8 @@ class TransitionKernel:
     holds.  Separate node families cover the successor relation, the
     predecessor relation, and the successor relation restricted to the
     transitions that perform no operation.  A predecessor node holds
-    :meth:`operating`'s mask of each letter in ``node[n_letters + 2 +
-    letter_id]``.
+    :meth:`operating`'s pair of masks of each letter in ``node[n_letters +
+    2 + letter_id]``.
 
     Attributes:
         successor_masks: the per-letter base transformers (one application
@@ -130,6 +130,7 @@ class TransitionKernel:
         "n_states",
         "_tables",
         "_empty_oid",
+        "_not_done",
         "_powers",
         "_preds",
         "_empty_rows",
@@ -152,6 +153,7 @@ class TransitionKernel:
         self.n_states = indexed.n_states
         self._tables = indexed.tables
         self._empty_oid = indexed.empty_opset_id
+        self._not_done = ~indexed.done_mask
         # _powers[letter_id][k] is the transformer of 2^k applications of
         # the letter; built on demand, memoized per (letter, 2^k).
         self._powers: dict[int, list[list[int]]] = {}
@@ -314,26 +316,34 @@ class TransitionKernel:
         nxt = self.empty_node(apply_masks(row, node[self._mask_slot]))
         return self._link(node, letter_id, nxt)
 
-    def operating(self, letter_id: int, cnode: list) -> int:
-        """The states with a transition on ``letter_id`` that performs
-        operations into the co-reachability node ``cnode``'s mask: at a
-        layer that reads the letter, before the layer of ``cnode``, the
-        forward-reachable ones are the states with a live operating
-        option.  Memoized in the node's slot for the letter, on an
-        interned node and within :attr:`STEP_CACHE_LIMIT`, as a successor
-        slot is."""
+    def operating(self, letter_id: int, cnode: list) -> "tuple[int, int]":
+        """Two masks of the states with a transition on ``letter_id`` into
+        the co-reachability node ``cnode``'s mask: those with one that
+        performs operations, and those with one that performs none into a
+        state that is not done (:attr:`IndexedVA.done_mask`).  At a layer
+        that reads the letter, before the layer of ``cnode``, the
+        forward-reachable ones of the first are the states with a live
+        operating option, and an image under the transitions that perform
+        no operation that meets neither turns all done, on its live part,
+        at ``cnode``'s layer.  Memoized in the node's slot for the letter,
+        on an interned node and within :attr:`STEP_CACHE_LIMIT`, as a
+        successor slot is."""
         live = cnode[self._mask_slot]
+        live_not_done = live & self._not_done
         empty = self._empty_oid
-        mask = 0
+        op = keep = 0
         for sid, entries in enumerate(self._tables[letter_id]):
             for oid, target_mask in entries:
-                if oid != empty and target_mask & live:
-                    mask |= 1 << sid
-                    break
+                if oid != empty:
+                    if target_mask & live:
+                        op |= 1 << sid
+                elif target_mask & live_not_done:
+                    keep |= 1 << sid
+        masks = op, keep
         if cnode[self._id_slot] >= 0 and self._cached_steps < self.STEP_CACHE_LIMIT:
-            cnode[self._op_slot + letter_id] = mask
+            cnode[self._op_slot + letter_id] = masks
             self._cached_steps += 1
-        return mask
+        return masks
 
     def frontier(self, ids: "Sequence[int]", mask: int, guard=None) -> int:
         """The frontier after the letter ids ``ids``, started at ``mask``:
