@@ -43,8 +43,8 @@ to the first layer where the image of its states under the transitions
 that perform no operation holds a state with a live operating option,
 or to the last layer (Amarilli, Bourhis, Mengel and Niewerth's jump to
 the next capture layer, ICDT 2019).  On the letter walk the image steps
-a third family of the kernel's interned nodes and each layer is one
-memoized mask test against the co-reachability nodes, so the DFS builds
+a third family of the kernel's interned nodes and each layer is two
+memoized mask tests against the co-reachability nodes, so the DFS builds
 neither the forward nor the live layers; on the run walk a profile that
 is a fixpoint of a run's image crosses the run's stable live layers in
 one step.  :class:`IndexedVA` also marks, once per automaton, the *done*
